@@ -1,9 +1,22 @@
-"""Minimal reverse-mode differentiation over a fixed operation vocabulary.
+"""Reverse-mode differentiation over a fixed operation vocabulary.
 
-The model graph is static per query shape, so there is no need for a general
-autodiff system: a closed set of ops with hand-written backward rules keeps
-the engine small and each rule individually checkable against finite
-differences. All values are float64; shapes are rank 0-2.
+The model graph is fixed by a query's skeleton (the query with its anchor and
+relation ids erased), so the model runs every query of one skeleton as one
+group: each op takes the whole group's ``(B, ...)`` operands and records one
+tape node for it, instead of one node per query. Ops act on the last axis and
+take an optional leading batch axis, so a lone vector is simply the unbatched
+case. A closed set of ops with hand-written backward rules keeps the engine
+small and each rule individually checkable against finite differences. All
+values are float64 and tensors are rank 0-2; scoring ``m`` items for each of
+``B`` queries is therefore one fused gather + L1 op (``gather_l1``) instead of
+a ``(B, m, d)`` tensor.
+
+Row-wise products (``affine``, ``weighted_sum``) multiply one row at a time,
+so a row's result does not depend on how many rows share its batch: a query
+embeds to the same bits alone as inside a group.
+
+A tape built with ``record=False`` keeps no nodes and builds no backward
+closures; inference runs the same forward code through it.
 
 Subgradient conventions are fixed: relu'(0) = 0, the L1 distance uses
 sign with sign(0) = 0, and elementwise_max routes ties to its first operand.
@@ -66,7 +79,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def _scatter_add(table: Tensor, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``table.grad[idx] += rows``; repeated ids add up."""
+    if table.grad is None:
+        table.grad = np.zeros_like(table.data)
+    np.add.at(table.grad, idx, rows)
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow for large negative inputs."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -75,18 +96,27 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rowwise_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` computed as one vector-matrix product per row of ``x``.
+
+    ``m`` is one (n, d) matrix or one per row, (B, n, d). A full matrix
+    product would block rows together and round a row differently depending
+    on the batch size.
+    """
+    return (x[..., None, :] @ m)[..., 0, :]
+
+
 class Tape:
     """Append-only record of ops; reversed append order is a valid reverse
     topological order, so backward visits each node exactly once."""
 
-    def __init__(self):
-        # (op kind, outputs, inputs, backward closure over saved activations)
-        self.nodes: list[
-            tuple[str, tuple[Tensor, ...], tuple[Tensor, ...], object]
-        ] = []
+    def __init__(self, record: bool = True):
+        self.record = record
+        # (outputs, backward closure over saved activations)
+        self.nodes: list[tuple[tuple[Tensor, ...], object]] = []
 
-    def _record(self, op: str, inputs, outputs, backward_fn) -> None:
-        self.nodes.append((op, tuple(outputs), tuple(inputs), backward_fn))
+    def _record(self, outputs: tuple[Tensor, ...], backward_fn) -> None:
+        self.nodes.append((outputs, backward_fn))
 
     # -- table access ------------------------------------------------------
 
@@ -95,22 +125,42 @@ class Tape:
 
         The backward pass scatter-adds only into the touched rows.
         """
-        if table.data.ndim != 2:
-            raise OpShapeError("gather", table.shape)
-        scalar = np.isscalar(ids) or isinstance(ids, (int, np.integer))
-        idx = int(ids) if scalar else np.asarray(ids, dtype=np.int64)
+        idx = np.asarray(ids, dtype=np.int64)
+        if table.data.ndim != 2 or idx.ndim > 1:
+            raise OpShapeError("gather", table.shape, idx.shape)
         out = Tensor(table.data[idx])
+        if self.record:
+            def backward(g):
+                _scatter_add(table, idx, g)
 
-        def backward(gs):
-            (g,) = gs
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            if scalar:
-                table.grad[idx] += g
-            else:
-                np.add.at(table.grad, idx, g)
+            self._record((out,), backward)
+        return out
 
-        self._record("gather", (table,), (out,), backward)
+    def gather_l1(self, table: Tensor, ids, q: Tensor) -> Tensor:
+        """L1 distance from ``q`` to gathered table rows, in one op.
+
+        ``q`` (d,) with ids (m,) gives (m,); ``q`` (B, d) with ids (B, m)
+        gives (B, m), where row b measures ``table[ids[b, j]]`` against
+        ``q[b]``. Only touched table rows receive gradient.
+        """
+        idx = np.asarray(ids, dtype=np.int64)
+        if (
+            table.data.ndim != 2
+            or q.data.ndim not in (1, 2)
+            or idx.ndim != q.data.ndim
+            or idx.shape[:-1] != q.shape[:-1]
+            or q.shape[-1] != table.shape[1]
+        ):
+            raise OpShapeError("gather_l1", table.shape, idx.shape, q.shape)
+        diff = table.data[idx] - q.data[..., None, :]
+        out = Tensor(np.abs(diff).sum(axis=-1))
+        if self.record:
+            def backward(g):
+                s = g[..., None] * np.sign(diff)
+                _scatter_add(table, idx, s)
+                _accumulate(q, -s.sum(axis=-2))
+
+            self._record((out,), backward)
         return out
 
     # -- elementwise arithmetic ---------------------------------------------
@@ -119,39 +169,36 @@ class Tape:
         if a.shape != b.shape:
             raise OpShapeError("add", a.shape, b.shape)
         out = Tensor(a.data + b.data)
+        if self.record:
+            def backward(g):
+                _accumulate(a, g)
+                _accumulate(b, g)
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(a, g)
-            _accumulate(b, g)
-
-        self._record("add", (a, b), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise OpShapeError("sub", a.shape, b.shape)
         out = Tensor(a.data - b.data)
+        if self.record:
+            def backward(g):
+                _accumulate(a, g)
+                _accumulate(b, -g)
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(a, g)
-            _accumulate(b, -g)
-
-        self._record("sub", (a, b), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def elementwise_mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise OpShapeError("elementwise_mul", a.shape, b.shape)
         out = Tensor(a.data * b.data)
+        if self.record:
+            def backward(g):
+                _accumulate(a, g * b.data)
+                _accumulate(b, g * a.data)
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-
-        self._record("elementwise_mul", (a, b), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def elementwise_max(self, a: Tensor, b: Tensor) -> Tensor:
@@ -160,73 +207,87 @@ class Tape:
             raise OpShapeError("elementwise_max", a.shape, b.shape)
         take_a = a.data >= b.data
         out = Tensor(np.where(take_a, a.data, b.data))
+        if self.record:
+            def backward(g):
+                _accumulate(a, g * take_a)
+                _accumulate(b, g * ~take_a)
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(a, g * take_a)
-            _accumulate(b, g * ~take_a)
-
-        self._record("elementwise_max", (a, b), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def scale_shift(self, x: Tensor, scale: float, shift: float) -> Tensor:
         """``scale * x + shift`` with python-float constants."""
         out = Tensor(scale * x.data + shift)
+        if self.record:
+            def backward(g):
+                _accumulate(x, g * scale)
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(x, g * scale)
-
-        self._record("scale_shift", (x,), (out,), backward)
+            self._record((out,), backward)
         return out
 
     # -- shape plumbing ------------------------------------------------------
 
-    def concat_last_dim(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.ndim != 1 or b.data.ndim != 1:
-            raise OpShapeError("concat_last_dim", a.shape, b.shape)
-        out = Tensor(np.concatenate([a.data, b.data]))
-        na = a.data.shape[0]
+    def concat_last_dim(self, *tensors: Tensor) -> Tensor:
+        """Join operands along the last axis; leading shapes must agree."""
+        lead = tensors[0].shape[:-1] if tensors else None
+        if not tensors or any(
+            t.data.ndim == 0 or t.shape[:-1] != lead for t in tensors
+        ):
+            raise OpShapeError("concat_last_dim", *[t.shape for t in tensors])
+        out = Tensor(np.concatenate([t.data for t in tensors], axis=-1))
+        if self.record:
+            bounds = np.cumsum([t.shape[-1] for t in tensors])[:-1]
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(a, g[:na])
-            _accumulate(b, g[na:])
+            def backward(g):
+                for t, part in zip(tensors, np.split(g, bounds, axis=-1)):
+                    _accumulate(t, part)
 
-        self._record("concat_last_dim", (a, b), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def split_halves(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        if x.data.ndim != 1 or x.data.shape[0] % 2 != 0:
+        """Split the last axis into two equal halves."""
+        if x.data.ndim == 0 or x.shape[-1] % 2 != 0:
             raise OpShapeError("split_halves", x.shape)
-        half = x.data.shape[0] // 2
-        lo = Tensor(x.data[:half].copy())
-        hi = Tensor(x.data[half:].copy())
+        half = x.shape[-1] // 2
+        lo = Tensor(x.data[..., :half].copy())
+        hi = Tensor(x.data[..., half:].copy())
+        if self.record:
+            def backward(g_lo, g_hi):
+                zeros = np.zeros(lo.shape)
+                _accumulate(x, np.concatenate(
+                    [g_lo if g_lo is not None else zeros,
+                     g_hi if g_hi is not None else zeros],
+                    axis=-1,
+                ))
 
-        def backward(gs):
-            g_lo, g_hi = gs
-            g = np.concatenate(
-                [
-                    g_lo if g_lo is not None else np.zeros(half),
-                    g_hi if g_hi is not None else np.zeros(half),
-                ]
-            )
-            _accumulate(x, g)
-
-        self._record("split_halves", (x,), (lo, hi), backward)
+            self._record((lo, hi), backward)
         return lo, hi
 
     def stack_rows(self, tensors: list[Tensor]) -> Tensor:
-        if not tensors or any(t.data.ndim != 1 for t in tensors):
+        """Rows of the operands in order as one (n, d) matrix; a vector is one
+        row, a matrix a block of rows."""
+        if (
+            not tensors
+            or any(t.data.ndim not in (1, 2) for t in tensors)
+            or len({t.shape[-1] for t in tensors}) != 1
+        ):
             raise OpShapeError("stack_rows", *[t.shape for t in tensors])
-        out = Tensor(np.stack([t.data for t in tensors]))
+        rows, start = [], 0
+        for t in tensors:
+            if t.data.ndim == 1:
+                rows.append(start)
+                start += 1
+            else:
+                rows.append(slice(start, start + t.shape[0]))
+                start += t.shape[0]
+        out = Tensor(np.vstack([t.data for t in tensors]))
+        if self.record:
+            def backward(g):
+                for t, r in zip(tensors, rows):
+                    _accumulate(t, g[r])
 
-        def backward(gs):
-            (g,) = gs
-            for row, t in enumerate(tensors):
-                _accumulate(t, g[row])
-
-        self._record("stack_rows", tuple(tensors), (out,), backward)
+            self._record((out,), backward)
         return out
 
     # -- linear algebra -------------------------------------------------------
@@ -236,44 +297,45 @@ class Tape:
 
         ``x`` may be a vector (d_in,) or a matrix (m, d_in).
         """
-        if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0] - 1:
+        if w.data.ndim != 2 or x.data.ndim == 0 or x.shape[-1] != w.shape[0] - 1:
             raise OpShapeError("affine", w.shape, x.shape)
         weights, bias = w.data[:-1], w.data[-1]
-        out = Tensor(x.data @ weights + bias)
+        out = Tensor(_rowwise_matmul(x.data, weights) + bias)
+        if self.record:
+            def backward(g):
+                x2 = x.data.reshape(-1, x.shape[-1])
+                g2 = g.reshape(-1, g.shape[-1])
+                gw = np.empty_like(w.data)
+                gw[:-1] = x2.T @ g2
+                gw[-1] = g2.sum(axis=0)
+                _accumulate(w, gw)
+                _accumulate(x, g @ weights.T)
 
-        def backward(gs):
-            (g,) = gs
-            gw = np.zeros_like(w.data)
-            if x.data.ndim == 1:
-                gw[:-1] = np.outer(x.data, g)
-                gw[-1] = g
-                gx = weights @ g
-            else:
-                gw[:-1] = x.data.T @ g
-                gw[-1] = g.sum(axis=0)
-                gx = g @ weights.T
-            _accumulate(w, gw)
-            _accumulate(x, gx)
-
-        self._record("affine", (w, x), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def weighted_sum(self, weights: Tensor, stack: Tensor) -> Tensor:
-        """Mix (k, d) rows by a (k,) weight vector into a (d,) output."""
+        """Mix k equal blocks of the stack's last axis by the k weights.
+
+        weights (k,) with stack (k * d,) gives (d,); weights (B, k) with
+        stack (B, k * d) gives (B, d), mixing each row by its own weights.
+        """
+        k = weights.shape[-1] if weights.data.ndim else 0
         if (
-            weights.data.ndim != 1
-            or stack.data.ndim != 2
-            or weights.data.shape[0] != stack.data.shape[0]
+            k == 0
+            or stack.shape[:-1] != weights.shape[:-1]
+            or stack.shape[-1] % k != 0
         ):
             raise OpShapeError("weighted_sum", weights.shape, stack.shape)
-        out = Tensor(weights.data @ stack.data)
+        blocks = stack.data.reshape(weights.shape + (-1,))
+        out = Tensor(_rowwise_matmul(weights.data, blocks))
+        if self.record:
+            def backward(g):
+                _accumulate(weights, (blocks @ g[..., None])[..., 0])
+                _accumulate(stack, (weights.data[..., None] * g[..., None, :])
+                            .reshape(stack.shape))
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(weights, stack.data @ g)
-            _accumulate(stack, np.outer(weights.data, g))
-
-        self._record("weighted_sum", (weights, stack), (out,), backward)
+            self._record((out,), backward)
         return out
 
     # -- nonlinearities --------------------------------------------------------
@@ -281,23 +343,21 @@ class Tape:
     def relu(self, x: Tensor) -> Tensor:
         mask = x.data > 0
         out = Tensor(np.where(mask, x.data, 0.0))
+        if self.record:
+            def backward(g):
+                _accumulate(x, g * mask)
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(x, g * mask)
-
-        self._record("relu", (x,), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def sigmoid(self, x: Tensor) -> Tensor:
-        s = _stable_sigmoid(x.data)
+        s = stable_sigmoid(x.data)
         out = Tensor(s)
+        if self.record:
+            def backward(g):
+                _accumulate(x, g * s * (1.0 - s))
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(x, g * s * (1.0 - s))
-
-        self._record("sigmoid", (x,), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def softmax_last_dim(self, x: Tensor) -> Tensor:
@@ -305,43 +365,15 @@ class Tape:
         ex = np.exp(shifted)
         s = ex / ex.sum(axis=-1, keepdims=True)
         out = Tensor(s)
+        if self.record:
+            def backward(g):
+                inner = (g * s).sum(axis=-1, keepdims=True)
+                _accumulate(x, s * (g - inner))
 
-        def backward(gs):
-            (g,) = gs
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            _accumulate(x, s * (g - inner))
-
-        self._record("softmax_last_dim", (x,), (out,), backward)
+            self._record((out,), backward)
         return out
 
-    # -- distances and losses ----------------------------------------------------
-
-    def l1_distance(self, a: Tensor, b: Tensor) -> Tensor:
-        """L1 distance: two vectors -> scalar; (m, d) against (d,) -> (m,)."""
-        if a.data.ndim == 1 and a.shape == b.shape:
-            diff = a.data - b.data
-            out = Tensor(np.abs(diff).sum())
-
-            def backward(gs):
-                (g,) = gs
-                s = np.sign(diff)
-                _accumulate(a, g * s)
-                _accumulate(b, -g * s)
-
-        elif a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-            diff = a.data - b.data
-            out = Tensor(np.abs(diff).sum(axis=1))
-
-            def backward(gs):
-                (g,) = gs
-                s = np.sign(diff)
-                _accumulate(a, g[:, None] * s)
-                _accumulate(b, -(g[:, None] * s).sum(axis=0))
-
-        else:
-            raise OpShapeError("l1_distance", a.shape, b.shape)
-        self._record("l1_distance", (a, b), (out,), backward)
-        return out
+    # -- losses and reductions -----------------------------------------------
 
     def bce_loss(self, probs: Tensor, labels: Tensor) -> Tensor:
         """Binary cross-entropy, averaged over all elements.
@@ -349,41 +381,36 @@ class Tape:
         Probabilities are clipped to [eps, 1-eps] purely as a log() guard;
         sigmoid outputs only reach the clip under extreme saturation.
         """
-        if probs.shape != labels.shape or probs.data.ndim != 1:
+        if probs.shape != labels.shape or probs.data.ndim == 0:
             raise OpShapeError("bce_loss", probs.shape, labels.shape)
         p = np.clip(probs.data, _BCE_EPS, 1.0 - _BCE_EPS)
         y = labels.data
-        n = p.shape[0]
+        n = p.size
         out = Tensor(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n)
+        if self.record:
+            def backward(g):
+                _accumulate(probs, g * (-(y / p) + (1.0 - y) / (1.0 - p)) / n)
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(probs, g * (-(y / p) + (1.0 - y) / (1.0 - p)) / n)
-
-        self._record("bce_loss", (probs, labels), (out,), backward)
+            self._record((out,), backward)
         return out
-
-    # -- reductions -----------------------------------------------------------
 
     def reduce_sum(self, x: Tensor) -> Tensor:
         out = Tensor(x.data.sum())
+        if self.record:
+            def backward(g):
+                _accumulate(x, np.full_like(x.data, float(g)))
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(x, np.full_like(x.data, float(g)))
-
-        self._record("reduce_sum", (x,), (out,), backward)
+            self._record((out,), backward)
         return out
 
     def reduce_mean(self, x: Tensor) -> Tensor:
         n = x.data.size
         out = Tensor(x.data.sum() / n)
+        if self.record:
+            def backward(g):
+                _accumulate(x, np.full_like(x.data, float(g) / n))
 
-        def backward(gs):
-            (g,) = gs
-            _accumulate(x, np.full_like(x.data, float(g) / n))
-
-        self._record("reduce_mean", (x,), (out,), backward)
+            self._record((out,), backward)
         return out
 
 
@@ -399,10 +426,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if loss.data.shape != ():
         raise OpShapeError("backward", loss.data.shape)
     loss.grad = np.ones_like(loss.data)
-    for _op, outputs, _inputs, backward_fn in reversed(tape.nodes):
-        if all(o.grad is None for o in outputs):
+    for outputs, backward_fn in reversed(tape.nodes):
+        grads = [o.grad for o in outputs]
+        if all(g is None for g in grads):
             continue
-        backward_fn(tuple(o.grad for o in outputs))
+        backward_fn(*grads)
 
 
 class AdamState:

@@ -13,8 +13,6 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from . import dataset as ds
 from . import kg as kgmod
 from . import oracle
@@ -25,10 +23,12 @@ from .kg import GraphFormatError, SplitInfeasibleError, UnknownNameError, load_g
 from .model import (
     CheckpointMismatchError,
     ModelParams,
-    catalog_scores,
     embed_instance,
     load_checkpoint,
 )
+# Answer lines score the catalog inside rank_items; the name stays importable
+# here because benchmark/tracing.py wraps it at this attribute.
+from .model import catalog_scores  # noqa: F401
 from .query import QuerySyntaxError, parse_query
 from .training import TrainConfig, TrainingDivergedError, train
 
@@ -144,16 +144,13 @@ def _answer_line(line: str, kg, params, mode: str, top_n: int = 10) -> None:
         names = [kg.entity_vocab.name_of(i) for i in answers]
         print(f"symbolic ({len(names)}): {' '.join(names) if names else '(none)'}")
     if mode in ("embedding", "both"):
-        tape = Tape()
-        task_emb = embed_instance(tape, params, user, query, kg.like_rel)
-        q_star = task_emb[TASK_JOINT].data
-        ranked = rank_items(params, q_star, kg.sorted_items())
-        ids = np.asarray(sorted(kg.items), dtype=np.int64)
-        scores = catalog_scores(params, q_star, ids)
-        score_by_id = dict(zip(ids.tolist(), scores.tolist()))
+        task_emb = embed_instance(Tape(record=False), params, [user], [query],
+                                  kg.like_rel)
+        ids, scores = rank_items(params, task_emb[TASK_JOINT].data[0],
+                                 kg.sorted_items(), top_n=top_n)
         print(f"embedding top-{top_n}:")
-        for item in ranked[:top_n]:
-            print(f"  {kg.entity_vocab.name_of(item)}  {score_by_id[item]:.4f}")
+        for item, score in zip(ids.tolist(), scores.tolist()):
+            print(f"  {kg.entity_vocab.name_of(item)}  {score:.4f}")
 
 
 def cmd_answer(args) -> int:

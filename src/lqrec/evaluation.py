@@ -89,12 +89,25 @@ def rank_items(
     q_task: np.ndarray,
     item_ids,
     exclude: frozenset[int] = frozenset(),
-) -> list[int]:
-    """Item ids by descending score; ties broken by ascending id."""
-    ids = np.asarray(sorted(item_ids), dtype=np.int64)
+    top_n: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(item ids, scores) by descending score, ties broken by ascending id.
+
+    The catalog is scored once. With ``top_n`` only the first ``top_n`` of
+    that order come back: ``argpartition`` picks the candidates, every item
+    tied with the score at the cut stays in, and only those are sorted.
+    """
+    ids = np.asarray(item_ids, dtype=np.int64)
     scores = catalog_scores(params, q_task, ids)
-    order = np.lexsort((ids, -scores))
-    return [int(ids[j]) for j in order if int(ids[j]) not in exclude]
+    if exclude:
+        keep = ~np.isin(ids, np.fromiter(exclude, dtype=np.int64))
+        ids, scores = ids[keep], scores[keep]
+    if top_n is not None and top_n < len(ids):
+        cut = scores[np.argpartition(-scores, top_n - 1)[top_n - 1]]
+        candidates = np.flatnonzero(scores >= cut)
+        ids, scores = ids[candidates], scores[candidates]
+    order = np.lexsort((ids, -scores))[:top_n]
+    return ids[order], scores[order]
 
 
 def _per_answer_metrics(rank: int, ks) -> dict[str, float]:
@@ -114,6 +127,9 @@ def evaluate(
 ) -> EvalReport:
     """Score the catalog per record and aggregate ranking metrics per shape.
 
+    All records embed in one batch (grouped by skeleton, no gradients); the
+    catalog is then scored one record at a time.
+
     ``target="hard"`` ranks the held-out-only answers (test protocol) and
     requires every record to carry them; ``target="answers"`` ranks the
     record's known joint answers instead (train-fit diagnostics).
@@ -124,6 +140,7 @@ def evaluate(
     metric_names = [f"hit@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
     by_shape: dict[str, dict[str, list[float]]] = {}
 
+    records = []
     for inst in instances:
         if target == "hard":
             if inst.hard is None:
@@ -139,19 +156,23 @@ def evaluate(
         known = inst.answers[TASK_JOINT]
         if inst.hard is not None:
             known = known | inst.hard[TASK_JOINT]
+        records.append((inst.shape.value, targets, known))
 
-        tape = Tape()
-        task_emb = embed_instance(tape, params, inst.user, inst.requirement,
-                                  kg.like_rel)
-        scores = catalog_scores(params, task_emb[TASK_JOINT].data, item_ids)
-
+    if instances:
+        joint = embed_instance(Tape(record=False), params,
+                               [inst.user for inst in instances],
+                               [inst.requirement for inst in instances],
+                               kg.like_rel)[TASK_JOINT].data
+    # one record's catalog at a time: never a (records, items, d) array
+    for row, (shape, targets, known) in enumerate(records):
+        scores = catalog_scores(params, joint[row], item_ids)
         sums = dict.fromkeys(metric_names, 0.0)
         for answer in sorted(targets):
             rank = filtered_rank(scores, item_ids, answer, known)
             for name, value in _per_answer_metrics(rank, ks).items():
                 sums[name] += value
         shape_bucket = by_shape.setdefault(
-            inst.shape.value, {name: [] for name in metric_names}
+            shape, {name: [] for name in metric_names}
         )
         for name in metric_names:
             shape_bucket[name].append(sums[name] / len(targets))

@@ -108,6 +108,7 @@ class KnowledgeGraph:
             dict.fromkeys(Triple(*t) for t in triples)
         )
         self.items = frozenset(items)
+        self._sorted_items = tuple(sorted(self.items))
         self.users = frozenset(users)
         self.like_rel = like_rel
 
@@ -168,12 +169,9 @@ class KnowledgeGraph:
             self.like_rel,
         )
 
-    def sorted_items(self) -> list[int]:
-        return sorted(self.items)
-
-
-def neighbors_out(kg: KnowledgeGraph, e: int, r: int) -> frozenset[int]:
-    return kg.neighbors_out(e, r)
+    def sorted_items(self) -> tuple[int, ...]:
+        """Item ids in ascending order, sorted once at construction."""
+        return self._sorted_items
 
 
 def _check_name(name: str, path: str, lineno: int) -> str:

@@ -8,6 +8,17 @@ expert transforms of the joint embedding, mixed by per-task softmax gates,
 produces one embedding per task; an item's probability for a task is
 sigmoid(margin - L1(task embedding, item embedding)).
 
+The forward pass always runs on a batch of (user, requirement) pairs; a lone
+query is a batch of one. Requirements are grouped by skeleton (the query
+with its anchor and relation ids erased; the two child orders of a shape
+are two skeletons). Each group's ids become (B,) columns and go through one
+recursion on (B, d) tensors: a projection is one gather plus one add, an
+intersection one attention network on (B, 2d), a union one max. The group
+outputs return to batch order, and the preference, joint intersection,
+expert bank and gates then run once over the whole batch. Training,
+evaluation and ``answer`` all embed through this one path; inference uses a
+non-recording tape.
+
 Variants:
   mtl            experts + per-task gates (the full model)
   shared-bottom  experts mixed uniformly into one shared representation
@@ -20,10 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, stable_sigmoid
 from .dataset import TASK_JOINT, TASK_PREF, TASK_REQ
 from .kg import KnowledgeGraph
 from .query import And, Anchor, Or, Project, QueryNode
@@ -177,14 +189,17 @@ class ModelParams:
 
 
 # --- logical operators ------------------------------------------------------
+#
+# Every operator is written once over the last axis: the same code embeds a
+# single (d,) operand or a (B, d) group.
 
 
-def embed_anchor(tape: Tape, params: ModelParams, entity: int) -> Tensor:
-    return tape.gather(params.entity_emb, entity)
+def embed_projection(tape: Tape, params: ModelParams, base: Tensor, rel) -> Tensor:
+    """Relation application is translation: base + relation vector.
 
-
-def embed_projection(tape: Tape, params: ModelParams, base: Tensor, rel: int) -> Tensor:
-    """Relation application is translation: base + relation vector."""
+    ``rel`` is one relation id for a (d,) base or a (B,) id column for a
+    (B, d) base.
+    """
     return tape.add(base, tape.gather(params.relation_emb, rel))
 
 
@@ -210,31 +225,77 @@ def embed_union(tape: Tape, q1: Tensor, q2: Tensor) -> Tensor:
     return tape.elementwise_max(q1, q2)
 
 
-def embed_requirement(tape: Tape, params: ModelParams, q: QueryNode) -> Tensor:
-    """Recursive embedding; n-ary nodes fold left over canonical child order."""
+def _skeleton(q: QueryNode, ids: list[int]) -> tuple:
+    """The query's structure with its ids erased; appends the anchor and
+    relation ids to ``ids`` in the order ``_embed_skeleton`` consumes them.
+
+    Children keep their order, so the two child orders of a shape are two
+    skeletons.
+    """
     if isinstance(q, Anchor):
-        return embed_anchor(tape, params, q.entity)
+        ids.append(q.entity)
+        return ("e",)
     if isinstance(q, Project):
-        return embed_projection(tape, params, embed_requirement(tape, params, q.child), q.rel)
-    if isinstance(q, And):
-        acc = embed_requirement(tape, params, q.children[0])
-        for child in q.children[1:]:
-            acc = embed_intersection(tape, params, acc, embed_requirement(tape, params, child))
-        return acc
-    if isinstance(q, Or):
-        acc = embed_requirement(tape, params, q.children[0])
-        for child in q.children[1:]:
-            acc = embed_union(tape, acc, embed_requirement(tape, params, child))
-        return acc
+        child = _skeleton(q.child, ids)
+        ids.append(q.rel)
+        return ("p", child)
+    if isinstance(q, (And, Or)):
+        kind = "and" if isinstance(q, And) else "or"
+        return (kind, tuple(_skeleton(c, ids) for c in q.children))
     raise TypeError(f"not a query node: {q!r}")
 
 
-def embed_user_preference(
-    tape: Tape, params: ModelParams, user: int, like_rel: int
+def _embed_skeleton(tape: Tape, params: ModelParams, skel: tuple, columns) -> Tensor:
+    """(B, d) embeddings of one skeleton group; ``columns`` yields the
+    group's (B,) id columns in ``_skeleton`` order. n-ary nodes fold left
+    over their child order."""
+    kind = skel[0]
+    if kind == "e":
+        return tape.gather(params.entity_emb, next(columns))
+    if kind == "p":
+        base = _embed_skeleton(tape, params, skel[1], columns)
+        return embed_projection(tape, params, base, next(columns))
+    children = [_embed_skeleton(tape, params, c, columns) for c in skel[1]]
+    acc = children[0]
+    for child in children[1:]:
+        acc = (embed_intersection(tape, params, acc, child) if kind == "and"
+               else embed_union(tape, acc, child))
+    return acc
+
+
+def embed_requirement(
+    tape: Tape, params: ModelParams, requirements: Sequence[QueryNode]
 ) -> Tensor:
-    """The preference is a one-hop query: user + interaction relation."""
-    base = tape.gather(params.entity_emb, user)
-    return embed_projection(tape, params, base, like_rel)
+    """(B, d) embeddings of B requirements, one recursion per skeleton group.
+
+    Each group's anchor and relation ids are gathered as (B_g,) columns, and
+    the group outputs are put back into input order.
+    """
+    groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
+    for row, q in enumerate(requirements):
+        ids: list[int] = []
+        rows, id_rows = groups.setdefault(_skeleton(q, ids), ([], []))
+        rows.append(row)
+        id_rows.append(ids)
+    if not groups:
+        raise ValueError("no requirements to embed")
+    parts, order = [], []
+    for skel, (rows, id_rows) in groups.items():
+        columns = iter(np.array(id_rows, dtype=np.int64).T)
+        parts.append(_embed_skeleton(tape, params, skel, columns))
+        order.extend(rows)
+    if len(parts) == 1:
+        return parts[0]
+    return tape.gather(tape.stack_rows(parts), np.argsort(order))
+
+
+def embed_user_preference(tape: Tape, params: ModelParams, users, like_rel: int) -> Tensor:
+    """The preference is a one-hop query: user + interaction relation.
+
+    ``users`` is one user id or a (B,) id column.
+    """
+    base = tape.gather(params.entity_emb, users)
+    return embed_projection(tape, params, base, np.full(np.shape(users), like_rel))
 
 
 def embed_joint(tape: Tape, params: ModelParams, q_l: Tensor, q_u: Tensor) -> Tensor:
@@ -251,17 +312,18 @@ def mtl_transform(
     """Task embeddings from the expert bank.
 
     Experts consume only the joint embedding; each task's gate consumes that
-    task's own query embedding and mixes the shared expert outputs. The
-    single-task variant bypasses the head entirely (plain base-model scoring);
-    shared-bottom mixes experts uniformly into one representation for all
-    tasks.
+    task's own query embedding and mixes the shared expert outputs, which sit
+    side by side along the last axis. The single-task variant bypasses the
+    head entirely (plain base-model scoring); shared-bottom mixes experts
+    uniformly into one representation for all tasks.
     """
     if params.variant == "single-task":
         return {TASK_JOINT: q}
-    expert_out = [tape.relu(tape.affine(theta, q)) for theta in params.experts]
-    stack = tape.stack_rows(expert_out)
+    stack = tape.concat_last_dim(
+        *[tape.relu(tape.affine(theta, q)) for theta in params.experts]
+    )
     if params.variant == "shared-bottom":
-        uniform = Tensor(np.full(params.k, 1.0 / params.k))
+        uniform = Tensor(np.full(q.shape[:-1] + (params.k,), 1.0 / params.k))
         shared = tape.weighted_sum(uniform, stack)
         return {TASK_JOINT: shared, TASK_REQ: shared, TASK_PREF: shared}
     gates = (
@@ -277,11 +339,19 @@ def mtl_transform(
 
 
 def embed_instance(
-    tape: Tape, params: ModelParams, user: int, requirement: QueryNode, like_rel: int
+    tape: Tape,
+    params: ModelParams,
+    users: Sequence[int],
+    requirements: Sequence[QueryNode],
+    like_rel: int,
 ) -> dict[str, Tensor]:
-    """Full forward pass to per-task embeddings for one (user, requirement)."""
-    q_l = embed_requirement(tape, params, requirement)
-    q_u = embed_user_preference(tape, params, user, like_rel)
+    """Full forward pass for a batch of (user, requirement) pairs: per-task
+    (B, d) embeddings, row b for pair b. A lone query is a batch of one."""
+    if len(users) != len(requirements):
+        raise ValueError("one user per requirement")
+    q_l = embed_requirement(tape, params, requirements)
+    q_u = embed_user_preference(tape, params, np.asarray(users, dtype=np.int64),
+                                like_rel)
     q = embed_joint(tape, params, q_l, q_u)
     return mtl_transform(tape, params, q, q_l, q_u)
 
@@ -289,32 +359,22 @@ def embed_instance(
 # --- scoring ---------------------------------------------------------------
 
 
-def score_item(tape: Tape, params: ModelParams, q_task: Tensor, item: int) -> Tensor:
-    """sigmoid(gamma - L1 distance to the item embedding), in (0, 1)."""
-    emb = tape.gather(params.entity_emb, item)
-    dist = tape.l1_distance(q_task, emb)
-    return tape.sigmoid(tape.scale_shift(dist, -1.0, params.gamma))
-
-
 def score_items(tape: Tape, params: ModelParams, q_task: Tensor, ids) -> Tensor:
-    """Vectorized scores for a list of item ids, shape (m,)."""
-    emb = tape.gather(params.entity_emb, list(ids))
-    dist = tape.l1_distance(emb, q_task)
+    """sigmoid(gamma - L1 distance to each item embedding), in (0, 1).
+
+    ``q_task`` (d,) with ids (m,) gives (m,); ``q_task`` (B, d) with ids
+    (B, m) scores row b's items against ``q_task[b]``, shape (B, m).
+    """
+    dist = tape.gather_l1(params.entity_emb, ids, q_task)
     return tape.sigmoid(tape.scale_shift(dist, -1.0, params.gamma))
 
 
 def catalog_scores(
     params: ModelParams, q_task: np.ndarray, item_ids: np.ndarray
 ) -> np.ndarray:
-    """Inference-only scores over an item catalog (no tape, no gradients)."""
+    """Inference-only scores of one query over an item catalog (no tape)."""
     dist = np.abs(params.entity_emb.data[item_ids] - q_task).sum(axis=1)
-    x = params.gamma - dist
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return stable_sigmoid(params.gamma - dist)
 
 
 # --- checkpoint i/o ----------------------------------------------------------

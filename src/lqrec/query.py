@@ -264,14 +264,3 @@ def classify_shape(q: QueryNode) -> QueryShape:
         return QueryShape.UNCLASSIFIED
     return QueryShape.UNCLASSIFIED
 
-
-def anchors_of(q: QueryNode) -> set[int]:
-    """All anchor entity ids appearing in the query."""
-    if isinstance(q, Anchor):
-        return {q.entity}
-    if isinstance(q, Project):
-        return anchors_of(q.child)
-    out: set[int] = set()
-    for c in q.children:
-        out |= anchors_of(c)
-    return out

@@ -10,11 +10,13 @@ reproduce identical checkpoints bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
 import os
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,17 +107,49 @@ def effective_task_weights(variant: str, weights) -> tuple[float, float, float]:
     return w
 
 
+class _NegativePool(Sequence):
+    """``items`` minus an answer set, as a read-only view.
+
+    Element j is found by bisecting the sorted positions of the answers in
+    ``items``: the view costs O(|answers| log |items|) to build and
+    O(log |answers|) per element, where the pool as a list costs O(|items|).
+    """
+
+    def __init__(self, items: Sequence[int], answers: frozenset[int]):
+        self._items = items
+        n = len(items)
+        taken = sorted(p for a in answers
+                       if (p := bisect.bisect_left(items, a)) < n and items[p] == a)
+        # shifts[k] = kept items before the k-th excluded position
+        self._shifts = [pos - k for k, pos in enumerate(taken)]
+        self._len = n - len(taken)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, j: int) -> int:
+        if not 0 <= j < self._len:
+            raise IndexError(j)
+        return self._items[j + bisect.bisect_right(self._shifts, j)]
+
+
 def sample_negatives(
     task_answers: frozenset[int],
-    items: list[int],
+    items: Sequence[int],
     n_neg: int,
     rng: random.Random,
 ) -> list[int]:
     """Uniform negatives outside the answer set, without replacement when the
-    pool allows it, with replacement otherwise."""
+    pool allows it, with replacement otherwise.
+
+    ``items`` must be sorted and distinct (``KnowledgeGraph.sorted_items``).
+    The pool is a lazy view of ``items`` minus the answers; ``rng`` sees the
+    same population as with the pool built as a list, so the draws are the
+    same.
+    """
     if n_neg == 0:
         return []
-    pool = [i for i in items if i not in task_answers]
+    pool = _NegativePool(items, task_answers)
     if not pool:
         raise DegenerateInstanceError("answer set covers the entire catalog")
     if len(pool) >= n_neg:
@@ -125,7 +159,7 @@ def sample_negatives(
 
 def _instance_samples(
     inst: RecInstance,
-    items: list[int],
+    items: Sequence[int],
     n_neg: int,
     weights: tuple[float, float, float],
     rng: random.Random,
@@ -150,28 +184,43 @@ def compute_loss(
     kg: KnowledgeGraph,
     task_weights: tuple[float, float, float],
 ) -> Tensor:
-    """Weighted multi-task BCE, averaged over the batch."""
+    """Weighted multi-task BCE, averaged over the batch.
+
+    The whole batch embeds in one ``embed_instance`` call. Each task then
+    scores all its (positive, negatives) rows in one ``score_items`` call;
+    an instance's term is the mean over its 1 + n_neg scores, so a task's
+    summed terms are its (rows x scores) mean times its row count.
+    """
     if not batch:
         raise ValueError("empty batch")
     weight_by_task = dict(zip(TASKS, task_weights))
-    total: Tensor | None = None
-    for inst, samples in batch:
-        task_emb = embed_instance(tape, params, inst.user, inst.requirement,
-                                  kg.like_rel)
-        inst_loss: Tensor | None = None
-        for task, (pos, negs) in samples.items():
-            if task not in task_emb:
-                continue
-            ids = [pos] + list(negs)
-            labels = Tensor(np.array([1.0] + [0.0] * len(negs)))
-            probs = score_items(tape, params, task_emb[task], ids)
-            bce = tape.bce_loss(probs, labels)
-            term = tape.scale_shift(bce, weight_by_task[task], 0.0)
-            inst_loss = term if inst_loss is None else tape.add(inst_loss, term)
-        if inst_loss is None:
+    task_emb = embed_instance(tape, params, [inst.user for inst, _ in batch],
+                              [inst.requirement for inst, _ in batch],
+                              kg.like_rel)
+    # (task, ids per row) -> (batch rows, [pos, *negs] per row)
+    groups: dict[tuple[str, int], tuple[list[int], list[list[int]]]] = {}
+    for row, (_, samples) in enumerate(batch):
+        tasks = [task for task in samples if task in task_emb]
+        if not tasks:
             raise ValueError("instance contributed no loss terms")
-        total = inst_loss if total is None else tape.add(total, inst_loss)
-    return tape.scale_shift(total, 1.0 / len(batch), 0.0)
+        for task in tasks:
+            pos, negs = samples[task]
+            rows, ids = groups.setdefault((task, 1 + len(negs)), ([], []))
+            rows.append(row)
+            ids.append([pos, *negs])
+    total: Tensor | None = None
+    for (task, width), (rows, ids) in groups.items():
+        q_task = task_emb[task]
+        if len(rows) < len(batch):
+            q_task = tape.gather(q_task, rows)
+        probs = score_items(tape, params, q_task, ids)
+        labels = np.zeros((len(rows), width))
+        labels[:, 0] = 1.0
+        bce = tape.bce_loss(probs, Tensor(labels))
+        term = tape.scale_shift(
+            bce, weight_by_task[task] * len(rows) / len(batch), 0.0)
+        total = term if total is None else tape.add(total, term)
+    return total
 
 
 @dataclass

@@ -159,7 +159,11 @@ def test_op_gradients_against_finite_differences(seed):
     y = rng_tensor((4,), seed + 20)
     table = rng_tensor((6, 4), seed + 30)
     gate = rng_tensor((3,), seed + 40)
-    stack = rng_tensor((3, 4), seed + 50)
+    stack = rng_tensor((12,), seed + 50)
+    xm = rng_tensor((2, 4), seed + 60)
+    ym = rng_tensor((2, 4), seed + 70)
+    gm = rng_tensor((2, 3), seed + 80)
+    sm = rng_tensor((2, 12), seed + 90)
 
     cases = {
         "affine_vec": lambda t: t.reduce_sum(t.affine(w, x)),
@@ -172,8 +176,7 @@ def test_op_gradients_against_finite_differences(seed):
             t.elementwise_mul(t.softmax_last_dim(x), y)
         ),
         "weighted": lambda t: t.reduce_sum(t.weighted_sum(gate, stack)),
-        "l1_vec": lambda t: t.l1_distance(x, y),
-        "l1_mat": lambda t: t.reduce_sum(t.l1_distance(t.gather(table, [1, 3]), x)),
+        "l1_vec": lambda t: t.reduce_sum(t.gather_l1(table, [1, 3], x)),
         "sigmoid": lambda t: t.reduce_mean(t.sigmoid(x)),
         "bce": lambda t: t.bce_loss(
             t.sigmoid(x), Tensor(np.array([1.0, 0.0, 0.0, 1.0]))
@@ -182,11 +185,42 @@ def test_op_gradients_against_finite_differences(seed):
         "max": lambda t: t.reduce_sum(t.elementwise_max(x, y)),
         "relu": lambda t: t.reduce_sum(t.relu(x)),
         "scale_shift": lambda t: t.reduce_sum(t.scale_shift(x, -1.7, 0.3)),
+        # the same ops on a leading batch axis
+        "affine_batch": lambda t: t.reduce_sum(
+            t.elementwise_mul(t.affine(w, xm), gm)
+        ),
+        "concat_batch": lambda t: t.reduce_sum(
+            t.elementwise_mul(t.concat_last_dim(xm, ym), t.concat_last_dim(ym, xm))
+        ),
+        "split_batch": lambda t: t.reduce_sum(
+            t.elementwise_mul(t.split_halves(xm)[1], t.split_halves(ym)[0])
+        ),
+        "softmax_batch": lambda t: t.reduce_sum(
+            t.elementwise_mul(t.softmax_last_dim(xm), ym)
+        ),
+        "weighted_batch": lambda t: t.reduce_sum(
+            t.elementwise_mul(t.weighted_sum(t.softmax_last_dim(gm), sm), xm)
+        ),
+        "l1_batch": lambda t: t.reduce_sum(
+            t.gather_l1(table, [[1, 3, 3], [0, 5, 2]], xm)
+        ),
+        "bce_batch": lambda t: t.bce_loss(
+            t.sigmoid(xm), Tensor(np.array([[1.0, 0.0, 0.0, 1.0],
+                                            [0.0, 1.0, 0.0, 0.0]]))
+        ),
+        "stack_blocks": lambda t: t.reduce_sum(
+            t.elementwise_mul(t.stack_rows([x, ym, y]), t.gather(table, [0, 1, 2, 3]))
+        ),
+        "gather_rows": lambda t: t.reduce_sum(
+            t.elementwise_mul(t.gather(t.sigmoid(xm), [1, 0, 1]),
+                              t.gather(table, [0, 1, 2]))
+        ),
     }
+    targets = [w, x, y, table, gate, stack, xm, ym, gm, sm]
     for name, build in cases.items():
-        for target in (w, x, y, table, gate, stack):
+        for target in targets:
             target.zero_grad()
-        check_op(build, [w, x, y, table, gate, stack])
+        check_op(build, targets)
 
 
 def test_adam_zero_gradient_no_move():

@@ -221,3 +221,41 @@ def test_answer_symbolic_omits_hard(pipeline):
                          if l.startswith("symbolic"))
     for hard_item in record["hard"]["joint"]:
         assert hard_item not in symbolic_line.split()
+
+
+def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
+                                                      capsys):
+    # reference: score the whole catalog, sort it with lexsort, print the
+    # first ten; the REPL's top-n ranking must print the same bytes
+    import io
+
+    import numpy as np
+
+    from lqrec.autodiff import Tape
+    from lqrec.dataset import TASK_JOINT
+    from lqrec.kg import load_split
+    from lqrec.model import catalog_scores, embed_instance, load_checkpoint
+    from lqrec.query import parse_query
+
+    kg = load_split(str(pipeline["data"])).train
+    params = load_checkpoint(str(pipeline["ckpt"]))
+    with open(pipeline["data"] / "test.jsonl") as f:
+        records = [json.loads(line) for line in f]
+    expected = []
+    for record in records:
+        user = kg.entity_vocab.id_of(record["user"])
+        q = parse_query(record["query"], kg)
+        q_star = embed_instance(Tape(record=False), params, [user], [q],
+                                kg.like_rel)[TASK_JOINT].data[0]
+        ids = np.asarray(sorted(kg.items), dtype=np.int64)
+        scores = catalog_scores(params, q_star, ids)
+        expected.append("embedding top-10:\n")
+        for j in np.lexsort((ids, -scores))[:10]:
+            expected.append(f"  {kg.entity_vocab.name_of(int(ids[j]))}  "
+                            f"{scores[j]:.4f}\n")
+    session = "".join(f"user {r['user']} | {r['query']}\n" for r in records)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    rc = main(["answer", "--kg", str(pipeline["data"]),
+               "--checkpoint", str(pipeline["ckpt"]), "--mode", "embedding"])
+    assert rc == 0
+    assert capsys.readouterr().out == "".join(expected)

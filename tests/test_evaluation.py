@@ -69,15 +69,15 @@ def test_rank_items_ties_ascending_id(world):
     params.entity_emb.data[items[1]] = params.entity_emb.data[items[0]]
     params.entity_emb.data[items[2]] = params.entity_emb.data[items[0]]
     q = params.entity_emb.data[items[0]].copy()
-    ranked = rank_items(params, q, items)
-    assert ranked[:3] == sorted(items[:3])
+    ranked, _ = rank_items(params, q, items)
+    assert ranked[:3].tolist() == sorted(items[:3])
 
 
 def test_rank_items_excludes(world):
     params = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=1)
     items = world.sorted_items()
     q = params.entity_emb.data[items[5]].copy()
-    ranked = rank_items(params, q, items, exclude=frozenset({items[5]}))
+    ranked, _ = rank_items(params, q, items, exclude=frozenset({items[5]}))
     assert items[5] not in ranked
     assert len(ranked) == len(items) - 1
 
@@ -88,7 +88,7 @@ def test_top_item_is_l1_argmin(world):
     ids = np.asarray(world.sorted_items())
     for _ in range(5):
         q = rng.standard_normal(8)
-        top = rank_items(params, q, ids)[0]
+        top = rank_items(params, q, ids)[0][0]
         dists = np.abs(params.entity_emb.data[ids] - q).sum(axis=1)
         best = ids[np.lexsort((ids, dists))[0]]
         assert top == best
@@ -159,3 +159,48 @@ def test_report_json_roundtrip(bench):
     blob = json.loads(json.dumps(report.to_json_dict()))
     assert blob["ks"] == [10]
     assert set(blob["per_shape"]) == {s.value for s in ALL_SHAPES}
+
+
+def _lexsort_reference(params, q, ids, exclude=frozenset()):
+    ids = np.asarray([i for i in sorted(ids) if i not in exclude])
+    from lqrec.model import catalog_scores
+
+    scores = catalog_scores(params, q, ids)
+    order = np.lexsort((ids, -scores))
+    return ids[order], scores[order]
+
+
+def test_rank_items_top_n_matches_full_order(world):
+    params = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=3)
+    items = world.sorted_items()
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        q = rng.standard_normal(8)
+        exclude = frozenset(int(i) for i in rng.choice(items, size=trial % 4))
+        ref_ids, ref_scores = _lexsort_reference(params, q, items, exclude)
+        for top_n in (1, 5, 10, len(ref_ids) - 1, len(ref_ids), len(ref_ids) + 3):
+            ids, scores = rank_items(params, q, items, exclude, top_n=top_n)
+            np.testing.assert_array_equal(ids, ref_ids[:top_n])
+            np.testing.assert_array_equal(scores, ref_scores[:top_n])
+
+
+def test_rank_items_top_n_tie_across_cut(world):
+    params = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=4)
+    items = list(world.sorted_items())
+    q = params.entity_emb.data[items[0]].copy()
+    # a run of identical embeddings ranked 3rd..9th straddles a cut at 5;
+    # the tied items are spread over the id range, so only the id tie-break
+    # decides which of them make the top 5
+    tied = items[7::5][:7]
+    for rank, item in enumerate(items[:2]):
+        params.entity_emb.data[item] = q + 0.01 * rank
+    for item in tied:
+        params.entity_emb.data[item] = q + 0.05
+    for item in items:
+        if item not in tied and item not in items[:2]:
+            params.entity_emb.data[item] = q + 5.0
+    ids, scores = rank_items(params, q, items, top_n=5)
+    assert ids.tolist() == items[:2] + sorted(tied)[:3]
+    assert scores[2] == scores[3] == scores[4]
+    ref_ids, _ = _lexsort_reference(params, q, items)
+    assert ids.tolist() == ref_ids[:5].tolist()

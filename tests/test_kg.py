@@ -181,3 +181,9 @@ def test_split_roundtrip(tmp_path, world):
     assert once.held_out == twice.held_out
     assert len(once.full.triples) == len(world.triples)
     assert len(once.held_out) == len(split.held_out)
+
+
+def test_sorted_items_computed_once(tiny_kg):
+    first = tiny_kg.sorted_items()
+    assert tiny_kg.sorted_items() is first
+    assert list(first) == sorted(tiny_kg.items)

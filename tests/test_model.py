@@ -21,7 +21,7 @@ from lqrec.model import (
     model_variant,
     mtl_transform,
     save_checkpoint,
-    score_item,
+    score_items,
 )
 from lqrec.query import parse_query
 
@@ -220,10 +220,11 @@ def test_score_closed_forms(world):
     # distance exactly 2 -> sigma(0) = 0.5
     q = Tensor(p.entity_emb.data[item] + np.array([2.0] + [0.0] * 7))
     tape = Tape()
-    assert float(score_item(tape, p, q, item).data) == pytest.approx(0.5, abs=1e-12)
+    assert float(score_items(tape, p, q, [item]).data[0]) == pytest.approx(
+        0.5, abs=1e-12)
     # zero distance -> sigma(gamma) = sigma(2)
     q0 = Tensor(p.entity_emb.data[item].copy())
-    s = float(score_item(tape, p, q0, item).data)
+    s = float(score_items(tape, p, q0, [item]).data[0])
     assert s == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
     assert s == pytest.approx(0.8808, abs=1e-4)
 
@@ -235,7 +236,7 @@ def test_score_monotone_in_distance(world):
     prev = 1.0
     for offset in (0.0, 0.5, 1.0, 2.0, 4.0):
         q = Tensor(p.entity_emb.data[item] + offset / 8.0)
-        s = float(score_item(tape, p, q, item).data)
+        s = float(score_items(tape, p, q, [item]).data[0])
         assert s < prev or offset == 0.0
         prev = s
 
@@ -268,10 +269,10 @@ def test_score_gradient_matches_fd(world):
 
     def run():
         tape = Tape()
-        return float(score_item(tape, p, Tensor(q_data), item).data)
+        return float(score_items(tape, p, Tensor(q_data), [item]).data[0])
 
     tape = Tape()
-    out = score_item(tape, p, Tensor(q_data), item)
+    out = tape.reduce_sum(score_items(tape, p, Tensor(q_data), [item]))
     p.zero_grads()
     backward(tape, out)
     grad = p.entity_emb.grad[item]
@@ -291,8 +292,8 @@ def test_score_gradient_matches_fd(world):
 def test_embed_requirement_deterministic(world, params):
     q = parse_query("(and (p tags (e attr0_0)) (p marks (e attr0_1)))", world)
     t1, t2 = Tape(), Tape()
-    a = embed_requirement(t1, params, q)
-    b = embed_requirement(t2, params, q)
+    a = embed_requirement(t1, params, [q])
+    b = embed_requirement(t2, params, [q])
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -330,8 +331,8 @@ def test_embed_instance_full_pipeline(world, params):
     q = parse_query("(p tags (e attr1_2))", world)
     u = sorted(world.users)[0]
     tape = Tape()
-    out = embed_instance(tape, params, u, q, world.like_rel)
+    out = embed_instance(tape, params, [u], [q], world.like_rel)
     assert set(out) == {TASK_JOINT, TASK_REQ, TASK_PREF}
     for t in out.values():
-        assert t.data.shape == (8,)
+        assert t.data.shape == (1, 8)
         assert np.all(np.isfinite(t.data))

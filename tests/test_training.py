@@ -114,14 +114,14 @@ def test_loss_weight_vector_selects_tasks(toy):
     total = 0.0
     for inst, samples in batch:
         t = Tape()
-        q_l = embed_requirement(t, params, inst.requirement)
-        q_u = embed_user_preference(t, params, inst.user, kg.like_rel)
+        q_l = embed_requirement(t, params, [inst.requirement])
+        q_u = embed_user_preference(t, params, [inst.user], kg.like_rel)
         q = embed_joint(t, params, q_l, q_u)
         from lqrec.model import mtl_transform
 
         q_star = mtl_transform(t, params, q, q_l, q_u)[TASK_JOINT]
         pos, negs = samples[TASK_JOINT]
-        probs = score_items(t, params, q_star, [pos] + negs).data
+        probs = score_items(t, params, q_star, [[pos] + negs]).data[0]
         labels = np.array([1.0] + [0.0] * len(negs))
         total += float(
             -(labels * np.log(probs) + (1 - labels) * np.log1p(-probs)).mean()
@@ -144,11 +144,11 @@ def test_single_task_variant_equals_plain_base_loss(toy):
     total = 0.0
     for inst, samples in batch:
         t = Tape()
-        q_l = embed_requirement(t, params, inst.requirement)
-        q_u = embed_user_preference(t, params, inst.user, kg.like_rel)
+        q_l = embed_requirement(t, params, [inst.requirement])
+        q_u = embed_user_preference(t, params, [inst.user], kg.like_rel)
         q = embed_joint(t, params, q_l, q_u)
         pos, negs = samples[TASK_JOINT]
-        probs = score_items(t, params, q, [pos] + negs).data
+        probs = score_items(t, params, q, [[pos] + negs]).data[0]
         labels = np.array([1.0] + [0.0] * len(negs))
         total += float(
             -(labels * np.log(probs) + (1 - labels) * np.log1p(-probs)).mean()
@@ -247,3 +247,47 @@ def test_best_checkpoint_retained(toy, tmp_path):
     # returned params are the restored best snapshot
     assert best.params_hash() == params.params_hash()
     assert result.best_metric is not None
+
+
+def _materialized_negatives(task_answers, items, n_neg, rng):
+    """Reference: the pool built as a list before drawing."""
+    if n_neg == 0:
+        return []
+    pool = [i for i in items if i not in task_answers]
+    if not pool:
+        raise DegenerateInstanceError("answer set covers the entire catalog")
+    if len(pool) >= n_neg:
+        return rng.sample(pool, n_neg)
+    return [pool[rng.randrange(len(pool))] for _ in range(n_neg)]
+
+
+@pytest.mark.parametrize("n_items", [12, 40, 85, 86, 90, 300, 2000])
+def test_sample_negatives_matches_materialized_pool(n_items):
+    # random.sample copies populations up to a k-dependent set size (21 for
+    # k <= 5, 85 for k = 16) and indexes larger ones; both sides are covered
+    items = list(range(3, 3 + 2 * n_items, 2))
+    gen = random.Random(n_items)
+    for trial in range(30):
+        answers = frozenset(gen.sample(items, gen.randrange(0, n_items // 2))
+                            + [0, 1, 10**6])  # ids outside the catalog too
+        pool_size = sum(1 for i in items if i not in answers)
+        for n_neg in (0, 1, 16, pool_size + 5):
+            a, b = random.Random(trial), random.Random(trial)
+            assert (sample_negatives(answers, items, n_neg, a)
+                    == _materialized_negatives(answers, items, n_neg, b))
+            assert a.getstate() == b.getstate()
+
+
+def test_negative_pool_view_elements():
+    from lqrec.training import _NegativePool
+
+    items = [2, 3, 5, 7, 11, 13, 17]
+    for answers in (frozenset(), frozenset({2}), frozenset({17, 3}),
+                    frozenset({4, 5, 7, 11}), frozenset(items)):
+        view = _NegativePool(items, answers)
+        expected = [i for i in items if i not in answers]
+        assert len(view) == len(expected)
+        assert [view[j] for j in range(len(view))] == expected
+        assert list(view) == expected
+        with pytest.raises(IndexError):
+            view[len(view)]
