@@ -50,16 +50,15 @@ class Tensor:
     ops receive gradients automatically during the backward pass.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 2:
             raise OpShapeError("tensor", arr.shape)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.name = name
 
     @property
     def shape(self):
@@ -69,8 +68,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -21,6 +21,7 @@ from .dataset import TASK_JOINT
 from .evaluation import evaluate, rank_items
 from .kg import GraphFormatError, SplitInfeasibleError, UnknownNameError, load_graph
 from .model import (
+    VARIANTS,
     CheckpointMismatchError,
     ModelParams,
     embed_instance,
@@ -73,14 +74,10 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.config:
-        config = TrainConfig.from_file(args.config, variant=args.variant,
-                                       seed=args.seed)
-    else:
-        config = TrainConfig(
-            **{k: v for k, v in (("variant", args.variant), ("seed", args.seed))
-               if v is not None}
-        )
+    overrides = {k: v for k, v in (("variant", args.variant), ("seed", args.seed))
+                 if v is not None}
+    config = (TrainConfig.from_file(args.config, **overrides) if args.config
+              else TrainConfig(**overrides))
     if config.seed is None:
         print("error: a seed is required (--seed or config)", file=sys.stderr)
         return 2
@@ -203,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--variant", default=None,
-                   choices=["mtl", "shared-bottom", "single-task", "no-al", "no-au"])
+    p.add_argument("--variant", default=None, choices=VARIANTS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

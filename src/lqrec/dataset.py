@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from . import oracle
@@ -51,6 +52,41 @@ class ConfigError(ValueError):
     pass
 
 
+def read_key_values(path: str, parsers: Mapping[str, Callable[[str], object]]) -> dict:
+    """Parsed values of a ``key=value`` config file, keyed as in the file.
+
+    ``#`` starts a comment and blank lines are skipped. Each value goes
+    through its key's entry in ``parsers``; a line without ``=``, an unknown
+    key or a value its parser rejects raises ``ConfigError`` naming
+    ``path:line`` and the key.
+    """
+    values = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key not in parsers:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = parsers[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    return values
+
+
+_DATASET_KEYS: dict[str, Callable[[str], object]] = {
+    "seed": int,
+    "max_retries": int,
+    "answer_cap": int,
+    **{f"{split_name}.{shape.value}": int
+       for split_name in SPLIT_NAMES for shape in ALL_SHAPES},
+}
+
+
 @dataclass
 class DatasetConfig:
     """Per-split, per-shape instance counts plus sampling knobs.
@@ -82,35 +118,14 @@ class DatasetConfig:
     def from_file(cls, path: str) -> "DatasetConfig":
         """Key=value file: `seed=7`, `max_retries=...`, `answer_cap=...`, and
         one `SPLIT.SHAPE=count` line per requested cell, e.g. `test.ip=50`."""
-        counts: dict[str, dict[QueryShape, int]] = {}
-        seed = None
-        max_retries = 200
-        answer_cap = 100
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = (s.strip() for s in line.split("=", 1))
-                if key == "seed":
-                    seed = int(value)
-                elif key == "max_retries":
-                    max_retries = int(value)
-                elif key == "answer_cap":
-                    answer_cap = int(value)
-                elif "." in key:
-                    split_name, shape_name = key.split(".", 1)
-                    counts.setdefault(split_name, {})[
-                        shape_from_name(shape_name)
-                    ] = int(value)
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if seed is None:
+        values = read_key_values(path, _DATASET_KEYS)
+        if "seed" not in values:
             raise ConfigError(f"{path}: missing required key 'seed'")
-        return cls(counts=counts, seed=seed, max_retries=max_retries,
-                   answer_cap=answer_cap)
+        counts: dict[str, dict[QueryShape, int]] = {}
+        for key in [k for k in values if "." in k]:
+            split_name, shape_name = key.split(".")
+            counts.setdefault(split_name, {})[shape_from_name(shape_name)] = values.pop(key)
+        return cls(counts=counts, **values)
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, stable_sigmoid
-from .dataset import TASK_JOINT, TASK_PREF, TASK_REQ
+from .dataset import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .kg import KnowledgeGraph
 from .query import And, Anchor, Or, Project, QueryNode
 
@@ -46,7 +46,7 @@ CHECKPOINT_FORMAT = "lqrec-checkpoint-v1"
 
 
 class CheckpointMismatchError(RuntimeError):
-    """Checkpoint and graph vocabularies disagree."""
+    """A checkpoint is malformed or does not fit the model or the graph."""
 
 
 def model_variant(name: str) -> str:
@@ -55,33 +55,47 @@ def model_variant(name: str) -> str:
     return name
 
 
-def _affine_init(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
+def param_shapes(d: int, k: int, n_entities: int, n_relations: int) -> dict[str, tuple[int, int]]:
+    """Name and shape of every trainable tensor, in the order of the init
+    draws, the checkpoint, the Adam state and ``params_hash``.
+
+    Affine weights carry their bias as the last row. The intersection network
+    maps the 2d concatenation of two operands through a d-wide relu layer to
+    2d logits, one d-vector of attention logits per operand. Experts are relu
+    affines over the joint embedding; gates are softmax affines, one per task.
+    """
+    shapes = {
+        "entity_emb": (n_entities, d),
+        "relation_emb": (n_relations, d),
+        "inter_w1": (2 * d + 1, d),
+        "inter_w2": (d + 1, 2 * d),
+    }
+    for s in range(k):
+        shapes[f"expert_{s}"] = (d + 1, d)
+    for task in TASKS:
+        shapes[f"gate_{task}"] = (d + 1, k)
+    return shapes
+
+
+def _affine_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Fan-in-scaled uniform weights with a zero bias row."""
-    w = np.zeros((d_in + 1, d_out))
-    bound = 1.0 / math.sqrt(d_in)
-    w[:-1] = rng.uniform(-bound, bound, size=(d_in, d_out))
+    w = np.zeros(shape)
+    bound = 1.0 / math.sqrt(shape[0] - 1)
+    w[:-1] = rng.uniform(-bound, bound, size=(shape[0] - 1, shape[1]))
     return w
 
 
 class ModelParams:
-    """All learnable tensors plus the margin hyperparameter.
+    """All learnable tensors (``param_shapes``) plus the margin hyperparameter.
 
-    The intersection network maps the 2d concatenation of two operands
-    through a d-wide relu layer to 2d logits, split into the two per-branch
-    attention vectors. Experts are (d+1, d) relu affines over the joint
-    embedding; gates are (d+1, k) softmax affines, one per task.
+    Each tensor is also an attribute of its name (``params.entity_emb``,
+    ``params.gate_joint``); ``experts`` lists the k expert affines.
     """
 
     def __init__(
         self,
-        entity_emb: Tensor,
-        relation_emb: Tensor,
-        inter_w1: Tensor,
-        inter_w2: Tensor,
-        experts: list[Tensor],
-        gate_joint: Tensor,
-        gate_req: Tensor,
-        gate_pref: Tensor,
+        arrays: Mapping[str, np.ndarray],
+        k: int,
         gamma: float,
         variant: str,
         seed: int,
@@ -90,21 +104,25 @@ class ModelParams:
     ):
         if gamma <= 0:
             raise ValueError("margin gamma must be positive")
-        self.entity_emb = entity_emb
-        self.relation_emb = relation_emb
-        self.inter_w1 = inter_w1
-        self.inter_w2 = inter_w2
-        self.experts = experts
-        self.gate_joint = gate_joint
-        self.gate_req = gate_req
-        self.gate_pref = gate_pref
+        if k < 1:
+            raise ValueError("need at least one expert")
+        n_entities, d = np.shape(arrays["entity_emb"])
+        n_relations, _ = np.shape(arrays["relation_emb"])
+        spec = param_shapes(d, k, n_entities, n_relations)
+        got = {name: np.shape(a) for name, a in arrays.items()}
+        bad = {n: got.get(n) for n in spec.keys() | got.keys() if got.get(n) != spec.get(n)}
+        if bad:
+            raise CheckpointMismatchError(f"array shapes {bad} do not fit d={d}, k={k}")
+        self._tensors = {name: Tensor(arrays[name], requires_grad=True) for name in spec}
+        vars(self).update(self._tensors)
+        self.experts = [self._tensors[f"expert_{s}"] for s in range(k)]
         self.gamma = float(gamma)
         self.variant = model_variant(variant)
         self.seed = seed
         self.entity_vocab_hash = entity_vocab_hash
         self.relation_vocab_hash = relation_vocab_hash
-        self.d = entity_emb.data.shape[1]
-        self.k = len(experts)
+        self.d = d
+        self.k = k
 
     @classmethod
     def init(
@@ -116,35 +134,19 @@ class ModelParams:
         seed: int,
         variant: str = "mtl",
     ) -> "ModelParams":
-        """Random initialization: embeddings uniform in +-0.5/sqrt(d), affine
-        weights fan-in-scaled uniform. Deterministic in ``seed``."""
-        if k < 1:
-            raise ValueError("need at least one expert")
+        """Random initialization in ``param_shapes`` order: embeddings uniform
+        in +-0.5/sqrt(d), affine weights fan-in-scaled uniform. Deterministic
+        in ``seed``."""
         rng = np.random.default_rng(seed)
         bound = 0.5 / math.sqrt(d)
-
-        def emb(n):
-            return rng.uniform(-bound, bound, size=(n, d))
-
+        arrays = {
+            name: (rng.uniform(-bound, bound, size=shape) if name.endswith("_emb")
+                   else _affine_init(rng, shape))
+            for name, shape in param_shapes(d, k, kg.n_entities, kg.n_relations).items()
+        }
         return cls(
-            entity_emb=Tensor(emb(kg.n_entities), requires_grad=True, name="entity_emb"),
-            relation_emb=Tensor(
-                emb(kg.n_relations), requires_grad=True, name="relation_emb"
-            ),
-            inter_w1=Tensor(_affine_init(rng, 2 * d, d), requires_grad=True,
-                            name="inter_w1"),
-            inter_w2=Tensor(_affine_init(rng, d, 2 * d), requires_grad=True,
-                            name="inter_w2"),
-            experts=[
-                Tensor(_affine_init(rng, d, d), requires_grad=True, name=f"expert_{s}")
-                for s in range(k)
-            ],
-            gate_joint=Tensor(_affine_init(rng, d, k), requires_grad=True,
-                              name="gate_joint"),
-            gate_req=Tensor(_affine_init(rng, d, k), requires_grad=True,
-                            name="gate_req"),
-            gate_pref=Tensor(_affine_init(rng, d, k), requires_grad=True,
-                             name="gate_pref"),
+            arrays,
+            k=k,
             gamma=gamma,
             variant=variant,
             seed=seed,
@@ -153,19 +155,8 @@ class ModelParams:
         )
 
     def named(self) -> dict[str, Tensor]:
-        """Trainable tensors in a fixed order (checkpoint and Adam layout)."""
-        out = {
-            "entity_emb": self.entity_emb,
-            "relation_emb": self.relation_emb,
-            "inter_w1": self.inter_w1,
-            "inter_w2": self.inter_w2,
-        }
-        for s, e in enumerate(self.experts):
-            out[f"expert_{s}"] = e
-        out["gate_joint"] = self.gate_joint
-        out["gate_req"] = self.gate_req
-        out["gate_pref"] = self.gate_pref
-        return out
+        """Trainable tensors in ``param_shapes`` order."""
+        return self._tensors
 
     def zero_grads(self) -> None:
         for t in self.named().values():
@@ -325,15 +316,12 @@ def mtl_transform(
     if params.variant == "shared-bottom":
         uniform = Tensor(np.full(q.shape[:-1] + (params.k,), 1.0 / params.k))
         shared = tape.weighted_sum(uniform, stack)
-        return {TASK_JOINT: shared, TASK_REQ: shared, TASK_PREF: shared}
-    gates = (
-        (TASK_JOINT, params.gate_joint, q),
-        (TASK_REQ, params.gate_req, q_l),
-        (TASK_PREF, params.gate_pref, q_u),
-    )
+        return {task: shared for task in TASKS}
+    gate_inputs = {TASK_JOINT: q, TASK_REQ: q_l, TASK_PREF: q_u}
     out = {}
-    for task, gate, gate_input in gates:
-        weights = tape.softmax_last_dim(tape.affine(gate, gate_input))
+    for task in TASKS:
+        gate = getattr(params, f"gate_{task}")
+        weights = tape.softmax_last_dim(tape.affine(gate, gate_inputs[task]))
         out[task] = tape.weighted_sum(weights, stack)
     return out
 
@@ -383,9 +371,8 @@ def catalog_scores(
 # manifest) followed by the named arrays as raw little-endian float64 bytes.
 
 
-def save_checkpoint(params: ModelParams, path: str) -> None:
-    named = params.named()
-    header = {
+def _header(params: ModelParams) -> dict:
+    return {
         "format": CHECKPOINT_FORMAT,
         "d": params.d,
         "k": params.k,
@@ -394,51 +381,57 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "seed": params.seed,
         "entity_vocab_hash": params.entity_vocab_hash,
         "relation_vocab_hash": params.relation_vocab_hash,
-        "arrays": [[name, list(t.data.shape)] for name, t in named.items()],
+        "arrays": [[name, list(t.data.shape)] for name, t in params.named().items()],
     }
+
+
+def save_checkpoint(params: ModelParams, path: str) -> None:
     with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for _, t in named.items():
+        f.write(json.dumps(_header(params), sort_keys=True).encode("utf-8") + b"\n")
+        for t in params.named().values():
             f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _split_arrays(body: memoryview, manifest) -> dict[str, np.ndarray]:
+    """The arrays that ``manifest`` ([name, shape] pairs) lays out in
+    ``body``; they must fill it exactly."""
+    arrays, offset = {}, 0
+    for name, shape in manifest:
+        end = offset + 8 * math.prod(shape)
+        arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").astype(
+            np.float64).reshape(shape)
+        offset = end
+    if offset != len(body):
+        raise ValueError(f"{len(body) - offset} bytes after the last array")
+    return arrays
+
+
 def load_checkpoint(path: str) -> ModelParams:
+    """Read a ``save_checkpoint`` file; anything else (a header that is not
+    UTF-8 JSON of that form, array names or shapes off ``param_shapes``, a
+    wrong byte count, a non-finite value) raises ``CheckpointMismatchError``.
+    """
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointMismatchError(f"{path}: not a known checkpoint format")
-        arrays = {}
-        for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointMismatchError(f"{path}: truncated array {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").astype(
-                np.float64
-            ).reshape(shape)
-    k = header["k"]
+        head, body = f.readline(), memoryview(f.read())
     try:
-        return ModelParams(
-            entity_emb=Tensor(arrays["entity_emb"], requires_grad=True,
-                              name="entity_emb"),
-            relation_emb=Tensor(arrays["relation_emb"], requires_grad=True,
-                                name="relation_emb"),
-            inter_w1=Tensor(arrays["inter_w1"], requires_grad=True, name="inter_w1"),
-            inter_w2=Tensor(arrays["inter_w2"], requires_grad=True, name="inter_w2"),
-            experts=[
-                Tensor(arrays[f"expert_{s}"], requires_grad=True, name=f"expert_{s}")
-                for s in range(k)
-            ],
-            gate_joint=Tensor(arrays["gate_joint"], requires_grad=True,
-                              name="gate_joint"),
-            gate_req=Tensor(arrays["gate_req"], requires_grad=True, name="gate_req"),
-            gate_pref=Tensor(arrays["gate_pref"], requires_grad=True,
-                             name="gate_pref"),
+        header = json.loads(head.decode("utf-8"))
+        if header["format"] != CHECKPOINT_FORMAT:
+            raise ValueError("not a known checkpoint format")
+        params = ModelParams(
+            _split_arrays(body, header["arrays"]),
+            k=header["k"],
             gamma=header["gamma"],
             variant=header["variant"],
             seed=header["seed"],
             entity_vocab_hash=header["entity_vocab_hash"],
             relation_vocab_hash=header["relation_vocab_hash"],
         )
-    except KeyError as exc:
-        raise CheckpointMismatchError(f"{path}: missing array {exc}") from None
+    except (CheckpointMismatchError, KeyError, TypeError, ValueError) as exc:
+        # Whatever the file holds: malformed JSON or UTF-8 (both ValueError),
+        # missing fields, values of the wrong type or size.
+        raise CheckpointMismatchError(f"{path}: not a valid checkpoint: {exc!r}") from None
+    if _header(params) != header:
+        raise CheckpointMismatchError(f"{path}: header does not describe its arrays")
+    if not all(np.isfinite(t.data).all() for t in params.named().values()):
+        raise CheckpointMismatchError(f"{path}: non-finite parameter values")
+    return params

@@ -11,19 +11,18 @@ reproduce identical checkpoints bit for bit.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import json
 import math
 import os
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff
 from .autodiff import AdamState, Tape, Tensor, adam_step
-from .dataset import TASKS, RecInstance
+from .dataset import TASKS, RecInstance, read_key_values
 from .evaluation import evaluate
 from .kg import KnowledgeGraph
 from .model import ModelParams, embed_instance, model_variant, score_items, save_checkpoint
@@ -66,34 +65,17 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path: str, **overrides) -> "TrainConfig":
         """Key=value config file; keyword overrides win over file values."""
-        values: dict = {}
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, value = (s.strip() for s in line.split("=", 1))
-                if key in ("d", "k", "epochs", "batch_size", "n_neg", "eval_every",
-                           "eval_k", "seed"):
-                    values[key] = int(value)
-                elif key in ("gamma", "lr", "stop_threshold"):
-                    values[key] = float(value)
-                elif key == "patience":
-                    values[key] = None if value == "none" else int(value)
-                elif key == "task_weights":
-                    parts = tuple(float(p) for p in value.split(","))
-                    values[key] = parts
-                elif key == "variant":
-                    values[key] = value
-                else:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+        return cls(**{**read_key_values(path, _TRAIN_KEYS), **overrides})
 
-    def replace(self, **changes) -> "TrainConfig":
-        return dataclasses.replace(self, **changes)
+
+_TRAIN_KEYS: dict[str, Callable[[str], object]] = {
+    **dict.fromkeys(("d", "k", "epochs", "batch_size", "n_neg", "eval_every",
+                     "eval_k", "seed"), int),
+    **dict.fromkeys(("gamma", "lr", "stop_threshold"), float),
+    "patience": lambda value: None if value == "none" else int(value),
+    "task_weights": lambda value: tuple(float(p) for p in value.split(",")),
+    "variant": model_variant,
+}
 
 
 def effective_task_weights(variant: str, weights) -> tuple[float, float, float]:
@@ -326,8 +308,8 @@ def train(
                 adam_step(params.named(), state)
                 epoch_loss += loss_value * len(chunk)
             entry = {"epoch": epoch, "loss": epoch_loss / len(order)}
-
-            if valid_instances and epoch % config.eval_every == 0:
+            validated = valid_instances and epoch % config.eval_every == 0
+            if validated:
                 report = evaluate(valid_instances, params, kg,
                                   ks=(config.eval_k,), target=valid_target)
                 metric = report.averages.get(metric_name, 0.0)
@@ -339,18 +321,14 @@ def train(
                     streak = 0
                 else:
                     streak += 1
-                history.append(entry)
-                if log_file:
-                    log_file.write(json.dumps(entry, sort_keys=True) + "\n")
-                if (config.stop_threshold is not None
-                        and metric >= config.stop_threshold):
-                    break
-                if config.patience is not None and streak >= config.patience:
-                    break
-            else:
-                history.append(entry)
-                if log_file:
-                    log_file.write(json.dumps(entry, sort_keys=True) + "\n")
+            history.append(entry)
+            if log_file:
+                log_file.write(json.dumps(entry, sort_keys=True) + "\n")
+            if validated and (
+                    (config.stop_threshold is not None
+                     and metric >= config.stop_threshold)
+                    or (config.patience is not None and streak >= config.patience)):
+                break
     finally:
         if log_file:
             log_file.close()

@@ -177,6 +177,17 @@ def test_eval_vocab_mismatch_exit_code(pipeline):
     assert rc == 4
 
 
+@pytest.mark.parametrize("command", ["eval", "answer"])
+def test_corrupt_checkpoint_exit_code(pipeline, command, capsys):
+    blob = pipeline["ckpt"].read_bytes()
+    bad = pipeline["root"] / f"cut_header_{command}.ckpt"
+    bad.write_bytes(blob[:blob.index(b"\n") // 2])
+    argv = (["eval", "--data", str(pipeline["data"])] if command == "eval"
+            else ["answer", "--kg", str(pipeline["data"]), "--mode", "embedding"])
+    assert main(argv + ["--checkpoint", str(bad)]) == 4
+    assert "artifact mismatch" in capsys.readouterr().err
+
+
 def test_answer_repl(pipeline):
     with open(pipeline["data"] / "test.jsonl") as f:
         record = json.loads(f.readline())

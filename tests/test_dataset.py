@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -24,6 +25,7 @@ from lqrec.dataset import (
 )
 from lqrec.kg import graph_from_names
 from lqrec.query import ALL_SHAPES, ZERO_SHOT_SHAPES, QueryShape, classify_shape
+from lqrec.training import TrainConfig
 
 
 def small_counts(n_train=5, n_valid=2, n_test=3):
@@ -59,6 +61,20 @@ def test_config_file_requires_seed(tmp_path):
     p.write_text("train.1p=10\n")
     with pytest.raises(ConfigError, match="seed"):
         DatasetConfig.from_file(str(p))
+
+
+@pytest.mark.parametrize("from_file", [DatasetConfig.from_file, TrainConfig.from_file],
+                         ids=["dataset", "train"])
+@pytest.mark.parametrize("line, message", [
+    ("nonsense=3", "unknown key 'nonsense'"),
+    ("seed 3", "expected key=value"),
+    ("seed=abc", "bad value for 'seed'"),
+])
+def test_config_errors_name_location(tmp_path, from_file, line, message):
+    p = tmp_path / "cfg"
+    p.write_text(f"# comment\n\nseed=1\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}:4: {message}")):
+        from_file(str(p))
 
 
 def test_sampled_requirement_contains_seed_semantics(world):

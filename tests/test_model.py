@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -325,6 +326,94 @@ def test_checkpoint_vocab_mismatch(tmp_path, world):
     )
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(str(path)).validate_against(other)
+
+
+def test_init_draws_in_spec_order(world, tmp_path):
+    """Init equals the draws written out in the documented order, and
+    save -> load -> save reproduces the checkpoint bytes."""
+    d, k, seed = 6, 3, 5
+    params = ModelParams.init(world, d=d, k=k, gamma=2.0, seed=seed)
+    rng = np.random.default_rng(seed)
+
+    def emb(n):
+        bound = 0.5 / math.sqrt(d)
+        return rng.uniform(-bound, bound, size=(n, d))
+
+    def affine(d_in, d_out):
+        w = np.zeros((d_in + 1, d_out))
+        bound = 1.0 / math.sqrt(d_in)
+        w[:-1] = rng.uniform(-bound, bound, size=(d_in, d_out))
+        return w
+
+    expected = {"entity_emb": emb(world.n_entities),
+                "relation_emb": emb(world.n_relations),
+                "inter_w1": affine(2 * d, d),
+                "inter_w2": affine(d, 2 * d)}
+    for s in range(k):
+        expected[f"expert_{s}"] = affine(d, d)
+    for task in ("joint", "req", "pref"):
+        expected[f"gate_{task}"] = affine(d, k)
+    named = params.named()
+    assert list(named) == list(expected)
+    for name, array in expected.items():
+        assert named[name].data.tobytes() == array.tobytes(), name
+    assert params.experts == [named[f"expert_{s}"] for s in range(k)]
+    assert params.gate_pref is named["gate_pref"]
+
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save_checkpoint(params, str(first))
+    save_checkpoint(load_checkpoint(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.fixture
+def small_ckpt(tiny_kg, tmp_path):
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(ModelParams.init(tiny_kg, d=2, k=1, gamma=1.0, seed=0), str(path))
+    return path
+
+
+def test_checkpoint_every_truncation_rejected(small_ckpt):
+    blob = small_ckpt.read_bytes()
+    for cut in range(len(blob)):
+        small_ckpt.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(str(small_ckpt))
+
+
+def _with_header(header, body):
+    return json.dumps(header).encode("utf-8") + b"\n" + body
+
+
+def _transpose_inter_w1(header):
+    arrays = [[name, shape[::-1] if name == "inter_w1" else shape]
+              for name, shape in header["arrays"]]
+    return {**header, "arrays": arrays}
+
+
+CORRUPTIONS = {
+    "appended byte": lambda h, body: _with_header(h, body + b"\0"),
+    "nan": lambda h, body: _with_header(h, body[:-8] + np.float64(np.nan).tobytes()),
+    "inf": lambda h, body: _with_header(h, np.float64(np.inf).tobytes() + body[8:]),
+    "inter_w1 transposed": lambda h, body: _with_header(_transpose_inter_w1(h), body),
+    "header d disagrees": lambda h, body: _with_header({**h, "d": h["d"] + 1}, body),
+    "header lacks arrays": lambda h, body: _with_header(
+        {key: v for key, v in h.items() if key != "arrays"}, body),
+    "header lacks k": lambda h, body: _with_header(
+        {key: v for key, v in h.items() if key != "k"}, body),
+    "header not an object": lambda h, body: b"[]\n" + body,
+    "header not JSON": lambda h, body: b"{not json\n" + body,
+    "header not UTF-8": lambda h, body: b"\xff\xfe\n" + body,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_checkpoint_corruption_rejected(small_ckpt, corruption):
+    head, body = small_ckpt.read_bytes().split(b"\n", 1)
+    load_checkpoint(str(small_ckpt))
+    small_ckpt.write_bytes(CORRUPTIONS[corruption](json.loads(head), body))
+    with pytest.raises(CheckpointMismatchError):
+        load_checkpoint(str(small_ckpt))
 
 
 def test_embed_instance_full_pipeline(world, params):
