@@ -44,21 +44,16 @@ class EmptyTapeError(RuntimeError):
 
 
 class Tensor:
-    """A float64 array with an optional gradient slot.
+    """A float64 array with a gradient slot, filled by the backward pass."""
 
-    ``requires_grad`` marks trainable leaves; intermediates produced by tape
-    ops receive gradients automatically during the backward pass.
-    """
+    __slots__ = ("data", "grad")
 
-    __slots__ = ("data", "grad", "requires_grad")
-
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 2:
             raise OpShapeError("tensor", arr.shape)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
 
     @property
     def shape(self):

@@ -19,10 +19,10 @@ from . import oracle
 from .autodiff import Tape
 from .dataset import TASK_JOINT
 from .evaluation import evaluate, rank_items
-from .kg import GraphFormatError, SplitInfeasibleError, UnknownNameError, load_graph
+from .kg import (ArtifactMismatchError, GraphFormatError, SplitInfeasibleError,
+                 UnknownNameError, load_graph)
 from .model import (
     VARIANTS,
-    CheckpointMismatchError,
     ModelParams,
     embed_instance,
     load_checkpoint,
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
               + (f" (dump: {exc.dump_path})" if exc.dump_path else ""),
               file=sys.stderr)
         return 3
-    except CheckpointMismatchError as exc:
+    except ArtifactMismatchError as exc:
         print(f"artifact mismatch: {exc}", file=sys.stderr)
         return 4
     except SplitInfeasibleError as exc:

@@ -10,6 +10,7 @@ traversal, so test targets always require inferring a held-out edge.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import random
@@ -27,6 +28,7 @@ from .query import (
     Project,
     QueryNode,
     QueryShape,
+    SHAPE_TEMPLATES,
     canonicalize,
     parse_query,
     serialize_query,
@@ -78,11 +80,26 @@ def read_key_values(path: str, parsers: Mapping[str, Callable[[str], object]]) -
     return values
 
 
+def _checked_count(split_name: str, shape: QueryShape, count: int) -> int:
+    """``count`` if it is a valid request for the cell, else ``ConfigError``."""
+    if count < 0:
+        raise ConfigError(f"negative count for {split_name}/{shape.value}")
+    allowed = ALL_SHAPES if split_name == "test" else BASIC_SHAPES
+    if count > 0 and shape not in allowed:
+        raise ConfigError(
+            f"shape {shape.value} not allowed in split {split_name!r}; "
+            "the zero-shot shapes are reserved for testing"
+        )
+    return count
+
+
 _DATASET_KEYS: dict[str, Callable[[str], object]] = {
     "seed": int,
     "max_retries": int,
     "answer_cap": int,
-    **{f"{split_name}.{shape.value}": int
+    **{f"{split_name}.{shape.value}":
+       lambda value, split_name=split_name, shape=shape:
+           _checked_count(split_name, shape, int(value))
        for split_name in SPLIT_NAMES for shape in ALL_SHAPES},
 }
 
@@ -104,15 +121,8 @@ class DatasetConfig:
         for split_name, by_shape in self.counts.items():
             if split_name not in SPLIT_NAMES:
                 raise ConfigError(f"unknown split {split_name!r}")
-            allowed = ALL_SHAPES if split_name == "test" else BASIC_SHAPES
             for shape, count in by_shape.items():
-                if count < 0:
-                    raise ConfigError(f"negative count for {split_name}/{shape.value}")
-                if count > 0 and shape not in allowed:
-                    raise ConfigError(
-                        f"shape {shape.value} not allowed in split {split_name!r}; "
-                        "the zero-shot shapes are reserved for testing"
-                    )
+                _checked_count(split_name, shape, count)
 
     @classmethod
     def from_file(cls, path: str) -> "DatasetConfig":
@@ -145,88 +155,62 @@ class RecInstance:
     hard: dict[str, frozenset[int]] | None = None
 
 
-def _pick_in_edge(kg: KnowledgeGraph, node: int, rng: random.Random):
-    pairs = kg.in_edges(node)
-    if not pairs:
-        raise SamplingError(f"entity {node} has no in-edges")
-    return pairs[rng.randrange(len(pairs))]
+def _pick_other_target(kg: KnowledgeGraph, node: int, rng: random.Random) -> int:
+    """A uniform in-edge target other than ``node``, itself an in-edge target."""
+    targets = kg.in_edge_targets
+    if len(targets) < 2:
+        raise SamplingError("no second union branch available")
+    j = rng.randrange(len(targets) - 1)
+    return targets[j + (j >= bisect.bisect_left(targets, node))]
 
 
-def _pick_distinct_in_edges(kg: KnowledgeGraph, node: int, n: int, rng: random.Random):
-    pairs = kg.in_edges(node)
+def _ground(kg: KnowledgeGraph, skel: tuple, target: int, rng: random.Random,
+            root: bool) -> QueryNode:
+    """A query of skeleton ``skel`` whose answer set contains ``target``.
+
+    A projection takes one random in-edge of its target and an intersection
+    ``len(children)`` distinct ones, one per child projection. A union
+    grounds its first branch at its own target and every other branch at a
+    random other target: a seed item at the root, an in-edge target other
+    than its own below it.
+    """
+    kind = skel[0]
+    if kind == "e":
+        return Anchor(target)
+    if kind == "or":
+        branches = [_ground(kg, skel[1][0], target, rng, False)]
+        for child in skel[1][1:]:
+            other = (kg.seed_items[rng.randrange(len(kg.seed_items))] if root
+                     else _pick_other_target(kg, target, rng))
+            branches.append(_ground(kg, child, other, rng, False))
+        return Or(tuple(branches))
+    pairs = kg.in_edges(target)
+    n = 1 if kind == "p" else len(skel[1])
     if len(pairs) < n:
-        raise SamplingError(f"entity {node} has fewer than {n} in-edges")
-    return rng.sample(pairs, n)
-
-
-def _items_with_in_edges(kg: KnowledgeGraph) -> list[int]:
-    return [i for i in kg.sorted_items() if kg.in_edges(i)]
+        raise SamplingError(f"entity {target} needs {n} in-edges, has {len(pairs)}")
+    if kind == "p":
+        rel, head = pairs[rng.randrange(len(pairs))]
+        return Project(rel, _ground(kg, skel[1], head, rng, False))
+    return And(tuple(Project(rel, _ground(kg, child[1], head, rng, False))
+                     for child, (rel, head) in zip(skel[1], rng.sample(pairs, n))))
 
 
 def sample_requirement(
     kg: KnowledgeGraph, shape: QueryShape, rng: random.Random
 ) -> QueryNode:
-    """Instantiate the shape template backward from a random seed item.
+    """Ground the shape's template backward from a random seed item.
 
     The returned query is canonical and its answer set provably contains the
     seed item. Dead ends (nodes without the needed in-edges) raise
     :class:`SamplingError`; callers resample.
     """
-    seeds = _items_with_in_edges(kg)
+    if shape not in SHAPE_TEMPLATES:
+        raise ValueError(f"cannot sample shape {shape}")
+    seeds = kg.seed_items
     if not seeds:
         raise SamplingError("no item has in-edges")
     seed_item = seeds[rng.randrange(len(seeds))]
-
-    def chain(target: int, hops: int) -> QueryNode:
-        rel, head = _pick_in_edge(kg, target, rng)
-        if hops == 1:
-            return Project(rel, Anchor(head))
-        return Project(rel, chain(head, hops - 1))
-
-    if shape == QueryShape.ONE_P:
-        node: QueryNode = chain(seed_item, 1)
-    elif shape == QueryShape.TWO_P:
-        node = chain(seed_item, 2)
-    elif shape == QueryShape.THREE_P:
-        node = chain(seed_item, 3)
-    elif shape in (QueryShape.TWO_I, QueryShape.THREE_I):
-        n = 2 if shape == QueryShape.TWO_I else 3
-        pairs = _pick_distinct_in_edges(kg, seed_item, n, rng)
-        node = And(tuple(Project(r, Anchor(h)) for r, h in pairs))
-    elif shape == QueryShape.IP:
-        rel, mid = _pick_in_edge(kg, seed_item, rng)
-        pairs = _pick_distinct_in_edges(kg, mid, 2, rng)
-        node = Project(rel, And(tuple(Project(r, Anchor(h)) for r, h in pairs)))
-    elif shape == QueryShape.PI:
-        (rel_a, mid), (rel_c, anchor_c) = _pick_distinct_in_edges(
-            kg, seed_item, 2, rng
-        )
-        rel_b, anchor_b = _pick_in_edge(kg, mid, rng)
-        node = And(
-            (
-                Project(rel_a, Project(rel_b, Anchor(anchor_b))),
-                Project(rel_c, Anchor(anchor_c)),
-            )
-        )
-    elif shape == QueryShape.TWO_U:
-        rel_a, head_a = _pick_in_edge(kg, seed_item, rng)
-        other = seeds[rng.randrange(len(seeds))]
-        rel_b, head_b = _pick_in_edge(kg, other, rng)
-        node = Or((Project(rel_a, Anchor(head_a)), Project(rel_b, Anchor(head_b))))
-    elif shape == QueryShape.UP:
-        rel, mid = _pick_in_edge(kg, seed_item, rng)
-        rel_a, head_a = _pick_in_edge(kg, mid, rng)
-        candidates = [e for e in sorted(kg.in_adj) if e != mid]
-        if not candidates:
-            raise SamplingError("no second union branch available")
-        other = candidates[rng.randrange(len(candidates))]
-        rel_b, head_b = _pick_in_edge(kg, other, rng)
-        node = Project(
-            rel, Or((Project(rel_a, Anchor(head_a)), Project(rel_b, Anchor(head_b))))
-        )
-    else:
-        raise ValueError(f"cannot sample shape {shape}")
-    return canonicalize(node, kg)
+    return canonicalize(_ground(kg, SHAPE_TEMPLATES[shape], seed_item, rng, True), kg)
 
 
 def sample_instance(
@@ -243,7 +227,7 @@ def sample_instance(
     have at least one hard joint answer or they are resampled.
     """
     kg = split.train if split_name == "train" else split.full
-    users = sorted(kg.users)
+    users = kg.ordered_users
     for _ in range(cfg.max_retries):
         try:
             q = sample_requirement(kg, shape, rng)

@@ -11,7 +11,8 @@ import hashlib
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -28,6 +29,11 @@ class UnknownNameError(KeyError):
 
 class SplitInfeasibleError(RuntimeError):
     """Raised when an edge hold-out cannot preserve vocabulary coverage."""
+
+
+class ArtifactMismatchError(RuntimeError):
+    """A saved artifact (split directory or checkpoint) is malformed or does
+    not fit what it is loaded with."""
 
 
 # Characters that would break the s-expression query syntax if they appeared
@@ -123,19 +129,14 @@ class KnowledgeGraph:
                     )
 
         out_index: dict[tuple[int, int], set[int]] = {}
-        in_index: dict[tuple[int, int], set[int]] = {}
-        in_adj: dict[int, list[tuple[int, int]]] = {}
         for t in self.triples:
             out_index.setdefault((t.head, t.rel), set()).add(t.tail)
-            in_index.setdefault((t.rel, t.tail), set()).add(t.head)
         self.out_index = {k: frozenset(v) for k, v in out_index.items()}
-        self.in_index = {k: frozenset(v) for k, v in in_index.items()}
-        # (rel, head) pairs pointing at each tail, deduplicated and sorted so
-        # backward query sampling is deterministic.
-        for (rel, tail), heads in sorted(self.in_index.items()):
-            lst = in_adj.setdefault(tail, [])
-            for h in sorted(heads):
-                lst.append((rel, h))
+        # (rel, head) pairs pointing at each tail, sorted so backward query
+        # sampling is deterministic; the tails are keyed in ascending order.
+        in_adj: dict[int, list[tuple[int, int]]] = {}
+        for t in sorted(self.triples, key=lambda t: (t.tail, t.rel, t.head)):
+            in_adj.setdefault(t.tail, []).append((t.rel, t.head))
         self.in_adj = {k: tuple(v) for k, v in in_adj.items()}
 
     @property
@@ -149,10 +150,6 @@ class KnowledgeGraph:
     def neighbors_out(self, e: int, r: int) -> frozenset[int]:
         """Exact tail set of ``(e, r, *)`` edges; empty when there are none."""
         return self.out_index.get((e, r), frozenset())
-
-    def neighbors_in(self, r: int, t: int) -> frozenset[int]:
-        """Exact head set of ``(*, r, t)`` edges."""
-        return self.in_index.get((r, t), frozenset())
 
     def in_edges(self, t: int) -> tuple[tuple[int, int], ...]:
         """Distinct ``(rel, head)`` pairs with an edge into ``t``, sorted."""
@@ -172,6 +169,22 @@ class KnowledgeGraph:
     def sorted_items(self) -> tuple[int, ...]:
         """Item ids in ascending order, sorted once at construction."""
         return self._sorted_items
+
+    # Pools of backward query sampling, ascending and built on first use
+    # (graphs that only answer queries never pay for them): the items with an
+    # in-edge, every entity with an in-edge, and the users.
+
+    @cached_property
+    def seed_items(self) -> tuple[int, ...]:
+        return tuple(i for i in self.sorted_items() if i in self.in_adj)
+
+    @cached_property
+    def in_edge_targets(self) -> tuple[int, ...]:
+        return tuple(self.in_adj)
+
+    @cached_property
+    def ordered_users(self) -> tuple[int, ...]:
+        return tuple(sorted(self.users))
 
 
 def _check_name(name: str, path: str, lineno: int) -> str:
@@ -375,14 +388,28 @@ def save_split(split: KgSplit, out_dir: str) -> dict:
 def load_split(split_dir: str) -> KgSplit:
     """Reload a split directory written by :func:`save_split`.
 
-    Vocabulary ids are reassigned by first appearance over the train file then
-    the held-out file; coverage guarantees the train file already mentions
-    every name, so the assignment is stable for any consumer of the directory.
+    The triple files must match the manifest's hashes and counts, or
+    ``ArtifactMismatchError`` is raised. Vocabulary ids are reassigned by
+    first appearance over the train file then the held-out file; coverage
+    guarantees the train file already mentions every name, so the assignment
+    is stable for any consumer of the directory.
     """
     with open(os.path.join(split_dir, MANIFEST_FILE), "r", encoding="utf-8") as f:
         manifest = json.load(f)
-    train_rows = parse_triple_lines(os.path.join(split_dir, TRAIN_FILE))
-    held_rows = parse_triple_lines(os.path.join(split_dir, HELDOUT_FILE))
+    train_path = os.path.join(split_dir, TRAIN_FILE)
+    held_path = os.path.join(split_dir, HELDOUT_FILE)
+    train_rows = parse_triple_lines(train_path)
+    held_rows = parse_triple_lines(held_path)
+    found = {
+        "train_sha256": file_sha256(train_path),
+        "heldout_sha256": file_sha256(held_path),
+        "n_train": len(train_rows),
+        "n_held_out": len(held_rows),
+    }
+    bad = [f"{key} is {value!r}, manifest says {manifest.get(key)!r}"
+           for key, value in found.items() if manifest.get(key) != value]
+    if bad:
+        raise ArtifactMismatchError(f"{split_dir}: " + "; ".join(bad))
     items = _read_names(os.path.join(split_dir, ITEMS_FILE))
     users = _read_names(os.path.join(split_dir, USERS_FILE))
     full = graph_from_names(

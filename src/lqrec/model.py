@@ -37,16 +37,12 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, stable_sigmoid
 from .dataset import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
-from .kg import KnowledgeGraph
-from .query import And, Anchor, Or, Project, QueryNode
+from .kg import ArtifactMismatchError, KnowledgeGraph
+from .query import QueryNode, skeleton
 
 VARIANTS = ("mtl", "shared-bottom", "single-task", "no-al", "no-au")
 
 CHECKPOINT_FORMAT = "lqrec-checkpoint-v1"
-
-
-class CheckpointMismatchError(RuntimeError):
-    """A checkpoint is malformed or does not fit the model or the graph."""
 
 
 def model_variant(name: str) -> str:
@@ -112,8 +108,8 @@ class ModelParams:
         got = {name: np.shape(a) for name, a in arrays.items()}
         bad = {n: got.get(n) for n in spec.keys() | got.keys() if got.get(n) != spec.get(n)}
         if bad:
-            raise CheckpointMismatchError(f"array shapes {bad} do not fit d={d}, k={k}")
-        self._tensors = {name: Tensor(arrays[name], requires_grad=True) for name in spec}
+            raise ArtifactMismatchError(f"array shapes {bad} do not fit d={d}, k={k}")
+        self._tensors = {name: Tensor(arrays[name]) for name in spec}
         vars(self).update(self._tensors)
         self.experts = [self._tensors[f"expert_{s}"] for s in range(k)]
         self.gamma = float(gamma)
@@ -174,7 +170,7 @@ class ModelParams:
             self.entity_vocab_hash != kg.entity_vocab.content_hash()
             or self.relation_vocab_hash != kg.relation_vocab.content_hash()
         ):
-            raise CheckpointMismatchError(
+            raise ArtifactMismatchError(
                 "checkpoint vocabulary hashes do not match the graph"
             )
 
@@ -216,30 +212,10 @@ def embed_union(tape: Tape, q1: Tensor, q2: Tensor) -> Tensor:
     return tape.elementwise_max(q1, q2)
 
 
-def _skeleton(q: QueryNode, ids: list[int]) -> tuple:
-    """The query's structure with its ids erased; appends the anchor and
-    relation ids to ``ids`` in the order ``_embed_skeleton`` consumes them.
-
-    Children keep their order, so the two child orders of a shape are two
-    skeletons.
-    """
-    if isinstance(q, Anchor):
-        ids.append(q.entity)
-        return ("e",)
-    if isinstance(q, Project):
-        child = _skeleton(q.child, ids)
-        ids.append(q.rel)
-        return ("p", child)
-    if isinstance(q, (And, Or)):
-        kind = "and" if isinstance(q, And) else "or"
-        return (kind, tuple(_skeleton(c, ids) for c in q.children))
-    raise TypeError(f"not a query node: {q!r}")
-
-
 def _embed_skeleton(tape: Tape, params: ModelParams, skel: tuple, columns) -> Tensor:
     """(B, d) embeddings of one skeleton group; ``columns`` yields the
-    group's (B,) id columns in ``_skeleton`` order. n-ary nodes fold left
-    over their child order."""
+    group's (B,) id columns in the order ``query.skeleton`` lists ids.
+    n-ary nodes fold left over their child order."""
     kind = skel[0]
     if kind == "e":
         return tape.gather(params.entity_emb, next(columns))
@@ -265,7 +241,7 @@ def embed_requirement(
     groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
     for row, q in enumerate(requirements):
         ids: list[int] = []
-        rows, id_rows = groups.setdefault(_skeleton(q, ids), ([], []))
+        rows, id_rows = groups.setdefault(skeleton(q, ids), ([], []))
         rows.append(row)
         id_rows.append(ids)
     if not groups:
@@ -409,7 +385,7 @@ def _split_arrays(body: memoryview, manifest) -> dict[str, np.ndarray]:
 def load_checkpoint(path: str) -> ModelParams:
     """Read a ``save_checkpoint`` file; anything else (a header that is not
     UTF-8 JSON of that form, array names or shapes off ``param_shapes``, a
-    wrong byte count, a non-finite value) raises ``CheckpointMismatchError``.
+    wrong byte count, a non-finite value) raises ``ArtifactMismatchError``.
     """
     with open(path, "rb") as f:
         head, body = f.readline(), memoryview(f.read())
@@ -426,12 +402,12 @@ def load_checkpoint(path: str) -> ModelParams:
             entity_vocab_hash=header["entity_vocab_hash"],
             relation_vocab_hash=header["relation_vocab_hash"],
         )
-    except (CheckpointMismatchError, KeyError, TypeError, ValueError) as exc:
+    except (ArtifactMismatchError, KeyError, TypeError, ValueError) as exc:
         # Whatever the file holds: malformed JSON or UTF-8 (both ValueError),
         # missing fields, values of the wrong type or size.
-        raise CheckpointMismatchError(f"{path}: not a valid checkpoint: {exc!r}") from None
+        raise ArtifactMismatchError(f"{path}: not a valid checkpoint: {exc!r}") from None
     if _header(params) != header:
-        raise CheckpointMismatchError(f"{path}: header does not describe its arrays")
+        raise ArtifactMismatchError(f"{path}: header does not describe its arrays")
     if not all(np.isfinite(t.data).all() for t in params.named().values()):
-        raise CheckpointMismatchError(f"{path}: non-finite parameter values")
+        raise ArtifactMismatchError(f"{path}: non-finite parameter values")
     return params

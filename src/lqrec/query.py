@@ -85,13 +85,11 @@ BASIC_SHAPES = (
 ZERO_SHOT_SHAPES = (QueryShape.IP, QueryShape.PI, QueryShape.TWO_U, QueryShape.UP)
 ALL_SHAPES = BASIC_SHAPES + ZERO_SHOT_SHAPES
 
-_SHAPE_BY_NAME = {s.value: s for s in QueryShape}
-
 
 def shape_from_name(name: str) -> QueryShape:
     try:
-        return _SHAPE_BY_NAME[name]
-    except KeyError:
+        return QueryShape(name)
+    except ValueError:
         raise ValueError(f"unknown query shape {name!r}") from None
 
 
@@ -212,55 +210,63 @@ def parse_query(text: str, kg: KnowledgeGraph) -> QueryNode:
     return canonicalize(node, kg)
 
 
-def _is_1p(q: QueryNode) -> bool:
-    return isinstance(q, Project) and isinstance(q.child, Anchor)
+# One row per shape: the shape's skeleton (see ``skeleton``). Children are
+# listed in the order ``dataset.sample_requirement`` grounds them; the
+# children of an intersection are projections.
+_1P = ("p", ("e",))
+_2P = ("p", _1P)
+SHAPE_TEMPLATES: dict[QueryShape, tuple] = {
+    QueryShape.ONE_P: _1P,
+    QueryShape.TWO_P: _2P,
+    QueryShape.THREE_P: ("p", _2P),
+    QueryShape.TWO_I: ("and", (_1P, _1P)),
+    QueryShape.THREE_I: ("and", (_1P, _1P, _1P)),
+    QueryShape.IP: ("p", ("and", (_1P, _1P))),
+    QueryShape.PI: ("and", (_2P, _1P)),
+    QueryShape.TWO_U: ("or", (_1P, _1P)),
+    QueryShape.UP: ("p", ("or", (_1P, _1P))),
+}
 
 
-def _is_2p(q: QueryNode) -> bool:
-    return isinstance(q, Project) and _is_1p(q.child)
+def skeleton(q: QueryNode, ids: list[int] | None = None) -> tuple:
+    """The query's structure with its ids erased: ``("e",)``,
+    ``("p", child)`` or ``("and"|"or", children)``.
+
+    Children keep their order, so the two child orders of a shape are two
+    skeletons. When given, ``ids`` receives the anchor and relation ids,
+    children before the projection that applies to them.
+    """
+    if ids is None:
+        ids = []
+    if isinstance(q, Anchor):
+        ids.append(q.entity)
+        return ("e",)
+    if isinstance(q, Project):
+        child = skeleton(q.child, ids)
+        ids.append(q.rel)
+        return ("p", child)
+    if isinstance(q, (And, Or)):
+        kind = "and" if isinstance(q, And) else "or"
+        return (kind, tuple(skeleton(c, ids) for c in q.children))
+    raise TypeError(f"not a query node: {q!r}")
 
 
-def _is_3p(q: QueryNode) -> bool:
-    return isinstance(q, Project) and _is_2p(q.child)
+def _unordered(skel: tuple) -> tuple:
+    """``skel`` with the children of every intersection and union sorted."""
+    if skel[0] == "e":
+        return skel
+    if skel[0] == "p":
+        return ("p", _unordered(skel[1]))
+    return (skel[0], tuple(sorted(_unordered(c) for c in skel[1])))
+
+
+_SHAPE_OF_SKELETON = {_unordered(t): shape for shape, t in SHAPE_TEMPLATES.items()}
 
 
 def classify_shape(q: QueryNode) -> QueryShape:
-    """Exact template match against the nine-shape taxonomy.
+    """Exact template match against ``SHAPE_TEMPLATES``.
 
     Invariant under child order of intersections/unions; anything that does
     not match a template is ``UNCLASSIFIED``.
     """
-    if isinstance(q, Project):
-        if _is_1p(q):
-            return QueryShape.ONE_P
-        if _is_2p(q):
-            return QueryShape.TWO_P
-        if _is_3p(q):
-            return QueryShape.THREE_P
-        inner = q.child
-        if isinstance(inner, And) and len(inner.children) == 2 and all(
-            _is_1p(c) for c in inner.children
-        ):
-            return QueryShape.IP
-        if isinstance(inner, Or) and len(inner.children) == 2 and all(
-            _is_1p(c) for c in inner.children
-        ):
-            return QueryShape.UP
-        return QueryShape.UNCLASSIFIED
-    if isinstance(q, And):
-        kids = q.children
-        if len(kids) == 2 and all(_is_1p(c) for c in kids):
-            return QueryShape.TWO_I
-        if len(kids) == 3 and all(_is_1p(c) for c in kids):
-            return QueryShape.THREE_I
-        if len(kids) == 2:
-            flags = sorted((_is_1p(c), _is_2p(c)) for c in kids)
-            if flags == [(False, True), (True, False)]:
-                return QueryShape.PI
-        return QueryShape.UNCLASSIFIED
-    if isinstance(q, Or):
-        if len(q.children) == 2 and all(_is_1p(c) for c in q.children):
-            return QueryShape.TWO_U
-        return QueryShape.UNCLASSIFIED
-    return QueryShape.UNCLASSIFIED
-
+    return _SHAPE_OF_SKELETON.get(_unordered(skeleton(q)), QueryShape.UNCLASSIFIED)

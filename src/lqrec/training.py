@@ -59,8 +59,7 @@ class TrainConfig:
 
     def __post_init__(self):
         model_variant(self.variant)
-        if len(self.task_weights) != 3:
-            raise ValueError("task_weights must have three entries")
+        _task_weights(self.task_weights)
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "TrainConfig":
@@ -68,12 +67,19 @@ class TrainConfig:
         return cls(**{**read_key_values(path, _TRAIN_KEYS), **overrides})
 
 
+def _task_weights(weights: Sequence[float]) -> tuple[float, ...]:
+    """``weights`` as a tuple if it has one entry per task, else ``ValueError``."""
+    if len(weights) != 3:
+        raise ValueError("task_weights must have three entries")
+    return tuple(weights)
+
+
 _TRAIN_KEYS: dict[str, Callable[[str], object]] = {
     **dict.fromkeys(("d", "k", "epochs", "batch_size", "n_neg", "eval_every",
                      "eval_k", "seed"), int),
     **dict.fromkeys(("gamma", "lr", "stop_threshold"), float),
     "patience": lambda value: None if value == "none" else int(value),
-    "task_weights": lambda value: tuple(float(p) for p in value.split(",")),
+    "task_weights": lambda value: _task_weights([float(p) for p in value.split(",")]),
     "variant": model_variant,
 }
 

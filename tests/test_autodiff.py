@@ -45,12 +45,12 @@ def check_op(build, tensors, h=1e-6, tol=1e-7):
 
 def rng_tensor(shape, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    return Tensor(scale * rng.standard_normal(shape), requires_grad=True)
+    return Tensor(scale * rng.standard_normal(shape))
 
 
 def test_relu_subgradient():
     tape = Tape()
-    x = Tensor(np.array([2.0, -1.0, 0.0]), requires_grad=True)
+    x = Tensor(np.array([2.0, -1.0, 0.0]))
     y = tape.reduce_sum(tape.relu(x))
     backward(tape, y)
     np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
@@ -60,7 +60,7 @@ def test_sigmoid_bce_composite_gradient():
     # d(BCE(sigmoid(z), y))/dz = p - y
     for z0, y0 in [(0.7, 1.0), (-1.3, 0.0), (2.5, 0.0)]:
         tape = Tape()
-        z = Tensor(np.array([z0]), requires_grad=True)
+        z = Tensor(np.array([z0]))
         p = tape.sigmoid(z)
         loss = tape.bce_loss(p, Tensor(np.array([y0])))
         backward(tape, loss)
@@ -70,8 +70,8 @@ def test_sigmoid_bce_composite_gradient():
 
 def test_elementwise_max_forward_and_routing():
     tape = Tape()
-    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    b = Tensor(np.array([0.0, 3.0]), requires_grad=True)
+    a = Tensor(np.array([1.0, -2.0]))
+    b = Tensor(np.array([0.0, 3.0]))
     m = tape.elementwise_max(a, b)
     np.testing.assert_array_equal(m.data, [1.0, 3.0])
     loss = tape.reduce_sum(m)
@@ -82,8 +82,8 @@ def test_elementwise_max_forward_and_routing():
 
 def test_max_tie_routes_to_first():
     tape = Tape()
-    a = Tensor(np.array([5.0]), requires_grad=True)
-    b = Tensor(np.array([5.0]), requires_grad=True)
+    a = Tensor(np.array([5.0]))
+    b = Tensor(np.array([5.0]))
     loss = tape.reduce_sum(tape.elementwise_max(a, b))
     backward(tape, loss)
     assert a.grad[0] == 1.0 and b.grad[0] == 0.0
@@ -91,7 +91,7 @@ def test_max_tie_routes_to_first():
 
 def test_sum_backward():
     tape = Tape()
-    x = Tensor(np.ones(4), requires_grad=True)
+    x = Tensor(np.ones(4))
     loss = tape.reduce_sum(x)
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.ones(4))
@@ -99,7 +99,7 @@ def test_sum_backward():
 
 def test_shared_parameter_grads_add():
     tape = Tape()
-    x = Tensor(np.array([1.5, -0.5]), requires_grad=True)
+    x = Tensor(np.array([1.5, -0.5]))
     branch1 = tape.scale_shift(x, 2.0, 0.0)
     branch2 = tape.scale_shift(x, 3.0, 0.0)
     loss = tape.reduce_sum(tape.add(branch1, branch2))
@@ -114,7 +114,7 @@ def test_backward_on_empty_tape():
 
 def test_backward_requires_scalar():
     tape = Tape()
-    x = Tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones(3))
     y = tape.relu(x)
     with pytest.raises(OpShapeError):
         backward(tape, y)
@@ -130,7 +130,7 @@ def test_shape_errors_carry_op_name():
 
 def test_gather_scatters_sparsely():
     tape = Tape()
-    table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    table = Tensor(np.arange(12.0).reshape(4, 3))
     row = tape.gather(table, 2)
     rows = tape.gather(table, [1, 1, 3])
     loss = tape.reduce_sum(tape.add(rows, tape.stack_rows([row, row, row])))
@@ -224,7 +224,7 @@ def test_op_gradients_against_finite_differences(seed):
 
 
 def test_adam_zero_gradient_no_move():
-    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    p = Tensor(np.array([1.0, 2.0]))
     params = {"p": p}
     state = AdamState(params, lr=0.1)
     before = p.data.copy()
@@ -233,7 +233,7 @@ def test_adam_zero_gradient_no_move():
 
 
 def test_adam_constant_gradient_step_size():
-    p = Tensor(np.array([0.0]), requires_grad=True)
+    p = Tensor(np.array([0.0]))
     params = {"p": p}
     state = AdamState(params, lr=0.05)
     prev = p.data.copy()
@@ -249,7 +249,7 @@ def test_adam_constant_gradient_step_size():
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(7)
-        p = Tensor(rng.standard_normal(8), requires_grad=True)
+        p = Tensor(rng.standard_normal(8))
         params = {"p": p}
         state = AdamState(params, lr=0.01)
         for i in range(25):
@@ -262,6 +262,6 @@ def test_adam_deterministic():
 
 def test_bce_guard_no_nan():
     tape = Tape()
-    probs = tape.sigmoid(Tensor(np.array([-800.0, 800.0]), requires_grad=True))
+    probs = tape.sigmoid(Tensor(np.array([-800.0, 800.0])))
     loss = tape.bce_loss(probs, Tensor(np.array([1.0, 0.0])))
     assert np.isfinite(loss.data)

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from lqrec.cli import main
+from lqrec.kg import load_split
 from lqrec.synth import clustered_world, write_world_files
 
 
@@ -186,6 +188,34 @@ def test_corrupt_checkpoint_exit_code(pipeline, command, capsys):
             else ["answer", "--kg", str(pipeline["data"]), "--mode", "embedding"])
     assert main(argv + ["--checkpoint", str(bad)]) == 4
     assert "artifact mismatch" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tampered_data(pipeline):
+    """A copy of the dataset directory with one byte of train.tsv changed."""
+    data = pipeline["root"] / "tampered"
+    shutil.copytree(pipeline["data"], data)
+    blob = bytearray((data / "train.tsv").read_bytes())
+    at = next(i for i, b in enumerate(blob) if chr(b).isdigit())
+    blob[at] = ord("1") if blob[at] != ord("1") else ord("2")
+    (data / "train.tsv").write_bytes(bytes(blob))
+    return data
+
+
+@pytest.mark.parametrize("command", ["eval", "answer", "train"])
+def test_tampered_split_exit_code(pipeline, tampered_data, command, capsys):
+    argv = {
+        "eval": ["eval", "--data", str(tampered_data),
+                 "--checkpoint", str(pipeline["ckpt"])],
+        "answer": ["answer", "--kg", str(tampered_data), "--mode", "symbolic"],
+        "train": ["train", "--data", str(tampered_data), "--seed", "5",
+                  "--out", str(pipeline["root"] / "tampered_run")],
+    }[command]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "artifact mismatch" in err and "train_sha256" in err
+    # the untouched directory still loads
+    assert len(load_split(str(pipeline["data"])).held_out) > 0
 
 
 def test_answer_repl(pipeline):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -9,6 +10,8 @@ from lqrec.dataset import (
     BASIC_SHAPES,
     DatasetConfig,
     ConfigError,
+    DATASET_FILES,
+    STATS_FILE,
     SamplingError,
     TASK_JOINT,
     TASK_PREF,
@@ -69,10 +72,22 @@ def test_config_file_requires_seed(tmp_path):
     ("nonsense=3", "unknown key 'nonsense'"),
     ("seed 3", "expected key=value"),
     ("seed=abc", "bad value for 'seed'"),
+    # Values only a cross-field check rejects; the other config does not
+    # know the key at all.
+    *(pytest.param(f"{key}={value}",
+                   {owner: f"bad value for {key!r}", other: f"unknown key {key!r}"},
+                   id=f"{key}={value}")
+      for key, value, owner, other in [
+          ("task_weights", "1,2", TrainConfig, DatasetConfig),
+          ("train.1p", "-1", DatasetConfig, TrainConfig),
+          ("train.2u", "3", DatasetConfig, TrainConfig),
+      ]),
 ])
 def test_config_errors_name_location(tmp_path, from_file, line, message):
     p = tmp_path / "cfg"
     p.write_text(f"# comment\n\nseed=1\n{line}\n")
+    if isinstance(message, dict):
+        message = message[from_file.__self__]
     with pytest.raises(ConfigError, match=re.escape(f"{p}:4: {message}")):
         from_file(str(p))
 
@@ -150,6 +165,20 @@ def test_build_dataset_deterministic(world_split, tmp_path):
     write_dataset(d2, r2, world_split.full, str(out2))
     for name in ("train.jsonl", "valid.jsonl", "test.jsonl", "stats.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_sampling_stream_pinned(world_split, tmp_path):
+    # The bytes written for every allowed cell. Any change to the number or
+    # order of the sampler's RNG calls, or to what it grounds, changes them.
+    cfg = DatasetConfig(counts=small_counts(n_train=4, n_valid=2, n_test=3), seed=5)
+    datasets, report = build_dataset(world_split, cfg)
+    assert report.shortfalls == []
+    write_dataset(datasets, report, world_split.full, str(tmp_path))
+    h = hashlib.sha256()
+    for name in (*DATASET_FILES.values(), STATS_FILE):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == (
+        "538d628678271271104c1dde2cab5af058e466f8042039f8eaafa2a8a11dafe0")
 
 
 def test_zero_count_shape_absent(world_split, tmp_path):

@@ -80,12 +80,15 @@ def test_neighbors_out_empty(tiny_kg):
 
 
 def test_index_consistency(world):
-    total = 0
     for t in world.triples:
         assert t.tail in world.out_index[(t.head, t.rel)]
-        assert t.head in world.in_index[(t.rel, t.tail)]
+        assert (t.rel, t.head) in world.in_edges(t.tail)
     total = sum(len(v) for v in world.out_index.values())
     assert total == len(world.triples)
+    assert sum(len(v) for v in world.in_adj.values()) == len(world.triples)
+    for tail, pairs in world.in_adj.items():
+        assert list(pairs) == sorted(set(pairs)), tail
+    assert list(world.in_adj) == sorted(world.in_adj)
 
 
 def test_duplicate_triples_dropped():

@@ -6,9 +6,8 @@ import pytest
 
 from lqrec.autodiff import Tape, Tensor, backward
 from lqrec.dataset import TASK_JOINT, TASK_PREF, TASK_REQ
-from lqrec.kg import graph_from_names
+from lqrec.kg import ArtifactMismatchError, graph_from_names
 from lqrec.model import (
-    CheckpointMismatchError,
     ModelParams,
     catalog_scores,
     embed_instance,
@@ -324,7 +323,7 @@ def test_checkpoint_vocab_mismatch(tmp_path, world):
     other = graph_from_names(
         [("a", "r", "b"), ("u", "likes", "b")], ["b"], ["u"], "likes"
     )
-    with pytest.raises(CheckpointMismatchError):
+    with pytest.raises(ArtifactMismatchError):
         load_checkpoint(str(path)).validate_against(other)
 
 
@@ -377,7 +376,7 @@ def test_checkpoint_every_truncation_rejected(small_ckpt):
     blob = small_ckpt.read_bytes()
     for cut in range(len(blob)):
         small_ckpt.write_bytes(blob[:cut])
-        with pytest.raises(CheckpointMismatchError):
+        with pytest.raises(ArtifactMismatchError):
             load_checkpoint(str(small_ckpt))
 
 
@@ -412,7 +411,7 @@ def test_checkpoint_corruption_rejected(small_ckpt, corruption):
     head, body = small_ckpt.read_bytes().split(b"\n", 1)
     load_checkpoint(str(small_ckpt))
     small_ckpt.write_bytes(CORRUPTIONS[corruption](json.loads(head), body))
-    with pytest.raises(CheckpointMismatchError):
+    with pytest.raises(ArtifactMismatchError):
         load_checkpoint(str(small_ckpt))
 
 

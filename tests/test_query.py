@@ -104,7 +104,19 @@ def test_classify_templates(tiny_kg):
     ]
     for node, expected in cases:
         assert classify_shape(node) == expected, expected
-    assert classify_shape(And((p1, And((p1, p1))))) == QueryShape.UNCLASSIFIED
+    p2 = Project(r2, p1)
+    near_misses = [
+        And((p1, And((p1, p1)))),
+        Or((p1, p1, Project(r2, Anchor(b)))),  # 3-branch union
+        Project(r1, Project(r2, p2)),  # 4p chain
+        Project(r1, And((p1, p1, Project(r2, Anchor(b))))),  # ip over three
+        And((p2, Project(r1, p1))),  # pi with two 2p branches
+        Project(r1, Or((p1, And((p1, p1))))),  # up over an intersection
+        And((p1, Or((p1, Project(r2, Anchor(b)))))),  # or inside an and
+        Anchor(a),
+    ]
+    for node in near_misses:
+        assert classify_shape(node) == QueryShape.UNCLASSIFIED, node
 
 
 def test_classify_invariant_under_reordering(tiny_kg):
