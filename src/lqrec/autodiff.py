@@ -15,8 +15,9 @@ Row-wise products (``affine``, ``weighted_sum``) multiply one row at a time,
 so a row's result does not depend on how many rows share its batch: a query
 embeds to the same bits alone as inside a group.
 
-A tape built with ``record=False`` keeps no nodes and builds no backward
-closures; inference runs the same forward code through it.
+Every op records through ``Tape._node`` as one ``(output, backward)`` node.
+A tape built with ``record=False`` keeps no nodes; inference runs the same
+forward code through it.
 
 Subgradient conventions are fixed: relu'(0) = 0, the L1 distance uses
 sign with sign(0) = 0, and elementwise_max routes ties to its first operand.
@@ -30,6 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 _BCE_EPS = 1e-12
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class OpShapeError(ValueError):
@@ -66,10 +71,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, part=...) -> None:
+    """``t.grad[part] += g``, allocating a zero gradient on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    t.grad[part] += g
+
+
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise OpShapeError(op, a.shape, b.shape)
 
 
 def _scatter_add(table: Tensor, idx: np.ndarray, rows: np.ndarray) -> None:
@@ -105,11 +116,15 @@ class Tape:
 
     def __init__(self, record: bool = True):
         self.record = record
-        # (outputs, backward closure over saved activations)
-        self.nodes: list[tuple[tuple[Tensor, ...], object]] = []
+        # (output, backward closure over saved activations)
+        self.nodes: list[tuple[Tensor, object]] = []
 
-    def _record(self, outputs: tuple[Tensor, ...], backward_fn) -> None:
-        self.nodes.append((outputs, backward_fn))
+    def _node(self, data, backward_fn) -> Tensor:
+        """Wrap an op's result; a recording tape keeps it with its backward."""
+        out = Tensor(data)
+        if self.record:
+            self.nodes.append((out, backward_fn))
+        return out
 
     # -- table access ------------------------------------------------------
 
@@ -121,13 +136,11 @@ class Tape:
         idx = np.asarray(ids, dtype=np.int64)
         if table.data.ndim != 2 or idx.ndim > 1:
             raise OpShapeError("gather", table.shape, idx.shape)
-        out = Tensor(table.data[idx])
-        if self.record:
-            def backward(g):
-                _scatter_add(table, idx, g)
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _scatter_add(table, idx, g)
+
+        return self._node(table.data[idx], backward)
 
     def gather_l1(self, table: Tensor, ids, q: Tensor) -> Tensor:
         """L1 distance from ``q`` to gathered table rows, in one op.
@@ -146,77 +159,61 @@ class Tape:
         ):
             raise OpShapeError("gather_l1", table.shape, idx.shape, q.shape)
         diff = table.data[idx] - q.data[..., None, :]
-        out = Tensor(np.abs(diff).sum(axis=-1))
-        if self.record:
-            def backward(g):
-                s = g[..., None] * np.sign(diff)
-                _scatter_add(table, idx, s)
-                _accumulate(q, -s.sum(axis=-2))
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            s = g[..., None] * np.sign(diff)
+            _scatter_add(table, idx, s)
+            _accumulate(q, -s.sum(axis=-2))
+
+        return self._node(np.abs(diff).sum(axis=-1), backward)
 
     # -- elementwise arithmetic ---------------------------------------------
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise OpShapeError("add", a.shape, b.shape)
-        out = Tensor(a.data + b.data)
-        if self.record:
-            def backward(g):
-                _accumulate(a, g)
-                _accumulate(b, g)
+        _same_shape("add", a, b)
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(a, g)
+            _accumulate(b, g)
+
+        return self._node(a.data + b.data, backward)
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise OpShapeError("sub", a.shape, b.shape)
-        out = Tensor(a.data - b.data)
-        if self.record:
-            def backward(g):
-                _accumulate(a, g)
-                _accumulate(b, -g)
+        _same_shape("sub", a, b)
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(a, g)
+            _accumulate(b, -g)
+
+        return self._node(a.data - b.data, backward)
 
     def elementwise_mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise OpShapeError("elementwise_mul", a.shape, b.shape)
-        out = Tensor(a.data * b.data)
-        if self.record:
-            def backward(g):
-                _accumulate(a, g * b.data)
-                _accumulate(b, g * a.data)
+        _same_shape("elementwise_mul", a, b)
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(a, g * b.data)
+            _accumulate(b, g * a.data)
+
+        return self._node(a.data * b.data, backward)
 
     def elementwise_max(self, a: Tensor, b: Tensor) -> Tensor:
         """Per-element max; ties route the gradient to the first operand."""
-        if a.shape != b.shape:
-            raise OpShapeError("elementwise_max", a.shape, b.shape)
+        _same_shape("elementwise_max", a, b)
         take_a = a.data >= b.data
-        out = Tensor(np.where(take_a, a.data, b.data))
-        if self.record:
-            def backward(g):
-                _accumulate(a, g * take_a)
-                _accumulate(b, g * ~take_a)
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(a, g * take_a)
+            _accumulate(b, g * ~take_a)
+
+        return self._node(np.where(take_a, a.data, b.data), backward)
 
     def scale_shift(self, x: Tensor, scale: float, shift: float) -> Tensor:
         """``scale * x + shift`` with python-float constants."""
-        out = Tensor(scale * x.data + shift)
-        if self.record:
-            def backward(g):
-                _accumulate(x, g * scale)
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(x, g * scale)
+
+        return self._node(scale * x.data + shift, backward)
 
     # -- shape plumbing ------------------------------------------------------
 
@@ -227,35 +224,27 @@ class Tape:
             t.data.ndim == 0 or t.shape[:-1] != lead for t in tensors
         ):
             raise OpShapeError("concat_last_dim", *[t.shape for t in tensors])
-        out = Tensor(np.concatenate([t.data for t in tensors], axis=-1))
-        if self.record:
+
+        def backward(g):
             bounds = np.cumsum([t.shape[-1] for t in tensors])[:-1]
+            for t, part in zip(tensors, np.split(g, bounds, axis=-1)):
+                _accumulate(t, part)
 
-            def backward(g):
-                for t, part in zip(tensors, np.split(g, bounds, axis=-1)):
-                    _accumulate(t, part)
-
-            self._record((out,), backward)
-        return out
+        return self._node(np.concatenate([t.data for t in tensors], axis=-1), backward)
 
     def split_halves(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Split the last axis into two equal halves."""
+        """Split the last axis into two equal halves, one node each."""
         if x.data.ndim == 0 or x.shape[-1] % 2 != 0:
             raise OpShapeError("split_halves", x.shape)
         half = x.shape[-1] // 2
-        lo = Tensor(x.data[..., :half].copy())
-        hi = Tensor(x.data[..., half:].copy())
-        if self.record:
-            def backward(g_lo, g_hi):
-                zeros = np.zeros(lo.shape)
-                _accumulate(x, np.concatenate(
-                    [g_lo if g_lo is not None else zeros,
-                     g_hi if g_hi is not None else zeros],
-                    axis=-1,
-                ))
 
-            self._record((lo, hi), backward)
-        return lo, hi
+        def take(part: slice) -> Tensor:
+            def backward(g):
+                _accumulate(x, g, (..., part))
+
+            return self._node(x.data[..., part].copy(), backward)
+
+        return take(slice(None, half)), take(slice(half, None))
 
     def stack_rows(self, tensors: list[Tensor]) -> Tensor:
         """Rows of the operands in order as one (n, d) matrix; a vector is one
@@ -274,14 +263,12 @@ class Tape:
             else:
                 rows.append(slice(start, start + t.shape[0]))
                 start += t.shape[0]
-        out = Tensor(np.vstack([t.data for t in tensors]))
-        if self.record:
-            def backward(g):
-                for t, r in zip(tensors, rows):
-                    _accumulate(t, g[r])
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            for t, r in zip(tensors, rows):
+                _accumulate(t, g[r])
+
+        return self._node(np.vstack([t.data for t in tensors]), backward)
 
     # -- linear algebra -------------------------------------------------------
 
@@ -293,19 +280,17 @@ class Tape:
         if w.data.ndim != 2 or x.data.ndim == 0 or x.shape[-1] != w.shape[0] - 1:
             raise OpShapeError("affine", w.shape, x.shape)
         weights, bias = w.data[:-1], w.data[-1]
-        out = Tensor(_rowwise_matmul(x.data, weights) + bias)
-        if self.record:
-            def backward(g):
-                x2 = x.data.reshape(-1, x.shape[-1])
-                g2 = g.reshape(-1, g.shape[-1])
-                gw = np.empty_like(w.data)
-                gw[:-1] = x2.T @ g2
-                gw[-1] = g2.sum(axis=0)
-                _accumulate(w, gw)
-                _accumulate(x, g @ weights.T)
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            x2 = x.data.reshape(-1, x.shape[-1])
+            g2 = g.reshape(-1, g.shape[-1])
+            gw = np.empty_like(w.data)
+            gw[:-1] = x2.T @ g2
+            gw[-1] = g2.sum(axis=0)
+            _accumulate(w, gw)
+            _accumulate(x, g @ weights.T)
+
+        return self._node(_rowwise_matmul(x.data, weights) + bias, backward)
 
     def weighted_sum(self, weights: Tensor, stack: Tensor) -> Tensor:
         """Mix k equal blocks of the stack's last axis by the k weights.
@@ -321,50 +306,42 @@ class Tape:
         ):
             raise OpShapeError("weighted_sum", weights.shape, stack.shape)
         blocks = stack.data.reshape(weights.shape + (-1,))
-        out = Tensor(_rowwise_matmul(weights.data, blocks))
-        if self.record:
-            def backward(g):
-                _accumulate(weights, (blocks @ g[..., None])[..., 0])
-                _accumulate(stack, (weights.data[..., None] * g[..., None, :])
-                            .reshape(stack.shape))
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(weights, (blocks @ g[..., None])[..., 0])
+            _accumulate(stack, (weights.data[..., None] * g[..., None, :])
+                        .reshape(stack.shape))
+
+        return self._node(_rowwise_matmul(weights.data, blocks), backward)
 
     # -- nonlinearities --------------------------------------------------------
 
     def relu(self, x: Tensor) -> Tensor:
         mask = x.data > 0
-        out = Tensor(np.where(mask, x.data, 0.0))
-        if self.record:
-            def backward(g):
-                _accumulate(x, g * mask)
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(x, g * mask)
+
+        return self._node(np.where(mask, x.data, 0.0), backward)
 
     def sigmoid(self, x: Tensor) -> Tensor:
         s = stable_sigmoid(x.data)
-        out = Tensor(s)
-        if self.record:
-            def backward(g):
-                _accumulate(x, g * s * (1.0 - s))
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(x, g * s * (1.0 - s))
+
+        return self._node(s, backward)
 
     def softmax_last_dim(self, x: Tensor) -> Tensor:
         shifted = x.data - x.data.max(axis=-1, keepdims=True)
         ex = np.exp(shifted)
         s = ex / ex.sum(axis=-1, keepdims=True)
-        out = Tensor(s)
-        if self.record:
-            def backward(g):
-                inner = (g * s).sum(axis=-1, keepdims=True)
-                _accumulate(x, s * (g - inner))
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            inner = (g * s).sum(axis=-1, keepdims=True)
+            _accumulate(x, s * (g - inner))
+
+        return self._node(s, backward)
 
     # -- losses and reductions -----------------------------------------------
 
@@ -379,32 +356,26 @@ class Tape:
         p = np.clip(probs.data, _BCE_EPS, 1.0 - _BCE_EPS)
         y = labels.data
         n = p.size
-        out = Tensor(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n)
-        if self.record:
-            def backward(g):
-                _accumulate(probs, g * (-(y / p) + (1.0 - y) / (1.0 - p)) / n)
+        loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(probs, g * (-(y / p) + (1.0 - y) / (1.0 - p)) / n)
+
+        return self._node(loss, backward)
 
     def reduce_sum(self, x: Tensor) -> Tensor:
-        out = Tensor(x.data.sum())
-        if self.record:
-            def backward(g):
-                _accumulate(x, np.full_like(x.data, float(g)))
+        def backward(g):
+            _accumulate(x, np.full_like(x.data, float(g)))
 
-            self._record((out,), backward)
-        return out
+        return self._node(x.data.sum(), backward)
 
     def reduce_mean(self, x: Tensor) -> Tensor:
         n = x.data.size
-        out = Tensor(x.data.sum() / n)
-        if self.record:
-            def backward(g):
-                _accumulate(x, np.full_like(x.data, float(g) / n))
 
-            self._record((out,), backward)
-        return out
+        def backward(g):
+            _accumulate(x, np.full_like(x.data, float(g) / n))
+
+        return self._node(x.data.sum() / n, backward)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -419,28 +390,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if loss.data.shape != ():
         raise OpShapeError("backward", loss.data.shape)
     loss.grad = np.ones_like(loss.data)
-    for outputs, backward_fn in reversed(tape.nodes):
-        grads = [o.grad for o in outputs]
-        if all(g is None for g in grads):
-            continue
-        backward_fn(*grads)
+    for out, backward_fn in reversed(tape.nodes):
+        if out.grad is not None:
+            backward_fn(out.grad)
 
 
 class AdamState:
     """Per-parameter moment buffers for bias-corrected Adam."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -450,14 +409,14 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One bias-corrected adaptive-moment update; missing grads count as zero."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

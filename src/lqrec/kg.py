@@ -385,17 +385,37 @@ def save_split(split: KgSplit, out_dir: str) -> dict:
     return manifest
 
 
+def _read_manifest(path: str) -> dict:
+    """The manifest's JSON object, with the fields ``load_split`` uses typed."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactMismatchError(f"{path}: not UTF-8 JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ArtifactMismatchError(f"{path}: not a JSON object")
+    for key, kind, name in (("like_rel", str, "a string"),
+                            ("fraction", (int, float), "a number"),
+                            ("seed", int, "an integer")):
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ArtifactMismatchError(f"{path}: {key} must be {name}, is {value!r}")
+    return manifest
+
+
 def load_split(split_dir: str) -> KgSplit:
     """Reload a split directory written by :func:`save_split`.
 
-    The triple files must match the manifest's hashes and counts, or
+    The manifest must be a JSON object whose ``like_rel`` names a relation of
+    the triple files, with a numeric ``fraction`` and an integer ``seed``, and
+    the triple files must match its hashes and counts; otherwise
     ``ArtifactMismatchError`` is raised. Vocabulary ids are reassigned by
     first appearance over the train file then the held-out file; coverage
     guarantees the train file already mentions every name, so the assignment
     is stable for any consumer of the directory.
     """
-    with open(os.path.join(split_dir, MANIFEST_FILE), "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest_path = os.path.join(split_dir, MANIFEST_FILE)
+    manifest = _read_manifest(manifest_path)
     train_path = os.path.join(split_dir, TRAIN_FILE)
     held_path = os.path.join(split_dir, HELDOUT_FILE)
     train_rows = parse_triple_lines(train_path)
@@ -408,8 +428,10 @@ def load_split(split_dir: str) -> KgSplit:
     }
     bad = [f"{key} is {value!r}, manifest says {manifest.get(key)!r}"
            for key, value in found.items() if manifest.get(key) != value]
+    if manifest["like_rel"] not in {r for _, r, _ in train_rows + held_rows}:
+        bad.append(f"like_rel {manifest['like_rel']!r} is not a relation")
     if bad:
-        raise ArtifactMismatchError(f"{split_dir}: " + "; ".join(bad))
+        raise ArtifactMismatchError(f"{manifest_path}: " + "; ".join(bad))
     items = _read_names(os.path.join(split_dir, ITEMS_FILE))
     users = _read_names(os.path.join(split_dir, USERS_FILE))
     full = graph_from_names(

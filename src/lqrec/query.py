@@ -119,6 +119,10 @@ def canonicalize(q: QueryNode, kg: KnowledgeGraph) -> QueryNode:
     return type(q)(children)
 
 
+# The parser recurses once per level; the deepest template has 4 levels.
+MAX_QUERY_DEPTH = 64
+
+
 class _Reader:
     """Cursor over the input with byte offsets for error reporting."""
 
@@ -150,10 +154,14 @@ class _Reader:
         return self.text[start:self.pos]
 
 
-def _parse_node(r: _Reader, kg: KnowledgeGraph) -> QueryNode:
+def _parse_node(r: _Reader, kg: KnowledgeGraph, depth: int = 1) -> QueryNode:
     r.skip_ws()
     open_pos = r.pos
     r.expect("(")
+    if depth > MAX_QUERY_DEPTH:
+        raise QuerySyntaxError(
+            f"query nested deeper than {MAX_QUERY_DEPTH} levels", open_pos
+        )
     r.skip_ws()
     head = r.token()
     if head == "e":
@@ -169,7 +177,7 @@ def _parse_node(r: _Reader, kg: KnowledgeGraph) -> QueryNode:
         name = r.token()
         if name not in kg.relation_vocab:
             raise QuerySyntaxError(f"unknown relation {name!r}", name_pos)
-        child = _parse_node(r, kg)
+        child = _parse_node(r, kg, depth + 1)
         node = Project(kg.relation_vocab.id_of(name), child)
     elif head in ("and", "or"):
         children = []
@@ -179,7 +187,7 @@ def _parse_node(r: _Reader, kg: KnowledgeGraph) -> QueryNode:
                 break
             if r.peek() != "(":
                 raise QuerySyntaxError("expected a subquery", r.pos)
-            children.append(_parse_node(r, kg))
+            children.append(_parse_node(r, kg, depth + 1))
         if len(children) < 2:
             raise QuerySyntaxError(
                 f"({head} ...) needs at least 2 children", open_pos

@@ -265,3 +265,50 @@ def test_bce_guard_no_nan():
     probs = tape.sigmoid(Tensor(np.array([-800.0, 800.0])))
     loss = tape.bce_loss(probs, Tensor(np.array([1.0, 0.0])))
     assert np.isfinite(loss.data)
+
+
+def test_node_protocol():
+    """On a recording tape every op appends one (output, backward) node per
+    tensor it returns; on a non-recording tape no op appends a node."""
+    x, y = rng_tensor((4,), 1), rng_tensor((4,), 2)
+    xm = rng_tensor((2, 4), 3)
+    table, w = rng_tensor((6, 4), 4), rng_tensor((5, 3), 5)
+    gate, stack = rng_tensor((3,), 6), rng_tensor((12,), 7)
+    probs = Tensor(np.full(4, 0.25))
+    cases = {
+        "gather": lambda t: t.gather(table, [0, 2]),
+        "gather_l1": lambda t: t.gather_l1(table, [[1, 3], [0, 5]], xm),
+        "add": lambda t: t.add(x, y),
+        "sub": lambda t: t.sub(x, y),
+        "elementwise_mul": lambda t: t.elementwise_mul(x, y),
+        "elementwise_max": lambda t: t.elementwise_max(x, y),
+        "scale_shift": lambda t: t.scale_shift(x, 2.0, 1.0),
+        "concat_last_dim": lambda t: t.concat_last_dim(xm, xm),
+        "split_halves": lambda t: t.split_halves(xm),
+        "stack_rows": lambda t: t.stack_rows([x, xm]),
+        "affine": lambda t: t.affine(w, xm),
+        "weighted_sum": lambda t: t.weighted_sum(gate, stack),
+        "relu": lambda t: t.relu(x),
+        "sigmoid": lambda t: t.sigmoid(x),
+        "softmax_last_dim": lambda t: t.softmax_last_dim(xm),
+        "bce_loss": lambda t: t.bce_loss(probs, Tensor(np.ones(4))),
+        "reduce_sum": lambda t: t.reduce_sum(xm),
+        "reduce_mean": lambda t: t.reduce_mean(xm),
+    }
+    public = {name for name in vars(Tape) if not name.startswith("_")}
+    assert public == set(cases)
+    recorded = {}
+    for name, op in cases.items():
+        tape = Tape()
+        result = op(tape)
+        outputs = result if isinstance(result, tuple) else (result,)
+        recorded[name] = (tape.nodes, outputs)
+        silent = Tape(record=False)
+        op(silent)
+        assert silent.nodes == [], name
+    miscounted = [n for n, (nodes, outs) in recorded.items() if len(nodes) != len(outs)]
+    assert miscounted == []
+    for name, (nodes, outputs) in recorded.items():
+        assert [out for out, _ in nodes] == list(outputs), name
+        assert all(callable(fn) for _, fn in nodes), name
+    assert len(recorded["split_halves"][0]) == 2

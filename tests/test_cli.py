@@ -1,5 +1,8 @@
 import hashlib
+import io
 import json
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +11,7 @@ import pytest
 
 from lqrec.cli import main
 from lqrec.kg import load_split
+from lqrec.query import And, Or, Project, QuerySyntaxError, parse_query
 from lqrec.synth import clustered_world, write_world_files
 
 
@@ -202,18 +206,56 @@ def tampered_data(pipeline):
     return data
 
 
+@pytest.fixture(scope="module")
+def bad_manifests(pipeline):
+    """Copies of the dataset directory, each with one corruption of
+    manifest.json that ``load_split`` must reject."""
+    good = json.loads((pipeline["data"] / "manifest.json").read_text())
+    edits = {
+        "no_like_rel": {"like_rel": None},
+        "like_rel_number": {"like_rel": 7},
+        "like_rel_unknown": {"like_rel": "no_such_relation"},
+        "no_fraction": {"fraction": None},
+        "fraction_string": {"fraction": "0.05"},
+        "no_seed": {"seed": None},
+        "seed_float": {"seed": 3.5},
+        "seed_bool": {"seed": True},
+    }
+    blobs = {
+        "not_json": b"{not json",
+        "not_utf8": b'{"like_rel": "\xff"}',
+        "json_list": b"[]",
+    }
+    for name, edit in edits.items():
+        manifest = {k: v for k, v in {**good, **edit}.items() if v is not None}
+        blobs[name] = json.dumps(manifest).encode()
+    dirs = {}
+    for name, blob in blobs.items():
+        dirs[name] = pipeline["root"] / f"manifest_{name}"
+        shutil.copytree(pipeline["data"], dirs[name])
+        (dirs[name] / "manifest.json").write_bytes(blob)
+    return dirs
+
+
 @pytest.mark.parametrize("command", ["eval", "answer", "train"])
-def test_tampered_split_exit_code(pipeline, tampered_data, command, capsys):
-    argv = {
-        "eval": ["eval", "--data", str(tampered_data),
-                 "--checkpoint", str(pipeline["ckpt"])],
-        "answer": ["answer", "--kg", str(tampered_data), "--mode", "symbolic"],
-        "train": ["train", "--data", str(tampered_data), "--seed", "5",
-                  "--out", str(pipeline["root"] / "tampered_run")],
-    }[command]
-    assert main(argv) == 4
+def test_tampered_split_exit_code(pipeline, tampered_data, bad_manifests,
+                                  command, capsys):
+    def argv(data):
+        return {
+            "eval": ["eval", "--data", str(data),
+                     "--checkpoint", str(pipeline["ckpt"])],
+            "answer": ["answer", "--kg", str(data), "--mode", "symbolic"],
+            "train": ["train", "--data", str(data), "--seed", "5",
+                      "--out", str(pipeline["root"] / "tampered_run")],
+        }[command]
+
+    assert main(argv(tampered_data)) == 4
     err = capsys.readouterr().err
     assert "artifact mismatch" in err and "train_sha256" in err
+    for name, data in bad_manifests.items():
+        assert main(argv(data)) == 4, name
+        err = capsys.readouterr().err
+        assert "artifact mismatch" in err and "manifest.json" in err, name
     # the untouched directory still loads
     assert len(load_split(str(pipeline["data"])).held_out) > 0
 
@@ -300,3 +342,88 @@ def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
                "--checkpoint", str(pipeline["ckpt"]), "--mode", "embedding"])
     assert rc == 0
     assert capsys.readouterr().out == "".join(expected)
+
+
+def fuzz_queries(kg, queries, n, seed):
+    """``n`` seeded query texts: token soups, valid queries with one token
+    spliced in, valid queries under up to 3,000 projections, and random bytes
+    read as Latin-1. None is blank, spans lines or is a REPL command."""
+    rng = random.Random(seed)
+    names = (["(", ")", "((", "))", "p", "e", "and", "or", "|", "user", "\t"]
+             + rng.sample(kg.relation_vocab.names, 3)
+             + rng.sample(kg.entity_vocab.names, 8))
+    texts = []
+    while len(texts) < n:
+        kind = rng.randrange(4)
+        if kind == 0:
+            text = "(" + " ".join(rng.choices(names, k=rng.randrange(1, 40)))
+        elif kind == 1:
+            tokens = re.split(r"(\(|\)|\s+)", rng.choice(queries))
+            spliced = rng.choice(names)
+            tokens.insert(rng.randrange(len(tokens) + 1),
+                          rng.choice([spliced, f" {spliced} "]))
+            text = "".join(tokens)
+        elif kind == 2:
+            depth = rng.choice([rng.randrange(1, 70), rng.randrange(70, 3000)])
+            rel = rng.choice(kg.relation_vocab.names)
+            text = f"(p {rel} " * depth + rng.choice(queries) + ")" * depth
+        else:
+            blob = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 60)))
+            text = blob.decode("latin-1")
+        text = re.sub(r"[\n\r]", " ", text)
+        if text.strip() not in ("", "quit", "exit"):
+            texts.append(text)
+    return texts
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(pipeline):
+    kg = load_split(str(pipeline["data"])).train
+    with open(pipeline["data"] / "test.jsonl") as f:
+        records = [json.loads(line) for line in f]
+    queries = [r["query"] for r in records]
+    return kg, records[0]["user"], fuzz_queries(kg, queries, 2000, seed=9)
+
+
+def test_parse_query_fuzz(fuzz_inputs):
+    kg, _, texts = fuzz_inputs
+    parsed = 0
+    for text in texts:
+        try:
+            assert isinstance(parse_query(text, kg), (Project, And, Or))
+            parsed += 1
+        except QuerySyntaxError:
+            pass
+    assert 0 < parsed < len(texts)
+
+
+def _run_answer(pipeline, lines, monkeypatch, capsys):
+    session = "".join(f"{line}\n" for line in lines)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    rc = main(["answer", "--kg", str(pipeline["data"]),
+               "--checkpoint", str(pipeline["ckpt"]), "--mode", "both"])
+    return rc, capsys.readouterr().out.split("\n")
+
+
+def test_answer_repl_fuzz(pipeline, fuzz_inputs, monkeypatch, capsys):
+    # every fourth line reaches the REPL raw, the rest after a valid user
+    _, user, texts = fuzz_inputs
+    lines = [t if i % 4 == 0 else f"user {user} | {t}" for i, t in enumerate(texts)]
+    rc, out = _run_answer(pipeline, lines, monkeypatch, capsys)
+    assert rc == 0
+    answered = sum(line.startswith("symbolic (") for line in out)
+    errors = sum(line.startswith("error: ") for line in out)
+    assert answered + errors == len(lines)
+    assert sum(line == "embedding top-10:" for line in out) == answered > 0
+
+
+def test_answer_repl_survives_deep_nesting(pipeline, fuzz_inputs, monkeypatch,
+                                           capsys):
+    _, user, _ = fuzz_inputs
+    deep = "(p likes " * 1999 + f"(e {user})" + ")" * 1999
+    rc, out = _run_answer(pipeline, [f"user {user} | {deep}",
+                                     f"user {user} | (p likes (e {user}))"],
+                          monkeypatch, capsys)
+    assert rc == 0
+    assert out[0].startswith("error: query nested deeper than 64 levels")
+    assert out[1].startswith("symbolic (")

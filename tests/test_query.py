@@ -4,6 +4,7 @@ import pytest
 
 from lqrec.query import (
     ALL_SHAPES,
+    MAX_QUERY_DEPTH,
     And,
     Anchor,
     Or,
@@ -45,6 +46,22 @@ def test_syntax_error_offset(tiny_kg):
     with pytest.raises(QuerySyntaxError) as exc:
         q("(p r1 (e a)", tiny_kg)
     assert exc.value.offset == 11
+
+
+def test_nesting_limit(tiny_kg):
+    def chain(levels):
+        return "(p r1 " * (levels - 1) + "(e a)" + ")" * (levels - 1)
+
+    assert isinstance(q(chain(MAX_QUERY_DEPTH), tiny_kg), Project)
+    for levels in (MAX_QUERY_DEPTH + 1, 2000):
+        with pytest.raises(QuerySyntaxError, match="nested deeper") as exc:
+            q(chain(levels), tiny_kg)
+        assert exc.value.offset == MAX_QUERY_DEPTH * len("(p r1 ")
+    # children of and/or count a level too: the projections sit at 65
+    ors = MAX_QUERY_DEPTH - 1
+    text = "(or " * ors + "(and (p r1 (e a)) (p r2 (e b)))" + " (e c))" * ors
+    with pytest.raises(QuerySyntaxError, match="nested deeper"):
+        q(text, tiny_kg)
 
 
 def test_unknown_entity(tiny_kg):
