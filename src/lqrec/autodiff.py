@@ -396,27 +396,47 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 class AdamState:
-    """Per-parameter moment buffers for bias-corrected Adam."""
+    """Per-parameter moment buffers for bias-corrected Adam, plus two scratch
+    buffers per parameter so a step allocates no parameter-sized array."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.lr = lr
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.scratch = {name: (np.empty_like(p.data), np.empty_like(p.data))
+                        for name, p in params.items()}
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
-    """One bias-corrected adaptive-moment update; missing grads count as zero."""
+    """One bias-corrected adaptive-moment update; missing grads count as zero.
+
+    In place, in the order of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + ((1 - b2) g) g`` and
+    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``.
+    """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
+        g = p.grad
+        m, v = state.m[name], state.v[name]
+        a, b = state.scratch[name]
+        if g is None:
+            a[...] = b[...] = 0.0
+        else:
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=b)
+            b *= g
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += a
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += b
+        np.divide(m, bc1, out=a)
+        a *= state.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p.data -= a

@@ -18,7 +18,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from . import oracle
-from .kg import KgSplit, KnowledgeGraph
+from .kg import ArtifactMismatchError, KgSplit, KnowledgeGraph, UnknownNameError
 from .query import (
     ALL_SHAPES,
     And,
@@ -30,6 +30,7 @@ from .query import (
     QueryShape,
     SHAPE_TEMPLATES,
     canonicalize,
+    classify_shape,
     parse_query,
     serialize_query,
     shape_from_name,
@@ -328,7 +329,23 @@ def instance_to_record(inst: RecInstance, kg: KnowledgeGraph) -> dict:
     return record
 
 
+def _check_record(record) -> None:
+    """``ValueError`` unless ``record`` has the fields and field types that
+    ``instance_to_record`` writes; the vocabulary lookup checks each name."""
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
+    for key in ("user", "query", "shape"):
+        if not isinstance(record.get(key), str):
+            raise ValueError(f"field {key!r} is not a string")
+    for key in ("answers", "hard") if record.get("hard") is not None else ("answers",):
+        sets = record.get(key)
+        if not (isinstance(sets, dict)
+                and all(isinstance(sets.get(task), list) for task in TASKS)):
+            raise ValueError(f"field {key!r} is not a name list per task")
+
+
 def record_to_instance(record: dict, kg: KnowledgeGraph) -> RecInstance:
+    _check_record(record)
     ev = kg.entity_vocab
 
     def ids(names: list[str]) -> frozenset[int]:
@@ -421,8 +438,6 @@ def verify_dataset(split: KgSplit, out_dir: str) -> list[str]:
     (and nonempty for valid/test), the declared shape matches the query, and
     no zero-shot shape appears in the train file.
     """
-    from .query import classify_shape
-
     violations = []
     for split_name in SPLIT_NAMES:
         path = os.path.join(out_dir, DATASET_FILES[split_name])
@@ -477,4 +492,25 @@ def read_records(path: str) -> list[dict]:
 
 
 def load_instances(path: str, kg: KnowledgeGraph) -> list[RecInstance]:
-    return [record_to_instance(r, kg) for r in read_records(path)]
+    """The records of a dataset JSON-lines file as instances of ``kg``.
+
+    A line that is not JSON, not a record of the form ``instance_to_record``
+    writes, names an unknown entity or relation, or declares a shape its
+    query does not have raises ``ArtifactMismatchError`` naming
+    ``path:line``.
+    """
+    instances = []
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                inst = record_to_instance(json.loads(line), kg)
+                shape = classify_shape(inst.requirement)
+                if shape != inst.shape:
+                    raise ValueError(f"a {shape.value} query labelled "
+                                     f"{inst.shape.value}")
+            except (ValueError, UnknownNameError) as exc:
+                raise ArtifactMismatchError(f"{path}:{lineno}: {exc}") from None
+            instances.append(inst)
+    return instances

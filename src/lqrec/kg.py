@@ -68,7 +68,7 @@ class Vocab:
     def id_of(self, name: str) -> int:
         try:
             return self.index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownNameError(f"unknown name: {name!r}") from None
 
     def name_of(self, idx: int) -> str:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -362,10 +363,20 @@ def _header(params: ModelParams) -> dict:
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(json.dumps(_header(params), sort_keys=True).encode("utf-8") + b"\n")
-        for t in params.named().values():
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    """Write through a temp file in the same directory and rename it over
+    ``path``, so an interrupted save leaves the previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(_header(params), sort_keys=True).encode("utf-8")
+                    + b"\n")
+            for t in params.named().values():
+                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _split_arrays(body: memoryview, manifest) -> dict[str, np.ndarray]:

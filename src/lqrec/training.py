@@ -4,19 +4,25 @@ Each instance contributes one binary cross-entropy term per active task
 (joint / requirement / preference), built from one positive and ``n_neg``
 uniform negatives disjoint from that task's known answer set, averaged over
 the 1 + n_neg scores. Task terms are weighted and summed, then averaged over
-the batch. Everything is driven by a single seeded RNG: identical configs
-reproduce identical checkpoints bit for bit.
+the batch. Every answer set is packed once per ``train`` call
+(``pack_answers``), and each step draws a whole batch's positives and
+negatives from that table in a few array calls (``sample_negatives``).
+
+One ``np.random.Generator`` seeded from ``config.seed`` drives shuffling and
+sampling: identical configs reproduce identical checkpoints bit for bit
+under a fixed numpy version (numpy does not promise Generator streams across
+versions).
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import os
-import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,119 +101,146 @@ def effective_task_weights(variant: str, weights) -> tuple[float, float, float]:
     return w
 
 
-class _NegativePool(Sequence):
-    """``items`` minus an answer set, as a read-only view.
+class AnswerPack(NamedTuple):
+    """The (instance, task) answer sets of a training set as CSR arrays.
 
-    Element j is found by bisecting the sorted positions of the answers in
-    ``items``: the view costs O(|answers| log |items|) to build and
-    O(log |answers|) per element, where the pool as a list costs O(|items|).
+    Row ``3 * i + t`` holds instance i's answers for ``TASKS[t]`` (none when
+    the task's weight is 0), sorted, at ``answers[answer_start[r]:
+    answer_start[r + 1]]``. Its pool, ``items`` minus those answers, has
+    ``pool[r]`` items. With ``taken`` the sorted catalog positions of the
+    row's answers, ``shift_keys[shift_start[r] + k]`` is ``r * (len(items)
+    + 1) + taken[k] - k``: pool index j is catalog position j plus the
+    number of the row's keys up to ``r * (len(items) + 1) + j``.
     """
 
-    def __init__(self, items: Sequence[int], answers: frozenset[int]):
-        self._items = items
-        n = len(items)
-        taken = sorted(p for a in answers
-                       if (p := bisect.bisect_left(items, a)) < n and items[p] == a)
-        # shifts[k] = kept items before the k-th excluded position
-        self._shifts = [pos - k for k, pos in enumerate(taken)]
-        self._len = n - len(taken)
+    items: np.ndarray
+    answers: np.ndarray
+    answer_start: np.ndarray
+    shift_keys: np.ndarray
+    shift_start: np.ndarray
+    pool: np.ndarray
 
-    def __len__(self) -> int:
-        return self._len
 
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self._len:
-            raise IndexError(j)
-        return self._items[j + bisect.bisect_right(self._shifts, j)]
+def pack_answers(instances: Sequence[RecInstance], items: Sequence[int],
+                 weights: tuple[float, float, float], n_neg: int) -> AnswerPack:
+    """Pack against the sorted catalog ``items``. A weighted answer set that
+    covers the catalog leaves nothing to contrast: with ``n_neg`` > 0 it
+    raises ``DegenerateInstanceError``."""
+    items = np.asarray(items, dtype=np.int64)
+    sets = [inst.answers[task] if weight else ()
+            for inst in instances for task, weight in zip(TASKS, weights)]
+    counts = np.fromiter(map(len, sets), np.int64, len(sets))
+    flat = np.fromiter(chain.from_iterable(sets), np.int64, int(counts.sum()))
+    row = np.repeat(np.arange(len(sets)), counts)
+    answers = flat[np.lexsort((flat, row))]
+    in_catalog = np.isin(answers, items)
+    taken, taken_row = np.searchsorted(items, answers[in_catalog]), row[in_catalog]
+    taken_counts = np.bincount(taken_row, minlength=len(sets))
+    shift_start = np.concatenate(([0], np.cumsum(taken_counts)))
+    shift = taken - (np.arange(len(taken)) - shift_start[taken_row])
+    pool = len(items) - taken_counts
+    degenerate = np.flatnonzero((counts > 0) & (pool == 0))
+    if n_neg and degenerate.size:
+        inst, task = divmod(int(degenerate[0]), 3)
+        raise DegenerateInstanceError(f"instance {inst}: the {TASKS[task]} answer "
+                                      "set covers the entire catalog")
+    return AnswerPack(items, answers, np.concatenate(([0], np.cumsum(counts))),
+                      taken_row * (len(items) + 1) + shift, shift_start, pool)
+
+
+def _first_distinct(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n`` distinct values of each row in draw order, for the rows
+    that have ``n`` (the returned mask)."""
+    order = np.argsort(draws, axis=1, kind="stable")
+    ranked = np.take_along_axis(draws, order, axis=1)
+    keep = np.ones(draws.shape, dtype=bool)
+    np.put_along_axis(keep, order[:, 1:], ranked[:, 1:] != ranked[:, :-1], axis=1)
+    keep &= np.cumsum(keep, axis=1) <= n
+    full = keep.sum(axis=1) == n
+    return draws[full][keep[full]].reshape(-1, n), full
+
+
+def _pool_items(pack: AnswerPack, rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Item ``picks[i, j]`` of pack row ``rows[i]``'s pool."""
+    keys = rows[:, None] * (len(pack.items) + 1) + picks
+    shift = np.searchsorted(pack.shift_keys, keys, side="right")
+    return pack.items[picks + shift - pack.shift_start[rows, None]]
 
 
 def sample_negatives(
-    task_answers: frozenset[int],
-    items: Sequence[int],
-    n_neg: int,
-    rng: random.Random,
-) -> list[int]:
-    """Uniform negatives outside the answer set, without replacement when the
-    pool allows it, with replacement otherwise.
+    pack: AnswerPack, batch: np.ndarray, n_neg: int, rng: np.random.Generator
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """One positive and ``n_neg`` negatives per non-empty row of the batch
+    (indices into the packed instances), as ``{task: (batch rows, ids)}``.
 
-    ``items`` must be sorted and distinct (``KnowledgeGraph.sorted_items``).
-    The pool is a lazy view of ``items`` minus the answers; ``rng`` sees the
-    same population as with the pool built as a list, so the draws are the
-    same.
+    ``ids[:, 0]`` is uniform over the row's answers and ``ids[:, 1:]`` over
+    its pool, without replacement if the pool has ``n_neg`` items and with
+    replacement otherwise. Pool indices map to items through the shift keys,
+    so no negative is an answer; rows short of distinct draws are redrawn at
+    twice the width.
     """
-    if n_neg == 0:
-        return []
-    pool = _NegativePool(items, task_answers)
-    if not pool:
-        raise DegenerateInstanceError("answer set covers the entire catalog")
-    if len(pool) >= n_neg:
-        return rng.sample(pool, n_neg)
-    return [pool[rng.randrange(len(pool))] for _ in range(n_neg)]
-
-
-def _instance_samples(
-    inst: RecInstance,
-    items: Sequence[int],
-    n_neg: int,
-    weights: tuple[float, float, float],
-    rng: random.Random,
-) -> dict[str, tuple[int, list[int]]]:
-    samples = {}
-    for task, weight in zip(TASKS, weights):
-        if weight == 0.0:
-            continue
-        answers = sorted(inst.answers[task])
-        if not answers:
-            continue
-        pos = answers[rng.randrange(len(answers))]
-        negs = sample_negatives(inst.answers[task], items, n_neg, rng)
-        samples[task] = (pos, negs)
-    return samples
+    local = np.arange(3 * len(batch))
+    rows = 3 * np.asarray(batch, dtype=np.int64).repeat(3) + local % 3
+    start, end = pack.answer_start[rows], pack.answer_start[rows + 1]
+    rows, local, start, end = (a[end > start] for a in (rows, local, start, end))
+    ids = np.empty((len(rows), 1 + n_neg), dtype=np.int64)
+    ids[:, 0] = pack.answers[start + rng.integers(0, end - start)]
+    if n_neg:
+        pool, width = pack.pool[rows], n_neg + n_neg // 2 + 4
+        draws = rng.integers(0, pool[:, None], size=(len(rows), width))
+        picks = draws[:, :n_neg].copy()  # kept by rows with pool < n_neg
+        todo = np.flatnonzero(pool >= n_neg)
+        draws = draws[todo]
+        while todo.size:
+            got, full = _first_distinct(draws, n_neg)
+            picks[todo[full]] = got
+            todo, width = todo[~full], 2 * width
+            if todo.size:
+                draws = rng.integers(0, pool[todo, None], size=(len(todo), width))
+        ids[:, 1:] = _pool_items(pack, rows, picks)
+    task = local % 3
+    return {name: (local[task == t] // 3, ids[task == t])
+            for t, name in enumerate(TASKS) if (task == t).any()}
 
 
 def compute_loss(
     tape: Tape,
-    batch: list[tuple[RecInstance, dict[str, tuple[int, list[int]]]]],
+    batch: Sequence[RecInstance],
+    samples: dict[str, tuple[np.ndarray, np.ndarray]],
     params: ModelParams,
     kg: KnowledgeGraph,
     task_weights: tuple[float, float, float],
 ) -> Tensor:
     """Weighted multi-task BCE, averaged over the batch.
 
-    The whole batch embeds in one ``embed_instance`` call. Each task then
-    scores all its (positive, negatives) rows in one ``score_items`` call;
-    an instance's term is the mean over its 1 + n_neg scores, so a task's
-    summed terms are its (rows x scores) mean times its row count.
+    ``samples`` is ``sample_negatives``'s ``{task: (batch rows, ids)}``.
+    The batch embeds in one ``embed_instance`` call and each task scores its
+    rows in one ``score_items`` call. An instance's term is the mean over its
+    1 + n_neg scores, so a task's summed terms are its (rows x scores) mean
+    times its row count.
     """
     if not batch:
         raise ValueError("empty batch")
-    weight_by_task = dict(zip(TASKS, task_weights))
-    task_emb = embed_instance(tape, params, [inst.user for inst, _ in batch],
-                              [inst.requirement for inst, _ in batch],
-                              kg.like_rel)
-    # (task, ids per row) -> (batch rows, [pos, *negs] per row)
-    groups: dict[tuple[str, int], tuple[list[int], list[list[int]]]] = {}
-    for row, (_, samples) in enumerate(batch):
-        tasks = [task for task in samples if task in task_emb]
-        if not tasks:
-            raise ValueError("instance contributed no loss terms")
-        for task in tasks:
-            pos, negs = samples[task]
-            rows, ids = groups.setdefault((task, 1 + len(negs)), ([], []))
-            rows.append(row)
-            ids.append([pos, *negs])
+    task_emb = embed_instance(tape, params, [inst.user for inst in batch],
+                              [inst.requirement for inst in batch], kg.like_rel)
+    covered = np.zeros(len(batch), dtype=bool)
     total: Tensor | None = None
-    for (task, width), (rows, ids) in groups.items():
+    for task, weight in zip(TASKS, task_weights):
+        rows, ids = samples.get(task, ((), ()))
+        if task not in task_emb or not len(rows):
+            continue
+        covered[rows] = True
         q_task = task_emb[task]
         if len(rows) < len(batch):
             q_task = tape.gather(q_task, rows)
         probs = score_items(tape, params, q_task, ids)
-        labels = np.zeros((len(rows), width))
+        labels = np.zeros(probs.shape)
         labels[:, 0] = 1.0
         bce = tape.bce_loss(probs, Tensor(labels))
-        term = tape.scale_shift(
-            bce, weight_by_task[task] * len(rows) / len(batch), 0.0)
+        term = tape.scale_shift(bce, weight * len(rows) / len(batch), 0.0)
         total = term if total is None else tape.add(total, term)
+    if not covered.all():
+        raise ValueError("instance contributed no loss terms")
     return total
 
 
@@ -260,10 +293,10 @@ def train(
         raise ValueError("training requires an explicit seed")
     if not train_instances:
         raise ValueError("no training instances")
-    rng = random.Random(config.seed)
+    rng = np.random.default_rng(config.seed)
     state = AdamState(params.named(), lr=config.lr)
     weights = effective_task_weights(params.variant, config.task_weights)
-    items = kg.sorted_items()
+    pack = pack_answers(train_instances, kg.sorted_items(), weights, config.n_neg)
     metric_name = f"hit@{config.eval_k}"
 
     log_file = None
@@ -281,20 +314,15 @@ def train(
     try:
         for epoch in range(1, config.epochs + 1):
             epochs_run = epoch
-            order = rng.sample(range(len(train_instances)), len(train_instances))
+            order = rng.permutation(len(train_instances))
             epoch_loss = 0.0
             for start in range(0, len(order), config.batch_size):
                 chunk = order[start:start + config.batch_size]
-                batch = []
-                for idx in chunk:
-                    inst = train_instances[idx]
-                    batch.append(
-                        (inst, _instance_samples(inst, items, config.n_neg,
-                                                 weights, rng))
-                    )
-                tape = Tape()
+                batch = [train_instances[idx] for idx in chunk]
+                tape = Tape()  # frees the last step's graph before sampling
                 params.zero_grads()
-                loss = compute_loss(tape, batch, params, kg, weights)
+                samples = sample_negatives(pack, chunk, config.n_neg, rng)
+                loss = compute_loss(tape, batch, samples, params, kg, weights)
                 loss_value = float(loss.data)
                 if not math.isfinite(loss_value):
                     info = {

@@ -32,7 +32,8 @@ from lqrec.model import ModelParams, embed_intersection, embed_union
 from lqrec.oracle import answer_joint, answer_requirement
 from lqrec.query import ALL_SHAPES, BASIC_SHAPES, ZERO_SHOT_SHAPES
 from lqrec.synth import clustered_world, random_graph, write_world_files
-from lqrec.training import TrainConfig, compute_loss, train, _instance_samples
+from lqrec.training import (TrainConfig, compute_loss, pack_answers,
+                            sample_negatives, train)
 
 from test_oracle import brute_force_answers, random_shaped_query
 
@@ -178,16 +179,16 @@ def test_criterion_3_gradient_fidelity():
                  for shape in ALL_SHAPES]
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=3)
     weights = (1.0, 1.0, 1.0)
-    sample_rng = random.Random(23)
-    items = kg.sorted_items()
-    batch = [(inst, _instance_samples(inst, items, 4, weights, sample_rng))
-             for inst in instances]
+    pack = pack_answers(instances, kg.sorted_items(), weights, 4)
+    samples = sample_negatives(pack, np.arange(len(instances)), 4,
+                               np.random.default_rng(23))
 
     def loss_value() -> float:
-        return float(compute_loss(Tape(), batch, params, kg, weights).data)
+        return float(compute_loss(Tape(), instances, samples, params, kg,
+                                  weights).data)
 
     tape = Tape()
-    loss = compute_loss(tape, batch, params, kg, weights)
+    loss = compute_loss(tape, instances, samples, params, kg, weights)
     params.zero_grads()
     backward(tape, loss)
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from lqrec.autodiff import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     EmptyTapeError,
     OpShapeError,
@@ -312,3 +315,45 @@ def test_node_protocol():
         assert [out for out, _ in nodes] == list(outputs), name
         assert all(callable(fn) for _, fn in nodes), name
     assert len(recorded["split_halves"][0]) == 2
+
+
+def _reference_adam_step(params, m, v, t, lr):
+    """Adam written with whole-array temporaries, the expression order that
+    the in-place ``adam_step`` must reproduce bit for bit."""
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * g
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+
+
+def test_adam_in_place_matches_reference():
+    rng = np.random.default_rng(11)
+    init = {"table": rng.standard_normal((40, 6)), "w": rng.standard_normal((3, 4)),
+            "gappy": rng.standard_normal(5)}
+    ours = {name: Tensor(a.copy()) for name, a in init.items()}
+    ref = {name: Tensor(a.copy()) for name, a in init.items()}
+    state = AdamState(ours, lr=0.02)
+    m = {name: np.zeros_like(a) for name, a in init.items()}
+    v = {name: np.zeros_like(a) for name, a in init.items()}
+    for t in range(1, 21):
+        rows = rng.choice(40, size=7, replace=False)
+        table_grad = np.zeros((40, 6))  # sparse, as a gathered table's
+        table_grad[rows] = rng.standard_normal((7, 6))
+        # "gappy" has no gradient on even steps: its moments still decay
+        # and it still moves
+        grads = {"table": table_grad, "w": rng.standard_normal((3, 4)),
+                 "gappy": rng.standard_normal(5) if t % 2 else None}
+        for params in (ours, ref):
+            for name, p in params.items():
+                p.grad = None if grads[name] is None else grads[name].copy()
+        adam_step(ours, state)
+        _reference_adam_step(ref, m, v, t, 0.02)
+    for name in init:
+        assert np.array_equal(ours[name].data, ref[name].data), name
+        assert np.array_equal(state.m[name], m[name]), name
+        assert np.array_equal(state.v[name], v[name]), name

@@ -260,6 +260,53 @@ def test_tampered_split_exit_code(pipeline, tampered_data, bad_manifests,
     assert len(load_split(str(pipeline["data"])).held_out) > 0
 
 
+@pytest.fixture(scope="module")
+def bad_records(pipeline):
+    """Copies of the dataset directory whose train.jsonl and test.jsonl each
+    start with one malformed record."""
+    def relabelled(lines):
+        record = next(r for r in map(json.loads, lines) if r["shape"] == "1p")
+        return json.dumps({**record, "shape": "3p"})
+
+    def no_user(lines):
+        return json.dumps({k: v for k, v in json.loads(lines[0]).items()
+                           if k != "user"})
+
+    def list_as_name(lines):
+        record = json.loads(lines[0])
+        return json.dumps({**record, "answers": {**record["answers"], "req": [[]]}})
+
+    firsts = {
+        "json_list": lambda lines: "[]",
+        "no_user": no_user,
+        "1p_labelled_3p": relabelled,
+        "not_json": lambda lines: "{oops",
+        "list_as_name": list_as_name,
+    }
+    dirs = {}
+    for name, first in firsts.items():
+        dirs[name] = pipeline["root"] / f"records_{name}"
+        shutil.copytree(pipeline["data"], dirs[name])
+        for fname in ("train.jsonl", "test.jsonl"):
+            lines = (dirs[name] / fname).read_text().splitlines()
+            (dirs[name] / fname).write_text(
+                "\n".join([first(lines)] + lines[1:]) + "\n")
+    return dirs
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_malformed_record_exit_code(pipeline, bad_records, command, capsys):
+    for name, data in bad_records.items():
+        argv = (["eval", "--data", str(data), "--checkpoint", str(pipeline["ckpt"])]
+                if command == "eval"
+                else ["train", "--data", str(data), "--seed", "5",
+                      "--out", str(pipeline["root"] / f"bad_run_{name}")])
+        assert main(argv) == 4, name
+        err = capsys.readouterr().err
+        fname = "test.jsonl" if command == "eval" else "train.jsonl"
+        assert "artifact mismatch" in err and f"{fname}:1:" in err, (name, err)
+
+
 def test_answer_repl(pipeline):
     with open(pipeline["data"] / "test.jsonl") as f:
         record = json.loads(f.readline())

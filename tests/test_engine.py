@@ -16,7 +16,7 @@ from lqrec.autodiff import Tape, backward
 from lqrec.dataset import TASK_PREF, DatasetConfig, sample_instance
 from lqrec.model import VARIANTS, ModelParams, embed_instance
 from lqrec.query import ALL_SHAPES, And, Or, Project, QueryShape
-from lqrec.training import _instance_samples, compute_loss
+from lqrec.training import compute_loss, pack_answers, sample_negatives
 
 TOL = 1e-10
 
@@ -49,14 +49,20 @@ def mixed_instances(world_split):
     return out
 
 
-def _loss_and_grads(batch, params, kg, weights):
+def _loss_and_grads(batch, samples, params, kg, weights):
     params.zero_grads()
     tape = Tape()
-    loss = compute_loss(tape, batch, params, kg, weights)
+    loss = compute_loss(tape, batch, samples, params, kg, weights)
     backward(tape, loss)
     grads = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
              for name, t in params.named().items()}
     return float(loss.data), grads
+
+
+def _row_of(samples, row):
+    """One batch row's samples, as a one-instance batch sees them."""
+    return {task: (rows[rows == row] - row, ids[rows == row])
+            for task, (rows, ids) in samples.items() if (rows == row).any()}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -65,14 +71,15 @@ def test_batch_matches_mean_of_single_instances(world_split, mixed_instances,
                                                 variant, weights):
     kg = world_split.train
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=4, variant=variant)
-    rng = random.Random(9)
-    items = kg.sorted_items()
     # samples drawn for every task: a zero weight keeps its term at scale 0
-    batch = [(inst, _instance_samples(inst, items, 5, (1.0, 1.0, 1.0), rng))
-             for inst in mixed_instances]
-    assert TASK_PREF not in batch[-1][1]
-    loss, grads = _loss_and_grads(batch, params, kg, weights)
-    singles = [_loss_and_grads([pair], params, kg, weights) for pair in batch]
+    pack = pack_answers(mixed_instances, kg.sorted_items(), (1.0, 1.0, 1.0), 5)
+    samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
+                               np.random.default_rng(9))
+    last = len(mixed_instances) - 1
+    assert last not in samples[TASK_PREF][0]
+    loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)
+    singles = [_loss_and_grads([inst], _row_of(samples, row), params, kg, weights)
+               for row, inst in enumerate(mixed_instances)]
     mean_loss = sum(s[0] for s in singles) / len(singles)
     assert abs(loss - mean_loss) <= TOL
     for name, g in grads.items():

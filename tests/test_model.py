@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -314,6 +315,21 @@ def test_checkpoint_roundtrip(world, params, tmp_path):
     assert loaded.k == params.k
     assert loaded.variant == params.variant
     loaded.validate_against(world)
+
+
+def test_checkpoint_save_is_atomic(world, params, tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ModelParams.init(world, d=8, k=3, gamma=2.0, seed=1), str(path))
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(params, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_checkpoint_vocab_mismatch(tmp_path, world):

@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import math
-import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lqrec.autodiff import Tape
-from lqrec.dataset import DatasetConfig, TASK_JOINT, build_dataset
+from lqrec.dataset import TASKS, DatasetConfig, TASK_JOINT, build_dataset
 from lqrec.model import (
     ModelParams,
     embed_joint,
@@ -21,9 +22,9 @@ from lqrec.training import (
     TrainingDivergedError,
     compute_loss,
     effective_task_weights,
+    pack_answers,
     sample_negatives,
     train,
-    _instance_samples,
 )
 
 
@@ -35,11 +36,22 @@ def toy(world_split):
     return world_split, datasets
 
 
-def make_batch(instances, kg, n_neg, weights, seed):
-    rng = random.Random(seed)
-    items = kg.sorted_items()
-    return [(inst, _instance_samples(inst, items, n_neg, weights, rng))
-            for inst in instances]
+def answer_rows(*answer_sets):
+    """Stand-in instances with the given (joint, req, pref) answer sets."""
+    return [SimpleNamespace(answers=dict(zip(TASKS, sets))) for sets in answer_sets]
+
+
+def draw(instances, items, n_neg, seed=0, weights=(1.0, 1.0, 1.0), batch=None):
+    pack = pack_answers(instances, items, weights, n_neg)
+    batch = np.arange(len(instances)) if batch is None else batch
+    return sample_negatives(pack, batch, n_neg, np.random.default_rng(seed))
+
+
+def row_samples(samples, task, row):
+    """(positive, negatives) of one batch row for ``task``."""
+    rows, ids = samples[task]
+    pos, *negs = ids[list(rows).index(row)].tolist()
+    return pos, negs
 
 
 def test_config_from_file_and_overrides(tmp_path):
@@ -63,29 +75,137 @@ def test_effective_weights():
 
 
 def test_sample_negatives_forced():
-    rng = random.Random(0)
-    negs = sample_negatives(frozenset({7}), [7, 8, 9], 2, rng)
-    assert sorted(negs) == [8, 9]
+    # a pool of exactly n_neg items is drawn whole; a smaller one is drawn
+    # with replacement, from the pool only
+    instances = answer_rows((frozenset({7}),) * 3)
+    for _, ids in draw(instances, [7, 8, 9], 2).values():
+        assert ids[0, 0] == 7 and sorted(ids[0, 1:]) == [8, 9]
+    drawn = set()
+    for seed in range(10):
+        for _, ids in draw(instances, [7, 8, 9], 5, seed).values():
+            assert set(ids[0, 1:].tolist()) <= {8, 9}
+            drawn |= set(ids[0, 1:].tolist())
+    assert drawn == {8, 9}
 
 
 def test_sample_negatives_zero():
-    rng = random.Random(0)
-    assert sample_negatives(frozenset({1}), [1, 2], 0, rng) == []
+    # n_neg = 0 leaves the positive only, even where the pool is empty
+    samples = draw(answer_rows(({1}, {1, 2}, {2})), [1, 2], 0)
+    assert set(samples) == set(TASKS)
+    for rows, ids in samples.values():
+        assert rows.tolist() == [0] and ids.shape == (1, 1)
 
 
 def test_sample_negatives_disjoint_many_draws():
-    rng = random.Random(1)
     items = list(range(40))
     answers = frozenset(range(0, 40, 3))
-    for _ in range(2000):
-        for n in sample_negatives(answers, items, 5, rng):
-            assert n not in answers
+    instances = answer_rows((answers, frozenset(range(1, 40)), frozenset()))
+    samples = draw(instances, items, 5, seed=1, batch=np.zeros(2000, dtype=int))
+    assert set(samples) == {"joint", "req"}
+    for task, (rows, ids) in samples.items():
+        task_answers = instances[0].answers[task]
+        assert len(rows) == 2000
+        assert set(ids[:, 0].tolist()) <= task_answers
+        assert not set(ids[:, 1:].ravel().tolist()) & task_answers
+    # "req" leaves a pool of one: drawn with replacement
+    assert set(samples["req"][1][:, 1:].ravel().tolist()) == {0}
+    negs = np.sort(samples["joint"][1][:, 1:], axis=1)
+    assert (np.diff(negs, axis=1) > 0).all()
 
 
 def test_sample_negatives_degenerate():
-    rng = random.Random(2)
-    with pytest.raises(DegenerateInstanceError):
-        sample_negatives(frozenset({1, 2}), [1, 2], 3, rng)
+    sets = [(frozenset({5}),) * 3, (frozenset({5}), frozenset({5, 6, 7}),
+                                    frozenset({6}))]
+    with pytest.raises(DegenerateInstanceError, match="instance 1.*req"):
+        pack_answers(answer_rows(*sets), [5, 6, 7], (1.0, 1.0, 1.0), 2)
+    # a weight of 0 or an empty answer set skips the row, as in training
+    samples = draw(answer_rows(*sets), [5, 6, 7], 2, weights=(1.0, 0.0, 1.0))
+    assert "req" not in samples
+    sets[1] = (frozenset({5}), frozenset(), frozenset({6}))
+    samples = draw(answer_rows(*sets), [5, 6, 7], 2)
+    assert samples["req"][0].tolist() == [0]
+
+
+@pytest.mark.parametrize("n_items", [12, 40, 85, 86, 90, 300, 2000])
+def test_sample_negatives_matches_materialized_pool(n_items):
+    # every negative lies in the pool built as a list (the catalog minus the
+    # answers, some of them outside the catalog), without repeats when the
+    # pool allows; drawing n_neg = |pool| returns the whole pool; every
+    # positive is an answer
+    items = list(range(3, 3 + 2 * n_items, 2))
+    gen = np.random.default_rng(n_items)
+    instances = answer_rows(*(
+        [frozenset(gen.choice(items, size=gen.integers(0, n_items // 2),
+                              replace=False).tolist() + [0, 1, 10**6])
+         for _ in TASKS]
+        for _ in range(10)))
+    whole = n_items - n_items // 2  # instance 0's joint pool: drawn whole
+    instances[0].answers["joint"] = frozenset(items[:n_items // 2] + [0])
+    pools = [[[i for i in items if i not in inst.answers[task]] for task in TASKS]
+             for inst in instances]
+    drawn_whole = 0
+    for n_neg in (0, 1, 16, whole, n_items + 5):
+        batch = gen.permutation(10)
+        samples = draw(instances, items, n_neg, seed=n_neg, batch=batch)
+        for t, task in enumerate(TASKS):
+            for row, (pos, *negs) in zip(*samples[task]):
+                pool = pools[batch[row]][t]
+                assert pos in instances[batch[row]].answers[task]
+                assert set(negs) <= set(pool)
+                if len(pool) >= n_neg:
+                    assert len(set(negs)) == n_neg
+                if len(pool) == n_neg:
+                    assert sorted(negs) == pool
+                    drawn_whole += 1
+    assert drawn_whole
+
+
+def test_negative_pool_view_elements():
+    from lqrec.training import _pool_items
+
+    items = [2, 3, 5, 7, 11, 13, 17]
+    for answers in (frozenset(), frozenset({2}), frozenset({17, 3}),
+                    frozenset({4, 5, 7, 11}), frozenset(items[1:])):
+        pack = pack_answers(answer_rows((answers, {2}, {3})), items,
+                            (1.0, 1.0, 1.0), 1)
+        expected = [i for i in items if i not in answers]
+        assert pack.pool[0] == len(expected)
+        picks = np.arange(len(expected))[None, :]
+        assert _pool_items(pack, np.array([0]), picks).tolist() == [expected]
+
+
+def test_sample_negatives_uniform():
+    # one row drawn 3,000 times: 5 of 22 pool items each time; the
+    # chi-square statistic of the item counts stays under the 0.001
+    # quantile of 21 degrees of freedom (46.8), and the positives' under
+    # that of 7 (24.3)
+    items = list(range(30))
+    answers = frozenset(range(0, 24, 3))
+    instances = answer_rows((answers, frozenset(), frozenset()))
+    rows, ids = draw(instances, items, 5, seed=8,
+                     batch=np.zeros(3000, dtype=int))["joint"]
+    assert len(rows) == 3000
+    counts = np.bincount(ids[:, 1:].ravel(), minlength=30)
+    pool = [i for i in items if i not in answers]
+    assert counts[list(answers)].sum() == 0
+    expected = 3000 * 5 / len(pool)
+    assert ((counts[pool] - expected) ** 2 / expected).sum() < 46.8
+    pos_counts = np.bincount(ids[:, 0], minlength=30)[sorted(answers)]
+    expected = 3000 / len(answers)
+    assert ((pos_counts - expected) ** 2 / expected).sum() < 24.3
+
+
+def test_degenerate_instance_fails_before_log(toy, tmp_path):
+    split, datasets = toy
+    kg = split.train
+    bad = list(datasets["train"])
+    bad[3] = dataclasses.replace(bad[3], answers={
+        **bad[3].answers, "pref": frozenset(kg.sorted_items())})
+    params = ModelParams.init(kg, d=4, k=1, gamma=1.0, seed=0)
+    cfg = TrainConfig(d=4, k=1, gamma=1.0, epochs=1, n_neg=2, seed=1)
+    with pytest.raises(DegenerateInstanceError, match="instance 3.*pref"):
+        train(bad, params, kg, cfg, out_dir=str(tmp_path))
+    assert not (tmp_path / "train_log.jsonl").exists()
 
 
 def test_loss_closed_form_half_probabilities(toy):
@@ -97,9 +217,10 @@ def test_loss_closed_form_half_probabilities(toy):
     for t in params.named().values():
         t.data[...] = 0.0
     weights = (1.0, 1.0, 1.0)
-    batch = make_batch(datasets["train"][:6], kg, 4, weights, seed=5)
+    batch = datasets["train"][:6]
+    samples = draw(batch, kg.sorted_items(), 4, seed=5, weights=weights)
     tape = Tape()
-    loss = compute_loss(tape, batch, params, kg, weights)
+    loss = compute_loss(tape, batch, samples, params, kg, weights)
     assert float(loss.data) == pytest.approx(3.0 * math.log(2.0), abs=1e-12)
 
 
@@ -107,12 +228,14 @@ def test_loss_weight_vector_selects_tasks(toy):
     split, datasets = toy
     kg = split.train
     params = ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=1)
-    batch = make_batch(datasets["train"][:4], kg, 4, (1.0, 0.0, 0.0), seed=6)
+    batch = datasets["train"][:4]
+    samples = draw(batch, kg.sorted_items(), 4, seed=6, weights=(1.0, 0.0, 0.0))
     tape = Tape()
-    loss_joint_only = compute_loss(tape, batch, params, kg, (1.0, 0.0, 0.0))
+    loss_joint_only = compute_loss(tape, batch, samples, params, kg,
+                                   (1.0, 0.0, 0.0))
     # recompute the joint term by hand from the shared operators
     total = 0.0
-    for inst, samples in batch:
+    for row, inst in enumerate(batch):
         t = Tape()
         q_l = embed_requirement(t, params, [inst.requirement])
         q_u = embed_user_preference(t, params, [inst.user], kg.like_rel)
@@ -120,7 +243,7 @@ def test_loss_weight_vector_selects_tasks(toy):
         from lqrec.model import mtl_transform
 
         q_star = mtl_transform(t, params, q, q_l, q_u)[TASK_JOINT]
-        pos, negs = samples[TASK_JOINT]
+        pos, negs = row_samples(samples, TASK_JOINT, row)
         probs = score_items(t, params, q_star, [[pos] + negs]).data[0]
         labels = np.array([1.0] + [0.0] * len(negs))
         total += float(
@@ -138,16 +261,17 @@ def test_single_task_variant_equals_plain_base_loss(toy):
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=2,
                               variant="single-task")
     weights = effective_task_weights("single-task", (1.0, 1.0, 1.0))
-    batch = make_batch(datasets["train"][:5], kg, 3, weights, seed=7)
+    batch = datasets["train"][:5]
+    samples = draw(batch, kg.sorted_items(), 3, seed=7, weights=weights)
     tape = Tape()
-    loss = compute_loss(tape, batch, params, kg, weights)
+    loss = compute_loss(tape, batch, samples, params, kg, weights)
     total = 0.0
-    for inst, samples in batch:
+    for row, inst in enumerate(batch):
         t = Tape()
         q_l = embed_requirement(t, params, [inst.requirement])
         q_u = embed_user_preference(t, params, [inst.user], kg.like_rel)
         q = embed_joint(t, params, q_l, q_u)
-        pos, negs = samples[TASK_JOINT]
+        pos, negs = row_samples(samples, TASK_JOINT, row)
         probs = score_items(t, params, q, [[pos] + negs]).data[0]
         labels = np.array([1.0] + [0.0] * len(negs))
         total += float(
@@ -175,7 +299,7 @@ def test_empty_batch_rejected(toy):
     split, _ = toy
     params = ModelParams.init(split.train, d=4, k=1, gamma=1.0, seed=0)
     with pytest.raises(ValueError, match="empty batch"):
-        compute_loss(Tape(), [], params, split.train, (1, 1, 1))
+        compute_loss(Tape(), [], {}, params, split.train, (1, 1, 1))
 
 
 def test_train_deterministic(toy, tmp_path):
@@ -247,47 +371,3 @@ def test_best_checkpoint_retained(toy, tmp_path):
     # returned params are the restored best snapshot
     assert best.params_hash() == params.params_hash()
     assert result.best_metric is not None
-
-
-def _materialized_negatives(task_answers, items, n_neg, rng):
-    """Reference: the pool built as a list before drawing."""
-    if n_neg == 0:
-        return []
-    pool = [i for i in items if i not in task_answers]
-    if not pool:
-        raise DegenerateInstanceError("answer set covers the entire catalog")
-    if len(pool) >= n_neg:
-        return rng.sample(pool, n_neg)
-    return [pool[rng.randrange(len(pool))] for _ in range(n_neg)]
-
-
-@pytest.mark.parametrize("n_items", [12, 40, 85, 86, 90, 300, 2000])
-def test_sample_negatives_matches_materialized_pool(n_items):
-    # random.sample copies populations up to a k-dependent set size (21 for
-    # k <= 5, 85 for k = 16) and indexes larger ones; both sides are covered
-    items = list(range(3, 3 + 2 * n_items, 2))
-    gen = random.Random(n_items)
-    for trial in range(30):
-        answers = frozenset(gen.sample(items, gen.randrange(0, n_items // 2))
-                            + [0, 1, 10**6])  # ids outside the catalog too
-        pool_size = sum(1 for i in items if i not in answers)
-        for n_neg in (0, 1, 16, pool_size + 5):
-            a, b = random.Random(trial), random.Random(trial)
-            assert (sample_negatives(answers, items, n_neg, a)
-                    == _materialized_negatives(answers, items, n_neg, b))
-            assert a.getstate() == b.getstate()
-
-
-def test_negative_pool_view_elements():
-    from lqrec.training import _NegativePool
-
-    items = [2, 3, 5, 7, 11, 13, 17]
-    for answers in (frozenset(), frozenset({2}), frozenset({17, 3}),
-                    frozenset({4, 5, 7, 11}), frozenset(items)):
-        view = _NegativePool(items, answers)
-        expected = [i for i in items if i not in answers]
-        assert len(view) == len(expected)
-        assert [view[j] for j in range(len(view))] == expected
-        assert list(view) == expected
-        with pytest.raises(IndexError):
-            view[len(view)]
