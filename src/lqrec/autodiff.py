@@ -15,9 +15,11 @@ Row-wise products (``affine``, ``weighted_sum``) multiply one row at a time,
 so a row's result does not depend on how many rows share its batch: a query
 embeds to the same bits alone as inside a group.
 
-Every op records through ``Tape._node`` as one ``(output, backward)`` node.
-A tape built with ``record=False`` keeps no nodes; inference runs the same
-forward code through it.
+Each op's forward math, shape check included, is written once, as a method
+of ``Eager`` on plain float64 arrays; inference runs it on ``EAGER``, which
+records nothing. The ``Tape`` op of the same name calls that method on its
+operands' arrays and records the result with its backward rule, as one
+``(output, backward)`` node through ``Tape._node``.
 
 Subgradient conventions are fixed: relu'(0) = 0, the L1 distance uses
 sign with sign(0) = 0, and elementwise_max routes ties to its first operand.
@@ -71,6 +73,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
+# An op operand or result: a Tensor on a Tape, a plain array on EAGER.
+Value = Tensor | np.ndarray
+
+
 def _accumulate(t: Tensor, g: np.ndarray, part=...) -> None:
     """``t.grad[part] += g``, allocating a zero gradient on first use."""
     if t.grad is None:
@@ -78,7 +84,7 @@ def _accumulate(t: Tensor, g: np.ndarray, part=...) -> None:
     t.grad[part] += g
 
 
-def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise OpShapeError(op, a.shape, b.shape)
 
@@ -88,16 +94,6 @@ def _scatter_add(table: Tensor, idx: np.ndarray, rows: np.ndarray) -> None:
     if table.grad is None:
         table.grad = np.zeros_like(table.data)
     np.add.at(table.grad, idx, rows)
-
-
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow for large negative inputs."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _rowwise_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -110,177 +106,227 @@ def _rowwise_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ m)[..., 0, :]
 
 
-class Tape:
-    """Append-only record of ops; reversed append order is a valid reverse
-    topological order, so backward visits each node exactly once."""
+class Eager:
+    """Every op of ``Tape`` but ``bce_loss``, under the same name, on plain
+    float64 arrays. ``param`` and ``const`` make a model parameter or a
+    constant an operand: a plain array here, a ``Tensor`` on a tape."""
 
-    def __init__(self, record: bool = True):
-        self.record = record
-        # (output, backward closure over saved activations)
-        self.nodes: list[tuple[Tensor, object]] = []
+    def param(self, t: Tensor) -> np.ndarray:
+        return t.data
 
-    def _node(self, data, backward_fn) -> Tensor:
-        """Wrap an op's result; a recording tape keeps it with its backward."""
-        out = Tensor(data)
-        if self.record:
-            self.nodes.append((out, backward_fn))
-        return out
+    def const(self, data: np.ndarray) -> np.ndarray:
+        return data
 
     # -- table access ------------------------------------------------------
 
-    def gather(self, table: Tensor, ids) -> Tensor:
-        """Row lookup: scalar id -> (d,), id sequence -> (m, d).
-
-        The backward pass scatter-adds only into the touched rows.
-        """
+    def gather(self, table: np.ndarray, ids) -> np.ndarray:
+        """Row lookup: scalar id -> (d,), id sequence -> (m, d)."""
         idx = np.asarray(ids, dtype=np.int64)
-        if table.data.ndim != 2 or idx.ndim > 1:
+        if table.ndim != 2 or idx.ndim > 1:
             raise OpShapeError("gather", table.shape, idx.shape)
+        return table[idx]
 
-        def backward(g):
-            _scatter_add(table, idx, g)
-
-        return self._node(table.data[idx], backward)
-
-    def gather_l1(self, table: Tensor, ids, q: Tensor) -> Tensor:
+    def gather_l1(self, table: np.ndarray, ids, q: np.ndarray) -> np.ndarray:
         """L1 distance from ``q`` to gathered table rows, in one op.
 
         ``q`` (d,) with ids (m,) gives (m,); ``q`` (B, d) with ids (B, m)
         gives (B, m), where row b measures ``table[ids[b, j]]`` against
-        ``q[b]``. Only touched table rows receive gradient.
+        ``q[b]``.
         """
         idx = np.asarray(ids, dtype=np.int64)
-        if (
-            table.data.ndim != 2
-            or q.data.ndim not in (1, 2)
-            or idx.ndim != q.data.ndim
-            or idx.shape[:-1] != q.shape[:-1]
-            or q.shape[-1] != table.shape[1]
-        ):
+        if (table.ndim != 2 or q.ndim not in (1, 2) or idx.ndim != q.ndim
+                or idx.shape[:-1] != q.shape[:-1] or q.shape[-1] != table.shape[1]):
             raise OpShapeError("gather_l1", table.shape, idx.shape, q.shape)
-        diff = table.data[idx] - q.data[..., None, :]
-
-        def backward(g):
-            s = g[..., None] * np.sign(diff)
-            _scatter_add(table, idx, s)
-            _accumulate(q, -s.sum(axis=-2))
-
-        return self._node(np.abs(diff).sum(axis=-1), backward)
+        return np.abs(table[idx] - q[..., None, :]).sum(axis=-1)
 
     # -- elementwise arithmetic ---------------------------------------------
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _same_shape("add", a, b)
+        return a + b
 
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        _same_shape("sub", a, b)
+        return a - b
+
+    def elementwise_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        _same_shape("elementwise_mul", a, b)
+        return a * b
+
+    def elementwise_max(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        _same_shape("elementwise_max", a, b)
+        return np.where(a >= b, a, b)
+
+    def scale_shift(self, x: np.ndarray, scale: float, shift: float) -> np.ndarray:
+        """``scale * x + shift`` with python-float constants."""
+        return scale * x + shift
+
+    # -- shape plumbing ------------------------------------------------------
+
+    def concat_last_dim(self, *arrays: np.ndarray) -> np.ndarray:
+        """Join operands along the last axis; leading shapes must agree."""
+        lead = arrays[0].shape[:-1] if arrays else None
+        if not arrays or any(a.ndim == 0 or a.shape[:-1] != lead for a in arrays):
+            raise OpShapeError("concat_last_dim", *[a.shape for a in arrays])
+        return np.concatenate(arrays, axis=-1)
+
+    def split_halves(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split the last axis into two equal halves."""
+        if x.ndim == 0 or x.shape[-1] % 2 != 0:
+            raise OpShapeError("split_halves", x.shape)
+        half = x.shape[-1] // 2
+        return x[..., :half], x[..., half:]
+
+    def stack_rows(self, arrays: list[np.ndarray]) -> np.ndarray:
+        """Rows of the operands in order as one (n, d) matrix; a vector is one
+        row, a matrix a block of rows."""
+        if (not arrays or any(a.ndim not in (1, 2) for a in arrays)
+                or len({a.shape[-1] for a in arrays}) != 1):
+            raise OpShapeError("stack_rows", *[a.shape for a in arrays])
+        return np.vstack(arrays)
+
+    # -- linear algebra -------------------------------------------------------
+
+    def affine(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``x @ w[:-1] + w[-1]``; the weight's last row is the bias.
+
+        ``x`` may be a vector (d_in,) or a matrix (m, d_in).
+        """
+        if w.ndim != 2 or x.ndim == 0 or x.shape[-1] != w.shape[0] - 1:
+            raise OpShapeError("affine", w.shape, x.shape)
+        return _rowwise_matmul(x, w[:-1]) + w[-1]
+
+    def weighted_sum(self, weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """Mix k equal blocks of the stack's last axis by the k weights.
+
+        weights (k,) with stack (k * d,) gives (d,); weights (B, k) with
+        stack (B, k * d) gives (B, d), mixing each row by its own weights.
+        """
+        k = weights.shape[-1] if weights.ndim else 0
+        if k == 0 or stack.shape[:-1] != weights.shape[:-1] or stack.shape[-1] % k != 0:
+            raise OpShapeError("weighted_sum", weights.shape, stack.shape)
+        return _rowwise_matmul(weights, stack.reshape(weights.shape + (-1,)))
+
+    # -- nonlinearities --------------------------------------------------------
+
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, x, 0.0)
+
+    def sigmoid(self, x: np.ndarray) -> np.ndarray:
+        """Logistic function without overflow for large negative inputs."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def softmax_last_dim(self, x: np.ndarray) -> np.ndarray:
+        ex = np.exp(x - x.max(axis=-1, keepdims=True))
+        return ex / ex.sum(axis=-1, keepdims=True)
+
+
+EAGER = Eager()
+
+
+class Tape:
+    """Append-only record of ops; reversed append order is a valid reverse
+    topological order, so backward visits each node exactly once."""
+
+    def __init__(self):
+        # (output, backward closure over saved activations)
+        self.nodes: list[tuple[Tensor, object]] = []
+
+    def _node(self, data, backward_fn) -> Tensor:
+        """Wrap an op's result and record it with its backward."""
+        out = Tensor(data)
+        self.nodes.append((out, backward_fn))
+        return out
+
+    def param(self, t: Tensor) -> Tensor:
+        return t
+
+    def const(self, data: np.ndarray) -> Tensor:
+        return Tensor(data)
+
+    def gather(self, table: Tensor, ids) -> Tensor:
+        """``Eager.gather``; the backward pass scatter-adds only into the
+        touched rows."""
+        idx = np.asarray(ids, dtype=np.int64)
+        return self._node(EAGER.gather(table.data, idx),
+                          lambda g: _scatter_add(table, idx, g))
+
+    def gather_l1(self, table: Tensor, ids, q: Tensor) -> Tensor:
+        """``Eager.gather_l1``; only touched table rows receive gradient."""
+        idx = np.asarray(ids, dtype=np.int64)
+
+        def backward(g):
+            s = g[..., None] * np.sign(table.data[idx] - q.data[..., None, :])
+            _scatter_add(table, idx, s)
+            _accumulate(q, -s.sum(axis=-2))
+
+        return self._node(EAGER.gather_l1(table.data, idx, q.data), backward)
+
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
         def backward(g):
             _accumulate(a, g)
             _accumulate(b, g)
 
-        return self._node(a.data + b.data, backward)
+        return self._node(EAGER.add(a.data, b.data), backward)
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        _same_shape("sub", a, b)
-
         def backward(g):
             _accumulate(a, g)
             _accumulate(b, -g)
 
-        return self._node(a.data - b.data, backward)
+        return self._node(EAGER.sub(a.data, b.data), backward)
 
     def elementwise_mul(self, a: Tensor, b: Tensor) -> Tensor:
-        _same_shape("elementwise_mul", a, b)
-
         def backward(g):
             _accumulate(a, g * b.data)
             _accumulate(b, g * a.data)
 
-        return self._node(a.data * b.data, backward)
+        return self._node(EAGER.elementwise_mul(a.data, b.data), backward)
 
     def elementwise_max(self, a: Tensor, b: Tensor) -> Tensor:
         """Per-element max; ties route the gradient to the first operand."""
-        _same_shape("elementwise_max", a, b)
-        take_a = a.data >= b.data
 
         def backward(g):
+            take_a = a.data >= b.data
             _accumulate(a, g * take_a)
             _accumulate(b, g * ~take_a)
 
-        return self._node(np.where(take_a, a.data, b.data), backward)
+        return self._node(EAGER.elementwise_max(a.data, b.data), backward)
 
     def scale_shift(self, x: Tensor, scale: float, shift: float) -> Tensor:
-        """``scale * x + shift`` with python-float constants."""
-
-        def backward(g):
-            _accumulate(x, g * scale)
-
-        return self._node(scale * x.data + shift, backward)
-
-    # -- shape plumbing ------------------------------------------------------
+        return self._node(EAGER.scale_shift(x.data, scale, shift),
+                          lambda g: _accumulate(x, g * scale))
 
     def concat_last_dim(self, *tensors: Tensor) -> Tensor:
-        """Join operands along the last axis; leading shapes must agree."""
-        lead = tensors[0].shape[:-1] if tensors else None
-        if not tensors or any(
-            t.data.ndim == 0 or t.shape[:-1] != lead for t in tensors
-        ):
-            raise OpShapeError("concat_last_dim", *[t.shape for t in tensors])
-
         def backward(g):
             bounds = np.cumsum([t.shape[-1] for t in tensors])[:-1]
             for t, part in zip(tensors, np.split(g, bounds, axis=-1)):
                 _accumulate(t, part)
 
-        return self._node(np.concatenate([t.data for t in tensors], axis=-1), backward)
+        return self._node(EAGER.concat_last_dim(*[t.data for t in tensors]),
+                          backward)
 
     def split_halves(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Split the last axis into two equal halves, one node each."""
-        if x.data.ndim == 0 or x.shape[-1] % 2 != 0:
-            raise OpShapeError("split_halves", x.shape)
-        half = x.shape[-1] // 2
-
-        def take(part: slice) -> Tensor:
-            def backward(g):
-                _accumulate(x, g, (..., part))
-
-            return self._node(x.data[..., part].copy(), backward)
-
-        return take(slice(None, half)), take(slice(half, None))
+        """``Eager.split_halves``, one node per half."""
+        lo, hi = EAGER.split_halves(x.data)
+        half = lo.shape[-1]
+        return (self._node(lo, lambda g: _accumulate(x, g, (..., slice(None, half)))),
+                self._node(hi, lambda g: _accumulate(x, g, (..., slice(half, None)))))
 
     def stack_rows(self, tensors: list[Tensor]) -> Tensor:
-        """Rows of the operands in order as one (n, d) matrix; a vector is one
-        row, a matrix a block of rows."""
-        if (
-            not tensors
-            or any(t.data.ndim not in (1, 2) for t in tensors)
-            or len({t.shape[-1] for t in tensors}) != 1
-        ):
-            raise OpShapeError("stack_rows", *[t.shape for t in tensors])
-        rows, start = [], 0
-        for t in tensors:
-            if t.data.ndim == 1:
-                rows.append(start)
-                start += 1
-            else:
-                rows.append(slice(start, start + t.shape[0]))
-                start += t.shape[0]
-
         def backward(g):
-            for t, r in zip(tensors, rows):
-                _accumulate(t, g[r])
+            bounds = np.cumsum([t.shape[0] if t.data.ndim == 2 else 1 for t in tensors])
+            for t, part in zip(tensors, np.split(g, bounds[:-1])):
+                _accumulate(t, part.reshape(t.shape))
 
-        return self._node(np.vstack([t.data for t in tensors]), backward)
-
-    # -- linear algebra -------------------------------------------------------
+        return self._node(EAGER.stack_rows([t.data for t in tensors]), backward)
 
     def affine(self, w: Tensor, x: Tensor) -> Tensor:
-        """``x @ w[:-1] + w[-1]``; the weight's last row is the bias.
-
-        ``x`` may be a vector (d_in,) or a matrix (m, d_in).
-        """
-        if w.data.ndim != 2 or x.data.ndim == 0 or x.shape[-1] != w.shape[0] - 1:
-            raise OpShapeError("affine", w.shape, x.shape)
-        weights, bias = w.data[:-1], w.data[-1]
-
         def backward(g):
             x2 = x.data.reshape(-1, x.shape[-1])
             g2 = g.reshape(-1, g.shape[-1])
@@ -288,62 +334,35 @@ class Tape:
             gw[:-1] = x2.T @ g2
             gw[-1] = g2.sum(axis=0)
             _accumulate(w, gw)
-            _accumulate(x, g @ weights.T)
+            _accumulate(x, g @ w.data[:-1].T)
 
-        return self._node(_rowwise_matmul(x.data, weights) + bias, backward)
+        return self._node(EAGER.affine(w.data, x.data), backward)
 
     def weighted_sum(self, weights: Tensor, stack: Tensor) -> Tensor:
-        """Mix k equal blocks of the stack's last axis by the k weights.
-
-        weights (k,) with stack (k * d,) gives (d,); weights (B, k) with
-        stack (B, k * d) gives (B, d), mixing each row by its own weights.
-        """
-        k = weights.shape[-1] if weights.data.ndim else 0
-        if (
-            k == 0
-            or stack.shape[:-1] != weights.shape[:-1]
-            or stack.shape[-1] % k != 0
-        ):
-            raise OpShapeError("weighted_sum", weights.shape, stack.shape)
-        blocks = stack.data.reshape(weights.shape + (-1,))
-
         def backward(g):
+            blocks = stack.data.reshape(weights.shape + (-1,))
             _accumulate(weights, (blocks @ g[..., None])[..., 0])
             _accumulate(stack, (weights.data[..., None] * g[..., None, :])
                         .reshape(stack.shape))
 
-        return self._node(_rowwise_matmul(weights.data, blocks), backward)
-
-    # -- nonlinearities --------------------------------------------------------
+        return self._node(EAGER.weighted_sum(weights.data, stack.data), backward)
 
     def relu(self, x: Tensor) -> Tensor:
-        mask = x.data > 0
-
-        def backward(g):
-            _accumulate(x, g * mask)
-
-        return self._node(np.where(mask, x.data, 0.0), backward)
+        return self._node(EAGER.relu(x.data),
+                          lambda g: _accumulate(x, g * (x.data > 0)))
 
     def sigmoid(self, x: Tensor) -> Tensor:
-        s = stable_sigmoid(x.data)
-
-        def backward(g):
-            _accumulate(x, g * s * (1.0 - s))
-
-        return self._node(s, backward)
+        s = EAGER.sigmoid(x.data)
+        return self._node(s, lambda g: _accumulate(x, g * s * (1.0 - s)))
 
     def softmax_last_dim(self, x: Tensor) -> Tensor:
-        shifted = x.data - x.data.max(axis=-1, keepdims=True)
-        ex = np.exp(shifted)
-        s = ex / ex.sum(axis=-1, keepdims=True)
+        s = EAGER.softmax_last_dim(x.data)
 
         def backward(g):
             inner = (g * s).sum(axis=-1, keepdims=True)
             _accumulate(x, s * (g - inner))
 
         return self._node(s, backward)
-
-    # -- losses and reductions -----------------------------------------------
 
     def bce_loss(self, probs: Tensor, labels: Tensor) -> Tensor:
         """Binary cross-entropy, averaged over all elements.
@@ -362,20 +381,6 @@ class Tape:
             _accumulate(probs, g * (-(y / p) + (1.0 - y) / (1.0 - p)) / n)
 
         return self._node(loss, backward)
-
-    def reduce_sum(self, x: Tensor) -> Tensor:
-        def backward(g):
-            _accumulate(x, np.full_like(x.data, float(g)))
-
-        return self._node(x.data.sum(), backward)
-
-    def reduce_mean(self, x: Tensor) -> Tensor:
-        n = x.data.size
-
-        def backward(g):
-            _accumulate(x, np.full_like(x.data, float(g) / n))
-
-        return self._node(x.data.sum() / n, backward)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:

@@ -16,7 +16,7 @@ import sys
 from . import dataset as ds
 from . import kg as kgmod
 from . import oracle
-from .autodiff import Tape
+from .autodiff import EAGER
 from .dataset import TASK_JOINT
 from .evaluation import evaluate, rank_items
 from .kg import (ArtifactMismatchError, GraphFormatError, SplitInfeasibleError,
@@ -141,9 +141,8 @@ def _answer_line(line: str, kg, params, mode: str, top_n: int = 10) -> None:
         names = [kg.entity_vocab.name_of(i) for i in answers]
         print(f"symbolic ({len(names)}): {' '.join(names) if names else '(none)'}")
     if mode in ("embedding", "both"):
-        task_emb = embed_instance(Tape(record=False), params, [user], [query],
-                                  kg.like_rel)
-        ids, scores = rank_items(params, task_emb[TASK_JOINT].data[0],
+        task_emb = embed_instance(EAGER, params, [user], [query], kg.like_rel)
+        ids, scores = rank_items(params, task_emb[TASK_JOINT][0],
                                  kg.sorted_items(), top_n=top_n)
         print(f"embedding top-{top_n}:")
         for item, score in zip(ids.tolist(), scores.tolist()):

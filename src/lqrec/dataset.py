@@ -345,11 +345,15 @@ def _check_record(record) -> None:
 
 
 def record_to_instance(record: dict, kg: KnowledgeGraph) -> RecInstance:
+    """The instance ``record`` describes; every answer must be an item."""
     _check_record(record)
     ev = kg.entity_vocab
 
     def ids(names: list[str]) -> frozenset[int]:
-        return frozenset(ev.id_of(n) for n in names)
+        out = frozenset(ev.id_of(n) for n in names)
+        if not out <= kg.items:
+            raise ValueError(f"answer {ev.name_of(min(out - kg.items))!r} is not an item")
+        return out
 
     hard = record.get("hard")
     return RecInstance(
@@ -495,7 +499,8 @@ def load_instances(path: str, kg: KnowledgeGraph) -> list[RecInstance]:
     """The records of a dataset JSON-lines file as instances of ``kg``.
 
     A line that is not JSON, not a record of the form ``instance_to_record``
-    writes, names an unknown entity or relation, or declares a shape its
+    writes, names an unknown entity or relation, has an answer that is not
+    an item or hard answers without a joint one, or declares a shape its
     query does not have raises ``ArtifactMismatchError`` naming
     ``path:line``.
     """
@@ -510,6 +515,8 @@ def load_instances(path: str, kg: KnowledgeGraph) -> list[RecInstance]:
                 if shape != inst.shape:
                     raise ValueError(f"a {shape.value} query labelled "
                                      f"{inst.shape.value}")
+                if inst.hard is not None and not inst.hard[TASK_JOINT]:
+                    raise ValueError("hard answers with an empty joint set")
             except (ValueError, UnknownNameError) as exc:
                 raise ArtifactMismatchError(f"{path}:{lineno}: {exc}") from None
             instances.append(inst)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import EAGER
 from .dataset import TASK_JOINT, RecInstance
 from .kg import KnowledgeGraph
 from .model import ModelParams, catalog_scores, embed_instance
@@ -57,31 +57,20 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def filtered_rank(
-    scores: np.ndarray,
-    item_ids: np.ndarray,
-    target: int,
-    filter_out: frozenset[int],
-) -> int:
-    """1-based rank of ``target`` with other known answers removed.
+def filtered_rank(scores: np.ndarray, item_ids: np.ndarray, targets: np.ndarray,
+                  known: np.ndarray) -> np.ndarray:
+    """1-based rank of each target among the catalog minus ``known``.
 
-    A competitor outranks the target when it scores strictly higher, or ties
-    and has the smaller id.
+    ``targets`` is a subset of ``known``, so every target has the same
+    competitors, and one pass ranks them all. A competitor outranks a target
+    when it scores strictly higher, or ties and has the smaller id.
     """
-    pos = int(np.searchsorted(item_ids, target))
-    target_score = scores[pos]
     keep = np.ones(len(item_ids), dtype=bool)
-    if filter_out:
-        drop = np.fromiter(
-            (i for i in filter_out if i != target), dtype=np.int64, count=-1
-        )
-        if drop.size:
-            keep[np.searchsorted(item_ids, np.sort(drop))] = False
-    keep[pos] = False
-    better = (scores > target_score) | (
-        (scores == target_score) & (item_ids < target)
-    )
-    return 1 + int(np.count_nonzero(better & keep))
+    keep[np.searchsorted(item_ids, known)] = False
+    rivals, rival_ids = scores[keep], item_ids[keep]
+    mine = scores[np.searchsorted(item_ids, targets)][:, None]
+    better = (rivals > mine) | ((rivals == mine) & (rival_ids < targets[:, None]))
+    return 1 + np.count_nonzero(better, axis=1)
 
 
 def rank_items(
@@ -110,11 +99,17 @@ def rank_items(
     return ids[order], scores[order]
 
 
-def _per_answer_metrics(rank: int, ks) -> dict[str, float]:
+def _record_metrics(ranks: list[int], ks) -> dict[str, float]:
+    """hit@k and ndcg@k of one record: the mean over its targets' ranks."""
     out = {}
     for k in ks:
-        out[f"hit@{k}"] = 1.0 if rank <= k else 0.0
-        out[f"ndcg@{k}"] = 1.0 / math.log2(rank + 1) if rank <= k else 0.0
+        hits = dcg = 0.0
+        for rank in ranks:
+            if rank <= k:
+                hits += 1.0
+                dcg += 1.0 / math.log2(rank + 1)
+        out[f"hit@{k}"] = hits / len(ranks)
+        out[f"ndcg@{k}"] = dcg / len(ranks)
     return out
 
 
@@ -127,8 +122,8 @@ def evaluate(
 ) -> EvalReport:
     """Score the catalog per record and aggregate ranking metrics per shape.
 
-    All records embed in one batch (grouped by skeleton, no gradients); the
-    catalog is then scored one record at a time.
+    All records embed in one batch on ``EAGER`` (grouped by skeleton, no
+    tape); the catalog is then scored and ranked one record at a time.
 
     ``target="hard"`` ranks the held-out-only answers (test protocol) and
     requires every record to carry them; ``target="answers"`` ranks the
@@ -137,11 +132,13 @@ def evaluate(
     if target not in ("hard", "answers"):
         raise ValueError(f"unknown target {target!r}")
     item_ids = np.asarray(kg.sorted_items(), dtype=np.int64)
-    metric_names = [f"hit@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
-    by_shape: dict[str, dict[str, list[float]]] = {}
-
-    records = []
-    for inst in instances:
+    if instances:
+        joint = embed_instance(EAGER, params, [inst.user for inst in instances],
+                               [inst.requirement for inst in instances],
+                               kg.like_rel)[TASK_JOINT]
+    by_shape: dict[str, list[dict[str, float]]] = {}
+    # one record's catalog at a time: never a (records, items, d) array
+    for row, inst in enumerate(instances):
         if target == "hard":
             if inst.hard is None:
                 raise ValueError(
@@ -156,42 +153,24 @@ def evaluate(
         known = inst.answers[TASK_JOINT]
         if inst.hard is not None:
             known = known | inst.hard[TASK_JOINT]
-        records.append((inst.shape.value, targets, known))
-
-    if instances:
-        joint = embed_instance(Tape(record=False), params,
-                               [inst.user for inst in instances],
-                               [inst.requirement for inst in instances],
-                               kg.like_rel)[TASK_JOINT].data
-    # one record's catalog at a time: never a (records, items, d) array
-    for row, (shape, targets, known) in enumerate(records):
         scores = catalog_scores(params, joint[row], item_ids)
-        sums = dict.fromkeys(metric_names, 0.0)
-        for answer in sorted(targets):
-            rank = filtered_rank(scores, item_ids, answer, known)
-            for name, value in _per_answer_metrics(rank, ks).items():
-                sums[name] += value
-        shape_bucket = by_shape.setdefault(
-            shape, {name: [] for name in metric_names}
-        )
-        for name in metric_names:
-            shape_bucket[name].append(sums[name] / len(targets))
+        ranks = filtered_rank(scores, item_ids, np.array(sorted(targets)),
+                              np.array(sorted(known))).tolist()
+        by_shape.setdefault(inst.shape.value, []).append(_record_metrics(ranks, ks))
 
+    metric_names = [f"hit@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
     per_shape = {
-        shape: {name: sum(vals) / len(vals) for name, vals in buckets.items()}
-        for shape, buckets in by_shape.items()
+        shape: {name: sum(m[name] for m in rows) / len(rows) for name in metric_names}
+        for shape, rows in by_shape.items()
     }
     averages = {
         name: sum(per_shape[s][name] for s in per_shape) / len(per_shape)
         for name in metric_names
     } if per_shape else {}
-    counts = {
-        shape: len(next(iter(buckets.values()))) for shape, buckets in by_shape.items()
-    }
     return EvalReport(
         ks=tuple(ks),
         per_shape=per_shape,
         averages=averages,
-        counts=counts,
+        counts={shape: len(rows) for shape, rows in by_shape.items()},
         variant=params.variant,
     )

@@ -16,8 +16,8 @@ recursion on (B, d) tensors: a projection is one gather plus one add, an
 intersection one attention network on (B, 2d), a union one max. The group
 outputs return to batch order, and the preference, joint intersection,
 expert bank and gates then run once over the whole batch. Training,
-evaluation and ``answer`` all embed through this one path; inference uses a
-non-recording tape.
+evaluation and ``answer`` all embed through this one path: training runs it
+on a ``Tape``, inference on ``autodiff.EAGER``, which records nothing.
 
 Variants:
   mtl            experts + per-task gates (the full model)
@@ -36,7 +36,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, stable_sigmoid
+from .autodiff import EAGER, Eager, Tape, Tensor, Value
 from .dataset import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .kg import ArtifactMismatchError, KnowledgeGraph
 from .query import QueryNode, skeleton
@@ -179,19 +179,20 @@ class ModelParams:
 # --- logical operators ------------------------------------------------------
 #
 # Every operator is written once over the last axis: the same code embeds a
-# single (d,) operand or a (B, d) group.
+# single (d,) operand or a (B, d) group. ``ex`` is the executor that runs the
+# ops: a ``Tape`` for training, ``EAGER`` for inference.
 
 
-def embed_projection(tape: Tape, params: ModelParams, base: Tensor, rel) -> Tensor:
+def embed_projection(ex: Tape | Eager, params: ModelParams, base: Value, rel) -> Value:
     """Relation application is translation: base + relation vector.
 
     ``rel`` is one relation id for a (d,) base or a (B,) id column for a
     (B, d) base.
     """
-    return tape.add(base, tape.gather(params.relation_emb, rel))
+    return ex.add(base, ex.gather(ex.param(params.relation_emb), rel))
 
 
-def embed_intersection(tape: Tape, params: ModelParams, q1: Tensor, q2: Tensor) -> Tensor:
+def embed_intersection(ex: Tape | Eager, params: ModelParams, q1: Value, q2: Value) -> Value:
     """Attention-weighted mix of the two operands.
 
     The attention network produces one logit vector per operand; weights are
@@ -200,40 +201,40 @@ def embed_intersection(tape: Tape, params: ModelParams, q1: Tensor, q2: Tensor) 
     per-dimension convex combination of the operands. With all-zero
     parameters the weights are exactly 0.5/0.5.
     """
-    x = tape.concat_last_dim(q1, q2)
-    hidden = tape.relu(tape.affine(params.inter_w1, x))
-    logits = tape.affine(params.inter_w2, hidden)
-    l1, l2 = tape.split_halves(logits)
-    w1 = tape.sigmoid(tape.sub(l1, l2))
-    w2 = tape.sigmoid(tape.sub(l2, l1))
-    return tape.add(tape.elementwise_mul(w1, q1), tape.elementwise_mul(w2, q2))
+    x = ex.concat_last_dim(q1, q2)
+    hidden = ex.relu(ex.affine(ex.param(params.inter_w1), x))
+    logits = ex.affine(ex.param(params.inter_w2), hidden)
+    l1, l2 = ex.split_halves(logits)
+    w1 = ex.sigmoid(ex.sub(l1, l2))
+    w2 = ex.sigmoid(ex.sub(l2, l1))
+    return ex.add(ex.elementwise_mul(w1, q1), ex.elementwise_mul(w2, q2))
 
 
-def embed_union(tape: Tape, q1: Tensor, q2: Tensor) -> Tensor:
-    return tape.elementwise_max(q1, q2)
+def embed_union(ex: Tape | Eager, q1: Value, q2: Value) -> Value:
+    return ex.elementwise_max(q1, q2)
 
 
-def _embed_skeleton(tape: Tape, params: ModelParams, skel: tuple, columns) -> Tensor:
+def _embed_skeleton(ex: Tape | Eager, params: ModelParams, skel: tuple, columns) -> Value:
     """(B, d) embeddings of one skeleton group; ``columns`` yields the
     group's (B,) id columns in the order ``query.skeleton`` lists ids.
     n-ary nodes fold left over their child order."""
     kind = skel[0]
     if kind == "e":
-        return tape.gather(params.entity_emb, next(columns))
+        return ex.gather(ex.param(params.entity_emb), next(columns))
     if kind == "p":
-        base = _embed_skeleton(tape, params, skel[1], columns)
-        return embed_projection(tape, params, base, next(columns))
-    children = [_embed_skeleton(tape, params, c, columns) for c in skel[1]]
+        base = _embed_skeleton(ex, params, skel[1], columns)
+        return embed_projection(ex, params, base, next(columns))
+    children = [_embed_skeleton(ex, params, c, columns) for c in skel[1]]
     acc = children[0]
     for child in children[1:]:
-        acc = (embed_intersection(tape, params, acc, child) if kind == "and"
-               else embed_union(tape, acc, child))
+        acc = (embed_intersection(ex, params, acc, child) if kind == "and"
+               else embed_union(ex, acc, child))
     return acc
 
 
 def embed_requirement(
-    tape: Tape, params: ModelParams, requirements: Sequence[QueryNode]
-) -> Tensor:
+    ex: Tape | Eager, params: ModelParams, requirements: Sequence[QueryNode]
+) -> Value:
     """(B, d) embeddings of B requirements, one recursion per skeleton group.
 
     Each group's anchor and relation ids are gathered as (B_g,) columns, and
@@ -250,33 +251,28 @@ def embed_requirement(
     parts, order = [], []
     for skel, (rows, id_rows) in groups.items():
         columns = iter(np.array(id_rows, dtype=np.int64).T)
-        parts.append(_embed_skeleton(tape, params, skel, columns))
+        parts.append(_embed_skeleton(ex, params, skel, columns))
         order.extend(rows)
     if len(parts) == 1:
         return parts[0]
-    return tape.gather(tape.stack_rows(parts), np.argsort(order))
+    return ex.gather(ex.stack_rows(parts), np.argsort(order))
 
 
-def embed_user_preference(tape: Tape, params: ModelParams, users, like_rel: int) -> Tensor:
+def embed_user_preference(ex: Tape | Eager, params: ModelParams, users, like_rel: int) -> Value:
     """The preference is a one-hop query: user + interaction relation.
 
     ``users`` is one user id or a (B,) id column.
     """
-    base = tape.gather(params.entity_emb, users)
-    return embed_projection(tape, params, base, np.full(np.shape(users), like_rel))
-
-
-def embed_joint(tape: Tape, params: ModelParams, q_l: Tensor, q_u: Tensor) -> Tensor:
-    """Requirement x preference intersection; shares the intersection net."""
-    return embed_intersection(tape, params, q_l, q_u)
+    base = ex.gather(ex.param(params.entity_emb), users)
+    return embed_projection(ex, params, base, np.full(np.shape(users), like_rel))
 
 
 # --- multi-task head -------------------------------------------------------
 
 
 def mtl_transform(
-    tape: Tape, params: ModelParams, q: Tensor, q_l: Tensor, q_u: Tensor
-) -> dict[str, Tensor]:
+    ex: Tape | Eager, params: ModelParams, q: Value, q_l: Value, q_u: Value
+) -> dict[str, Value]:
     """Task embeddings from the expert bank.
 
     Experts consume only the joint embedding; each task's gate consumes that
@@ -287,59 +283,56 @@ def mtl_transform(
     """
     if params.variant == "single-task":
         return {TASK_JOINT: q}
-    stack = tape.concat_last_dim(
-        *[tape.relu(tape.affine(theta, q)) for theta in params.experts]
+    stack = ex.concat_last_dim(
+        *[ex.relu(ex.affine(ex.param(theta), q)) for theta in params.experts]
     )
     if params.variant == "shared-bottom":
-        uniform = Tensor(np.full(q.shape[:-1] + (params.k,), 1.0 / params.k))
-        shared = tape.weighted_sum(uniform, stack)
+        uniform = ex.const(np.full(q.shape[:-1] + (params.k,), 1.0 / params.k))
+        shared = ex.weighted_sum(uniform, stack)
         return {task: shared for task in TASKS}
     gate_inputs = {TASK_JOINT: q, TASK_REQ: q_l, TASK_PREF: q_u}
     out = {}
     for task in TASKS:
-        gate = getattr(params, f"gate_{task}")
-        weights = tape.softmax_last_dim(tape.affine(gate, gate_inputs[task]))
-        out[task] = tape.weighted_sum(weights, stack)
+        gate = ex.param(getattr(params, f"gate_{task}"))
+        weights = ex.softmax_last_dim(ex.affine(gate, gate_inputs[task]))
+        out[task] = ex.weighted_sum(weights, stack)
     return out
 
 
 def embed_instance(
-    tape: Tape,
+    ex: Tape | Eager,
     params: ModelParams,
     users: Sequence[int],
     requirements: Sequence[QueryNode],
     like_rel: int,
-) -> dict[str, Tensor]:
+) -> dict[str, Value]:
     """Full forward pass for a batch of (user, requirement) pairs: per-task
     (B, d) embeddings, row b for pair b. A lone query is a batch of one."""
     if len(users) != len(requirements):
         raise ValueError("one user per requirement")
-    q_l = embed_requirement(tape, params, requirements)
-    q_u = embed_user_preference(tape, params, np.asarray(users, dtype=np.int64),
+    q_l = embed_requirement(ex, params, requirements)
+    q_u = embed_user_preference(ex, params, np.asarray(users, dtype=np.int64),
                                 like_rel)
-    q = embed_joint(tape, params, q_l, q_u)
-    return mtl_transform(tape, params, q, q_l, q_u)
+    q = embed_intersection(ex, params, q_l, q_u)
+    return mtl_transform(ex, params, q, q_l, q_u)
 
 
 # --- scoring ---------------------------------------------------------------
 
 
-def score_items(tape: Tape, params: ModelParams, q_task: Tensor, ids) -> Tensor:
+def score_items(ex: Tape | Eager, params: ModelParams, q_task: Value, ids) -> Value:
     """sigmoid(gamma - L1 distance to each item embedding), in (0, 1).
 
     ``q_task`` (d,) with ids (m,) gives (m,); ``q_task`` (B, d) with ids
     (B, m) scores row b's items against ``q_task[b]``, shape (B, m).
     """
-    dist = tape.gather_l1(params.entity_emb, ids, q_task)
-    return tape.sigmoid(tape.scale_shift(dist, -1.0, params.gamma))
+    dist = ex.gather_l1(ex.param(params.entity_emb), ids, q_task)
+    return ex.sigmoid(ex.scale_shift(dist, -1.0, params.gamma))
 
 
-def catalog_scores(
-    params: ModelParams, q_task: np.ndarray, item_ids: np.ndarray
-) -> np.ndarray:
-    """Inference-only scores of one query over an item catalog (no tape)."""
-    dist = np.abs(params.entity_emb.data[item_ids] - q_task).sum(axis=1)
-    return stable_sigmoid(params.gamma - dist)
+def catalog_scores(params: ModelParams, q_task: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    """Scores of one (d,) query over an item catalog, computed on ``EAGER``."""
+    return score_items(EAGER, params, q_task, item_ids)
 
 
 # --- checkpoint i/o ----------------------------------------------------------

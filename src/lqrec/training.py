@@ -66,6 +66,8 @@ class TrainConfig:
     def __post_init__(self):
         model_variant(self.variant)
         _task_weights(self.task_weights)
+        for key in _INT_FLOORS:
+            _checked_int(key, getattr(self, key))
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "TrainConfig":
@@ -80,11 +82,24 @@ def _task_weights(weights: Sequence[float]) -> tuple[float, ...]:
     return tuple(weights)
 
 
+# The least value of each integer setting (``patience`` may also be None).
+_INT_FLOORS = {"d": 1, "k": 1, "batch_size": 1, "eval_every": 1, "eval_k": 1,
+               "n_neg": 0, "epochs": 0, "patience": 0}
+
+
+def _checked_int(key: str, value: int | None) -> int | None:
+    """``value`` unless it is below ``key``'s floor, else ``ValueError``."""
+    if value is not None and value < _INT_FLOORS[key]:
+        raise ValueError(f"{key} must be at least {_INT_FLOORS[key]}, got {value}")
+    return value
+
+
 _TRAIN_KEYS: dict[str, Callable[[str], object]] = {
-    **dict.fromkeys(("d", "k", "epochs", "batch_size", "n_neg", "eval_every",
-                     "eval_k", "seed"), int),
+    **{key: lambda value, key=key: _checked_int(key, int(value))
+       for key in _INT_FLOORS if key != "patience"},
+    "seed": int,
     **dict.fromkeys(("gamma", "lr", "stop_threshold"), float),
-    "patience": lambda value: None if value == "none" else int(value),
+    "patience": lambda value: _checked_int("patience", None if value == "none" else int(value)),
     "task_weights": lambda value: _task_weights([float(p) for p in value.split(",")]),
     "variant": model_variant,
 }

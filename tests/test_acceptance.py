@@ -319,20 +319,20 @@ def test_criterion_6_operator_invariants(gen_split):
 
 
 def test_criterion_7_metric_correctness():
-    from lqrec.evaluation import _per_answer_metrics
+    from lqrec.evaluation import _record_metrics
     from test_evaluation import brute_force_rank
 
     failures = []
-    m = _per_answer_metrics(2, (2,))
+    m = _record_metrics([2], (2,))
     if abs(m["ndcg@2"] - 1.0 / math.log2(3.0)) > 1e-12:
         failures.append("ndcg@2 closed form")
-    if _per_answer_metrics(5, (20,))["hit@20"] != 1.0:
+    if _record_metrics([5], (20,))["hit@20"] != 1.0:
         failures.append("hit inside cutoff")
-    if _per_answer_metrics(21, (20,))["hit@20"] != 0.0:
+    if _record_metrics([21], (20,))["hit@20"] != 0.0:
         failures.append("hit beyond cutoff")
-    if _per_answer_metrics(21, (20,))["ndcg@20"] != 0.0:
+    if _record_metrics([21], (20,))["ndcg@20"] != 0.0:
         failures.append("ndcg beyond cutoff")
-    if abs(_per_answer_metrics(1, (10,))["ndcg@10"] - 1.0) > 1e-12:
+    if abs(_record_metrics([1], (10,))["ndcg@10"] - 1.0) > 1e-12:
         failures.append("ndcg at rank 1")
 
     rng = np.random.default_rng(77)
@@ -346,9 +346,9 @@ def test_criterion_7_metric_correctness():
         rng.shuffle(others)
         cut = int(rng.integers(0, len(others) + 1))
         filt = frozenset(others[:cut])
-        if filtered_rank(scores, ids, target, filt) != brute_force_rank(
-            scores, ids, target, filt
-        ):
+        got = filtered_rank(scores, ids, np.array([target]),
+                            np.array(sorted(filt | {target})))
+        if got.tolist() != [brute_force_rank(scores, ids, target, filt)]:
             mismatches += 1
     if mismatches:
         failures.append(f"{mismatches} filtered-rank mismatches")

@@ -5,14 +5,36 @@ from lqrec.autodiff import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    EAGER,
     AdamState,
+    Eager,
     EmptyTapeError,
     OpShapeError,
     Tape,
     Tensor,
+    _accumulate,
     adam_step,
     backward,
 )
+
+
+def reduce_sum(tape, x):
+    """Sum of all elements as one scalar tape node (test-only reduction)."""
+
+    def backward_fn(g):
+        _accumulate(x, np.full_like(x.data, float(g)))
+
+    return tape._node(x.data.sum(), backward_fn)
+
+
+def reduce_mean(tape, x):
+    """Mean of all elements as one scalar tape node (test-only reduction)."""
+    n = x.data.size
+
+    def backward_fn(g):
+        _accumulate(x, np.full_like(x.data, float(g) / n))
+
+    return tape._node(x.data.sum() / n, backward_fn)
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -54,7 +76,7 @@ def rng_tensor(shape, seed, scale=1.0):
 def test_relu_subgradient():
     tape = Tape()
     x = Tensor(np.array([2.0, -1.0, 0.0]))
-    y = tape.reduce_sum(tape.relu(x))
+    y = reduce_sum(tape, tape.relu(x))
     backward(tape, y)
     np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
 
@@ -77,7 +99,7 @@ def test_elementwise_max_forward_and_routing():
     b = Tensor(np.array([0.0, 3.0]))
     m = tape.elementwise_max(a, b)
     np.testing.assert_array_equal(m.data, [1.0, 3.0])
-    loss = tape.reduce_sum(m)
+    loss = reduce_sum(tape, m)
     backward(tape, loss)
     np.testing.assert_array_equal(a.grad, [1.0, 0.0])
     np.testing.assert_array_equal(b.grad, [0.0, 1.0])
@@ -87,7 +109,7 @@ def test_max_tie_routes_to_first():
     tape = Tape()
     a = Tensor(np.array([5.0]))
     b = Tensor(np.array([5.0]))
-    loss = tape.reduce_sum(tape.elementwise_max(a, b))
+    loss = reduce_sum(tape, tape.elementwise_max(a, b))
     backward(tape, loss)
     assert a.grad[0] == 1.0 and b.grad[0] == 0.0
 
@@ -95,7 +117,7 @@ def test_max_tie_routes_to_first():
 def test_sum_backward():
     tape = Tape()
     x = Tensor(np.ones(4))
-    loss = tape.reduce_sum(x)
+    loss = reduce_sum(tape, x)
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.ones(4))
 
@@ -105,7 +127,7 @@ def test_shared_parameter_grads_add():
     x = Tensor(np.array([1.5, -0.5]))
     branch1 = tape.scale_shift(x, 2.0, 0.0)
     branch2 = tape.scale_shift(x, 3.0, 0.0)
-    loss = tape.reduce_sum(tape.add(branch1, branch2))
+    loss = reduce_sum(tape, tape.add(branch1, branch2))
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, [5.0, 5.0])
 
@@ -129,6 +151,8 @@ def test_shape_errors_carry_op_name():
         tape.add(Tensor(np.ones(2)), Tensor(np.ones(3)))
     with pytest.raises(OpShapeError, match="affine"):
         tape.affine(Tensor(np.ones((3, 2))), Tensor(np.ones(4)))
+    with pytest.raises(OpShapeError, match="add"):
+        EAGER.add(np.ones(2), np.ones(3))
 
 
 def test_gather_scatters_sparsely():
@@ -136,7 +160,7 @@ def test_gather_scatters_sparsely():
     table = Tensor(np.arange(12.0).reshape(4, 3))
     row = tape.gather(table, 2)
     rows = tape.gather(table, [1, 1, 3])
-    loss = tape.reduce_sum(tape.add(rows, tape.stack_rows([row, row, row])))
+    loss = reduce_sum(tape, tape.add(rows, tape.stack_rows([row, row, row])))
     backward(tape, loss)
     expected = np.zeros((4, 3))
     expected[2] = 3.0  # row used three times via the stack
@@ -169,52 +193,52 @@ def test_op_gradients_against_finite_differences(seed):
     sm = rng_tensor((2, 12), seed + 90)
 
     cases = {
-        "affine_vec": lambda t: t.reduce_sum(t.affine(w, x)),
-        "affine_mat": lambda t: t.reduce_sum(t.affine(w, t.gather(table, [0, 2, 5]))),
-        "concat": lambda t: t.reduce_sum(t.concat_last_dim(x, y)),
-        "split": lambda t: t.reduce_sum(t.split_halves(x)[0]),
-        "mul": lambda t: t.reduce_sum(t.elementwise_mul(x, y)),
-        "sub": lambda t: t.reduce_sum(t.sub(x, y)),
-        "softmax": lambda t: t.reduce_sum(
+        "affine_vec": lambda t: reduce_sum(t, t.affine(w, x)),
+        "affine_mat": lambda t: reduce_sum(t, t.affine(w, t.gather(table, [0, 2, 5]))),
+        "concat": lambda t: reduce_sum(t, t.concat_last_dim(x, y)),
+        "split": lambda t: reduce_sum(t, t.split_halves(x)[0]),
+        "mul": lambda t: reduce_sum(t, t.elementwise_mul(x, y)),
+        "sub": lambda t: reduce_sum(t, t.sub(x, y)),
+        "softmax": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.softmax_last_dim(x), y)
         ),
-        "weighted": lambda t: t.reduce_sum(t.weighted_sum(gate, stack)),
-        "l1_vec": lambda t: t.reduce_sum(t.gather_l1(table, [1, 3], x)),
-        "sigmoid": lambda t: t.reduce_mean(t.sigmoid(x)),
+        "weighted": lambda t: reduce_sum(t, t.weighted_sum(gate, stack)),
+        "l1_vec": lambda t: reduce_sum(t, t.gather_l1(table, [1, 3], x)),
+        "sigmoid": lambda t: reduce_mean(t, t.sigmoid(x)),
         "bce": lambda t: t.bce_loss(
             t.sigmoid(x), Tensor(np.array([1.0, 0.0, 0.0, 1.0]))
         ),
-        "mean": lambda t: t.reduce_mean(t.gather(table, [0, 4])),
-        "max": lambda t: t.reduce_sum(t.elementwise_max(x, y)),
-        "relu": lambda t: t.reduce_sum(t.relu(x)),
-        "scale_shift": lambda t: t.reduce_sum(t.scale_shift(x, -1.7, 0.3)),
+        "mean": lambda t: reduce_mean(t, t.gather(table, [0, 4])),
+        "max": lambda t: reduce_sum(t, t.elementwise_max(x, y)),
+        "relu": lambda t: reduce_sum(t, t.relu(x)),
+        "scale_shift": lambda t: reduce_sum(t, t.scale_shift(x, -1.7, 0.3)),
         # the same ops on a leading batch axis
-        "affine_batch": lambda t: t.reduce_sum(
+        "affine_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.affine(w, xm), gm)
         ),
-        "concat_batch": lambda t: t.reduce_sum(
+        "concat_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.concat_last_dim(xm, ym), t.concat_last_dim(ym, xm))
         ),
-        "split_batch": lambda t: t.reduce_sum(
+        "split_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.split_halves(xm)[1], t.split_halves(ym)[0])
         ),
-        "softmax_batch": lambda t: t.reduce_sum(
+        "softmax_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.softmax_last_dim(xm), ym)
         ),
-        "weighted_batch": lambda t: t.reduce_sum(
+        "weighted_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.weighted_sum(t.softmax_last_dim(gm), sm), xm)
         ),
-        "l1_batch": lambda t: t.reduce_sum(
+        "l1_batch": lambda t: reduce_sum(t, 
             t.gather_l1(table, [[1, 3, 3], [0, 5, 2]], xm)
         ),
         "bce_batch": lambda t: t.bce_loss(
             t.sigmoid(xm), Tensor(np.array([[1.0, 0.0, 0.0, 1.0],
                                             [0.0, 1.0, 0.0, 0.0]]))
         ),
-        "stack_blocks": lambda t: t.reduce_sum(
+        "stack_blocks": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.stack_rows([x, ym, y]), t.gather(table, [0, 1, 2, 3]))
         ),
-        "gather_rows": lambda t: t.reduce_sum(
+        "gather_rows": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.gather(t.sigmoid(xm), [1, 0, 1]),
                               t.gather(table, [0, 1, 2]))
         ),
@@ -271,50 +295,59 @@ def test_bce_guard_no_nan():
 
 
 def test_node_protocol():
-    """On a recording tape every op appends one (output, backward) node per
-    tensor it returns; on a non-recording tape no op appends a node."""
+    """On a tape every op appends one (output, backward) node per tensor it
+    returns. ``Eager`` has the same ops but ``bce_loss``, and each gives the
+    tape's result bit for bit; ``param`` and ``const`` make leaf operands
+    and record nothing."""
     x, y = rng_tensor((4,), 1), rng_tensor((4,), 2)
     xm = rng_tensor((2, 4), 3)
     table, w = rng_tensor((6, 4), 4), rng_tensor((5, 3), 5)
     gate, stack = rng_tensor((3,), 6), rng_tensor((12,), 7)
     probs = Tensor(np.full(4, 0.25))
     cases = {
-        "gather": lambda t: t.gather(table, [0, 2]),
-        "gather_l1": lambda t: t.gather_l1(table, [[1, 3], [0, 5]], xm),
-        "add": lambda t: t.add(x, y),
-        "sub": lambda t: t.sub(x, y),
-        "elementwise_mul": lambda t: t.elementwise_mul(x, y),
-        "elementwise_max": lambda t: t.elementwise_max(x, y),
-        "scale_shift": lambda t: t.scale_shift(x, 2.0, 1.0),
-        "concat_last_dim": lambda t: t.concat_last_dim(xm, xm),
-        "split_halves": lambda t: t.split_halves(xm),
-        "stack_rows": lambda t: t.stack_rows([x, xm]),
-        "affine": lambda t: t.affine(w, xm),
-        "weighted_sum": lambda t: t.weighted_sum(gate, stack),
-        "relu": lambda t: t.relu(x),
-        "sigmoid": lambda t: t.sigmoid(x),
-        "softmax_last_dim": lambda t: t.softmax_last_dim(xm),
-        "bce_loss": lambda t: t.bce_loss(probs, Tensor(np.ones(4))),
-        "reduce_sum": lambda t: t.reduce_sum(xm),
-        "reduce_mean": lambda t: t.reduce_mean(xm),
+        "gather": lambda t, v: t.gather(v(table), [0, 2]),
+        "gather_l1": lambda t, v: t.gather_l1(v(table), [[1, 3], [0, 5]], v(xm)),
+        "add": lambda t, v: t.add(v(x), v(y)),
+        "sub": lambda t, v: t.sub(v(x), v(y)),
+        "elementwise_mul": lambda t, v: t.elementwise_mul(v(x), v(y)),
+        "elementwise_max": lambda t, v: t.elementwise_max(v(x), v(y)),
+        "scale_shift": lambda t, v: t.scale_shift(v(x), 2.0, 1.0),
+        "concat_last_dim": lambda t, v: t.concat_last_dim(v(xm), v(xm)),
+        "split_halves": lambda t, v: t.split_halves(v(xm)),
+        "stack_rows": lambda t, v: t.stack_rows([v(x), v(xm)]),
+        "affine": lambda t, v: t.affine(v(w), v(xm)),
+        "weighted_sum": lambda t, v: t.weighted_sum(v(gate), v(stack)),
+        "relu": lambda t, v: t.relu(v(x)),
+        "sigmoid": lambda t, v: t.sigmoid(v(x)),
+        "softmax_last_dim": lambda t, v: t.softmax_last_dim(v(xm)),
+        "bce_loss": lambda t, v: t.bce_loss(probs, t.const(np.ones(4))),
     }
+    leaves = {"param", "const"}
     public = {name for name in vars(Tape) if not name.startswith("_")}
-    assert public == set(cases)
+    assert public == set(cases) | leaves
+    assert {name for name in vars(Eager) if not name.startswith("_")} == (
+        public - {"bce_loss"})
     recorded = {}
     for name, op in cases.items():
         tape = Tape()
-        result = op(tape)
+        result = op(tape, tape.param)
         outputs = result if isinstance(result, tuple) else (result,)
         recorded[name] = (tape.nodes, outputs)
-        silent = Tape(record=False)
-        op(silent)
-        assert silent.nodes == [], name
+        if name != "bce_loss":
+            eager = op(EAGER, EAGER.param)
+            eager = eager if isinstance(eager, tuple) else (eager,)
+            assert [e.tobytes() for e in eager] == [
+                out.data.tobytes() for out in outputs], name
     miscounted = [n for n, (nodes, outs) in recorded.items() if len(nodes) != len(outs)]
     assert miscounted == []
     for name, (nodes, outputs) in recorded.items():
         assert [out for out, _ in nodes] == list(outputs), name
         assert all(callable(fn) for _, fn in nodes), name
     assert len(recorded["split_halves"][0]) == 2
+    tape = Tape()
+    assert tape.param(x) is x and isinstance(tape.const(x.data), Tensor)
+    assert EAGER.param(x) is x.data and EAGER.const(x.data) is x.data
+    assert tape.nodes == []
 
 
 def _reference_adam_step(params, m, v, t, lr):

@@ -11,7 +11,8 @@ import pytest
 
 from lqrec.cli import main
 from lqrec.kg import load_split
-from lqrec.query import And, Or, Project, QuerySyntaxError, parse_query
+from lqrec.query import (And, Or, Project, QuerySyntaxError, parse_query,
+                         serialize_query)
 from lqrec.synth import clustered_world, write_world_files
 
 
@@ -276,12 +277,28 @@ def bad_records(pipeline):
         record = json.loads(lines[0])
         return json.dumps({**record, "answers": {**record["answers"], "req": [[]]}})
 
+    def with_hard_joint(names):
+        def first(lines):
+            record = json.loads(lines[0])
+            hard = record.get("hard") or {"joint": [], "req": [], "pref": []}
+            return json.dumps({**record, "hard": {**hard, "joint": names(record)}})
+        return first
+
+    def user_as_answer(lines):
+        record = json.loads(lines[0])
+        return json.dumps({**record, "answers": {**record["answers"],
+                                                 "joint": [record["user"]]}})
+
     firsts = {
         "json_list": lambda lines: "[]",
         "no_user": no_user,
         "1p_labelled_3p": relabelled,
         "not_json": lambda lines: "{oops",
         "list_as_name": list_as_name,
+        "attribute_as_hard": with_hard_joint(lambda record: ["attr0_0"]),
+        "user_as_hard": with_hard_joint(lambda record: [record["user"]]),
+        "empty_hard_joint": with_hard_joint(lambda record: []),
+        "user_as_answer": user_as_answer,
     }
     dirs = {}
     for name, first in firsts.items():
@@ -361,7 +378,7 @@ def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
 
     import numpy as np
 
-    from lqrec.autodiff import Tape
+    from lqrec.autodiff import EAGER
     from lqrec.dataset import TASK_JOINT
     from lqrec.kg import load_split
     from lqrec.model import catalog_scores, embed_instance, load_checkpoint
@@ -375,8 +392,8 @@ def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
     for record in records:
         user = kg.entity_vocab.id_of(record["user"])
         q = parse_query(record["query"], kg)
-        q_star = embed_instance(Tape(record=False), params, [user], [q],
-                                kg.like_rel)[TASK_JOINT].data[0]
+        q_star = embed_instance(EAGER, params, [user], [q],
+                                kg.like_rel)[TASK_JOINT][0]
         ids = np.asarray(sorted(kg.items), dtype=np.int64)
         scores = catalog_scores(params, q_star, ids)
         expected.append("embedding top-10:\n")
@@ -389,6 +406,32 @@ def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
                "--checkpoint", str(pipeline["ckpt"]), "--mode", "embedding"])
     assert rc == 0
     assert capsys.readouterr().out == "".join(expected)
+
+
+def test_inference_constructs_no_tape(pipeline, monkeypatch, capsys):
+    # evaluation and answer lines embed and score on EAGER, never a Tape
+    from lqrec import autodiff
+    from lqrec.dataset import TASK_JOINT, load_instances
+    from lqrec.evaluation import evaluate
+    from lqrec.model import load_checkpoint
+
+    kg = load_split(str(pipeline["data"])).train
+    params = load_checkpoint(str(pipeline["ckpt"]))
+    test = load_instances(str(pipeline["data"] / "test.jsonl"), kg)
+
+    def no_tape(self):
+        raise AssertionError("inference constructed a Tape")
+
+    monkeypatch.setattr(autodiff.Tape, "__init__", no_tape)
+    for target in ("hard", "answers"):
+        records = test if target == "hard" else [i for i in test if i.answers[TASK_JOINT]]
+        assert evaluate(records, params, kg, target=target).counts
+    session = "".join(f"user {kg.entity_vocab.name_of(i.user)} | "
+                      f"{serialize_query(i.requirement, kg)}\n" for i in test[:3])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    assert main(["answer", "--kg", str(pipeline["data"]),
+                 "--checkpoint", str(pipeline["ckpt"]), "--mode", "both"]) == 0
+    assert capsys.readouterr().out.count("embedding top-10:") == 3
 
 
 def fuzz_queries(kg, queries, n, seed):

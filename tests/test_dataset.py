@@ -72,8 +72,8 @@ def test_config_file_requires_seed(tmp_path):
     ("nonsense=3", "unknown key 'nonsense'"),
     ("seed 3", "expected key=value"),
     ("seed=abc", "bad value for 'seed'"),
-    # Values only a cross-field check rejects; the other config does not
-    # know the key at all.
+    # Values only a range or cross-field check rejects; the other config
+    # does not know the key at all.
     *(pytest.param(f"{key}={value}",
                    {owner: f"bad value for {key!r}", other: f"unknown key {key!r}"},
                    id=f"{key}={value}")
@@ -81,6 +81,11 @@ def test_config_file_requires_seed(tmp_path):
           ("task_weights", "1,2", TrainConfig, DatasetConfig),
           ("train.1p", "-1", DatasetConfig, TrainConfig),
           ("train.2u", "3", DatasetConfig, TrainConfig),
+          *((key, value, TrainConfig, DatasetConfig) for key, value in [
+              ("d", "0"), ("d", "-3"), ("k", "0"), ("batch_size", "0"),
+              ("batch_size", "-5"), ("eval_every", "0"), ("eval_k", "0"),
+              ("n_neg", "-1"), ("epochs", "-1"), ("patience", "-1"),
+          ]),
       ]),
 ])
 def test_config_errors_name_location(tmp_path, from_file, line, message):

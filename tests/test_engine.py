@@ -3,7 +3,9 @@
 ``compute_loss`` averages over its batch, so the loss and every gradient of a
 mixed batch must equal the mean over single-instance batches; grouping by
 skeleton only reorders floating-point sums. Inference embeddings must match
-bit for bit, because row-wise products do not depend on the batch size.
+bit for bit, because row-wise products do not depend on the batch size, and
+the eager forward must match the taped one, because both run the same op
+functions.
 """
 
 import dataclasses
@@ -12,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from lqrec.autodiff import Tape, backward
+from lqrec.autodiff import EAGER, Tape, backward
 from lqrec.dataset import TASK_PREF, DatasetConfig, sample_instance
 from lqrec.model import VARIANTS, ModelParams, embed_instance
 from lqrec.query import ALL_SHAPES, And, Or, Project, QueryShape
@@ -90,16 +92,20 @@ def test_batch_matches_mean_of_single_instances(world_split, mixed_instances,
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_inference_embeddings_bitwise(world_split, mixed_instances,
                                               variant):
+    """Inference embeds on EAGER: every task embedding of the batch equals,
+    byte for byte, the taped forward of the same batch and each instance
+    embedded alone."""
     kg = world_split.train
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=5, variant=variant)
     users = [inst.user for inst in mixed_instances]
     reqs = [inst.requirement for inst in mixed_instances]
-    tape = Tape(record=False)
-    batched = embed_instance(tape, params, users, reqs, kg.like_rel)
-    assert not tape.nodes
+    batched = embed_instance(EAGER, params, users, reqs, kg.like_rel)
+    taped = embed_instance(Tape(), params, users, reqs, kg.like_rel)
+    assert set(taped) == set(batched)
+    for task, emb in taped.items():
+        assert emb.data.tobytes() == batched[task].tobytes(), task
     for row, (user, req) in enumerate(zip(users, reqs)):
-        alone = embed_instance(Tape(record=False), params, [user], [req],
-                               kg.like_rel)
+        alone = embed_instance(EAGER, params, [user], [req], kg.like_rel)
         assert set(alone) == set(batched)
         for task, emb in alone.items():
-            assert emb.data[0].tobytes() == batched[task].data[row].tobytes()
+            assert emb[0].tobytes() == batched[task][row].tobytes()

@@ -36,15 +36,19 @@ def bench(world_split):
 
 def test_metric_unit_cases():
     # rank 5 with K=20: a hit; ndcg at rank 2 is 1/log2(3); beyond K: zero
-    from lqrec.evaluation import _per_answer_metrics
+    from lqrec.evaluation import _record_metrics
 
-    m = _per_answer_metrics(5, (10, 20))
+    m = _record_metrics([5], (10, 20))
     assert m["hit@20"] == 1.0 and m["hit@10"] == 1.0
-    m2 = _per_answer_metrics(2, (2,))
+    m2 = _record_metrics([2], (2,))
     assert m2["ndcg@2"] == pytest.approx(1.0 / math.log2(3.0), abs=1e-12)
-    m3 = _per_answer_metrics(25, (10, 20))
+    m3 = _record_metrics([25], (10, 20))
     assert m3["hit@20"] == 0.0 and m3["ndcg@20"] == 0.0
-    assert _per_answer_metrics(1, (10,))["ndcg@10"] == pytest.approx(1.0, abs=1e-12)
+    assert _record_metrics([1], (10,))["ndcg@10"] == pytest.approx(1.0, abs=1e-12)
+    # a record averages over its targets
+    m4 = _record_metrics([1, 2, 30], (2,))
+    assert m4["hit@2"] == pytest.approx(2 / 3, abs=1e-15)
+    assert m4["ndcg@2"] == pytest.approx((1.0 + 1.0 / math.log2(3.0)) / 3, abs=1e-15)
 
 
 def test_filtered_rank_matches_brute_force():
@@ -57,9 +61,27 @@ def test_filtered_rank_matches_brute_force():
         others = [int(i) for i in item_ids if i != target]
         rng.shuffle(others)
         filter_out = frozenset(others[: int(rng.integers(0, len(others) + 1))])
-        got = filtered_rank(scores, item_ids, target, filter_out)
+        got = filtered_rank(scores, item_ids, np.array([target]),
+                            np.array(sorted(filter_out | {target})))
         want = brute_force_rank(scores, item_ids, target, filter_out)
-        assert got == want
+        assert got.tolist() == [want]
+
+
+def test_filtered_rank_one_pass_matches_per_target():
+    # every target of a record ranked in one call, each against the catalog
+    # minus the record's known answers, as the per-target reference does
+    rng = np.random.default_rng(12)
+    for trial in range(100):
+        n = int(rng.integers(2, 300))
+        item_ids = np.sort(rng.choice(np.arange(1000), size=n, replace=False))
+        scores = np.round(rng.random(n), int(rng.integers(1, 4)))  # ties
+        known = rng.choice(item_ids, size=int(rng.integers(1, n + 1)), replace=False)
+        targets = np.sort(rng.choice(known, size=int(rng.integers(1, len(known) + 1)),
+                                     replace=False))
+        got = filtered_rank(scores, item_ids, targets, known)
+        want = [brute_force_rank(scores, item_ids, int(t), frozenset(known.tolist()))
+                for t in targets]
+        assert got.tolist() == want
 
 
 def test_rank_items_ties_ascending_id(world):

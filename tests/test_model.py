@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lqrec.autodiff import Tape, Tensor, backward
+from lqrec.autodiff import EAGER, Tape, Tensor, backward
 from lqrec.dataset import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.kg import ArtifactMismatchError, graph_from_names
 from lqrec.model import (
@@ -13,7 +13,6 @@ from lqrec.model import (
     catalog_scores,
     embed_instance,
     embed_intersection,
-    embed_joint,
     embed_projection,
     embed_requirement,
     embed_union,
@@ -25,6 +24,7 @@ from lqrec.model import (
     score_items,
 )
 from lqrec.query import parse_query
+from test_autodiff import reduce_sum
 
 
 @pytest.fixture
@@ -139,14 +139,18 @@ def test_preferences_differ_across_users(world, params):
             assert not np.array_equal(embs[i], embs[j])
 
 
-def test_joint_uses_same_network(params):
-    rng = np.random.default_rng(3)
-    q_l = make_vec(rng.standard_normal(8))
-    q_u = make_vec(rng.standard_normal(8))
-    t1, t2 = Tape(), Tape()
-    joint = embed_joint(t1, params, q_l, q_u)
-    inter = embed_intersection(t2, params, q_l, q_u)
-    np.testing.assert_array_equal(joint.data, inter.data)
+def test_joint_uses_same_network(world):
+    # single-task scores the joint query itself: the requirement and
+    # preference embeddings mixed by the intersection network
+    p = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=3, variant="single-task")
+    q = parse_query("(p tags (e attr0_0))", world)
+    user = sorted(world.users)[0]
+    tape = Tape()
+    inter = embed_intersection(
+        tape, p, embed_requirement(tape, p, [q]),
+        embed_user_preference(tape, p, [user], world.like_rel))
+    joint = embed_instance(Tape(), p, [user], [q], world.like_rel)[TASK_JOINT]
+    assert joint.data.tobytes() == inter.data.tobytes()
 
 
 def test_mtl_single_expert_gates_trivial(world):
@@ -249,6 +253,15 @@ def test_scores_in_unit_interval(world, params):
     assert np.all(scores > 0) and np.all(scores < 1)
 
 
+def test_catalog_scores_equal_taped_score_items(world, params):
+    # inference scores the catalog on EAGER; training scores on a tape
+    ids = np.asarray(world.sorted_items())
+    q = np.random.default_rng(4).standard_normal(8)
+    taped = score_items(Tape(), params, Tensor(q), ids).data
+    assert catalog_scores(params, q, ids).tobytes() == taped.tobytes()
+    assert score_items(EAGER, params, q, ids).tobytes() == taped.tobytes()
+
+
 def test_margin_shift_preserves_ranking(world):
     ids = np.asarray(world.sorted_items())
     rng = np.random.default_rng(6)
@@ -273,7 +286,7 @@ def test_score_gradient_matches_fd(world):
         return float(score_items(tape, p, Tensor(q_data), [item]).data[0])
 
     tape = Tape()
-    out = tape.reduce_sum(score_items(tape, p, Tensor(q_data), [item]))
+    out = reduce_sum(tape, score_items(tape, p, Tensor(q_data), [item]))
     p.zero_grads()
     backward(tape, out)
     grad = p.entity_emb.grad[item]

@@ -10,7 +10,7 @@ from lqrec.autodiff import Tape
 from lqrec.dataset import TASKS, DatasetConfig, TASK_JOINT, build_dataset
 from lqrec.model import (
     ModelParams,
-    embed_joint,
+    embed_intersection,
     embed_requirement,
     embed_user_preference,
     score_items,
@@ -239,7 +239,7 @@ def test_loss_weight_vector_selects_tasks(toy):
         t = Tape()
         q_l = embed_requirement(t, params, [inst.requirement])
         q_u = embed_user_preference(t, params, [inst.user], kg.like_rel)
-        q = embed_joint(t, params, q_l, q_u)
+        q = embed_intersection(t, params, q_l, q_u)
         from lqrec.model import mtl_transform
 
         q_star = mtl_transform(t, params, q, q_l, q_u)[TASK_JOINT]
@@ -270,7 +270,7 @@ def test_single_task_variant_equals_plain_base_loss(toy):
         t = Tape()
         q_l = embed_requirement(t, params, [inst.requirement])
         q_u = embed_user_preference(t, params, [inst.user], kg.like_rel)
-        q = embed_joint(t, params, q_l, q_u)
+        q = embed_intersection(t, params, q_l, q_u)
         pos, negs = row_samples(samples, TASK_JOINT, row)
         probs = score_items(t, params, q, [[pos] + negs]).data[0]
         labels = np.array([1.0] + [0.0] * len(negs))
