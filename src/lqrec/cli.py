@@ -23,6 +23,7 @@ from .kg import (ArtifactMismatchError, GraphFormatError, SplitInfeasibleError,
                  UnknownNameError, load_graph)
 from .model import (
     VARIANTS,
+    Catalog,
     ModelParams,
     embed_instance,
     load_checkpoint,
@@ -88,7 +89,8 @@ def cmd_train(args) -> int:
     )
     valid_path = os.path.join(args.data, ds.DATASET_FILES["valid"])
     valid_instances = (
-        ds.load_instances(valid_path, kg) if os.path.exists(valid_path) else None
+        ds.load_instances(valid_path, kg, held_out=True)
+        if os.path.exists(valid_path) else None
     )
     params = ModelParams.init(kg, d=config.d, k=config.k, gamma=config.gamma,
                               seed=config.seed, variant=config.variant)
@@ -110,7 +112,7 @@ def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     params.validate_against(kg)
     instances = ds.load_instances(
-        os.path.join(args.data, ds.DATASET_FILES["test"]), kg
+        os.path.join(args.data, ds.DATASET_FILES["test"]), kg, held_out=True
     )
     ks = tuple(int(x) for x in args.k.split(","))
     report = evaluate(instances, params, kg, ks=ks, target="hard")
@@ -122,7 +124,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _answer_line(line: str, kg, params, mode: str, top_n: int = 10) -> None:
+def _answer_line(line: str, kg, params, catalog, mode: str, top_n: int = 10) -> None:
     if "|" not in line:
         raise QuerySyntaxError("expected 'user NAME | QUERY'", 0)
     user_part, query_part = (s.strip() for s in line.split("|", 1))
@@ -142,8 +144,7 @@ def _answer_line(line: str, kg, params, mode: str, top_n: int = 10) -> None:
         print(f"symbolic ({len(names)}): {' '.join(names) if names else '(none)'}")
     if mode in ("embedding", "both"):
         task_emb = embed_instance(EAGER, params, [user], [query], kg.like_rel)
-        ids, scores = rank_items(params, task_emb[TASK_JOINT][0],
-                                 kg.sorted_items(), top_n=top_n)
+        ids, scores = rank_items(catalog, task_emb[TASK_JOINT][0], top_n=top_n)
         print(f"embedding top-{top_n}:")
         for item, score in zip(ids.tolist(), scores.tolist()):
             print(f"  {kg.entity_vocab.name_of(item)}  {score:.4f}")
@@ -152,7 +153,7 @@ def _answer_line(line: str, kg, params, mode: str, top_n: int = 10) -> None:
 def cmd_answer(args) -> int:
     split = kgmod.load_split(args.kg)
     kg = split.train
-    params = None
+    params = catalog = None
     if args.mode in ("embedding", "both"):
         if not args.checkpoint:
             print("error: --checkpoint required for embedding mode",
@@ -160,6 +161,7 @@ def cmd_answer(args) -> int:
             return 2
         params = load_checkpoint(args.checkpoint)
         params.validate_against(kg)
+        catalog = Catalog(params, kg.sorted_items())  # one per session
     for raw in sys.stdin:
         line = raw.strip()
         if not line:
@@ -167,7 +169,7 @@ def cmd_answer(args) -> int:
         if line in ("quit", "exit"):
             break
         try:
-            _answer_line(line, kg, params, args.mode)
+            _answer_line(line, kg, params, catalog, args.mode)
         except (QuerySyntaxError, UnknownNameError, GraphFormatError) as exc:
             print(f"error: {exc}")
     return 0

@@ -495,14 +495,15 @@ def read_records(path: str) -> list[dict]:
     return records
 
 
-def load_instances(path: str, kg: KnowledgeGraph) -> list[RecInstance]:
+def load_instances(path: str, kg: KnowledgeGraph,
+                   held_out: bool = False) -> list[RecInstance]:
     """The records of a dataset JSON-lines file as instances of ``kg``.
 
     A line that is not JSON, not a record of the form ``instance_to_record``
     writes, names an unknown entity or relation, has an answer that is not
-    an item or hard answers without a joint one, or declares a shape its
-    query does not have raises ``ArtifactMismatchError`` naming
-    ``path:line``.
+    an item or hard answers without a joint one, lacks hard answers in a
+    ``held_out`` (valid or test) file, or declares a shape its query does
+    not have raises ``ArtifactMismatchError`` naming ``path:line``.
     """
     instances = []
     with open(path, "rb") as f:
@@ -515,6 +516,8 @@ def load_instances(path: str, kg: KnowledgeGraph) -> list[RecInstance]:
                 if shape != inst.shape:
                     raise ValueError(f"a {shape.value} query labelled "
                                      f"{inst.shape.value}")
+                if inst.hard is None and held_out:
+                    raise ValueError("a valid/test record without hard answers")
                 if inst.hard is not None and not inst.hard[TASK_JOINT]:
                     raise ValueError("hard answers with an empty joint set")
             except (ValueError, UnknownNameError) as exc:

@@ -1,7 +1,9 @@
 """Ranking evaluation: filtered ranks, hit@K / ndcg@K, per-shape report.
 
-Inference scores every catalog item against the joint-task embedding. Each
-target answer is ranked with all other known answers of its record removed
+Inference scores every catalog item against the joint-task embedding, from
+a ``model.Catalog`` (the item embeddings as a column table) built once per
+``evaluate`` call, so the table is never gathered per record. Each target
+answer is ranked with all other known answers of its record removed
 from the candidate list (the usual filtered protocol), ties broken by
 ascending item id. Per-answer ndcg uses binary relevance: 1/log2(rank + 1)
 inside the cutoff, else 0. Aggregation is mean over answers, then records,
@@ -18,7 +20,7 @@ import numpy as np
 from .autodiff import EAGER
 from .dataset import TASK_JOINT, RecInstance
 from .kg import KnowledgeGraph
-from .model import ModelParams, catalog_scores, embed_instance
+from .model import Catalog, ModelParams, catalog_scores, embed_instance
 from .query import ALL_SHAPES
 
 
@@ -74,9 +76,8 @@ def filtered_rank(scores: np.ndarray, item_ids: np.ndarray, targets: np.ndarray,
 
 
 def rank_items(
-    params: ModelParams,
+    catalog: Catalog,
     q_task: np.ndarray,
-    item_ids,
     exclude: frozenset[int] = frozenset(),
     top_n: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +87,8 @@ def rank_items(
     that order come back: ``argpartition`` picks the candidates, every item
     tied with the score at the cut stays in, and only those are sorted.
     """
-    ids = np.asarray(item_ids, dtype=np.int64)
-    scores = catalog_scores(params, q_task, ids)
+    ids = catalog.ids
+    scores = catalog_scores(catalog, q_task)
     if exclude:
         keep = ~np.isin(ids, np.fromiter(exclude, dtype=np.int64))
         ids, scores = ids[keep], scores[keep]
@@ -123,7 +124,9 @@ def evaluate(
     """Score the catalog per record and aggregate ranking metrics per shape.
 
     All records embed in one batch on ``EAGER`` (grouped by skeleton, no
-    tape); the catalog is then scored and ranked one record at a time.
+    tape). One ``Catalog`` of the current parameters is built per call (never
+    kept across calls: training changes the parameters between them), and
+    each record scores and ranks it in turn.
 
     ``target="hard"`` ranks the held-out-only answers (test protocol) and
     requires every record to carry them; ``target="answers"`` ranks the
@@ -131,7 +134,8 @@ def evaluate(
     """
     if target not in ("hard", "answers"):
         raise ValueError(f"unknown target {target!r}")
-    item_ids = np.asarray(kg.sorted_items(), dtype=np.int64)
+    catalog = Catalog(params, kg.sorted_items())
+    item_ids = catalog.ids
     if instances:
         joint = embed_instance(EAGER, params, [inst.user for inst in instances],
                                [inst.requirement for inst in instances],
@@ -153,7 +157,7 @@ def evaluate(
         known = inst.answers[TASK_JOINT]
         if inst.hard is not None:
             known = known | inst.hard[TASK_JOINT]
-        scores = catalog_scores(params, joint[row], item_ids)
+        scores = catalog_scores(catalog, joint[row])
         ranks = filtered_rank(scores, item_ids, np.array(sorted(targets)),
                               np.array(sorted(known))).tolist()
         by_shape.setdefault(inst.shape.value, []).append(_record_metrics(ranks, ks))

@@ -18,6 +18,10 @@ outputs return to batch order, and the preference, joint intersection,
 expert bank and gates then run once over the whole batch. Training,
 evaluation and ``answer`` all embed through this one path: training runs it
 on a ``Tape``, inference on ``autodiff.EAGER``, which records nothing.
+Training scores its sampled items by gathering their rows (``score_items``);
+inference ranks the whole catalog from a ``Catalog``, a column copy of the
+item table made once per ``evaluate`` call or ``answer`` session
+(``catalog_scores``).
 
 Variants:
   mtl            experts + per-task gates (the full model)
@@ -36,7 +40,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import EAGER, Eager, Tape, Tensor, Value
+from .autodiff import EAGER, Eager, OpShapeError, Tape, Tensor, Value
 from .dataset import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .kg import ArtifactMismatchError, KnowledgeGraph
 from .query import QueryNode, skeleton
@@ -320,6 +324,11 @@ def embed_instance(
 # --- scoring ---------------------------------------------------------------
 
 
+def _probability(ex: Tape | Eager, dist: Value, gamma: float) -> Value:
+    """sigmoid(gamma - dist): an item's probability from its L1 distance."""
+    return ex.sigmoid(ex.scale_shift(dist, -1.0, gamma))
+
+
 def score_items(ex: Tape | Eager, params: ModelParams, q_task: Value, ids) -> Value:
     """sigmoid(gamma - L1 distance to each item embedding), in (0, 1).
 
@@ -327,12 +336,40 @@ def score_items(ex: Tape | Eager, params: ModelParams, q_task: Value, ids) -> Va
     (B, m) scores row b's items against ``q_task[b]``, shape (B, m).
     """
     dist = ex.gather_l1(ex.param(params.entity_emb), ids, q_task)
-    return ex.sigmoid(ex.scale_shift(dist, -1.0, params.gamma))
+    return _probability(ex, dist, params.gamma)
 
 
-def catalog_scores(params: ModelParams, q_task: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
-    """Scores of one (d,) query over an item catalog, computed on ``EAGER``."""
-    return score_items(EAGER, params, q_task, item_ids)
+class Catalog:
+    """The item table of one parameter state, laid out for ranking.
+
+    ``ids`` holds the item ids (int64) in the order given, ``cols`` a
+    (d, n_items) copy of their embeddings, one column per item, and ``buf``
+    a scratch array of that shape which every ``catalog_scores`` call
+    overwrites. The copy does not follow later updates of ``params``:
+    inference builds one per ``evaluate`` call or ``answer`` session.
+    """
+
+    def __init__(self, params: ModelParams, item_ids):
+        self.ids = np.asarray(item_ids, dtype=np.int64)
+        self.cols = np.ascontiguousarray(params.entity_emb.data[self.ids].T)
+        self.buf = np.empty_like(self.cols)
+        self.gamma = params.gamma
+
+
+def catalog_scores(catalog: Catalog, q_task: np.ndarray) -> np.ndarray:
+    """``score_items`` of one (d,) query over the whole catalog, in catalog
+    order.
+
+    The L1 distance sums the d rows of ``|cols - q|`` one after another,
+    vectorised over items, instead of summing each item's row; the scores
+    can therefore differ from ``score_items`` in the last bits, while items
+    with equal embeddings still get equal scores.
+    """
+    if np.shape(q_task) != catalog.cols.shape[:1]:
+        raise OpShapeError("catalog_scores", catalog.cols.shape, np.shape(q_task))
+    buf = np.subtract(catalog.cols, q_task[:, None], out=catalog.buf)
+    np.abs(buf, out=buf)
+    return _probability(EAGER, buf.sum(axis=0), catalog.gamma)
 
 
 # --- checkpoint i/o ----------------------------------------------------------

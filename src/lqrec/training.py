@@ -68,6 +68,8 @@ class TrainConfig:
         _task_weights(self.task_weights)
         for key in _INT_FLOORS:
             _checked_int(key, getattr(self, key))
+        for key in _FLOAT_KEYS:
+            _checked_float(key, getattr(self, key))
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "TrainConfig":
@@ -82,9 +84,10 @@ def _task_weights(weights: Sequence[float]) -> tuple[float, ...]:
     return tuple(weights)
 
 
-# The least value of each integer setting (``patience`` may also be None).
+# The least value of each integer setting (``patience`` and ``seed`` may
+# also be None).
 _INT_FLOORS = {"d": 1, "k": 1, "batch_size": 1, "eval_every": 1, "eval_k": 1,
-               "n_neg": 0, "epochs": 0, "patience": 0}
+               "n_neg": 0, "epochs": 0, "patience": 0, "seed": 0}
 
 
 def _checked_int(key: str, value: int | None) -> int | None:
@@ -94,11 +97,28 @@ def _checked_int(key: str, value: int | None) -> int | None:
     return value
 
 
+# Real-valued settings must be finite, and these also positive.
+_POSITIVE_FLOATS = ("gamma", "lr")
+_FLOAT_KEYS = _POSITIVE_FLOATS + ("stop_threshold",)
+
+
+def _checked_float(key: str, value: float | None) -> float | None:
+    """``value`` unless it breaks ``key``'s rule above, else ``ValueError``;
+    ``stop_threshold`` may also be None."""
+    if value is None and key == "stop_threshold":
+        return value
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    if key in _POSITIVE_FLOATS and value <= 0:
+        raise ValueError(f"{key} must be positive, got {value}")
+    return value
+
+
 _TRAIN_KEYS: dict[str, Callable[[str], object]] = {
     **{key: lambda value, key=key: _checked_int(key, int(value))
        for key in _INT_FLOORS if key != "patience"},
-    "seed": int,
-    **dict.fromkeys(("gamma", "lr", "stop_threshold"), float),
+    **{key: lambda value, key=key: _checked_float(key, float(value))
+       for key in _FLOAT_KEYS},
     "patience": lambda value: _checked_int("patience", None if value == "none" else int(value)),
     "task_weights": lambda value: _task_weights([float(p) for p in value.split(",")]),
     "variant": model_variant,

@@ -1,5 +1,6 @@
 import pytest
 
+from lqrec import model
 from lqrec.kg import graph_from_names, split_edges
 from lqrec.synth import clustered_world
 
@@ -40,3 +41,17 @@ def world():
 @pytest.fixture(scope="session")
 def world_split(world):
     return split_edges(world, 0.05, seed=202)
+
+
+@pytest.fixture
+def catalogs_built(monkeypatch):
+    """Counts ``Catalog`` constructions while the test runs."""
+    built = []
+    init = model.Catalog.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.Catalog, "__init__", counting)
+    return built

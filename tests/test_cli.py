@@ -324,6 +324,48 @@ def test_malformed_record_exit_code(pipeline, bad_records, command, capsys):
         assert "artifact mismatch" in err and f"{fname}:1:" in err, (name, err)
 
 
+@pytest.mark.parametrize("command, fname", [("eval", "test.jsonl"),
+                                            ("train", "valid.jsonl")])
+def test_held_out_record_without_hard_exit_code(pipeline, command, fname, capsys):
+    # valid and test records must carry hard answers; train records never do
+    data = pipeline["root"] / f"no_hard_{command}"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / fname).read_text().splitlines()
+    first = {k: v for k, v in json.loads(lines[0]).items() if k != "hard"}
+    (data / fname).write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    argv = (["eval", "--data", str(data), "--checkpoint", str(pipeline["ckpt"])]
+            if command == "eval"
+            else ["train", "--data", str(data), "--seed", "5",
+                  "--config", str(pipeline["train_cfg"]),
+                  "--out", str(pipeline["root"] / "no_hard_run")])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"{data / fname}:1: a valid/test record without hard answers" in err, err
+
+
+@pytest.mark.parametrize("line", ["lr=-1", "stop_threshold=nan", "gamma=0",
+                                  "seed=-1"])
+def test_train_config_bad_value_exit_code(pipeline, line, capsys):
+    cfg = pipeline["root"] / f"bad_{line.split('=')[0]}.cfg"
+    cfg.write_text(pipeline["train_cfg"].read_text() + line + "\n")
+    lineno = len(cfg.read_text().splitlines())
+    rc = main(["train", "--data", str(pipeline["data"]), "--config", str(cfg),
+               "--out", str(pipeline["root"] / "bad_value_run")])
+    assert rc == 2
+    key = line.split("=")[0]
+    err = capsys.readouterr().err
+    assert f"{cfg}:{lineno}: bad value for {key!r}: " in err, err
+    assert not (pipeline["root"] / "bad_value_run").exists()
+
+
+def test_train_negative_seed_flag_exit_code(pipeline, capsys):
+    rc = main(["train", "--data", str(pipeline["data"]),
+               "--config", str(pipeline["train_cfg"]), "--seed", "-1",
+               "--out", str(pipeline["root"] / "negative_seed_run")])
+    assert rc == 2
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
+
+
 def test_answer_repl(pipeline):
     with open(pipeline["data"] / "test.jsonl") as f:
         record = json.loads(f.readline())
@@ -381,21 +423,22 @@ def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
     from lqrec.autodiff import EAGER
     from lqrec.dataset import TASK_JOINT
     from lqrec.kg import load_split
-    from lqrec.model import catalog_scores, embed_instance, load_checkpoint
+    from lqrec.model import Catalog, catalog_scores, embed_instance, load_checkpoint
     from lqrec.query import parse_query
 
     kg = load_split(str(pipeline["data"])).train
     params = load_checkpoint(str(pipeline["ckpt"]))
     with open(pipeline["data"] / "test.jsonl") as f:
         records = [json.loads(line) for line in f]
+    catalog = Catalog(params, sorted(kg.items))
+    ids = catalog.ids
     expected = []
     for record in records:
         user = kg.entity_vocab.id_of(record["user"])
         q = parse_query(record["query"], kg)
         q_star = embed_instance(EAGER, params, [user], [q],
                                 kg.like_rel)[TASK_JOINT][0]
-        ids = np.asarray(sorted(kg.items), dtype=np.int64)
-        scores = catalog_scores(params, q_star, ids)
+        scores = catalog_scores(catalog, q_star)
         expected.append("embedding top-10:\n")
         for j in np.lexsort((ids, -scores))[:10]:
             expected.append(f"  {kg.entity_vocab.name_of(int(ids[j]))}  "
@@ -432,6 +475,25 @@ def test_inference_constructs_no_tape(pipeline, monkeypatch, capsys):
     assert main(["answer", "--kg", str(pipeline["data"]),
                  "--checkpoint", str(pipeline["ckpt"]), "--mode", "both"]) == 0
     assert capsys.readouterr().out.count("embedding top-10:") == 3
+
+
+def test_one_catalog_per_answer_session(pipeline, catalogs_built, monkeypatch,
+                                        capsys):
+    # the REPL builds the catalog table once, before its first line
+    from lqrec.dataset import load_instances
+
+    kg = load_split(str(pipeline["data"])).train
+    test = load_instances(str(pipeline["data"] / "test.jsonl"), kg)
+    lines = [f"user {kg.entity_vocab.name_of(i.user)} | "
+             f"{serialize_query(i.requirement, kg)}" for i in test] * 3
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["answer", "--kg", str(pipeline["data"]),
+                 "--checkpoint", str(pipeline["ckpt"]), "--mode", "both"]) == 0
+    assert capsys.readouterr().out.count("embedding top-10:") == len(lines) > 40
+    assert len(catalogs_built) == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["answer", "--kg", str(pipeline["data"]), "--mode", "symbolic"]) == 0
+    assert len(catalogs_built) == 1  # symbolic mode scores nothing
 
 
 def fuzz_queries(kg, queries, n, seed):

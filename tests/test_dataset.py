@@ -263,5 +263,6 @@ def test_load_instances(world_split, tmp_path):
     cfg = DatasetConfig(counts=small_counts(), seed=14)
     datasets, report = build_dataset(world_split, cfg)
     write_dataset(datasets, report, world_split.full, str(tmp_path))
-    loaded = load_instances(str(tmp_path / "test.jsonl"), world_split.full)
+    loaded = load_instances(str(tmp_path / "test.jsonl"), world_split.full,
+                            held_out=True)
     assert loaded == datasets["test"]

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lqrec.dataset import BASIC_SHAPES, DatasetConfig, build_dataset
+from lqrec import evaluation
+from lqrec.autodiff import EAGER
+from lqrec.dataset import BASIC_SHAPES, TASK_JOINT, DatasetConfig, build_dataset
 from lqrec.evaluation import evaluate, filtered_rank, rank_items
-from lqrec.model import ModelParams
+from lqrec.model import Catalog, ModelParams, catalog_scores, embed_instance, score_items
 from lqrec.query import ALL_SHAPES
+from lqrec.training import TrainConfig, train
 
 
 def brute_force_rank(scores, item_ids, target, filter_out):
@@ -91,7 +94,7 @@ def test_rank_items_ties_ascending_id(world):
     params.entity_emb.data[items[1]] = params.entity_emb.data[items[0]]
     params.entity_emb.data[items[2]] = params.entity_emb.data[items[0]]
     q = params.entity_emb.data[items[0]].copy()
-    ranked, _ = rank_items(params, q, items)
+    ranked, _ = rank_items(Catalog(params, items), q)
     assert ranked[:3].tolist() == sorted(items[:3])
 
 
@@ -99,7 +102,7 @@ def test_rank_items_excludes(world):
     params = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=1)
     items = world.sorted_items()
     q = params.entity_emb.data[items[5]].copy()
-    ranked, _ = rank_items(params, q, items, exclude=frozenset({items[5]}))
+    ranked, _ = rank_items(Catalog(params, items), q, exclude=frozenset({items[5]}))
     assert items[5] not in ranked
     assert len(ranked) == len(items) - 1
 
@@ -108,9 +111,10 @@ def test_top_item_is_l1_argmin(world):
     params = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=2)
     rng = np.random.default_rng(4)
     ids = np.asarray(world.sorted_items())
+    catalog = Catalog(params, ids)
     for _ in range(5):
         q = rng.standard_normal(8)
-        top = rank_items(params, q, ids)[0][0]
+        top = rank_items(catalog, q)[0][0]
         dists = np.abs(params.entity_emb.data[ids] - q).sum(axis=1)
         best = ids[np.lexsort((ids, dists))[0]]
         assert top == best
@@ -185,9 +189,7 @@ def test_report_json_roundtrip(bench):
 
 def _lexsort_reference(params, q, ids, exclude=frozenset()):
     ids = np.asarray([i for i in sorted(ids) if i not in exclude])
-    from lqrec.model import catalog_scores
-
-    scores = catalog_scores(params, q, ids)
+    scores = catalog_scores(Catalog(params, ids), q)
     order = np.lexsort((ids, -scores))
     return ids[order], scores[order]
 
@@ -196,12 +198,13 @@ def test_rank_items_top_n_matches_full_order(world):
     params = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=3)
     items = world.sorted_items()
     rng = np.random.default_rng(11)
+    catalog = Catalog(params, items)
     for trial in range(20):
         q = rng.standard_normal(8)
         exclude = frozenset(int(i) for i in rng.choice(items, size=trial % 4))
         ref_ids, ref_scores = _lexsort_reference(params, q, items, exclude)
         for top_n in (1, 5, 10, len(ref_ids) - 1, len(ref_ids), len(ref_ids) + 3):
-            ids, scores = rank_items(params, q, items, exclude, top_n=top_n)
+            ids, scores = rank_items(catalog, q, exclude, top_n=top_n)
             np.testing.assert_array_equal(ids, ref_ids[:top_n])
             np.testing.assert_array_equal(scores, ref_scores[:top_n])
 
@@ -221,8 +224,51 @@ def test_rank_items_top_n_tie_across_cut(world):
     for item in items:
         if item not in tied and item not in items[:2]:
             params.entity_emb.data[item] = q + 5.0
-    ids, scores = rank_items(params, q, items, top_n=5)
+    ids, scores = rank_items(Catalog(params, items), q, top_n=5)
     assert ids.tolist() == items[:2] + sorted(tied)[:3]
     assert scores[2] == scores[3] == scores[4]
     ref_ids, _ = _lexsort_reference(params, q, items)
     assert ids.tolist() == ref_ids[:5].tolist()
+
+
+def test_one_catalog_per_evaluate_call(bench, catalogs_built):
+    # built once per call, including each validation pass of train
+    split, datasets = bench
+    params = ModelParams.init(split.train, d=8, k=2, gamma=2.0, seed=10)
+    for calls in (1, 2):
+        evaluate(datasets["test"], params, split.train, ks=(10,))
+        assert len(catalogs_built) == calls
+    catalogs_built.clear()
+    config = TrainConfig(d=8, k=2, gamma=2.0, lr=0.01, epochs=3, batch_size=16,
+                         n_neg=4, patience=None, seed=3)
+    result = train(datasets["train"], params, split.train, config,
+                   valid_instances=datasets["valid"])
+    assert len(catalogs_built) == len(result.history) == 3
+
+
+def test_evaluate_scores_updated_params(bench, monkeypatch):
+    # nothing is cached across calls: after an in-place Adam update the next
+    # evaluate scores every record with the new embeddings
+    split, datasets = bench
+    kg, test = split.train, datasets["test"]
+    params = ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=11)
+    seen = []
+
+    def recording(catalog, q_task):
+        seen.append(catalog_scores(catalog, q_task))
+        return seen[-1]
+
+    monkeypatch.setattr(evaluation, "catalog_scores", recording)
+    evaluate(test, params, kg)
+    before, seen[:] = list(seen), []
+    config = TrainConfig(d=8, k=2, gamma=2.0, lr=0.05, epochs=1, batch_size=16,
+                         n_neg=4, patience=None, seed=4)
+    train(datasets["train"], params, kg, config)
+    evaluate(test, params, kg)
+    ids = np.asarray(kg.sorted_items())
+    joint = embed_instance(EAGER, params, [i.user for i in test],
+                           [i.requirement for i in test], kg.like_rel)[TASK_JOINT]
+    for row, (old, new) in enumerate(zip(before, seen, strict=True)):
+        fresh = score_items(EAGER, params, joint[row], ids)
+        assert np.max(np.abs(new - fresh)) <= 1e-12
+        assert np.max(np.abs(new - old)) > 1e-6

@@ -7,8 +7,10 @@ import pytest
 
 from lqrec.autodiff import EAGER, Tape, Tensor, backward
 from lqrec.dataset import TASK_JOINT, TASK_PREF, TASK_REQ
+from lqrec.evaluation import rank_items
 from lqrec.kg import ArtifactMismatchError, graph_from_names
 from lqrec.model import (
+    Catalog,
     ModelParams,
     catalog_scores,
     embed_instance,
@@ -20,6 +22,7 @@ from lqrec.model import (
     load_checkpoint,
     model_variant,
     mtl_transform,
+    param_shapes,
     save_checkpoint,
     score_items,
 )
@@ -249,7 +252,7 @@ def test_score_monotone_in_distance(world):
 def test_scores_in_unit_interval(world, params):
     rng = np.random.default_rng(5)
     ids = world.sorted_items()
-    scores = catalog_scores(params, rng.standard_normal(8), np.asarray(ids))
+    scores = catalog_scores(Catalog(params, ids), rng.standard_normal(8))
     assert np.all(scores > 0) and np.all(scores < 1)
 
 
@@ -258,8 +261,41 @@ def test_catalog_scores_equal_taped_score_items(world, params):
     ids = np.asarray(world.sorted_items())
     q = np.random.default_rng(4).standard_normal(8)
     taped = score_items(Tape(), params, Tensor(q), ids).data
-    assert catalog_scores(params, q, ids).tobytes() == taped.tobytes()
     assert score_items(EAGER, params, q, ids).tobytes() == taped.tobytes()
+    # the column-table kernel sums in another order: equal to rounding
+    assert np.max(np.abs(catalog_scores(Catalog(params, ids), q) - taped)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_items", [1, 250, 10_000])
+@pytest.mark.parametrize("d", [3, 8, 32, 64])
+def test_catalog_scores_match_score_items(d, n_items):
+    # differential check of the column-table kernel against the row gather
+    # of score_items on random tables, including after a reused scratch
+    rng = np.random.default_rng(1_000 * d + n_items)
+    shapes = param_shapes(d, 1, n_items + 7, 2)
+    params = ModelParams({name: rng.uniform(-0.5, 0.5, size=shape) / math.sqrt(d)
+                          for name, shape in shapes.items()},
+                         k=1, gamma=2.0, variant="mtl", seed=0)
+    ids = np.sort(rng.choice(n_items + 7, size=n_items, replace=False))
+    catalog = Catalog(params, ids)
+    for _ in range(3):
+        q = params.entity_emb.data[rng.choice(ids)] + rng.normal(0, 0.3, d) / math.sqrt(d)
+        want = score_items(EAGER, params, q, ids)
+        got = catalog_scores(catalog, q)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert len(np.unique(want)) == n_items  # tie-free input
+        np.testing.assert_array_equal(np.lexsort((ids, -got)), np.lexsort((ids, -want)))
+    if n_items == 1:
+        return
+    # duplicated embedding rows tie exactly and rank by ascending id
+    twins = rng.choice(ids, size=5, replace=False)
+    params.entity_emb.data[twins] = params.entity_emb.data[twins[0]]
+    q = params.entity_emb.data[twins[0]] + rng.normal(0, 0.3, d) / math.sqrt(d)
+    ranked, scores = rank_items(Catalog(params, ids), q)
+    at = np.flatnonzero(np.isin(ranked, twins))
+    assert at.tolist() == list(range(at[0], at[0] + 5))
+    assert ranked[at].tolist() == sorted(twins.tolist())
+    assert len(set(scores[at].tolist())) == 1
 
 
 def test_margin_shift_preserves_ranking(world):
@@ -268,8 +304,8 @@ def test_margin_shift_preserves_ranking(world):
     q = rng.standard_normal(8)
     p1 = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=4)
     p2 = ModelParams.init(world, d=8, k=2, gamma=9.5, seed=4)
-    s1 = catalog_scores(p1, q, ids)
-    s2 = catalog_scores(p2, q, ids)
+    s1 = catalog_scores(Catalog(p1, ids), q)
+    s2 = catalog_scores(Catalog(p2, ids), q)
     assert np.all(s2 >= s1)  # larger margin shifts scores up
     np.testing.assert_array_equal(np.argsort(-s1, kind="stable"),
                                   np.argsort(-s2, kind="stable"))
