@@ -84,14 +84,11 @@ def cmd_train(args) -> int:
         return 2
     split = kgmod.load_split(args.data)
     kg = split.train
-    train_instances = ds.load_instances(
-        os.path.join(args.data, ds.DATASET_FILES["train"]), kg
-    )
-    valid_path = os.path.join(args.data, ds.DATASET_FILES["valid"])
-    valid_instances = (
-        ds.load_instances(valid_path, kg, held_out=True)
-        if os.path.exists(valid_path) else None
-    )
+    train_instances = ds.load_instances(args.data, "train", kg)
+    try:
+        valid_instances = ds.load_instances(args.data, "valid", kg)
+    except FileNotFoundError:  # validation is optional
+        valid_instances = None
     params = ModelParams.init(kg, d=config.d, k=config.k, gamma=config.gamma,
                               seed=config.seed, variant=config.variant)
     result = train(train_instances, params, kg, config,
@@ -111,9 +108,7 @@ def cmd_eval(args) -> int:
     kg = split.train
     params = load_checkpoint(args.checkpoint)
     params.validate_against(kg)
-    instances = ds.load_instances(
-        os.path.join(args.data, ds.DATASET_FILES["test"]), kg, held_out=True
-    )
+    instances = ds.load_instances(args.data, "test", kg)
     ks = tuple(int(x) for x in args.k.split(","))
     report = evaluate(instances, params, kg, ks=ks, target="hard")
     print(report.to_text(), end="")
@@ -124,7 +119,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _answer_line(line: str, kg, params, catalog, mode: str, top_n: int = 10) -> None:
+def _answer_line(line: str, kg, params, catalog, mode: str) -> None:
     if "|" not in line:
         raise QuerySyntaxError("expected 'user NAME | QUERY'", 0)
     user_part, query_part = (s.strip() for s in line.split("|", 1))
@@ -144,8 +139,8 @@ def _answer_line(line: str, kg, params, catalog, mode: str, top_n: int = 10) -> 
         print(f"symbolic ({len(names)}): {' '.join(names) if names else '(none)'}")
     if mode in ("embedding", "both"):
         task_emb = embed_instance(EAGER, params, [user], [query], kg.like_rel)
-        ids, scores = rank_items(catalog, task_emb[TASK_JOINT][0], top_n=top_n)
-        print(f"embedding top-{top_n}:")
+        ids, scores = rank_items(catalog, task_emb[TASK_JOINT][0], top_n=10)
+        print("embedding top-10:")
         for item, score in zip(ids.tolist(), scores.tolist()):
             print(f"  {kg.entity_vocab.name_of(item)}  {score:.4f}")
 

@@ -60,8 +60,8 @@ def read_key_values(path: str, parsers: Mapping[str, Callable[[str], object]]) -
 
     ``#`` starts a comment and blank lines are skipped. Each value goes
     through its key's entry in ``parsers``; a line without ``=``, an unknown
-    key or a value its parser rejects raises ``ConfigError`` naming
-    ``path:line`` and the key.
+    key, a value its parser rejects or a key given twice raises
+    ``ConfigError`` naming ``path:line`` and the key.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -75,9 +75,12 @@ def read_key_values(path: str, parsers: Mapping[str, Callable[[str], object]]) -
             if key not in parsers:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = parsers[key](value)
+                value = parsers[key](value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = value
     return values
 
 
@@ -94,10 +97,20 @@ def _checked_count(split_name: str, shape: QueryShape, count: int) -> int:
     return count
 
 
+# Sampling knobs that must be at least 1: a smaller value emits no record.
+_KNOBS = ("max_retries", "answer_cap")
+
+
+def _checked_knob(key: str, value: int) -> int:
+    """``value`` if it is at least 1, else ``ConfigError``."""
+    if value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value}")
+    return value
+
+
 _DATASET_KEYS: dict[str, Callable[[str], object]] = {
     "seed": int,
-    "max_retries": int,
-    "answer_cap": int,
+    **{key: lambda value, key=key: _checked_knob(key, int(value)) for key in _KNOBS},
     **{f"{split_name}.{shape.value}":
        lambda value, split_name=split_name, shape=shape:
            _checked_count(split_name, shape, int(value))
@@ -119,6 +132,8 @@ class DatasetConfig:
     answer_cap: int = 100
 
     def __post_init__(self):
+        for key in _KNOBS:
+            _checked_knob(key, getattr(self, key))
         for split_name, by_shape in self.counts.items():
             if split_name not in SPLIT_NAMES:
                 raise ConfigError(f"unknown split {split_name!r}")
@@ -436,75 +451,50 @@ def write_dataset(
 def verify_dataset(split: KgSplit, out_dir: str) -> list[str]:
     """Re-derive every emitted record with the oracle and report violations.
 
-    Checks, per record: the stored answer sets equal a fresh traversal on the
-    record's defining graph, the joint set is the requirement/preference
-    intersection, hard answers are exactly the full-minus-train difference
-    (and nonempty for valid/test), the declared shape matches the query, and
-    no zero-shot shape appears in the train file.
+    Each file is read by :func:`load_instances`, so a record it rejects
+    raises ``ArtifactMismatchError`` naming ``path:line``. Per loaded record
+    the checks are: no zero-shot shape in the train file, and answer sets
+    equal to a fresh traversal. A train record holds its train-graph sets
+    and no hard answers; a valid/test record holds its train-reachable sets,
+    and its hard answers are exactly the full-minus-train difference.
     """
+    def answer_sets(kg: KnowledgeGraph, inst: RecInstance) -> dict[str, frozenset[int]]:
+        req = oracle.answer_requirement(kg, inst.requirement)
+        pref = oracle.answer_preference(kg, inst.user)
+        return {TASK_JOINT: req & pref, TASK_REQ: req, TASK_PREF: pref}
+
     violations = []
     for split_name in SPLIT_NAMES:
-        path = os.path.join(out_dir, DATASET_FILES[split_name])
-        if not os.path.exists(path):
+        if not os.path.exists(os.path.join(out_dir, DATASET_FILES[split_name])):
             continue
         kg = split.train if split_name == "train" else split.full
-        for lineno, record in enumerate(read_records(path), start=1):
+        for lineno, inst in enumerate(load_instances(out_dir, split_name, kg), start=1):
             where = f"{split_name}:{lineno}"
-            inst = record_to_instance(record, kg)
-            if classify_shape(inst.requirement) != inst.shape:
-                violations.append(f"{where}: shape mismatch")
             if split_name == "train" and inst.shape not in BASIC_SHAPES:
                 violations.append(f"{where}: zero-shot shape in train file")
-            a_req = oracle.answer_requirement(kg, inst.requirement)
-            a_pref = oracle.answer_preference(kg, inst.user)
-            a_joint = a_req & a_pref
-            if split_name == "train":
-                expect = {TASK_JOINT: a_joint, TASK_REQ: a_req, TASK_PREF: a_pref}
-                if inst.answers != expect:
-                    violations.append(f"{where}: answer sets disagree with oracle")
-                if inst.hard is not None:
-                    violations.append(f"{where}: train record carries hard answers")
-                continue
-            req_easy = oracle.answer_requirement(split.train, inst.requirement)
-            pref_easy = oracle.answer_preference(split.train, inst.user)
-            joint_easy = req_easy & pref_easy
-            expect_easy = {
-                TASK_JOINT: joint_easy, TASK_REQ: req_easy, TASK_PREF: pref_easy
-            }
-            expect_hard = {
-                TASK_JOINT: a_joint - joint_easy,
-                TASK_REQ: a_req - req_easy,
-                TASK_PREF: a_pref - pref_easy,
-            }
-            if inst.answers != expect_easy:
-                violations.append(f"{where}: easy answer sets disagree with oracle")
-            if inst.hard != expect_hard:
+            answers, hard = answer_sets(kg, inst), None
+            if split_name != "train":
+                full, answers = answers, answer_sets(split.train, inst)
+                hard = {task: full[task] - answers[task] for task in TASKS}
+            if inst.answers != answers:
+                violations.append(f"{where}: answer sets disagree with oracle")
+            if inst.hard != hard:
                 violations.append(f"{where}: hard answer sets disagree with oracle")
-            if not inst.hard or not inst.hard[TASK_JOINT]:
-                violations.append(f"{where}: no hard joint answer")
     return violations
 
 
-def read_records(path: str) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def load_instances(path: str, kg: KnowledgeGraph,
-                   held_out: bool = False) -> list[RecInstance]:
-    """The records of a dataset JSON-lines file as instances of ``kg``.
+def load_instances(data_dir: str, split_name: str,
+                   kg: KnowledgeGraph) -> list[RecInstance]:
+    """The records of ``split_name``'s JSON-lines file in ``data_dir`` as
+    instances of ``kg``.
 
     A line that is not JSON, not a record of the form ``instance_to_record``
     writes, names an unknown entity or relation, has an answer that is not
-    an item or hard answers without a joint one, lacks hard answers in a
-    ``held_out`` (valid or test) file, or declares a shape its query does
-    not have raises ``ArtifactMismatchError`` naming ``path:line``.
+    an item or hard answers without a joint one, declares a shape its query
+    does not have, or lacks hard answers outside the train file raises
+    ``ArtifactMismatchError`` naming ``path:line``.
     """
+    path = os.path.join(data_dir, DATASET_FILES[split_name])
     instances = []
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
@@ -516,7 +506,7 @@ def load_instances(path: str, kg: KnowledgeGraph,
                 if shape != inst.shape:
                     raise ValueError(f"a {shape.value} query labelled "
                                      f"{inst.shape.value}")
-                if inst.hard is None and held_out:
+                if inst.hard is None and split_name != "train":
                     raise ValueError("a valid/test record without hard answers")
                 if inst.hard is not None and not inst.hard[TASK_JOINT]:
                     raise ValueError("hard answers with an empty joint set")

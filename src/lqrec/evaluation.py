@@ -78,7 +78,6 @@ def filtered_rank(scores: np.ndarray, item_ids: np.ndarray, targets: np.ndarray,
 def rank_items(
     catalog: Catalog,
     q_task: np.ndarray,
-    exclude: frozenset[int] = frozenset(),
     top_n: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(item ids, scores) by descending score, ties broken by ascending id.
@@ -89,9 +88,6 @@ def rank_items(
     """
     ids = catalog.ids
     scores = catalog_scores(catalog, q_task)
-    if exclude:
-        keep = ~np.isin(ids, np.fromiter(exclude, dtype=np.int64))
-        ids, scores = ids[keep], scores[keep]
     if top_n is not None and top_n < len(ids):
         cut = scores[np.argpartition(-scores, top_n - 1)[top_n - 1]]
         candidates = np.flatnonzero(scores >= cut)

@@ -336,15 +336,19 @@ USERS_FILE = "users.txt"
 MANIFEST_FILE = "manifest.json"
 
 
-def _triple_names(kg: KnowledgeGraph, t: Triple) -> tuple[str, str, str]:
+def write_triples(path: str, kg: KnowledgeGraph, triples: Iterable[Triple]) -> None:
+    """One ``head<TAB>rel<TAB>tail`` line of names per triple, in order."""
     ev, rv = kg.entity_vocab, kg.relation_vocab
-    return ev.name_of(t.head), rv.name_of(t.rel), ev.name_of(t.tail)
-
-
-def _write_triples(path: str, kg: KnowledgeGraph, triples: Iterable[Triple]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for t in triples:
-            f.write("\t".join(_triple_names(kg, t)) + "\n")
+            f.write(f"{ev.name_of(t.head)}\t{rv.name_of(t.rel)}\t{ev.name_of(t.tail)}\n")
+
+
+def write_names(path: str, kg: KnowledgeGraph, ids: Iterable[int]) -> None:
+    """One entity name per line, by ascending id."""
+    with open(path, "w", encoding="utf-8") as f:
+        for e in sorted(ids):
+            f.write(kg.entity_vocab.name_of(e) + "\n")
 
 
 def file_sha256(path: str) -> str:
@@ -359,12 +363,10 @@ def save_split(split: KgSplit, out_dir: str) -> dict:
     """Write a split directory; returns the manifest dict."""
     os.makedirs(out_dir, exist_ok=True)
     kg = split.full
-    _write_triples(os.path.join(out_dir, TRAIN_FILE), kg, split.train.triples)
-    _write_triples(os.path.join(out_dir, HELDOUT_FILE), kg, split.held_out)
-    for fname, ids in ((ITEMS_FILE, kg.items), (USERS_FILE, kg.users)):
-        with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as f:
-            for e in sorted(ids):
-                f.write(kg.entity_vocab.name_of(e) + "\n")
+    write_triples(os.path.join(out_dir, TRAIN_FILE), kg, split.train.triples)
+    write_triples(os.path.join(out_dir, HELDOUT_FILE), kg, split.held_out)
+    write_names(os.path.join(out_dir, ITEMS_FILE), kg, kg.items)
+    write_names(os.path.join(out_dir, USERS_FILE), kg, kg.users)
     manifest = {
         "like_rel": kg.relation_vocab.name_of(kg.like_rel),
         "fraction": split.fraction,

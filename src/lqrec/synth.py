@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import random
 
-from .kg import KnowledgeGraph, graph_from_names
+from .kg import KnowledgeGraph, graph_from_names, write_names, write_triples
 
 LIKE_REL = "likes"
 
@@ -33,15 +33,9 @@ def write_world_files(kg: KnowledgeGraph, out_dir: str) -> dict[str, str]:
         "items": os.path.join(out_dir, "items.txt"),
         "users": os.path.join(out_dir, "users.txt"),
     }
-    ev, rv = kg.entity_vocab, kg.relation_vocab
-    with open(paths["triples"], "w", encoding="utf-8") as f:
-        for t in kg.triples:
-            f.write(f"{ev.name_of(t.head)}\t{rv.name_of(t.rel)}\t"
-                    f"{ev.name_of(t.tail)}\n")
-    for key, ids in (("items", kg.items), ("users", kg.users)):
-        with open(paths[key], "w", encoding="utf-8") as f:
-            for e in sorted(ids):
-                f.write(ev.name_of(e) + "\n")
+    write_triples(paths["triples"], kg, kg.triples)
+    write_names(paths["items"], kg, kg.items)
+    write_names(paths["users"], kg, kg.users)
     return paths
 
 

@@ -343,7 +343,6 @@ def train(
     history: list[dict] = []
     best_metric: float | None = None
     best_epoch = 0
-    best_snap = _snapshot(params)
     streak = 0
     epochs_run = 0
     try:

@@ -113,6 +113,37 @@ def test_build_dataset_missing_config(pipeline):
     assert rc == 2
 
 
+@pytest.mark.parametrize("line", ["max_retries=0", "answer_cap=0", "seed=12"])
+def test_build_dataset_config_error_exit_code(pipeline, line, capsys):
+    cfg = pipeline["root"] / "bad_dataset.cfg"
+    cfg.write_text(pipeline["ds_cfg"].read_text() + line + "\n")
+    lineno = len(cfg.read_text().splitlines())
+    rc = main(["build-dataset", "--split-dir", str(pipeline["split"]),
+               "--config", str(cfg), "--out-dir", str(pipeline["root"] / "x")])
+    assert rc == 2
+    assert f"{cfg}:{lineno}: " in capsys.readouterr().err
+
+
+def test_build_dataset_rejected_record_exit_code(pipeline, monkeypatch, capsys):
+    # verify reads what was written through the loader, so a record the
+    # loader rejects stops the build with the loader's exit code
+    from lqrec import dataset
+
+    def empty_hard_joint(inst, kg, write=dataset.instance_to_record):
+        record = write(inst, kg)
+        if "hard" in record:
+            record["hard"]["joint"] = []
+        return record
+
+    monkeypatch.setattr(dataset, "instance_to_record", empty_hard_joint)
+    out = pipeline["root"] / "rejected"
+    rc = main(["build-dataset", "--split-dir", str(pipeline["split"]),
+               "--config", str(pipeline["ds_cfg"]), "--out-dir", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"{out / 'valid.jsonl'}:1: hard answers with an empty joint set" in err, err
+
+
 def test_train_zero_shot_absent_from_train_file(pipeline):
     with open(pipeline["data"] / "train.jsonl") as f:
         shapes = {json.loads(line)["shape"] for line in f if line.strip()}
@@ -460,7 +491,7 @@ def test_inference_constructs_no_tape(pipeline, monkeypatch, capsys):
 
     kg = load_split(str(pipeline["data"])).train
     params = load_checkpoint(str(pipeline["ckpt"]))
-    test = load_instances(str(pipeline["data"] / "test.jsonl"), kg)
+    test = load_instances(str(pipeline["data"]), "test", kg)
 
     def no_tape(self):
         raise AssertionError("inference constructed a Tape")
@@ -483,7 +514,7 @@ def test_one_catalog_per_answer_session(pipeline, catalogs_built, monkeypatch,
     from lqrec.dataset import load_instances
 
     kg = load_split(str(pipeline["data"])).train
-    test = load_instances(str(pipeline["data"] / "test.jsonl"), kg)
+    test = load_instances(str(pipeline["data"]), "test", kg)
     lines = [f"user {kg.entity_vocab.name_of(i.user)} | "
              f"{serialize_query(i.requirement, kg)}" for i in test] * 3
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))

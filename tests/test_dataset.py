@@ -19,14 +19,13 @@ from lqrec.dataset import (
     build_dataset,
     instance_to_record,
     load_instances,
-    read_records,
     record_to_instance,
     sample_instance,
     sample_requirement,
     verify_dataset,
     write_dataset,
 )
-from lqrec.kg import graph_from_names
+from lqrec.kg import ArtifactMismatchError, graph_from_names
 from lqrec.query import ALL_SHAPES, ZERO_SHOT_SHAPES, QueryShape, classify_shape
 from lqrec.training import TrainConfig
 
@@ -72,6 +71,7 @@ def test_config_file_requires_seed(tmp_path):
     ("nonsense=3", "unknown key 'nonsense'"),
     ("seed 3", "expected key=value"),
     ("seed=abc", "bad value for 'seed'"),
+    ("seed=2", "duplicate key 'seed'"),
     # Values only a range or cross-field check rejects; the other config
     # does not know the key at all.
     *(pytest.param(f"{key}={value}",
@@ -81,6 +81,10 @@ def test_config_file_requires_seed(tmp_path):
           ("task_weights", "1,2", TrainConfig, DatasetConfig),
           ("train.1p", "-1", DatasetConfig, TrainConfig),
           ("train.2u", "3", DatasetConfig, TrainConfig),
+          *((key, value, DatasetConfig, TrainConfig) for key, value in [
+              ("max_retries", "-1"), ("max_retries", "0"),
+              ("answer_cap", "0"), ("answer_cap", "-5"),
+          ]),
           *((key, value, TrainConfig, DatasetConfig) for key, value in [
               ("d", "0"), ("d", "-3"), ("k", "0"), ("batch_size", "0"),
               ("batch_size", "-5"), ("eval_every", "0"), ("eval_k", "0"),
@@ -207,14 +211,12 @@ def test_stats_match_emitted_files(world_split, tmp_path):
     datasets, report = build_dataset(world_split, cfg)
     write_dataset(datasets, report, world_split.full, str(tmp_path))
     for split_name in ("train", "valid", "test"):
-        records = read_records(str(tmp_path / f"{split_name}.jsonl"))
+        records = load_instances(str(tmp_path), split_name, world_split.full)
         assert len(records) == sum(report.emitted[split_name].values())
         by_shape = {}
         for rec in records:
-            by_shape[rec["shape"]] = by_shape.get(rec["shape"], 0) + 1
-        assert by_shape == {
-            s.value: n for s, n in report.emitted[split_name].items() if n
-        }
+            by_shape[rec.shape] = by_shape.get(rec.shape, 0) + 1
+        assert by_shape == {s: n for s, n in report.emitted[split_name].items() if n}
 
 
 def test_record_roundtrip(world_split):
@@ -250,19 +252,26 @@ def test_verify_flags_corruption(world_split, tmp_path):
     datasets, report = build_dataset(world_split, cfg)
     write_dataset(datasets, report, world_split.full, str(tmp_path))
     path = tmp_path / "test.jsonl"
-    records = read_records(str(path))
-    records[0]["hard"][TASK_JOINT] = []
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
-    violations = verify_dataset(world_split, str(tmp_path))
-    assert violations
+    lines = path.read_text().splitlines(keepends=True)
+
+    def corrupt_first(edit):
+        record = json.loads(lines[0])
+        edit(record)
+        path.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+
+    # a record the loader accepts but the oracle does not
+    corrupt_first(lambda record: record["answers"][TASK_REQ].pop())
+    assert verify_dataset(world_split, str(tmp_path)) == [
+        "test:1: answer sets disagree with oracle"]
+    # a record the loader rejects
+    corrupt_first(lambda record: record["hard"][TASK_JOINT].clear())
+    with pytest.raises(ArtifactMismatchError, match=re.escape(f"{path}:1: ")):
+        verify_dataset(world_split, str(tmp_path))
 
 
 def test_load_instances(world_split, tmp_path):
     cfg = DatasetConfig(counts=small_counts(), seed=14)
     datasets, report = build_dataset(world_split, cfg)
     write_dataset(datasets, report, world_split.full, str(tmp_path))
-    loaded = load_instances(str(tmp_path / "test.jsonl"), world_split.full,
-                            held_out=True)
+    loaded = load_instances(str(tmp_path), "test", world_split.full)
     assert loaded == datasets["test"]

@@ -98,15 +98,6 @@ def test_rank_items_ties_ascending_id(world):
     assert ranked[:3].tolist() == sorted(items[:3])
 
 
-def test_rank_items_excludes(world):
-    params = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=1)
-    items = world.sorted_items()
-    q = params.entity_emb.data[items[5]].copy()
-    ranked, _ = rank_items(Catalog(params, items), q, exclude=frozenset({items[5]}))
-    assert items[5] not in ranked
-    assert len(ranked) == len(items) - 1
-
-
 def test_top_item_is_l1_argmin(world):
     params = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=2)
     rng = np.random.default_rng(4)
@@ -187,8 +178,8 @@ def test_report_json_roundtrip(bench):
     assert set(blob["per_shape"]) == {s.value for s in ALL_SHAPES}
 
 
-def _lexsort_reference(params, q, ids, exclude=frozenset()):
-    ids = np.asarray([i for i in sorted(ids) if i not in exclude])
+def _lexsort_reference(params, q, ids):
+    ids = np.asarray(sorted(ids))
     scores = catalog_scores(Catalog(params, ids), q)
     order = np.lexsort((ids, -scores))
     return ids[order], scores[order]
@@ -199,12 +190,11 @@ def test_rank_items_top_n_matches_full_order(world):
     items = world.sorted_items()
     rng = np.random.default_rng(11)
     catalog = Catalog(params, items)
-    for trial in range(20):
+    for _ in range(20):
         q = rng.standard_normal(8)
-        exclude = frozenset(int(i) for i in rng.choice(items, size=trial % 4))
-        ref_ids, ref_scores = _lexsort_reference(params, q, items, exclude)
+        ref_ids, ref_scores = _lexsort_reference(params, q, items)
         for top_n in (1, 5, 10, len(ref_ids) - 1, len(ref_ids), len(ref_ids) + 3):
-            ids, scores = rank_items(catalog, q, exclude, top_n=top_n)
+            ids, scores = rank_items(catalog, q, top_n=top_n)
             np.testing.assert_array_equal(ids, ref_ids[:top_n])
             np.testing.assert_array_equal(scores, ref_scores[:top_n])
 
