@@ -1,8 +1,9 @@
 """Knowledge graph storage: vocabularies, triples, traversal indices, edge splits.
 
-A graph is a list of ``(head, relation, tail)`` triples over dense integer
-vocabularies, with a designated interaction relation linking users to items.
-Instances are immutable after construction and safe to share across threads.
+A graph is one ``(n, 3)`` int64 array of ``(head, relation, tail)`` ids over
+dense integer vocabularies, with a designated interaction relation linking
+users to items; its traversal indices are built from that array with numpy
+sorts, some on first use. Graphs are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -11,9 +12,14 @@ import hashlib
 import json
 import os
 import random
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class GraphFormatError(ValueError):
@@ -40,6 +46,12 @@ class ArtifactMismatchError(RuntimeError):
 # inside an entity or relation name.
 _FORBIDDEN_NAME_CHARS = set(" \t\r\n()\"'")
 
+# Whole-file forms of a triple file and of a name list: lines of three
+# tab-separated names or of one name, blank lines allowed.
+_NAME = "[^" + re.escape("".join(sorted(_FORBIDDEN_NAME_CHARS))) + "]+"
+_FILE_FORMS = {n: re.compile("(?:(?:{0})?\n)*(?:{0})?".format("\t".join([_NAME] * n)))
+               for n in (1, 3)}
+
 
 class Triple(NamedTuple):
     head: int
@@ -52,18 +64,9 @@ class Vocab:
 
     __slots__ = ("names", "index")
 
-    def __init__(self):
-        self.names: list[str] = []
-        self.index: dict[str, int] = {}
-
-    def add(self, name: str) -> int:
-        got = self.index.get(name)
-        if got is not None:
-            return got
-        new_id = len(self.names)
-        self.names.append(name)
-        self.index[name] = new_id
-        return new_id
+    def __init__(self, names: Iterable[str] = ()):
+        self.names: list[str] = list(dict.fromkeys(names))
+        self.index: dict[str, int] = dict(zip(self.names, range(len(self.names))))
 
     def id_of(self, name: str) -> int:
         try:
@@ -81,63 +84,72 @@ class Vocab:
         return name in self.index
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for name in self.names:
-            h.update(name.encode("utf-8"))
-            h.update(b"\x00")
-        return h.hexdigest()
+        return hashlib.sha256(b"".join(name.encode("utf-8") + b"\x00"
+                                       for name in self.names)).hexdigest()
+
+
+def _own(ids: np.ndarray, own: list[int]) -> list[int]:
+    """``ids`` as the int objects of ``own``, a vocabulary's ids by id."""
+    return list(map(own.__getitem__, ids.tolist()))
+
+
+def _runs(sorted_key: np.ndarray, values: list) -> tuple[list[int], Iterator[list]]:
+    """Start offsets of the runs of equal ``sorted_key``, and each run's ``values``."""
+    cut = (np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1).tolist()
+    starts = [0] + cut
+    return starts, map(values.__getitem__, map(slice, starts, cut + [len(values)]))
 
 
 class KnowledgeGraph:
-    """Immutable triple store with out/in adjacency indices.
+    """Immutable triple store: ``array`` holds the distinct ``(head, rel,
+    tail)`` rows (first occurrences, in input order) as ``(n, 3)`` int64 and
+    ``out_index`` maps ``(head, rel)`` to its tails; ``in_adj`` and the
+    ``Triple`` view ``triples`` are built on first use. Every id in them is
+    the vocabulary's own int object. Each ``like_rel`` triple runs from one
+    of ``users`` to one of ``items``."""
 
-    ``items`` and ``users`` are subsets of the entity vocabulary; every triple
-    whose relation is ``like_rel`` must run from a user to an item.
-    """
-
-    def __init__(
-        self,
-        entity_vocab: Vocab,
-        relation_vocab: Vocab,
-        triples: Sequence[Triple],
-        items: frozenset[int],
-        users: frozenset[int],
-        like_rel: int,
-    ):
-        if not triples:
+    def __init__(self, entity_vocab: Vocab, relation_vocab: Vocab, triples,
+                 items: frozenset[int], users: frozenset[int], like_rel: int):
+        rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        if not len(rows):
             raise GraphFormatError("empty graph: no triples")
-        self.entity_vocab = entity_vocab
-        self.relation_vocab = relation_vocab
-        # Duplicate edges carry no information for traversal and would break
-        # the disjointness of edge splits; keep first occurrences only.
-        self.triples: tuple[Triple, ...] = tuple(
-            dict.fromkeys(Triple(*t) for t in triples)
-        )
-        self.items = frozenset(items)
+        self.entity_vocab, self.relation_vocab = entity_vocab, relation_vocab
+        self.items, self.users = frozenset(items), frozenset(users)
         self._sorted_items = tuple(sorted(self.items))
-        self.users = frozenset(users)
         self.like_rel = like_rel
 
         n_ent, n_rel = len(entity_vocab), len(relation_vocab)
-        for t in self.triples:
-            if not (0 <= t.head < n_ent and 0 <= t.tail < n_ent and 0 <= t.rel < n_rel):
-                raise GraphFormatError(f"triple {t} out of vocabulary range")
-            if t.rel == like_rel:
-                if t.head not in self.users or t.tail not in self.items:
-                    raise GraphFormatError(
-                        f"interaction triple {t} must link a user to an item"
-                    )
+        h, r, t = rows.T
+        in_range = (rows.min(axis=1) >= 0) & (h < n_ent) & (t < n_ent) & (r < n_rel)
+        bad = ~in_range | ((r == like_rel) & ~(np.isin(h, list(self.users))
+                                               & np.isin(t, list(self.items))))
+        if bad.any():
+            i = int(bad.argmax())
+            tri = Triple(*rows[i].tolist())
+            raise GraphFormatError(
+                f"triple {tri} out of vocabulary range" if not in_range[i]
+                else f"interaction triple {tri} must link a user to an item")
+        # Duplicate edges carry no information for traversal and would break
+        # the disjointness of edge splits; keep first occurrences only.
+        _, first = np.unique((h * n_rel + r) * n_ent + t, return_index=True)
+        if len(first) < len(rows):
+            rows = rows[np.sort(first)]
+        rows.flags.writeable = False
+        self.array = rows
+        # Indices map numpy output through the vocabularies' own id objects,
+        # so set lookups hit on identity before comparing ints.
+        self._ents, self._rels = ents, rels = [
+            list(map(v.index.__getitem__, v.names)) for v in (entity_vocab, relation_vocab)]
 
-        out_index: dict[tuple[int, int], set[int]] = {}
-        for t in self.triples:
-            out_index.setdefault((t.head, t.rel), set()).add(t.tail)
-        self.out_index = {k: frozenset(v) for k, v in out_index.items()}
-        # (rel, head) pairs pointing at each tail, sorted so backward query
-        # sampling is deterministic; the tails are keyed in ascending order.
-        in_adj: dict[int, list[tuple[int, int]]] = {}
-        for t in sorted(self.triples, key=lambda t: (t.tail, t.rel, t.head)):
-            in_adj.setdefault(t.tail, []).append((t.rel, t.head))
-        self.in_adj = {k: tuple(v) for k, v in in_adj.items()}
+        # A stable sort fills each tail set in triple order. Freezing a set, not a
+        # list, sizes the table to fit (a list's can be 2x sparser, slower to scan).
+        h, r, t = rows.T
+        key = h * n_rel + r
+        order = np.argsort(key, kind="stable")
+        starts, runs = _runs(key[order], _own(t[order], ents))
+        first = order[starts]
+        self.out_index: dict[tuple[int, int], frozenset[int]] = dict(zip(
+            zip(_own(h[first], ents), _own(r[first], rels)), map(frozenset, map(set, runs))))
 
     @property
     def n_entities(self) -> int:
@@ -155,24 +167,32 @@ class KnowledgeGraph:
         """Distinct ``(rel, head)`` pairs with an edge into ``t``, sorted."""
         return self.in_adj.get(t, ())
 
-    def with_triples(self, triples: Sequence[Triple]) -> "KnowledgeGraph":
-        """A graph over the same vocabularies but a different triple list."""
-        return KnowledgeGraph(
-            self.entity_vocab,
-            self.relation_vocab,
-            triples,
-            self.items,
-            self.users,
-            self.like_rel,
-        )
-
     def sorted_items(self) -> tuple[int, ...]:
         """Item ids in ascending order, sorted once at construction."""
         return self._sorted_items
 
-    # Pools of backward query sampling, ascending and built on first use
-    # (graphs that only answer queries never pay for them): the items with an
-    # in-edge, every entity with an in-edge, and the users.
+    def triples_of(self, rows: np.ndarray) -> tuple[Triple, ...]:
+        """``(n, 3)`` id rows of this graph's vocabularies as ``Triple``s."""
+        h, r, t = np.asarray(rows).reshape(-1, 3).T
+        return tuple(map(Triple, _own(h, self._ents), _own(r, self._rels),
+                         _own(t, self._ents)))
+
+    @cached_property
+    def triples(self) -> tuple[Triple, ...]:
+        return self.triples_of(self.array)
+
+    # Built on first use (graphs that only answer queries never pay): backward
+    # sampling's index and its ascending pools of seed items, targets, users.
+
+    @cached_property
+    def in_adj(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """(rel, head) pairs pointing at each tail, sorted so backward query
+        sampling is deterministic; the tails are keyed in ascending order."""
+        h, r, t = self.array.T
+        order = np.argsort((t * self.n_relations + r) * self.n_entities + h)
+        pairs = list(zip(_own(r[order], self._rels), _own(h[order], self._ents)))
+        starts, runs = _runs(t[order], pairs)
+        return dict(zip(_own(t[order[starts]], self._ents), map(tuple, runs)))
 
     @cached_property
     def seed_items(self) -> tuple[int, ...]:
@@ -187,78 +207,75 @@ class KnowledgeGraph:
         return tuple(sorted(self.users))
 
 
-def _check_name(name: str, path: str, lineno: int) -> str:
-    if not name:
-        raise GraphFormatError(f"{path}:{lineno}: empty name field")
-    bad = _FORBIDDEN_NAME_CHARS.intersection(name)
-    if bad:
-        raise GraphFormatError(
-            f"{path}:{lineno}: name {name!r} contains forbidden character(s) "
-            f"{sorted(bad)}; names must be whitespace- and paren-free"
-        )
-    return name
-
-
-def _read_names(path: str) -> list[str]:
-    out = []
+def _parse_lines(path: str, n_fields: int) -> list[str]:
+    """The line parser: ``n_fields`` tab-separated names a line (blank lines
+    skipped), as one flat list; errors carry line numbers."""
+    fields = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            out.append(_check_name(line, path, lineno))
-    return out
+            parts = line.split("\t") if n_fields > 1 else [line]
+            where = f"{path}:{lineno}:"
+            if len(parts) != n_fields:
+                raise GraphFormatError(f"{where} expected exactly two tab separators, "
+                                       f"got {len(parts) - 1}")
+            for name in parts:
+                if not name:
+                    raise GraphFormatError(f"{where} empty name field")
+                if bad := sorted(_FORBIDDEN_NAME_CHARS.intersection(name)):
+                    raise GraphFormatError(f"{where} name {name!r} contains forbidden "
+                                           f"character(s) {bad}; names must be "
+                                           "whitespace- and paren-free")
+            fields += parts
+    return fields
 
 
-def parse_triple_lines(path: str) -> list[tuple[str, str, str]]:
-    """Read a tab-separated head/rel/tail file; errors carry line numbers."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected exactly two tab separators, "
-                    f"got {len(parts) - 1}"
-                )
-            h, r, t = (_check_name(p, path, lineno) for p in parts)
-            rows.append((h, r, t))
-    return rows
+def _read_fields(path: str, n_fields: int) -> tuple[bytes, list[str]]:
+    """The file's bytes and its names as one flat list, ``n_fields`` a line.
+    The text (newlines translated as in text mode) is checked whole; a file
+    that fails, or is not UTF-8, goes through the line parser."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        ok = _FILE_FORMS[n_fields].fullmatch(text)
+    except UnicodeDecodeError:
+        ok = None
+    if not ok:
+        return data, _parse_lines(path, n_fields)
+    return data, list(filter(None, text.replace("\n", "\t").split("\t")))
 
 
-def graph_from_names(
-    triple_rows: Iterable[tuple[str, str, str]],
-    item_names: Iterable[str],
-    user_names: Iterable[str],
-    like_rel_name: str,
-) -> KnowledgeGraph:
+def _index_fields(fields: list[str]) -> tuple[Vocab, Vocab, np.ndarray]:
+    """Vocabularies and the ``(n, 3)`` id array of flat head/rel/tail names;
+    entity ids follow first appearance over heads and tails row by row."""
+    ent_names, rel_names = fields.copy(), fields[1::3]
+    del ent_names[1::3]
+    ev, rv = Vocab(ent_names), Vocab(rel_names)
+    ents, rels = (np.fromiter(map(v.index.__getitem__, names), np.int64, len(names))
+                  for v, names in ((ev, ent_names), (rv, rel_names)))
+    return ev, rv, np.column_stack((ents[0::2], rels, ents[1::2]))
+
+
+def graph_from_names(triple_rows: Iterable[tuple[str, str, str]],
+                     item_names: Iterable[str], user_names: Iterable[str],
+                     like_rel_name: str) -> KnowledgeGraph:
     """Assemble a graph from name rows; ids follow first-appearance order."""
-    entity_vocab = Vocab()
-    relation_vocab = Vocab()
-    triples = []
-    for h, r, t in triple_rows:
-        triples.append(
-            Triple(entity_vocab.add(h), relation_vocab.add(r), entity_vocab.add(t))
-        )
-    if not triples:
+    ev, rv, ids = _index_fields(list(chain.from_iterable(triple_rows)))
+    if not len(ids):
         raise GraphFormatError("empty graph: no triples")
-    items = frozenset(entity_vocab.id_of(n) for n in item_names)
-    users = frozenset(entity_vocab.id_of(n) for n in user_names)
-    like_rel = relation_vocab.id_of(like_rel_name)
-    return KnowledgeGraph(entity_vocab, relation_vocab, triples, items, users, like_rel)
+    return KnowledgeGraph(ev, rv, ids, frozenset(map(ev.id_of, item_names)),
+                          frozenset(map(ev.id_of, user_names)), rv.id_of(like_rel_name))
 
 
-def load_graph(
-    triple_file: str, item_file: str, user_file: str, like_rel_name: str
-) -> KnowledgeGraph:
+def load_graph(triple_file: str, item_file: str, user_file: str,
+               like_rel_name: str) -> KnowledgeGraph:
     """Load and index a graph from the three line-oriented vocabulary files."""
-    rows = parse_triple_lines(triple_file)
-    return graph_from_names(
-        rows, _read_names(item_file), _read_names(user_file), like_rel_name
-    )
+    _, fields = _read_fields(triple_file, 3)
+    return graph_from_names(zip(*[iter(fields)] * 3), _read_fields(item_file, 1)[1],
+                            _read_fields(user_file, 1)[1], like_rel_name)
 
 
 @dataclass(frozen=True)
@@ -271,9 +288,6 @@ class KgSplit:
     fraction: float
     seed: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "held_out", tuple(self.held_out))
-
 
 def split_edges(kg: KnowledgeGraph, fraction: float, seed: int) -> KgSplit:
     """Hold out ``round(fraction * |triples|)`` edges uniformly at random.
@@ -282,49 +296,44 @@ def split_edges(kg: KnowledgeGraph, fraction: float, seed: int) -> KgSplit:
     removable edge in the shuffled order) whenever removing it would leave an
     entity or relation with no remaining train triple, so every vocabulary
     row keeps at least one training occurrence. Deterministic in ``seed``.
+    The train graph is ``kg``'s array under a keep mask.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    n = len(kg.triples)
+    n = len(kg.array)
     k = int(round(fraction * n))
-    rng = random.Random(seed)
     order = list(range(n))
-    rng.shuffle(order)
+    random.Random(seed).shuffle(order)
 
     # Coverage counts: how many triples mention each entity / relation.
-    ent_count = [0] * kg.n_entities
-    rel_count = [0] * kg.n_relations
-    for t in kg.triples:
-        for e in {t.head, t.tail}:
-            ent_count[e] += 1
-        rel_count[t.rel] += 1
+    h, r, t = kg.array.T
+    ent_count = np.bincount(np.concatenate((h, t[h != t])),
+                            minlength=kg.n_entities).tolist()
+    rel_count = np.bincount(r, minlength=kg.n_relations).tolist()
+    heads, rels, tails = h.tolist(), r.tolist(), t.tolist()
 
-    held_idx: set[int] = set()
+    keep, held = np.ones(n, dtype=bool), 0
     for idx in order:
-        if len(held_idx) == k:
+        if held == k:
             break
-        t = kg.triples[idx]
-        symbols_ok = all(ent_count[e] >= 2 for e in {t.head, t.tail})
-        if symbols_ok and rel_count[t.rel] >= 2:
-            held_idx.add(idx)
-            for e in {t.head, t.tail}:
+        ents = {heads[idx], tails[idx]}
+        if all(ent_count[e] >= 2 for e in ents) and rel_count[rels[idx]] >= 2:
+            keep[idx] = False
+            held += 1
+            for e in ents:
                 ent_count[e] -= 1
-            rel_count[t.rel] -= 1
-    if len(held_idx) < k:
-        raise SplitInfeasibleError(
-            f"cannot hold out {k} of {n} triples without orphaning a "
-            "vocabulary entry"
-        )
+            rel_count[rels[idx]] -= 1
+    if held < k:
+        raise SplitInfeasibleError(f"cannot hold out {k} of {n} triples without "
+                                   "orphaning a vocabulary entry")
 
-    held = tuple(kg.triples[i] for i in sorted(held_idx))
-    kept = [t for i, t in enumerate(kg.triples) if i not in held_idx]
-    train = kg.with_triples(kept)
-    return KgSplit(full=kg, train=train, held_out=held, fraction=fraction, seed=seed)
+    train = KnowledgeGraph(kg.entity_vocab, kg.relation_vocab, kg.array[keep],
+                           kg.items, kg.users, kg.like_rel)
+    return KgSplit(full=kg, train=train, held_out=kg.triples_of(kg.array[~keep]),
+                   fraction=fraction, seed=seed)
 
 
-# --- on-disk layout -------------------------------------------------------
-#
-# A split directory is fully self-describing:
+# --- on-disk layout: a split directory is fully self-describing -------------
 #   train.tsv / heldout.tsv   tab-separated triples by name
 #   items.txt / users.txt     one entity name per line
 #   manifest.json             like relation, seed, fraction, counts, hashes
@@ -336,54 +345,58 @@ USERS_FILE = "users.txt"
 MANIFEST_FILE = "manifest.json"
 
 
-def write_triples(path: str, kg: KnowledgeGraph, triples: Iterable[Triple]) -> None:
-    """One ``head<TAB>rel<TAB>tail`` line of names per triple, in order."""
-    ev, rv = kg.entity_vocab, kg.relation_vocab
-    with open(path, "w", encoding="utf-8") as f:
-        for t in triples:
-            f.write(f"{ev.name_of(t.head)}\t{rv.name_of(t.rel)}\t{ev.name_of(t.tail)}\n")
+@contextmanager
+def atomic_write(path: str):
+    """A binary file written beside ``path`` and renamed over it once the
+    block completes, so a failed write leaves the previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_triples(path: str, kg: KnowledgeGraph, triples) -> str:
+    """One ``head<TAB>rel<TAB>tail`` line of names per triple (``Triple``s or
+    ``(n, 3)`` id rows), in order; returns the sha256 of the bytes written."""
+    ev, rv = kg.entity_vocab.names, kg.relation_vocab.names
+    h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T.tolist()
+    data = "".join(map("{}\t{}\t{}\n".format, map(ev.__getitem__, h),
+                       map(rv.__getitem__, r), map(ev.__getitem__, t))).encode("utf-8")
+    with atomic_write(path) as f:
+        f.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_names(path: str, kg: KnowledgeGraph, ids: Iterable[int]) -> None:
     """One entity name per line, by ascending id."""
-    with open(path, "w", encoding="utf-8") as f:
-        for e in sorted(ids):
-            f.write(kg.entity_vocab.name_of(e) + "\n")
-
-
-def file_sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    with atomic_write(path) as f:
+        f.write("".join(kg.entity_vocab.name_of(e) + "\n" for e in sorted(ids))
+                .encode("utf-8"))
 
 
 def save_split(split: KgSplit, out_dir: str) -> dict:
-    """Write a split directory; returns the manifest dict."""
+    """Write a split directory, manifest last; returns the manifest dict."""
     os.makedirs(out_dir, exist_ok=True)
     kg = split.full
-    write_triples(os.path.join(out_dir, TRAIN_FILE), kg, split.train.triples)
-    write_triples(os.path.join(out_dir, HELDOUT_FILE), kg, split.held_out)
+    train_sha = write_triples(os.path.join(out_dir, TRAIN_FILE), kg, split.train.array)
+    held_sha = write_triples(os.path.join(out_dir, HELDOUT_FILE), kg, split.held_out)
     write_names(os.path.join(out_dir, ITEMS_FILE), kg, kg.items)
     write_names(os.path.join(out_dir, USERS_FILE), kg, kg.users)
     manifest = {
         "like_rel": kg.relation_vocab.name_of(kg.like_rel),
-        "fraction": split.fraction,
-        "seed": split.seed,
-        "n_triples": len(kg.triples),
-        "n_train": len(split.train.triples),
+        "fraction": split.fraction, "seed": split.seed,
+        "n_triples": len(kg.array), "n_train": len(split.train.array),
         "n_held_out": len(split.held_out),
-        "n_entities": kg.n_entities,
-        "n_relations": kg.n_relations,
-        "n_items": len(kg.items),
-        "n_users": len(kg.users),
-        "train_sha256": file_sha256(os.path.join(out_dir, TRAIN_FILE)),
-        "heldout_sha256": file_sha256(os.path.join(out_dir, HELDOUT_FILE)),
+        "n_entities": kg.n_entities, "n_relations": kg.n_relations,
+        "n_items": len(kg.items), "n_users": len(kg.users),
+        "train_sha256": train_sha, "heldout_sha256": held_sha,
     }
-    with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with atomic_write(os.path.join(out_dir, MANIFEST_FILE)) as f:
+        f.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return manifest
 
 
@@ -397,60 +410,47 @@ def _read_manifest(path: str) -> dict:
     if not isinstance(manifest, dict):
         raise ArtifactMismatchError(f"{path}: not a JSON object")
     for key, kind, name in (("like_rel", str, "a string"),
-                            ("fraction", (int, float), "a number"),
-                            ("seed", int, "an integer")):
+                            ("fraction", (int, float), "a number"), ("seed", int, "an integer")):
         value = manifest.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ArtifactMismatchError(f"{path}: {key} must be {name}, is {value!r}")
     return manifest
 
 
+def _check_manifest(path: str, manifest: dict, found: dict, extra=()) -> None:
+    bad = [f"{key} is {value!r}, manifest says {manifest.get(key)!r}"
+           for key, value in found.items() if manifest.get(key) != value] + list(extra)
+    if bad:
+        raise ArtifactMismatchError(f"{path}: " + "; ".join(bad))
+
+
 def load_split(split_dir: str) -> KgSplit:
     """Reload a split directory written by :func:`save_split`.
 
-    The manifest must be a JSON object whose ``like_rel`` names a relation of
-    the triple files, with a numeric ``fraction`` and an integer ``seed``, and
-    the triple files must match its hashes and counts; otherwise
-    ``ArtifactMismatchError`` is raised. Vocabulary ids are reassigned by
-    first appearance over the train file then the held-out file; coverage
-    guarantees the train file already mentions every name, so the assignment
-    is stable for any consumer of the directory.
+    The manifest must be a JSON object whose ``like_rel`` names a relation,
+    with a numeric ``fraction`` and an integer ``seed``, and the files must
+    match its hashes and counts, or ``ArtifactMismatchError`` is raised. Ids
+    follow first appearance over the train rows, then the held-out rows; the
+    train graph is the first ``n_train`` rows of the full graph's id array.
     """
     manifest_path = os.path.join(split_dir, MANIFEST_FILE)
     manifest = _read_manifest(manifest_path)
-    train_path = os.path.join(split_dir, TRAIN_FILE)
-    held_path = os.path.join(split_dir, HELDOUT_FILE)
-    train_rows = parse_triple_lines(train_path)
-    held_rows = parse_triple_lines(held_path)
-    found = {
-        "train_sha256": file_sha256(train_path),
-        "heldout_sha256": file_sha256(held_path),
-        "n_train": len(train_rows),
-        "n_held_out": len(held_rows),
-    }
-    bad = [f"{key} is {value!r}, manifest says {manifest.get(key)!r}"
-           for key, value in found.items() if manifest.get(key) != value]
-    if manifest["like_rel"] not in {r for _, r, _ in train_rows + held_rows}:
-        bad.append(f"like_rel {manifest['like_rel']!r} is not a relation")
-    if bad:
-        raise ArtifactMismatchError(f"{manifest_path}: " + "; ".join(bad))
-    items = _read_names(os.path.join(split_dir, ITEMS_FILE))
-    users = _read_names(os.path.join(split_dir, USERS_FILE))
-    full = graph_from_names(
-        train_rows + held_rows, items, users, manifest["like_rel"]
-    )
-    ev, rv = full.entity_vocab, full.relation_vocab
-    train_triples = [
-        Triple(ev.id_of(h), rv.id_of(r), ev.id_of(t)) for h, r, t in train_rows
-    ]
-    held_triples = tuple(
-        Triple(ev.id_of(h), rv.id_of(r), ev.id_of(t)) for h, r, t in held_rows
-    )
-    train = full.with_triples(train_triples)
-    return KgSplit(
-        full=full,
-        train=train,
-        held_out=held_triples,
-        fraction=manifest["fraction"],
-        seed=manifest["seed"],
-    )
+    train_data, train_fields = _read_fields(os.path.join(split_dir, TRAIN_FILE), 3)
+    held_data, held_fields = _read_fields(os.path.join(split_dir, HELDOUT_FILE), 3)
+    n_train = len(train_fields) // 3
+    ev, rv, ids = _index_fields(train_fields + held_fields)
+    like = manifest["like_rel"]
+    _check_manifest(manifest_path, manifest, {
+        "train_sha256": hashlib.sha256(train_data).hexdigest(),
+        "heldout_sha256": hashlib.sha256(held_data).hexdigest(),
+        "n_train": n_train, "n_held_out": len(held_fields) // 3,
+        "n_entities": len(ev), "n_relations": len(rv),
+    }, [] if like in rv else [f"like_rel {like!r} is not a relation"])
+    items, users = (frozenset(map(ev.id_of, _read_fields(os.path.join(split_dir, f), 1)[1]))
+                    for f in (ITEMS_FILE, USERS_FILE))
+    full = KnowledgeGraph(ev, rv, ids, items, users, rv.id_of(like))
+    _check_manifest(manifest_path, manifest, {
+        "n_items": len(items), "n_users": len(users), "n_triples": len(full.array)})
+    train = KnowledgeGraph(ev, rv, ids[:n_train], full.items, full.users, full.like_rel)
+    return KgSplit(full=full, train=train, held_out=full.triples_of(ids[n_train:]),
+                   fraction=manifest["fraction"], seed=manifest["seed"])

@@ -35,14 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import EAGER, Eager, OpShapeError, Tape, Tensor, Value
 from .dataset import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
-from .kg import ArtifactMismatchError, KnowledgeGraph
+from .kg import ArtifactMismatchError, KnowledgeGraph, atomic_write
 from .query import QueryNode, skeleton
 
 VARIANTS = ("mtl", "shared-bottom", "single-task", "no-al", "no-au")
@@ -393,20 +392,12 @@ def _header(params: ModelParams) -> dict:
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Write through a temp file in the same directory and rename it over
-    ``path``, so an interrupted save leaves the previous file intact."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(json.dumps(_header(params), sort_keys=True).encode("utf-8")
-                    + b"\n")
-            for t in params.named().values():
-                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    """Write through :func:`kg.atomic_write`, so an interrupted save leaves
+    the previous file intact."""
+    with atomic_write(path) as f:
+        f.write(json.dumps(_header(params), sort_keys=True).encode("utf-8") + b"\n")
+        for t in params.named().values():
+            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def _split_arrays(body: memoryview, manifest) -> dict[str, np.ndarray]:

@@ -1,8 +1,12 @@
+import json
+import os
 import random
 
 import pytest
 
+from lqrec.cli import main
 from lqrec.kg import (
+    ArtifactMismatchError,
     GraphFormatError,
     SplitInfeasibleError,
     UnknownNameError,
@@ -190,3 +194,47 @@ def test_sorted_items_computed_once(tiny_kg):
     first = tiny_kg.sorted_items()
     assert tiny_kg.sorted_items() is first
     assert list(first) == sorted(tiny_kg.items)
+
+
+@pytest.mark.parametrize("fname,key", [("items.txt", "n_items"), ("users.txt", "n_users")])
+def test_load_split_checks_name_counts(tmp_path, world, fname, key):
+    save_split(split_edges(world, 0.05, seed=7), str(tmp_path))
+    with open(tmp_path / fname, "a", encoding="utf-8") as f:
+        f.write("attr0_0\n")  # a known entity: the graph itself still builds
+    with pytest.raises(ArtifactMismatchError, match=f"{key} is "):
+        load_split(str(tmp_path))
+    assert main(["answer", "--kg", str(tmp_path), "--mode", "symbolic"]) == 4
+
+
+@pytest.mark.parametrize("key", ["n_items", "n_users", "n_entities", "n_relations",
+                                 "n_triples"])
+def test_load_split_checks_manifest_counts(tmp_path, world, key):
+    manifest = save_split(split_edges(world, 0.05, seed=7), str(tmp_path))
+    manifest[key] += 1
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ArtifactMismatchError, match=f"{key} is {manifest[key] - 1}, "
+                                                    f"manifest says {manifest[key]}"):
+        load_split(str(tmp_path))
+
+
+def test_save_split_is_atomic(tmp_path, world, monkeypatch):
+    save_split(split_edges(world, 0.05, seed=7), str(tmp_path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    replaced = []
+
+    def record(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", record)
+    save_split(split_edges(world, 0.05, seed=7), str(tmp_path))
+    assert replaced[-1] == "manifest.json" and len(replaced) == 5
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_split(split_edges(world, 0.05, seed=8), str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
