@@ -269,6 +269,56 @@ def test_verify_flags_corruption(world_split, tmp_path):
         verify_dataset(world_split, str(tmp_path))
 
 
+def _edit_first_record(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    edit(record)
+    path.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+
+
+@pytest.mark.parametrize("task", [TASK_JOINT, TASK_REQ, TASK_PREF])
+def test_verify_flags_hard_set_off_by_one(world_split, tmp_path, task):
+    cfg = DatasetConfig(counts=small_counts(0, 0, 2), seed=13)
+    datasets, report = build_dataset(world_split, cfg)
+    write_dataset(datasets, report, world_split.full, str(tmp_path))
+    items = sorted(world_split.full.entity_vocab.name_of(i) for i in world_split.full.items)
+
+    def add_one(record):
+        hard = record["hard"][task]
+        hard.append(next(name for name in items if name not in hard))
+
+    _edit_first_record(tmp_path / "test.jsonl", add_one)
+    assert verify_dataset(world_split, str(tmp_path)) == [
+        "test:1: hard answer sets disagree with oracle"]
+
+
+def test_verify_flags_train_record_with_hard(world_split, tmp_path):
+    cfg = DatasetConfig(counts=small_counts(2, 0, 0), seed=13)
+    datasets, report = build_dataset(world_split, cfg)
+    write_dataset(datasets, report, world_split.full, str(tmp_path))
+
+    def add_hard(record):
+        record["hard"] = {TASK_JOINT: record["answers"][TASK_JOINT][:1],
+                          TASK_REQ: [], TASK_PREF: []}
+
+    _edit_first_record(tmp_path / "train.jsonl", add_hard)
+    assert verify_dataset(world_split, str(tmp_path)) == [
+        "train:1: hard answer sets disagree with oracle"]
+
+
+def test_shortfall_stats_pinned(world_split, tmp_path):
+    # A cap of 3 answers leaves some cells empty and some part-filled; their
+    # report rows and the shortfalls lines are part of the pinned bytes.
+    cfg = DatasetConfig(counts=small_counts(), seed=17, answer_cap=3)
+    datasets, report = build_dataset(world_split, cfg)
+    assert report.shortfalls
+    write_dataset(datasets, report, world_split.full, str(tmp_path))
+    stats = (tmp_path / STATS_FILE).read_bytes()
+    assert b"\nshortfalls:\n" in stats
+    assert hashlib.sha256(stats).hexdigest() == (
+        "393af1056f2f83a0168b90e4350772e836d28cdf0d5c7be30fe981d63e50921f")
+
+
 def test_load_instances(world_split, tmp_path):
     cfg = DatasetConfig(counts=small_counts(), seed=14)
     datasets, report = build_dataset(world_split, cfg)
