@@ -14,7 +14,7 @@ from lqrec import (
     serialize_query,
     split_edges,
 )
-from lqrec.oracle import hard_answers
+from lqrec.oracle import TASK_JOINT, answer_sets, hard_answers
 from lqrec.synth import clustered_world
 
 kg = clustered_world(n_clusters=3, attrs_per_cluster=5, items_per_cluster=10,
@@ -44,12 +44,14 @@ print(f"\nuser {names(user)} likes: "
 print(f"joint answers: {sorted(names(i) for i in answer_joint(kg, user, q))}")
 
 # Holding out 5% of the edges makes some answers unreachable by traversal:
-# those are the hard answers a learned model is evaluated on.
+# those are the hard answers a learned model is evaluated on: the full-graph
+# answers of each task minus those still reachable on the train graph.
 split = split_edges(kg, 0.05, seed=1)
 print(f"\nheld out {len(split.held_out)} of {len(kg.triples)} edges")
+full_req = answer_requirement(split.full, q)
 for u in sorted(kg.users):
-    easy, hard = hard_answers(split, u, q)
-    if hard:
-        print(f"user {names(u)}: easy {sorted(names(i) for i in easy)}, "
-              f"hard {sorted(names(i) for i in hard)}")
+    easy, hard = hard_answers(split, u, q, answer_sets(split.full, u, full_req))
+    if hard[TASK_JOINT]:
+        print(f"user {names(u)}: easy {sorted(names(i) for i in easy[TASK_JOINT])}, "
+              f"hard {sorted(names(i) for i in hard[TASK_JOINT])}")
         break

@@ -17,7 +17,6 @@ from . import dataset as ds
 from . import kg as kgmod
 from . import oracle
 from .autodiff import EAGER
-from .dataset import TASK_JOINT
 from .evaluation import evaluate, rank_items
 from .kg import (ArtifactMismatchError, GraphFormatError, SplitInfeasibleError,
                  UnknownNameError, load_graph)
@@ -139,7 +138,7 @@ def _answer_line(line: str, kg, params, catalog, mode: str) -> None:
         print(f"symbolic ({len(names)}): {' '.join(names) if names else '(none)'}")
     if mode in ("embedding", "both"):
         task_emb = embed_instance(EAGER, params, [user], [query], kg.like_rel)
-        ids, scores = rank_items(catalog, task_emb[TASK_JOINT][0], top_n=10)
+        ids, scores = rank_items(catalog, task_emb[oracle.TASK_JOINT][0], top_n=10)
         print("embedding top-10:")
         for item, score in zip(ids.tolist(), scores.tolist()):
             print(f"  {kg.entity_vocab.name_of(item)}  {score:.4f}")

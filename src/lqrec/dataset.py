@@ -14,11 +14,12 @@ import bisect
 import json
 import os
 import random
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass
 
 from . import oracle
 from .kg import ArtifactMismatchError, KgSplit, KnowledgeGraph, UnknownNameError
+from .oracle import TASK_JOINT, TASK_REQ, TASKS
 from .query import (
     ALL_SHAPES,
     And,
@@ -35,11 +36,6 @@ from .query import (
     serialize_query,
     shape_from_name,
 )
-
-TASK_JOINT = "joint"
-TASK_REQ = "req"
-TASK_PREF = "pref"
-TASKS = (TASK_JOINT, TASK_REQ, TASK_PREF)
 
 SPLIT_NAMES = ("train", "valid", "test")
 
@@ -240,7 +236,8 @@ def sample_instance(
 
     The paired user is uniform among users whose joint answer set is nonempty
     (first qualifying user in a shuffled scan). Valid/test instances must
-    have at least one hard joint answer or they are resampled.
+    have at least one hard joint answer (``oracle.hard_answers``) or they
+    are resampled.
     """
     kg = split.train if split_name == "train" else split.full
     users = kg.ordered_users
@@ -252,41 +249,19 @@ def sample_instance(
         a_req = oracle.answer_requirement(kg, q)
         if not a_req or len(a_req) > cfg.answer_cap:
             continue
-        scan = rng.sample(users, len(users))
-        chosen = None
-        for u in scan:
-            a_pref = oracle.answer_preference(kg, u)
-            a_joint = a_req & a_pref
-            if a_joint:
-                chosen = (u, a_pref, a_joint)
+        # a_req holds items only, so a user's interaction edges meet it
+        # exactly when the user's joint answer set is nonempty
+        for u in rng.sample(users, len(users)):
+            if not a_req.isdisjoint(kg.neighbors_out(u, kg.like_rel)):
                 break
-        if chosen is None:
+        else:
             continue
-        u, a_pref, a_joint = chosen
+        answers = oracle.answer_sets(kg, u, a_req)
         if split_name == "train":
-            return RecInstance(
-                user=u,
-                requirement=q,
-                shape=shape,
-                answers={TASK_JOINT: a_joint, TASK_REQ: a_req, TASK_PREF: a_pref},
-            )
-        req_easy = oracle.answer_requirement(split.train, q)
-        pref_easy = oracle.answer_preference(split.train, u)
-        joint_easy = req_easy & pref_easy
-        hard = {
-            TASK_JOINT: a_joint - joint_easy,
-            TASK_REQ: a_req - req_easy,
-            TASK_PREF: a_pref - pref_easy,
-        }
-        if not hard[TASK_JOINT]:
-            continue
-        return RecInstance(
-            user=u,
-            requirement=q,
-            shape=shape,
-            answers={TASK_JOINT: joint_easy, TASK_REQ: req_easy, TASK_PREF: pref_easy},
-            hard=hard,
-        )
+            return RecInstance(u, q, shape, answers)
+        easy, hard = oracle.hard_answers(split, u, q, answers)
+        if hard[TASK_JOINT]:
+            return RecInstance(u, q, shape, easy, hard)
     raise SamplingError(
         f"retry budget exhausted sampling a {shape.value} instance for {split_name}"
     )
@@ -294,33 +269,45 @@ def sample_instance(
 
 @dataclass
 class BuildReport:
+    """A build's requested counts per cell and the records it sampled, by
+    split. Emitted counts, shortfalls and the mean full-graph requirement
+    and hard joint answer counts are all read off the records."""
+
     requested: dict[str, dict[QueryShape, int]]
-    emitted: dict[str, dict[QueryShape, int]]
-    mean_req_answers: dict[str, dict[QueryShape, float]]
-    mean_hard: dict[str, dict[QueryShape, float]]
-    shortfalls: list[tuple[str, QueryShape, int, int]] = field(default_factory=list)
+    datasets: dict[str, list[RecInstance]]
+
+    def _cells(self) -> Iterator[tuple[str, QueryShape, int, list[RecInstance]]]:
+        """(split, shape, requested count, records) of each requested cell."""
+        for split_name in SPLIT_NAMES:
+            for shape in ALL_SHAPES:
+                want = self.requested.get(split_name, {}).get(shape, 0)
+                if want:
+                    yield split_name, shape, want, [
+                        i for i in self.datasets.get(split_name, ()) if i.shape == shape]
+
+    @property
+    def shortfalls(self) -> list[tuple[str, QueryShape, int, int]]:
+        """(split, shape, requested, emitted) of each cell that fell short."""
+        return [(split_name, shape, want, len(got))
+                for split_name, shape, want, got in self._cells() if len(got) < want]
 
     def to_text(self) -> str:
         lines = [
             f"{'split':<7}{'shape':<7}{'requested':>10}{'emitted':>9}"
             f"{'mean|req|':>11}{'mean hard':>11}"
         ]
-        for split_name in SPLIT_NAMES:
-            for shape in ALL_SHAPES:
-                req = self.requested.get(split_name, {}).get(shape, 0)
-                if req == 0:
-                    continue
-                emitted = self.emitted[split_name].get(shape, 0)
-                mean_a = self.mean_req_answers[split_name].get(shape, 0.0)
-                mean_h = self.mean_hard[split_name].get(shape)
-                hard_txt = f"{mean_h:11.2f}" if mean_h is not None else f"{'-':>11}"
-                lines.append(
-                    f"{split_name:<7}{shape.value:<7}{req:>10}{emitted:>9}"
-                    f"{mean_a:11.2f}{hard_txt}"
-                )
-        if self.shortfalls:
+        for split_name, shape, want, got in self._cells():
+            n_req = sum(len(i.answers[TASK_REQ]) + (len(i.hard[TASK_REQ]) if i.hard else 0)
+                        for i in got)
+            n_hard = [len(i.hard[TASK_JOINT]) for i in got if i.hard]
+            hard_txt = f"{sum(n_hard) / len(n_hard):11.2f}" if n_hard else f"{'-':>11}"
+            lines.append(
+                f"{split_name:<7}{shape.value:<7}{want:>10}{len(got):>9}"
+                f"{n_req / max(len(got), 1):11.2f}{hard_txt}"
+            )
+        if shortfalls := self.shortfalls:
             lines.append("shortfalls:")
-            for split_name, shape, req, emitted in self.shortfalls:
+            for split_name, shape, req, emitted in shortfalls:
                 lines.append(
                     f"  {split_name}/{shape.value}: requested {req}, emitted {emitted}"
                 )
@@ -386,43 +373,20 @@ def build_dataset(
     """Sample all requested instances, deterministically under ``cfg.seed``.
 
     Each (split, shape) cell draws from its own derived RNG stream, so cells
-    are independent of each other and of request order. Cells that exhaust
-    their retry budget are reported as shortfalls rather than raising.
+    are independent of each other and of request order. A cell that
+    exhausts its retry budget stops short; the report lists it as a
+    shortfall rather than raising.
     """
     datasets: dict[str, list[RecInstance]] = {name: [] for name in SPLIT_NAMES}
-    report = BuildReport(requested=cfg.counts, emitted={}, mean_req_answers={},
-                         mean_hard={})
-    for split_name in SPLIT_NAMES:
-        by_shape = cfg.counts.get(split_name, {})
-        report.emitted[split_name] = {}
-        report.mean_req_answers[split_name] = {}
-        report.mean_hard[split_name] = {}
+    for split_name, records in datasets.items():
         for shape in ALL_SHAPES:
-            want = by_shape.get(shape, 0)
-            if want == 0:
-                continue
             rng = random.Random(f"{cfg.seed}:{split_name}:{shape.value}")
-            got: list[RecInstance] = []
-            while len(got) < want:
-                try:
-                    got.append(sample_instance(split, shape, split_name, rng, cfg))
-                except SamplingError:
-                    break
-            datasets[split_name].extend(got)
-            report.emitted[split_name][shape] = len(got)
-            if got:
-                sizes = [
-                    len(i.answers[TASK_REQ])
-                    + (len(i.hard[TASK_REQ]) if i.hard else 0)
-                    for i in got
-                ]
-                report.mean_req_answers[split_name][shape] = sum(sizes) / len(got)
-                if split_name != "train":
-                    hard_counts = [len(i.hard[TASK_JOINT]) for i in got]
-                    report.mean_hard[split_name][shape] = sum(hard_counts) / len(got)
-            if len(got) < want:
-                report.shortfalls.append((split_name, shape, want, len(got)))
-    return datasets, report
+            try:
+                for _ in range(cfg.counts.get(split_name, {}).get(shape, 0)):
+                    records.append(sample_instance(split, shape, split_name, rng, cfg))
+            except SamplingError:
+                pass
+    return datasets, BuildReport(requested=cfg.counts, datasets=datasets)
 
 
 def write_dataset(
@@ -455,14 +419,9 @@ def verify_dataset(split: KgSplit, out_dir: str) -> list[str]:
     raises ``ArtifactMismatchError`` naming ``path:line``. Per loaded record
     the checks are: no zero-shot shape in the train file, and answer sets
     equal to a fresh traversal. A train record holds its train-graph sets
-    and no hard answers; a valid/test record holds its train-reachable sets,
-    and its hard answers are exactly the full-minus-train difference.
+    and no hard answers; a valid/test record holds the easy and hard sets of
+    ``oracle.hard_answers``.
     """
-    def answer_sets(kg: KnowledgeGraph, inst: RecInstance) -> dict[str, frozenset[int]]:
-        req = oracle.answer_requirement(kg, inst.requirement)
-        pref = oracle.answer_preference(kg, inst.user)
-        return {TASK_JOINT: req & pref, TASK_REQ: req, TASK_PREF: pref}
-
     violations = []
     for split_name in SPLIT_NAMES:
         if not os.path.exists(os.path.join(out_dir, DATASET_FILES[split_name])):
@@ -472,10 +431,10 @@ def verify_dataset(split: KgSplit, out_dir: str) -> list[str]:
             where = f"{split_name}:{lineno}"
             if split_name == "train" and inst.shape not in BASIC_SHAPES:
                 violations.append(f"{where}: zero-shot shape in train file")
-            answers, hard = answer_sets(kg, inst), None
+            u, q = inst.user, inst.requirement
+            answers, hard = oracle.answer_sets(kg, u, oracle.answer_requirement(kg, q)), None
             if split_name != "train":
-                full, answers = answers, answer_sets(split.train, inst)
-                hard = {task: full[task] - answers[task] for task in TASKS}
+                answers, hard = oracle.hard_answers(split, u, q, answers)
             if inst.answers != answers:
                 violations.append(f"{where}: answer sets disagree with oracle")
             if inst.hard != hard:

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import EAGER
-from .dataset import TASK_JOINT, RecInstance
+from .dataset import RecInstance
 from .kg import KnowledgeGraph
 from .model import Catalog, ModelParams, catalog_scores, embed_instance
+from .oracle import TASK_JOINT
 from .query import ALL_SHAPES
 
 
@@ -126,10 +127,13 @@ def evaluate(
 
     ``target="hard"`` ranks the held-out-only answers (test protocol) and
     requires every record to carry them; ``target="answers"`` ranks the
-    record's known joint answers instead (train-fit diagnostics).
+    record's known joint answers instead (train-fit diagnostics). Each
+    cutoff in ``ks`` must be at least 1 and appear once.
     """
     if target not in ("hard", "answers"):
         raise ValueError(f"unknown target {target!r}")
+    if min(ks, default=1) < 1 or len(set(ks)) < len(ks):
+        raise ValueError(f"cutoffs must be distinct and at least 1, got {list(ks)}")
     catalog = Catalog(params, kg.sorted_items())
     item_ids = catalog.ids
     if instances:

@@ -207,45 +207,52 @@ class KnowledgeGraph:
         return tuple(sorted(self.users))
 
 
-def _parse_lines(path: str, n_fields: int) -> list[str]:
-    """The line parser: ``n_fields`` tab-separated names a line (blank lines
-    skipped), as one flat list; errors carry line numbers."""
+def _parse_lines(path: str, data: bytes, n_fields: int) -> list[str]:
+    """The line parser over ``data``, the bytes of ``path``: ``n_fields``
+    tab-separated names a line (blank lines skipped, lines split as in text
+    mode), as one flat list; errors carry line numbers."""
     fields = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t") if n_fields > 1 else [line]
-            where = f"{path}:{lineno}:"
-            if len(parts) != n_fields:
-                raise GraphFormatError(f"{where} expected exactly two tab separators, "
-                                       f"got {len(parts) - 1}")
-            for name in parts:
-                if not name:
-                    raise GraphFormatError(f"{where} empty name field")
-                if bad := sorted(_FORBIDDEN_NAME_CHARS.intersection(name)):
-                    raise GraphFormatError(f"{where} name {name!r} contains forbidden "
-                                           f"character(s) {bad}; names must be "
-                                           "whitespace- and paren-free")
-            fields += parts
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        where = f"{path}:{lineno}:"
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{where} not UTF-8: {exc}") from None
+        if not line:
+            continue
+        parts = line.split("\t") if n_fields > 1 else [line]
+        if len(parts) != n_fields:
+            raise GraphFormatError(f"{where} expected exactly two tab separators, "
+                                   f"got {len(parts) - 1}")
+        for name in parts:
+            if not name:
+                raise GraphFormatError(f"{where} empty name field")
+            if bad := sorted(_FORBIDDEN_NAME_CHARS.intersection(name)):
+                raise GraphFormatError(f"{where} name {name!r} contains forbidden "
+                                       f"character(s) {bad}; names must be "
+                                       "whitespace- and paren-free")
+        fields += parts
     return fields
 
 
-def _read_fields(path: str, n_fields: int) -> tuple[bytes, list[str]]:
-    """The file's bytes and its names as one flat list, ``n_fields`` a line.
-    The text (newlines translated as in text mode) is checked whole; a file
-    that fails, or is not UTF-8, goes through the line parser."""
-    with open(path, "rb") as f:
-        data = f.read()
+def _parse_fields(path: str, data: bytes, n_fields: int) -> list[str]:
+    """The names in ``data``, the bytes of ``path``, as one flat list,
+    ``n_fields`` a line. The text (newlines translated as in text mode) is
+    checked whole; a file that fails, or is not UTF-8, goes through the line
+    parser."""
     try:
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         ok = _FILE_FORMS[n_fields].fullmatch(text)
     except UnicodeDecodeError:
         ok = None
     if not ok:
-        return data, _parse_lines(path, n_fields)
-    return data, list(filter(None, text.replace("\n", "\t").split("\t")))
+        return _parse_lines(path, data, n_fields)
+    return list(filter(None, text.replace("\n", "\t").split("\t")))
+
+
+def _read_fields(path: str, n_fields: int) -> list[str]:
+    with open(path, "rb") as f:
+        return _parse_fields(path, f.read(), n_fields)
 
 
 def _index_fields(fields: list[str]) -> tuple[Vocab, Vocab, np.ndarray]:
@@ -273,9 +280,9 @@ def graph_from_names(triple_rows: Iterable[tuple[str, str, str]],
 def load_graph(triple_file: str, item_file: str, user_file: str,
                like_rel_name: str) -> KnowledgeGraph:
     """Load and index a graph from the three line-oriented vocabulary files."""
-    _, fields = _read_fields(triple_file, 3)
-    return graph_from_names(zip(*[iter(fields)] * 3), _read_fields(item_file, 1)[1],
-                            _read_fields(user_file, 1)[1], like_rel_name)
+    fields = _read_fields(triple_file, 3)
+    return graph_from_names(zip(*[iter(fields)] * 3), _read_fields(item_file, 1),
+                            _read_fields(user_file, 1), like_rel_name)
 
 
 @dataclass(frozen=True)
@@ -429,24 +436,30 @@ def load_split(split_dir: str) -> KgSplit:
 
     The manifest must be a JSON object whose ``like_rel`` names a relation,
     with a numeric ``fraction`` and an integer ``seed``, and the files must
-    match its hashes and counts, or ``ArtifactMismatchError`` is raised. Ids
-    follow first appearance over the train rows, then the held-out rows; the
-    train graph is the first ``n_train`` rows of the full graph's id array.
+    match its hashes and counts, or ``ArtifactMismatchError`` is raised; a
+    triple file's hash is checked before it is parsed. Ids follow first
+    appearance over the train rows, then the held-out rows; the train graph
+    is the first ``n_train`` rows of the full graph's id array.
     """
     manifest_path = os.path.join(split_dir, MANIFEST_FILE)
     manifest = _read_manifest(manifest_path)
-    train_data, train_fields = _read_fields(os.path.join(split_dir, TRAIN_FILE), 3)
-    held_data, held_fields = _read_fields(os.path.join(split_dir, HELDOUT_FILE), 3)
+    paths = [os.path.join(split_dir, f) for f in (TRAIN_FILE, HELDOUT_FILE)]
+    blobs = []
+    for path in paths:
+        with open(path, "rb") as f:
+            blobs.append(f.read())
+    _check_manifest(manifest_path, manifest, {
+        key: hashlib.sha256(data).hexdigest()
+        for key, data in zip(("train_sha256", "heldout_sha256"), blobs)})
+    train_fields, held_fields = map(_parse_fields, paths, blobs, (3, 3))
     n_train = len(train_fields) // 3
     ev, rv, ids = _index_fields(train_fields + held_fields)
     like = manifest["like_rel"]
     _check_manifest(manifest_path, manifest, {
-        "train_sha256": hashlib.sha256(train_data).hexdigest(),
-        "heldout_sha256": hashlib.sha256(held_data).hexdigest(),
         "n_train": n_train, "n_held_out": len(held_fields) // 3,
         "n_entities": len(ev), "n_relations": len(rv),
     }, [] if like in rv else [f"like_rel {like!r} is not a relation"])
-    items, users = (frozenset(map(ev.id_of, _read_fields(os.path.join(split_dir, f), 1)[1]))
+    items, users = (frozenset(map(ev.id_of, _read_fields(os.path.join(split_dir, f), 1)))
                     for f in (ITEMS_FILE, USERS_FILE))
     full = KnowledgeGraph(ev, rv, ids, items, users, rv.id_of(like))
     _check_manifest(manifest_path, manifest, {

@@ -40,8 +40,8 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .autodiff import EAGER, Eager, OpShapeError, Tape, Tensor, Value
-from .dataset import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .kg import ArtifactMismatchError, KnowledgeGraph, atomic_write
+from .oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .query import QueryNode, skeleton
 
 VARIANTS = ("mtl", "shared-bottom", "single-task", "no-al", "no-au")

@@ -1,16 +1,23 @@
-"""Exact query answering by graph traversal.
+"""Exact query answering by graph traversal, and the easy/hard answer split.
 
 Evaluation is bottom-up over the AST. Intermediate variable sets range over
 all entities; only the root result is filtered to the item catalog. On an
 incomplete graph the traversal is deliberately incomplete too: answers that
 need a held-out edge are exactly the "hard" answers used for testing.
-All functions are pure and safe to run concurrently on a shared graph.
+``hard_answers`` is the one place that rule is written: per task, the
+full-graph answers minus the train-graph ones. All functions are pure and
+safe to run concurrently on a shared graph.
 """
 
 from __future__ import annotations
 
 from .kg import KgSplit, KnowledgeGraph
 from .query import And, Anchor, Or, Project, QueryNode
+
+TASK_JOINT = "joint"
+TASK_REQ = "req"
+TASK_PREF = "pref"
+TASKS = (TASK_JOINT, TASK_REQ, TASK_PREF)
 
 
 def _eval_entities(kg: KnowledgeGraph, q: QueryNode) -> frozenset[int]:
@@ -54,11 +61,18 @@ def answer_joint(kg: KnowledgeGraph, u: int, q: QueryNode) -> frozenset[int]:
     return answer_requirement(kg, q) & answer_preference(kg, u)
 
 
-def hard_answers(
-    split: KgSplit, u: int, q: QueryNode
-) -> tuple[frozenset[int], frozenset[int]]:
-    """(easy, hard) joint answers: easy reachable on the train graph, hard
-    answerable only with held-out edges."""
-    easy = answer_joint(split.train, u, q)
-    hard = answer_joint(split.full, u, q) - easy
-    return easy, hard
+def answer_sets(kg: KnowledgeGraph, u: int,
+                req: frozenset[int]) -> dict[str, frozenset[int]]:
+    """The answer set of each task for user ``u`` on ``kg``, given ``req``,
+    the requirement's answers on ``kg``."""
+    pref = answer_preference(kg, u)
+    return {TASK_JOINT: req & pref, TASK_REQ: req, TASK_PREF: pref}
+
+
+def hard_answers(split: KgSplit, u: int, q: QueryNode, full: dict[str, frozenset[int]]
+                 ) -> tuple[dict[str, frozenset[int]], dict[str, frozenset[int]]]:
+    """(easy, hard) answer sets per task of user ``u`` and requirement ``q``,
+    given ``full``, their :func:`answer_sets` on the full graph: easy ones
+    are reachable on the train graph, hard ones only with held-out edges."""
+    easy = answer_sets(split.train, u, answer_requirement(split.train, q))
+    return easy, {task: full[task] - easy[task] for task in TASKS}

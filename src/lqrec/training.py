@@ -28,10 +28,11 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import AdamState, Tape, Tensor, adam_step
-from .dataset import TASKS, RecInstance, read_key_values
+from .dataset import RecInstance, read_key_values
 from .evaluation import evaluate
 from .kg import KnowledgeGraph
 from .model import ModelParams, embed_instance, model_variant, score_items, save_checkpoint
+from .oracle import TASKS
 
 
 class DegenerateInstanceError(ValueError):
@@ -143,7 +144,7 @@ class AnswerPack(NamedTuple):
     the task's weight is 0), sorted, at ``answers[answer_start[r]:
     answer_start[r + 1]]``. Its pool, ``items`` minus those answers, has
     ``pool[r]`` items. With ``taken`` the sorted catalog positions of the
-    row's answers, ``shift_keys[shift_start[r] + k]`` is ``r * (len(items)
+    row's answers, ``shift_keys[answer_start[r] + k]`` is ``r * (len(items)
     + 1) + taken[k] - k``: pool index j is catalog position j plus the
     number of the row's keys up to ``r * (len(items) + 1) + j``.
     """
@@ -152,13 +153,13 @@ class AnswerPack(NamedTuple):
     answers: np.ndarray
     answer_start: np.ndarray
     shift_keys: np.ndarray
-    shift_start: np.ndarray
     pool: np.ndarray
 
 
 def pack_answers(instances: Sequence[RecInstance], items: Sequence[int],
                  weights: tuple[float, float, float], n_neg: int) -> AnswerPack:
-    """Pack against the sorted catalog ``items``. A weighted answer set that
+    """Pack against the sorted catalog ``items``, which must hold every
+    weighted answer (``ValueError`` otherwise). A weighted answer set that
     covers the catalog leaves nothing to contrast: with ``n_neg`` > 0 it
     raises ``DegenerateInstanceError``."""
     items = np.asarray(items, dtype=np.int64)
@@ -168,19 +169,21 @@ def pack_answers(instances: Sequence[RecInstance], items: Sequence[int],
     flat = np.fromiter(chain.from_iterable(sets), np.int64, int(counts.sum()))
     row = np.repeat(np.arange(len(sets)), counts)
     answers = flat[np.lexsort((flat, row))]
-    in_catalog = np.isin(answers, items)
-    taken, taken_row = np.searchsorted(items, answers[in_catalog]), row[in_catalog]
-    taken_counts = np.bincount(taken_row, minlength=len(sets))
-    shift_start = np.concatenate(([0], np.cumsum(taken_counts)))
-    shift = taken - (np.arange(len(taken)) - shift_start[taken_row])
-    pool = len(items) - taken_counts
+    if (outside := np.isin(answers, items, invert=True)).any():
+        i = int(outside.argmax())
+        inst, task = divmod(int(row[i]), 3)
+        raise ValueError(f"instance {inst}: {TASKS[task]} answer {int(answers[i])} "
+                         "is not a catalog item")
+    taken = np.searchsorted(items, answers)
+    answer_start = np.concatenate(([0], np.cumsum(counts)))
+    shift = taken - (np.arange(len(taken)) - answer_start[row])
+    pool = len(items) - counts
     degenerate = np.flatnonzero((counts > 0) & (pool == 0))
     if n_neg and degenerate.size:
         inst, task = divmod(int(degenerate[0]), 3)
         raise DegenerateInstanceError(f"instance {inst}: the {TASKS[task]} answer "
                                       "set covers the entire catalog")
-    return AnswerPack(items, answers, np.concatenate(([0], np.cumsum(counts))),
-                      taken_row * (len(items) + 1) + shift, shift_start, pool)
+    return AnswerPack(items, answers, answer_start, row * (len(items) + 1) + shift, pool)
 
 
 def _first_distinct(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +202,7 @@ def _pool_items(pack: AnswerPack, rows: np.ndarray, picks: np.ndarray) -> np.nda
     """Item ``picks[i, j]`` of pack row ``rows[i]``'s pool."""
     keys = rows[:, None] * (len(pack.items) + 1) + picks
     shift = np.searchsorted(pack.shift_keys, keys, side="right")
-    return pack.items[picks + shift - pack.shift_start[rows, None]]
+    return pack.items[picks + shift - pack.answer_start[rows, None]]
 
 
 def sample_negatives(

@@ -17,9 +17,9 @@ import pytest
 from lqrec.autodiff import Tape, Tensor, backward
 from lqrec.cli import main as cli_main
 from lqrec.dataset import (
+    BuildReport,
     DatasetConfig,
     SamplingError,
-    TASK_JOINT,
     build_dataset,
     sample_instance,
     sample_requirement,
@@ -29,7 +29,7 @@ from lqrec.dataset import (
 from lqrec.evaluation import evaluate, filtered_rank
 from lqrec.kg import split_edges
 from lqrec.model import ModelParams, embed_intersection, embed_union
-from lqrec.oracle import answer_joint, answer_requirement
+from lqrec.oracle import TASK_JOINT, answer_joint, answer_requirement
 from lqrec.query import ALL_SHAPES, BASIC_SHAPES, ZERO_SHOT_SHAPES
 from lqrec.synth import clustered_world, random_graph, write_world_files
 from lqrec.training import (TrainConfig, compute_loss, pack_answers,
@@ -432,7 +432,7 @@ def test_criterion_9_zero_shot_discipline(gen_split, gen_datasets, sweep,
         for inst in datasets[split_name]:
             assert inst.shape not in ZERO_SHOT_SHAPES
     # and on disk
-    write_dataset(datasets, _build_report_stub(datasets), gen_split.full,
+    write_dataset(datasets, BuildReport(requested={}, datasets=datasets), gen_split.full,
                   str(tmp_path))
     for line in (tmp_path / "train.jsonl").read_text().splitlines():
         assert json.loads(line)["shape"] in {s.value for s in BASIC_SHAPES}
@@ -448,18 +448,3 @@ def test_criterion_9_zero_shot_discipline(gen_split, gen_datasets, sweep,
     zero_shot_hits = {s.value: round(report_eval.per_shape[s.value]["hit@20"], 3)
                       for s in ZERO_SHOT_SHAPES}
     report("9 zero-shot-discipline", finite, f"zero-shot hit@20 {zero_shot_hits}")
-
-
-def _build_report_stub(datasets):
-    from lqrec.dataset import BuildReport
-
-    emitted = {
-        name: {inst.shape: 0 for inst in insts}
-        for name, insts in datasets.items()
-    }
-    for name, insts in datasets.items():
-        for inst in insts:
-            emitted[name][inst.shape] += 1
-    return BuildReport(requested=emitted, emitted=emitted,
-                       mean_req_answers={n: {} for n in datasets},
-                       mean_hard={n: {} for n in datasets})

@@ -197,6 +197,16 @@ def test_eval_table_and_json(pipeline, capsys):
         assert 0.0 <= value <= 1.0
 
 
+@pytest.mark.parametrize("ks", ["0", "-3", "10,0", "10,10"])
+def test_eval_bad_cutoffs_exit_code(pipeline, ks, capsys):
+    rc = main(["eval", "--data", str(pipeline["data"]),
+               "--checkpoint", str(pipeline["ckpt"]), "--k", ks])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cutoffs must be distinct and at least 1" in captured.err
+
+
 def test_eval_vocab_mismatch_exit_code(pipeline):
     other = clustered_world(n_clusters=2, attrs_per_cluster=4,
                             items_per_cluster=8, n_users=8, seed=99)
@@ -452,7 +462,7 @@ def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
     import numpy as np
 
     from lqrec.autodiff import EAGER
-    from lqrec.dataset import TASK_JOINT
+    from lqrec.oracle import TASK_JOINT
     from lqrec.kg import load_split
     from lqrec.model import Catalog, catalog_scores, embed_instance, load_checkpoint
     from lqrec.query import parse_query
@@ -485,7 +495,8 @@ def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
 def test_inference_constructs_no_tape(pipeline, monkeypatch, capsys):
     # evaluation and answer lines embed and score on EAGER, never a Tape
     from lqrec import autodiff
-    from lqrec.dataset import TASK_JOINT, load_instances
+    from lqrec.dataset import load_instances
+    from lqrec.oracle import TASK_JOINT
     from lqrec.evaluation import evaluate
     from lqrec.model import load_checkpoint
 

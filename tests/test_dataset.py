@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -13,9 +14,6 @@ from lqrec.dataset import (
     DATASET_FILES,
     STATS_FILE,
     SamplingError,
-    TASK_JOINT,
-    TASK_PREF,
-    TASK_REQ,
     build_dataset,
     instance_to_record,
     load_instances,
@@ -26,6 +24,7 @@ from lqrec.dataset import (
     write_dataset,
 )
 from lqrec.kg import ArtifactMismatchError, graph_from_names
+from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import ALL_SHAPES, ZERO_SHOT_SHAPES, QueryShape, classify_shape
 from lqrec.training import TrainConfig
 
@@ -210,13 +209,13 @@ def test_stats_match_emitted_files(world_split, tmp_path):
     cfg = DatasetConfig(counts=small_counts(), seed=4)
     datasets, report = build_dataset(world_split, cfg)
     write_dataset(datasets, report, world_split.full, str(tmp_path))
-    for split_name in ("train", "valid", "test"):
-        records = load_instances(str(tmp_path), split_name, world_split.full)
-        assert len(records) == sum(report.emitted[split_name].values())
-        by_shape = {}
-        for rec in records:
-            by_shape[rec.shape] = by_shape.get(rec.shape, 0) + 1
-        assert by_shape == {s: n for s, n in report.emitted[split_name].items() if n}
+    assert report.shortfalls == []
+    rows = [line.split() for line in (tmp_path / STATS_FILE).read_text().splitlines()[1:]]
+    emitted = {(split_name, shape): int(n) for split_name, shape, _, n, *_ in rows}
+    counted = Counter((split_name, rec.shape.value)
+                      for split_name in ("train", "valid", "test")
+                      for rec in load_instances(str(tmp_path), split_name, world_split.full))
+    assert counted == {cell: n for cell, n in emitted.items() if n}
 
 
 def test_record_roundtrip(world_split):

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from lqrec.autodiff import EAGER, Tape, backward
-from lqrec.dataset import TASK_PREF, DatasetConfig, sample_instance
+from lqrec.dataset import DatasetConfig, sample_instance
 from lqrec.model import VARIANTS, ModelParams, embed_instance
+from lqrec.oracle import TASK_PREF
 from lqrec.query import ALL_SHAPES, And, Or, Project, QueryShape
 from lqrec.training import compute_loss, pack_answers, sample_negatives
 

@@ -5,9 +5,10 @@ import pytest
 
 from lqrec import evaluation
 from lqrec.autodiff import EAGER
-from lqrec.dataset import BASIC_SHAPES, TASK_JOINT, DatasetConfig, build_dataset
+from lqrec.dataset import BASIC_SHAPES, DatasetConfig, build_dataset
 from lqrec.evaluation import evaluate, filtered_rank, rank_items
 from lqrec.model import Catalog, ModelParams, catalog_scores, embed_instance, score_items
+from lqrec.oracle import TASK_JOINT
 from lqrec.query import ALL_SHAPES
 from lqrec.training import TrainConfig, train
 

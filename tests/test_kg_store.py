@@ -9,6 +9,7 @@ and parse errors, and hold the vocabulary's own int objects in its indices.
 
 import hashlib
 import json
+import pathlib
 import random
 import shutil
 import sys
@@ -276,14 +277,21 @@ def saved_split(tmp_path_factory):
     return out
 
 
+HASH_KEYS = {"train.tsv": "train_sha256", "heldout.tsv": "heldout_sha256"}
+
+
 def edited_copy(saved_split, tmp_path, fname, lineno, new_line: bytes):
     """A copy of the split with line ``lineno`` of ``fname`` replaced and the
-    manifest left as it was."""
+    manifest's hash of that file updated to match, so the file is parsed."""
     out = tmp_path / "edited"
     shutil.copytree(saved_split, out)
     lines = (out / fname).read_bytes().split(b"\n")
     lines[lineno - 1] = new_line
     (out / fname).write_bytes(b"\n".join(lines))
+    if fname in HASH_KEYS:
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[HASH_KEYS[fname]] = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
     return out
 
 
@@ -309,16 +317,60 @@ def test_malformed_input_matches_line_parser(case, saved_split, tmp_path, capsys
     reference = ref_read_names if fname.endswith(".txt") else ref_parse_triple_lines
     with pytest.raises((GraphFormatError, UnicodeDecodeError)) as want:
         reference(path)
-    with pytest.raises(type(want.value)) as got:
+    with pytest.raises(GraphFormatError) as got:
         load_split(str(split_dir))
-    assert str(got.value) == str(want.value)
     if isinstance(want.value, GraphFormatError):
-        assert f"{fname}:{lineno}:" in str(got.value)
-    # both commands report it as a validation error, as before
+        assert str(got.value) == str(want.value)
+    else:  # the reference gave only the codec's message; now it names the line
+        assert str(got.value).startswith(f"{path}:{lineno}: not UTF-8: 'utf-8' codec")
+    # both commands report it as a validation error
     assert main(["answer", "--kg", str(split_dir), "--mode", "symbolic"]) == 2
     assert main(["train", "--data", str(split_dir), "--seed", "1",
                  "--out", str(tmp_path / "run")]) == 2
-    assert str(want.value) in capsys.readouterr().err
+    assert str(got.value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("byte", [b"Q", b" ", b"\xff"], ids=["letter", "space", "not_utf8"])
+@pytest.mark.parametrize("fname", ["train.tsv", "heldout.tsv"])
+def test_changed_triple_byte_is_a_hash_mismatch(saved_split, tmp_path, fname, byte, capsys):
+    # whatever the byte, the hash check runs before the file is parsed
+    out = tmp_path / "changed"
+    shutil.copytree(saved_split, out)
+    blob = bytearray((out / fname).read_bytes())
+    blob[100:101] = byte
+    (out / fname).write_bytes(bytes(blob))
+    assert main(["answer", "--kg", str(out), "--mode", "symbolic"]) == 4
+    assert f"{HASH_KEYS[fname]} is " in capsys.readouterr().err
+
+
+def test_raw_triples_not_utf8_name_the_line(tmp_path, capsys):
+    raw = synth.write_world_files(synth.clustered_world(**dict(CRITERION5_WORLD, seed=1)),
+                                  str(tmp_path / "raw"))
+    triples = pathlib.Path(raw["triples"])
+    lines = triples.read_bytes().split(b"\n")
+    lines[2] = lines[2][:4] + b"\xff" + lines[2][4:]
+    triples.write_bytes(b"\n".join(lines))
+    assert main(["split", "--triples", raw["triples"], "--items", raw["items"],
+                 "--users", raw["users"], "--like", "likes", "--fraction", "0.05",
+                 "--seed", "1", "--out", str(tmp_path / "split")]) == 2
+    assert (f"error: {raw['triples']}:3: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 4") in capsys.readouterr().err
+
+
+def test_line_parser_reads_no_file(saved_split, tmp_path, monkeypatch):
+    fname, lineno, line = MALFORMED["forbidden_char"]
+    split_dir = edited_copy(saved_split, tmp_path, fname, lineno, line)
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    with pytest.raises(GraphFormatError, match=f"{fname}:{lineno}: "):
+        load_split(str(split_dir))
+    assert opened.count(str(split_dir / fname)) == 1
 
 
 def refuse_line_parser(path, n_fields):

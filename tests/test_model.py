@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lqrec.autodiff import EAGER, Tape, Tensor, backward
-from lqrec.dataset import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.evaluation import rank_items
 from lqrec.kg import ArtifactMismatchError, graph_from_names
 from lqrec.model import (
@@ -26,6 +25,7 @@ from lqrec.model import (
     save_checkpoint,
     score_items,
 )
+from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import parse_query
 from test_autodiff import reduce_sum
 

@@ -5,7 +5,9 @@ from collections import defaultdict
 
 from lqrec.dataset import SamplingError, sample_requirement
 from lqrec.kg import graph_from_names, split_edges
-from lqrec.oracle import answer_joint, answer_preference, answer_requirement, hard_answers
+from lqrec.oracle import (TASK_JOINT, TASK_PREF, TASK_REQ, TASKS, answer_joint,
+                          answer_preference, answer_requirement, answer_sets,
+                          hard_answers)
 from lqrec.query import ALL_SHAPES, And, Anchor, Or, Project, parse_query
 from lqrec.synth import random_graph
 
@@ -190,22 +192,31 @@ def test_shared_subquery_object_matches_fresh_copies(world_split):
         assert answer_requirement(kg, shared) == answer_requirement(kg, fresh)
 
 
+def full_and_hard_answers(split, u, q):
+    full = answer_sets(split.full, u, answer_requirement(split.full, q))
+    return full, *hard_answers(split, u, q, full)
+
+
 def test_hard_answers(world_split):
     rng = random.Random(31)
     split = world_split
-    found_hard = 0
+    found_hard = {task: 0 for task in TASKS}
     for _ in range(300):
         try:
             q = sample_requirement(split.full, ALL_SHAPES[rng.randrange(9)], rng)
         except SamplingError:
             continue
         for u in sorted(split.full.users):
-            easy, hard = hard_answers(split, u, q)
-            assert easy & hard == frozenset()
-            assert easy == answer_joint(split.train, u, q)
-            assert easy | hard == answer_joint(split.full, u, q)
-            found_hard += bool(hard)
-    assert found_hard > 0
+            full, easy, hard = full_and_hard_answers(split, u, q)
+            for kg, sets in ((split.full, full), (split.train, easy)):
+                assert sets == {TASK_JOINT: answer_joint(kg, u, q),
+                                TASK_REQ: answer_requirement(kg, q),
+                                TASK_PREF: answer_preference(kg, u)}
+            for task in TASKS:
+                assert easy[task] & hard[task] == frozenset()
+                assert easy[task] | hard[task] == full[task]
+                found_hard[task] += bool(hard[task])
+    assert all(found_hard.values())
 
 
 def test_hard_answer_via_held_out_edge():
@@ -219,9 +230,9 @@ def test_hard_answer_via_held_out_edge():
     # find a seed whose hold-out removes a (a, r1, *) or (u, likes, *) edge
     for seed in range(200):
         split = split_edges(kg, 0.2, seed)
-        easy, hard = hard_answers(split, u, q)
-        if hard:
-            for item in hard:
+        _, easy, hard = full_and_hard_answers(split, u, q)
+        if hard[TASK_JOINT]:
+            for item in hard[TASK_JOINT]:
                 assert item not in answer_joint(split.train, u, q)
                 assert item in answer_joint(split.full, u, q)
             return

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lqrec.autodiff import Tape
-from lqrec.dataset import TASKS, DatasetConfig, TASK_JOINT, build_dataset
+from lqrec.dataset import DatasetConfig, build_dataset
 from lqrec.model import (
     ModelParams,
     embed_intersection,
@@ -15,6 +15,7 @@ from lqrec.model import (
     embed_user_preference,
     score_items,
 )
+from lqrec.oracle import TASK_JOINT, TASKS
 from lqrec.query import BASIC_SHAPES
 from lqrec.training import (
     DegenerateInstanceError,
@@ -129,18 +130,17 @@ def test_sample_negatives_degenerate():
 @pytest.mark.parametrize("n_items", [12, 40, 85, 86, 90, 300, 2000])
 def test_sample_negatives_matches_materialized_pool(n_items):
     # every negative lies in the pool built as a list (the catalog minus the
-    # answers, some of them outside the catalog), without repeats when the
-    # pool allows; drawing n_neg = |pool| returns the whole pool; every
-    # positive is an answer
+    # answers), without repeats when the pool allows; drawing n_neg = |pool|
+    # returns the whole pool; every positive is an answer
     items = list(range(3, 3 + 2 * n_items, 2))
     gen = np.random.default_rng(n_items)
     instances = answer_rows(*(
         [frozenset(gen.choice(items, size=gen.integers(0, n_items // 2),
-                              replace=False).tolist() + [0, 1, 10**6])
+                              replace=False).tolist())
          for _ in TASKS]
         for _ in range(10)))
     whole = n_items - n_items // 2  # instance 0's joint pool: drawn whole
-    instances[0].answers["joint"] = frozenset(items[:n_items // 2] + [0])
+    instances[0].answers["joint"] = frozenset(items[:n_items // 2])
     pools = [[[i for i in items if i not in inst.answers[task]] for task in TASKS]
              for inst in instances]
     drawn_whole = 0
@@ -165,13 +165,23 @@ def test_negative_pool_view_elements():
 
     items = [2, 3, 5, 7, 11, 13, 17]
     for answers in (frozenset(), frozenset({2}), frozenset({17, 3}),
-                    frozenset({4, 5, 7, 11}), frozenset(items[1:])):
+                    frozenset({5, 7, 11}), frozenset(items[1:])):
         pack = pack_answers(answer_rows((answers, {2}, {3})), items,
                             (1.0, 1.0, 1.0), 1)
         expected = [i for i in items if i not in answers]
         assert pack.pool[0] == len(expected)
         picks = np.arange(len(expected))[None, :]
         assert _pool_items(pack, np.array([0]), picks).tolist() == [expected]
+
+
+@pytest.mark.parametrize("outside", [0, 4, 18])
+def test_pack_answers_rejects_answer_outside_catalog(outside):
+    sets = [(frozenset({5}),) * 3, (frozenset({5, outside}), frozenset({7}), frozenset())]
+    with pytest.raises(ValueError, match=f"instance 1: joint answer {outside} is not"):
+        pack_answers(answer_rows(*sets), [2, 3, 5, 7, 11, 13, 17], (1.0, 1.0, 1.0), 2)
+    # an unweighted task's answers are not packed, so they are not checked
+    sets[1] = (frozenset({5}), frozenset({7}), frozenset({outside}))
+    pack_answers(answer_rows(*sets), [2, 3, 5, 7, 11, 13, 17], (1.0, 1.0, 0.0), 2)
 
 
 def test_sample_negatives_uniform():
