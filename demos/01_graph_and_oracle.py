@@ -5,7 +5,11 @@
 # "items tagged by attr0_1 AND marked by attr0_2" is a 2i query; joint
 # answering intersects it with what the user already likes.
 
+import random
+
 from lqrec import (
+    DatasetConfig,
+    QueryShape,
     answer_joint,
     answer_preference,
     answer_requirement,
@@ -14,7 +18,8 @@ from lqrec import (
     serialize_query,
     split_edges,
 )
-from lqrec.oracle import TASK_JOINT, answer_sets, hard_answers
+from lqrec.dataset import sample_instance
+from lqrec.oracle import TASK_JOINT
 from lqrec.synth import clustered_world
 
 kg = clustered_world(n_clusters=3, attrs_per_cluster=5, items_per_cluster=10,
@@ -45,13 +50,12 @@ print(f"joint answers: {sorted(names(i) for i in answer_joint(kg, user, q))}")
 
 # Holding out 5% of the edges makes some answers unreachable by traversal:
 # those are the hard answers a learned model is evaluated on: the full-graph
-# answers of each task minus those still reachable on the train graph.
+# answers of each task minus those still reachable on the train graph. A test
+# instance is resampled until its user has at least one hard joint answer.
 split = split_edges(kg, 0.05, seed=1)
 print(f"\nheld out {len(split.held_out)} of {len(kg.triples)} edges")
-full_req = answer_requirement(split.full, q)
-for u in sorted(kg.users):
-    easy, hard = hard_answers(split, u, q, answer_sets(split.full, u, full_req))
-    if hard[TASK_JOINT]:
-        print(f"user {names(u)}: easy {sorted(names(i) for i in easy[TASK_JOINT])}, "
-              f"hard {sorted(names(i) for i in hard[TASK_JOINT])}")
-        break
+inst = sample_instance(split, QueryShape.ONE_P, "test", random.Random(1),
+                       DatasetConfig(counts={}, seed=1))
+print(f"user {names(inst.user)}, requirement {serialize_query(inst.requirement, kg)}")
+print(f"  easy joint answers: {sorted(names(i) for i in inst.answers[TASK_JOINT])}")
+print(f"  hard joint answers: {sorted(names(i) for i in inst.hard[TASK_JOINT])}")

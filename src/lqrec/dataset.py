@@ -18,7 +18,8 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from . import oracle
-from .kg import ArtifactMismatchError, KgSplit, KnowledgeGraph, UnknownNameError
+from .kg import (ArtifactMismatchError, KgSplit, KnowledgeGraph, UnknownNameError,
+                 atomic_write)
 from .oracle import TASK_JOINT, TASK_REQ, TASKS
 from .query import (
     ALL_SHAPES,
@@ -225,6 +226,13 @@ def sample_requirement(
     return canonicalize(_ground(kg, SHAPE_TEMPLATES[shape], seed_item, rng, True), kg)
 
 
+def _likers(kg: KnowledgeGraph, items: frozenset[int]) -> list[int]:
+    """Users with an interaction edge into any of ``items``, ascending. For
+    a requirement's answers these are exactly the users whose joint answer
+    set is nonempty."""
+    return sorted({h for i in items for r, h in kg.in_edges(i) if r == kg.like_rel})
+
+
 def sample_instance(
     split: KgSplit,
     shape: QueryShape,
@@ -234,13 +242,12 @@ def sample_instance(
 ) -> RecInstance:
     """Sample one grounded instance for the given benchmark split.
 
-    The paired user is uniform among users whose joint answer set is nonempty
-    (first qualifying user in a shuffled scan). Valid/test instances must
-    have at least one hard joint answer (``oracle.hard_answers``) or they
-    are resampled.
+    The paired user is uniform among the users whose joint answer set is
+    nonempty: one draw from the requirement answers' likers (``_likers``).
+    Valid/test instances must have at least one hard joint answer
+    (``oracle.hard_answers``) or they are resampled.
     """
     kg = split.train if split_name == "train" else split.full
-    users = kg.ordered_users
     for _ in range(cfg.max_retries):
         try:
             q = sample_requirement(kg, shape, rng)
@@ -249,13 +256,10 @@ def sample_instance(
         a_req = oracle.answer_requirement(kg, q)
         if not a_req or len(a_req) > cfg.answer_cap:
             continue
-        # a_req holds items only, so a user's interaction edges meet it
-        # exactly when the user's joint answer set is nonempty
-        for u in rng.sample(users, len(users)):
-            if not a_req.isdisjoint(kg.neighbors_out(u, kg.like_rel)):
-                break
-        else:
+        likers = _likers(kg, a_req)
+        if not likers:
             continue
+        u = likers[rng.randrange(len(likers))]
         answers = oracle.answer_sets(kg, u, a_req)
         if split_name == "train":
             return RecInstance(u, q, shape, answers)
@@ -395,21 +399,16 @@ def write_dataset(
     kg: KnowledgeGraph,
     out_dir: str,
 ) -> None:
+    """Each split's records as JSON lines, then the report as ``stats.txt``;
+    every file is written through :func:`kg.atomic_write`."""
     os.makedirs(out_dir, exist_ok=True)
     for split_name, instances in datasets.items():
-        path = os.path.join(out_dir, DATASET_FILES[split_name])
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(os.path.join(out_dir, DATASET_FILES[split_name])) as f:
             for inst in instances:
-                f.write(
-                    json.dumps(
-                        instance_to_record(inst, kg),
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-    with open(os.path.join(out_dir, STATS_FILE), "w", encoding="utf-8") as f:
-        f.write(report.to_text())
+                f.write(json.dumps(instance_to_record(inst, kg), sort_keys=True,
+                                   separators=(",", ":")).encode("utf-8") + b"\n")
+    with atomic_write(os.path.join(out_dir, STATS_FILE)) as f:
+        f.write(report.to_text().encode("utf-8"))
 
 
 def verify_dataset(split: KgSplit, out_dir: str) -> list[str]:

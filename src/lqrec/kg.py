@@ -182,7 +182,7 @@ class KnowledgeGraph:
         return self.triples_of(self.array)
 
     # Built on first use (graphs that only answer queries never pay): backward
-    # sampling's index and its ascending pools of seed items, targets, users.
+    # sampling's index and its ascending pools of seed items and targets.
 
     @cached_property
     def in_adj(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -201,10 +201,6 @@ class KnowledgeGraph:
     @cached_property
     def in_edge_targets(self) -> tuple[int, ...]:
         return tuple(self.in_adj)
-
-    @cached_property
-    def ordered_users(self) -> tuple[int, ...]:
-        return tuple(sorted(self.users))
 
 
 def _parse_lines(path: str, data: bytes, n_fields: int) -> list[str]:

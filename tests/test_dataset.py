@@ -1,12 +1,13 @@
 import hashlib
 import json
+import os
 import random
 import re
 from collections import Counter
 
 import pytest
 
-from lqrec import oracle
+from lqrec import dataset, oracle
 from lqrec.dataset import (
     BASIC_SHAPES,
     DatasetConfig,
@@ -14,6 +15,7 @@ from lqrec.dataset import (
     DATASET_FILES,
     STATS_FILE,
     SamplingError,
+    _likers,
     build_dataset,
     instance_to_record,
     load_instances,
@@ -27,6 +29,8 @@ from lqrec.kg import ArtifactMismatchError, graph_from_names
 from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import ALL_SHAPES, ZERO_SHOT_SHAPES, QueryShape, classify_shape
 from lqrec.training import TrainConfig
+
+from test_oracle import random_shaped_query
 
 
 def small_counts(n_train=5, n_valid=2, n_test=3):
@@ -164,6 +168,48 @@ def test_test_instance_has_hard_answer(world_split):
         assert item not in train_joint
 
 
+@pytest.mark.parametrize("graph", ["train", "full"])
+def test_likers_are_the_users_with_joint_answers(world_split, graph):
+    # The sampler's user pool against the predicate of a scan over every
+    # user: a nonempty joint answer set. The requirements of every shape are
+    # backward-grounded ones and uniformly random ones (mostly unsatisfiable).
+    kg = getattr(world_split, graph)
+    rng = random.Random(31)
+    queries = []
+    for shape in ALL_SHAPES:
+        for _ in range(25):
+            queries.append(random_shaped_query(kg, shape, rng))
+            try:
+                queries.append(sample_requirement(kg, shape, rng))
+            except SamplingError:
+                pass
+    sizes = []
+    for q in queries:
+        want = sorted(u for u in kg.users if oracle.answer_joint(kg, u, q))
+        assert _likers(kg, oracle.answer_requirement(kg, q)) == want, q
+        sizes.append(len(want))
+    assert 0 in sizes and any(0 < n < len(kg.users) for n in sizes)
+
+
+def test_sampled_user_covers_exactly_the_qualifying_users(world_split, monkeypatch):
+    # With the requirement held fixed, seeded draws reach every user whose
+    # joint answer set is nonempty, about equally often, and no other user.
+    kg = world_split.train
+    rng = random.Random(8)
+    while True:
+        q = sample_requirement(kg, QueryShape.ONE_P, rng)
+        qualifying = {u for u in kg.users if oracle.answer_joint(kg, u, q)}
+        if 5 <= len(qualifying) < len(kg.users):
+            break
+    monkeypatch.setattr(dataset, "sample_requirement", lambda kg, shape, rng: q)
+    cfg = DatasetConfig(counts={}, seed=0)
+    n = 100 * len(qualifying)
+    drawn = Counter(sample_instance(world_split, QueryShape.ONE_P, "train", rng, cfg).user
+                    for _ in range(n))
+    assert set(drawn) == qualifying
+    assert min(drawn.values()) > 50 and max(drawn.values()) < 150
+
+
 def test_build_dataset_deterministic(world_split, tmp_path):
     cfg = DatasetConfig(counts=small_counts(), seed=42)
     d1, r1 = build_dataset(world_split, cfg)
@@ -173,6 +219,23 @@ def test_build_dataset_deterministic(world_split, tmp_path):
     write_dataset(d2, r2, world_split.full, str(out2))
     for name in ("train.jsonl", "valid.jsonl", "test.jsonl", "stats.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_write_dataset_is_atomic(world_split, tmp_path, monkeypatch):
+    first = build_dataset(world_split, DatasetConfig(counts=small_counts(), seed=3))
+    write_dataset(*first, world_split.full, str(tmp_path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    second = build_dataset(world_split, DatasetConfig(counts=small_counts(), seed=4))
+    assert second[0]["train"] != first[0]["train"]
+    with pytest.raises(OSError, match="disk full"):
+        write_dataset(*second, world_split.full, str(tmp_path))
+    # the previous train.jsonl is intact and no temporary file is left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_sampling_stream_pinned(world_split, tmp_path):
@@ -186,7 +249,7 @@ def test_sampling_stream_pinned(world_split, tmp_path):
     for name in (*DATASET_FILES.values(), STATS_FILE):
         h.update((tmp_path / name).read_bytes())
     assert h.hexdigest() == (
-        "538d628678271271104c1dde2cab5af058e466f8042039f8eaafa2a8a11dafe0")
+        "adfc296fb0a2f2e13ec320056de31ff77b411191e820187f24799a160e9a97df")
 
 
 def test_zero_count_shape_absent(world_split, tmp_path):
@@ -315,7 +378,7 @@ def test_shortfall_stats_pinned(world_split, tmp_path):
     stats = (tmp_path / STATS_FILE).read_bytes()
     assert b"\nshortfalls:\n" in stats
     assert hashlib.sha256(stats).hexdigest() == (
-        "393af1056f2f83a0168b90e4350772e836d28cdf0d5c7be30fe981d63e50921f")
+        "f70f6d77ead6be5b49b71774de28cfc6b46efed9931412e2d9c53fec25e65855")
 
 
 def test_load_instances(world_split, tmp_path):

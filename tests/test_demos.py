@@ -1,7 +1,7 @@
 """Each demo runs to completion in a fresh interpreter.
 
 The demos import the public names of the package (``classify_shape``,
-``hard_answers``, ``sample_requirement``, ...), so a renamed or broken export
+``sample_requirement``, ``DatasetConfig``, ...), so a renamed or broken export
 fails here.
 """
 
@@ -16,6 +16,10 @@ import lqrec
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
+# Output a demo must print, beyond exiting 0: demo 01's last section shows a
+# nonempty hard joint answer set.
+EXPECTED = {"01_graph_and_oracle.py": "hard joint answers: ['"}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
@@ -25,6 +29,7 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert EXPECTED.get(demo.name, "") in proc.stdout
 
 
 def test_all_demos_found():

@@ -53,7 +53,6 @@ class RefGraph:
         self.n_entities = n_ent
         self.seed_items = tuple(i for i in self._sorted_items if i in self.in_adj)
         self.in_edge_targets = tuple(self.in_adj)
-        self.ordered_users = tuple(sorted(self.users))
 
     def neighbors_out(self, e, r):
         return self.out_index.get((e, r), frozenset())
@@ -211,7 +210,6 @@ def assert_same_graph(new, ref):
         assert new.in_edges(e) == ref.in_edges(e)
     assert new.seed_items == ref.seed_items
     assert new.in_edge_targets == ref.in_edge_targets
-    assert new.ordered_users == ref.ordered_users
     # every id in the indices is the vocabulary's own int object
     ev, rv = new.entity_vocab, new.relation_vocab
     for (head, rel), tails in new.out_index.items():
