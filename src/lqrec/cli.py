@@ -112,9 +112,7 @@ def cmd_eval(args) -> int:
     report = evaluate(instances, params, kg, ks=ks, target="hard")
     print(report.to_text(), end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        kgmod.write_json(args.out, report.to_json_dict())
     return 0
 
 

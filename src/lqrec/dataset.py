@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .kg import (ArtifactMismatchError, KgSplit, KnowledgeGraph, UnknownNameError,
-                 atomic_write)
+                 atomic_write, parse_json)
 from .oracle import TASK_JOINT, TASK_REQ, TASKS
 from .query import (
     ALL_SHAPES,
@@ -351,9 +351,12 @@ def _check_record(record) -> None:
 
 
 def record_to_instance(record: dict, kg: KnowledgeGraph) -> RecInstance:
-    """The instance ``record`` describes; every answer must be an item."""
+    """The instance ``record`` describes: its user a user, every answer an item."""
     _check_record(record)
     ev = kg.entity_vocab
+    user = ev.id_of(record["user"])
+    if user not in kg.users:
+        raise ValueError(f"user {record['user']!r} is not a user")
 
     def ids(names: list[str]) -> frozenset[int]:
         out = frozenset(ev.id_of(n) for n in names)
@@ -363,7 +366,7 @@ def record_to_instance(record: dict, kg: KnowledgeGraph) -> RecInstance:
 
     hard = record.get("hard")
     return RecInstance(
-        user=ev.id_of(record["user"]),
+        user=user,
         requirement=parse_query(record["query"], kg),
         shape=shape_from_name(record["shape"]),
         answers={task: ids(record["answers"][task]) for task in TASKS},
@@ -446,9 +449,9 @@ def load_instances(data_dir: str, split_name: str,
     """The records of ``split_name``'s JSON-lines file in ``data_dir`` as
     instances of ``kg``.
 
-    A line that is not JSON, not a record of the form ``instance_to_record``
-    writes, names an unknown entity or relation, has an answer that is not
-    an item or hard answers without a joint one, declares a shape its query
+    A line that is not UTF-8 JSON, not a record of the form ``instance_to_record``
+    writes, names an unknown entity or relation, has a user or answer of the
+    wrong kind or hard answers without a joint one, declares a shape its query
     does not have, or lacks hard answers outside the train file raises
     ``ArtifactMismatchError`` naming ``path:line``.
     """
@@ -459,7 +462,7 @@ def load_instances(data_dir: str, split_name: str,
             if not line.strip():
                 continue
             try:
-                inst = record_to_instance(json.loads(line), kg)
+                inst = record_to_instance(parse_json(line, f"{path}:{lineno}"), kg)
                 shape = classify_shape(inst.requirement)
                 if shape != inst.shape:
                     raise ValueError(f"a {shape.value} query labelled "

@@ -362,6 +362,21 @@ def atomic_write(path: str):
             os.remove(tmp)
 
 
+def write_json(path: str, obj) -> None:
+    """``obj`` as indented, key-sorted JSON and a newline, via :func:`atomic_write`."""
+    with atomic_write(path) as f:
+        f.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def parse_json(data: bytes, where: str):
+    """The JSON value of ``data`` as strict UTF-8; anything else (a BOM, too deep
+    a nesting) raises ``ArtifactMismatchError`` naming ``where``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ArtifactMismatchError(f"{where}: not UTF-8 JSON: {exc}") from None
+
+
 def write_triples(path: str, kg: KnowledgeGraph, triples) -> str:
     """One ``head<TAB>rel<TAB>tail`` line of names per triple (``Triple``s or
     ``(n, 3)`` id rows), in order; returns the sha256 of the bytes written."""
@@ -398,18 +413,14 @@ def save_split(split: KgSplit, out_dir: str) -> dict:
         "n_items": len(kg.items), "n_users": len(kg.users),
         "train_sha256": train_sha, "heldout_sha256": held_sha,
     }
-    with atomic_write(os.path.join(out_dir, MANIFEST_FILE)) as f:
-        f.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(os.path.join(out_dir, MANIFEST_FILE), manifest)
     return manifest
 
 
 def _read_manifest(path: str) -> dict:
     """The manifest's JSON object, with the fields ``load_split`` uses typed."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactMismatchError(f"{path}: not UTF-8 JSON: {exc}") from None
+    with open(path, "rb") as f:
+        manifest = parse_json(f.read(), path)
     if not isinstance(manifest, dict):
         raise ArtifactMismatchError(f"{path}: not a JSON object")
     for key, kind, name in (("like_rel", str, "a string"),

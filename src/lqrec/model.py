@@ -40,7 +40,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .autodiff import EAGER, Eager, OpShapeError, Tape, Tensor, Value
-from .kg import ArtifactMismatchError, KnowledgeGraph, atomic_write
+from .kg import ArtifactMismatchError, KnowledgeGraph, atomic_write, parse_json
 from .oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .query import QueryNode, skeleton
 
@@ -102,8 +102,8 @@ class ModelParams:
         entity_vocab_hash: str = "",
         relation_vocab_hash: str = "",
     ):
-        if gamma <= 0:
-            raise ValueError("margin gamma must be positive")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"margin gamma must be positive and finite, is {gamma!r}")
         if k < 1:
             raise ValueError("need at least one expert")
         n_entities, d = np.shape(arrays["entity_emb"])
@@ -421,8 +421,8 @@ def load_checkpoint(path: str) -> ModelParams:
     """
     with open(path, "rb") as f:
         head, body = f.readline(), memoryview(f.read())
+    header = parse_json(head, path)
     try:
-        header = json.loads(head.decode("utf-8"))
         if header["format"] != CHECKPOINT_FORMAT:
             raise ValueError("not a known checkpoint format")
         params = ModelParams(
@@ -435,8 +435,7 @@ def load_checkpoint(path: str) -> ModelParams:
             relation_vocab_hash=header["relation_vocab_hash"],
         )
     except (ArtifactMismatchError, KeyError, TypeError, ValueError) as exc:
-        # Whatever the file holds: malformed JSON or UTF-8 (both ValueError),
-        # missing fields, values of the wrong type or size.
+        # Whatever the header holds: missing fields, wrong value types or sizes.
         raise ArtifactMismatchError(f"{path}: not a valid checkpoint: {exc!r}") from None
     if _header(params) != header:
         raise ArtifactMismatchError(f"{path}: header does not describe its arrays")

@@ -30,7 +30,7 @@ from . import autodiff
 from .autodiff import AdamState, Tape, Tensor, adam_step
 from .dataset import RecInstance, read_key_values
 from .evaluation import evaluate
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, atomic_write, write_json
 from .model import ModelParams, embed_instance, model_variant, score_items, save_checkpoint
 from .oracle import TASKS
 
@@ -300,16 +300,6 @@ def _restore(params: ModelParams, snap: dict[str, np.ndarray]) -> None:
         t.data[...] = snap[name]
 
 
-def _dump_divergence(out_dir: str | None, info: dict) -> str | None:
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "divergence.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(info, f, indent=2, sort_keys=True)
-    return path
-
-
 def train(
     train_instances: list[RecInstance],
     params: ModelParams,
@@ -325,7 +315,7 @@ def train(
     checkpoint is retained (and restored into ``params`` on return). Training
     stops early when the no-improvement streak reaches ``patience`` or the
     validation metric reaches ``stop_threshold``. A non-finite loss aborts
-    with a diagnostic dump.
+    with a diagnostic dump. ``train_log.jsonl`` is written when the loop ends.
     """
     if config.seed is None:
         raise ValueError("training requires an explicit seed")
@@ -337,11 +327,8 @@ def train(
     pack = pack_answers(train_instances, kg.sorted_items(), weights, config.n_neg)
     metric_name = f"hit@{config.eval_k}"
 
-    log_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        log_file = open(os.path.join(out_dir, "train_log.jsonl"), "w",
-                        encoding="utf-8")
 
     history: list[dict] = []
     best_metric: float | None = None
@@ -371,7 +358,9 @@ def train(
                             for name, t in params.named().items()
                         },
                     }
-                    path = _dump_divergence(out_dir, info)
+                    path = out_dir and os.path.join(out_dir, "divergence.json")
+                    if path:
+                        write_json(path, info)
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}", dump_path=path
                     )
@@ -393,16 +382,16 @@ def train(
                 else:
                     streak += 1
             history.append(entry)
-            if log_file:
-                log_file.write(json.dumps(entry, sort_keys=True) + "\n")
             if validated and (
                     (config.stop_threshold is not None
                      and metric >= config.stop_threshold)
                     or (config.patience is not None and streak >= config.patience)):
                 break
     finally:
-        if log_file:
-            log_file.close()
+        if out_dir is not None:
+            with atomic_write(os.path.join(out_dir, "train_log.jsonl")) as f:
+                f.write("".join(json.dumps(entry, sort_keys=True) + "\n"
+                                for entry in history).encode("utf-8"))
 
     if valid_instances and best_metric is not None:
         _restore(params, best_snap)

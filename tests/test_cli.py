@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import shutil
@@ -197,6 +198,24 @@ def test_eval_table_and_json(pipeline, capsys):
         assert 0.0 <= value <= 1.0
 
 
+def test_eval_report_write_is_atomic(pipeline, tmp_path, monkeypatch, capsys):
+    report = tmp_path / "report.json"
+    argv = ["eval", "--data", str(pipeline["data"]),
+            "--checkpoint", str(pipeline["ckpt"]), "--out", str(report)]
+    assert main(argv + ["--k", "10"]) == 0
+    before = report.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(argv + ["--k", "10,20"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    # the previous report is intact and no temporary file is left
+    assert report.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 @pytest.mark.parametrize("ks", ["0", "-3", "10,0", "10,10"])
 def test_eval_bad_cutoffs_exit_code(pipeline, ks, capsys):
     rc = main(["eval", "--data", str(pipeline["data"]),
@@ -267,6 +286,7 @@ def bad_manifests(pipeline):
         "not_json": b"{not json",
         "not_utf8": b'{"like_rel": "\xff"}',
         "json_list": b"[]",
+        "deep_nesting": b"[" * 100_000,
     }
     for name, edit in edits.items():
         manifest = {k: v for k, v in {**good, **edit}.items() if v is not None}
@@ -279,7 +299,7 @@ def bad_manifests(pipeline):
     return dirs
 
 
-@pytest.mark.parametrize("command", ["eval", "answer", "train"])
+@pytest.mark.parametrize("command", ["eval", "answer", "train", "build-dataset"])
 def test_tampered_split_exit_code(pipeline, tampered_data, bad_manifests,
                                   command, capsys):
     def argv(data):
@@ -289,6 +309,9 @@ def test_tampered_split_exit_code(pipeline, tampered_data, bad_manifests,
             "answer": ["answer", "--kg", str(data), "--mode", "symbolic"],
             "train": ["train", "--data", str(data), "--seed", "5",
                       "--out", str(pipeline["root"] / "tampered_run")],
+            "build-dataset": ["build-dataset", "--split-dir", str(data),
+                              "--config", str(pipeline["ds_cfg"]),
+                              "--out-dir", str(pipeline["root"] / "tampered_build")],
         }[command]
 
     assert main(argv(tampered_data)) == 4
@@ -330,8 +353,15 @@ def bad_records(pipeline):
         return json.dumps({**record, "answers": {**record["answers"],
                                                  "joint": [record["user"]]}})
 
+    def item_as_user(lines):
+        return json.dumps({**json.loads(lines[0]), "user": "item0_0"})
+
     firsts = {
         "json_list": lambda lines: "[]",
+        "deep_nesting": lambda lines: "[" * 100_000,
+        "not_utf8": lambda lines: lines[0].replace('"user"', '"\udcffuser"'),
+        "utf8_bom": lambda lines: "\ufeff" + lines[0],
+        "item_as_user": item_as_user,
         "no_user": no_user,
         "1p_labelled_3p": relabelled,
         "not_json": lambda lines: "{oops",
@@ -348,7 +378,7 @@ def bad_records(pipeline):
         for fname in ("train.jsonl", "test.jsonl"):
             lines = (dirs[name] / fname).read_text().splitlines()
             (dirs[name] / fname).write_text(
-                "\n".join([first(lines)] + lines[1:]) + "\n")
+                "\n".join([first(lines)] + lines[1:]) + "\n", errors="surrogateescape")
     return dirs
 
 

@@ -1,9 +1,12 @@
+import ast
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
+import lqrec
 from lqrec.cli import main
 from lqrec.kg import (
     ArtifactMismatchError,
@@ -215,6 +218,44 @@ def test_load_split_checks_manifest_counts(tmp_path, world, key):
     with pytest.raises(ArtifactMismatchError, match=f"{key} is {manifest[key] - 1}, "
                                                     f"manifest says {manifest[key]}"):
         load_split(str(tmp_path))
+
+
+def _calls_outside(allowed, is_target):
+    """``file:line`` of every call ``is_target`` accepts in ``src/lqrec``,
+    except inside the functions named in ``allowed`` (``file:function``)."""
+    found = []
+
+    def visit(node, where, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{path.name}:{node.name}"
+        if isinstance(node, ast.Call) and is_target(node) and where not in allowed:
+            found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, path)
+
+    for path in sorted(Path(lqrec.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path)
+    return found
+
+
+def _write_mode_open(call):
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def _json_decode(call):
+    return (isinstance(call.func, ast.Attribute) and call.func.attr in ("load", "loads")
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "json")
+
+
+def test_artifact_io_goes_through_kg_helpers():
+    # Files are written only through atomic_write and JSON artifacts decoded
+    # only by parse_json, so every artifact is atomic and checked the same way.
+    assert _calls_outside({"kg.py:atomic_write"}, _write_mode_open) == []
+    assert _calls_outside({"kg.py:parse_json"}, _json_decode) == []
 
 
 def test_save_split_is_atomic(tmp_path, world, monkeypatch):

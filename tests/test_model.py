@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,8 @@ CORRUPTIONS = {
     "header not an object": lambda h, body: b"[]\n" + body,
     "header not JSON": lambda h, body: b"{not json\n" + body,
     "header not UTF-8": lambda h, body: b"\xff\xfe\n" + body,
+    "header deeply nested": lambda h, body: b"[" * 100_000 + b"\n" + body,
+    "gamma infinite": lambda h, body: _with_header({**h, "gamma": math.inf}, body),
 }
 
 
@@ -476,7 +479,7 @@ def test_checkpoint_corruption_rejected(small_ckpt, corruption):
     head, body = small_ckpt.read_bytes().split(b"\n", 1)
     load_checkpoint(str(small_ckpt))
     small_ckpt.write_bytes(CORRUPTIONS[corruption](json.loads(head), body))
-    with pytest.raises(ArtifactMismatchError):
+    with pytest.raises(ArtifactMismatchError, match=re.escape(str(small_ckpt))):
         load_checkpoint(str(small_ckpt))
 
 

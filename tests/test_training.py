@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,6 +365,51 @@ def test_nan_loss_aborts_with_dump(toy, tmp_path):
     assert exc.value.dump_path is not None
     dump = json.loads((tmp_path / "divergence.json").read_text())
     assert dump["epoch"] == 1
+
+
+def failing_replace(src, dst):
+    raise OSError("disk full")
+
+
+def test_train_log_write_is_atomic(toy, tmp_path, monkeypatch):
+    split, datasets = toy
+
+    def run(seed):
+        params = ModelParams.init(split.train, d=4, k=1, gamma=1.0, seed=seed)
+        cfg = TrainConfig(d=4, k=1, gamma=1.0, epochs=2, batch_size=16, n_neg=2,
+                          seed=seed, patience=None)
+        train(datasets["train"], params, split.train, cfg, out_dir=str(tmp_path))
+
+    run(1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert before["train_log.jsonl"].count(b"\n") == 2
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        run(2)
+    # a rerun into the run directory leaves the previous log intact and no
+    # temporary file behind
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_divergence_dump_write_is_atomic(toy, tmp_path, monkeypatch):
+    split, datasets = toy
+
+    def run(bad_value):
+        params = ModelParams.init(split.train, d=4, k=1, gamma=1.0, seed=7)
+        params.entity_emb.data[0, 0] = float("nan")
+        params.relation_emb.data[0, 0] = bad_value
+        cfg = TrainConfig(d=4, k=1, gamma=1.0, epochs=1, batch_size=8, n_neg=2,
+                          seed=7, patience=None)
+        train(datasets["train"], params, split.train, cfg, out_dir=str(tmp_path))
+
+    with pytest.raises(TrainingDivergedError):
+        run(5.0)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert before["divergence.json"].endswith(b"}\n")
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        run(6.0)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_best_checkpoint_retained(toy, tmp_path):
