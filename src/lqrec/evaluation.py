@@ -2,7 +2,9 @@
 
 Inference scores every catalog item against the joint-task embedding, from
 a ``model.Catalog`` (the item embeddings as a column table) built once per
-``evaluate`` call, so the table is never gathered per record. Each target
+``evaluate`` call, so the table is never gathered per record. ``evaluate``
+scores its records in blocks of ``SCORE_BLOCK // n_items``, one
+``catalog_scores`` call per block, and ranks each record's row. Each target
 answer is ranked with all other known answers of its record removed
 from the candidate list (the usual filtered protocol), ties broken by
 ascending item id. Per-answer ndcg uses binary relevance: 1/log2(rank + 1)
@@ -23,6 +25,11 @@ from .kg import KnowledgeGraph
 from .model import Catalog, ModelParams, catalog_scores, embed_instance
 from .oracle import TASK_JOINT
 from .query import ALL_SHAPES
+
+# Scores per ``evaluate`` block: one ``catalog_scores`` call scores
+# SCORE_BLOCK // n_items records (at least one), so its (B, n_items)
+# accumulator and sigmoid temporaries (256 KB each) stay in the L2 cache.
+SCORE_BLOCK = 2**15
 
 
 @dataclass
@@ -122,8 +129,9 @@ def evaluate(
 
     All records embed in one batch on ``EAGER`` (grouped by skeleton, no
     tape). One ``Catalog`` of the current parameters is built per call (never
-    kept across calls: training changes the parameters between them), and
-    each record scores and ranks it in turn.
+    kept across calls: training changes the parameters between them). The
+    records score it in blocks of ``SCORE_BLOCK // n_items``, one
+    ``catalog_scores`` call per block, and each record ranks its row.
 
     ``target="hard"`` ranks the held-out-only answers (test protocol) and
     requires every record to carry them; ``target="answers"`` ranks the
@@ -140,9 +148,11 @@ def evaluate(
         joint = embed_instance(EAGER, params, [inst.user for inst in instances],
                                [inst.requirement for inst in instances],
                                kg.like_rel)[TASK_JOINT]
+    block = max(1, SCORE_BLOCK // max(1, len(item_ids)))
     by_shape: dict[str, list[dict[str, float]]] = {}
-    # one record's catalog at a time: never a (records, items, d) array
     for row, inst in enumerate(instances):
+        if row % block == 0:
+            scores = catalog_scores(catalog, joint[row:row + block])
         if target == "hard":
             if inst.hard is None:
                 raise ValueError(
@@ -157,8 +167,8 @@ def evaluate(
         known = inst.answers[TASK_JOINT]
         if inst.hard is not None:
             known = known | inst.hard[TASK_JOINT]
-        scores = catalog_scores(catalog, joint[row])
-        ranks = filtered_rank(scores, item_ids, np.array(sorted(targets)),
+        ranks = filtered_rank(scores[row % block], item_ids,
+                              np.array(sorted(targets)),
                               np.array(sorted(known))).tolist()
         by_shape.setdefault(inst.shape.value, []).append(_record_metrics(ranks, ks))
 

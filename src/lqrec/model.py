@@ -21,7 +21,8 @@ on a ``Tape``, inference on ``autodiff.EAGER``, which records nothing.
 Training scores its sampled items by gathering their rows (``score_items``);
 inference ranks the whole catalog from a ``Catalog``, a column copy of the
 item table made once per ``evaluate`` call or ``answer`` session
-(``catalog_scores``).
+(``catalog_scores``), for one query (an ``answer`` line) or a block of
+queries (``evaluate``'s records) per call.
 
 Variants:
   mtl            experts + per-task gates (the full model)
@@ -323,11 +324,6 @@ def embed_instance(
 # --- scoring ---------------------------------------------------------------
 
 
-def _probability(ex: Tape | Eager, dist: Value, gamma: float) -> Value:
-    """sigmoid(gamma - dist): an item's probability from its L1 distance."""
-    return ex.sigmoid(ex.scale_shift(dist, -1.0, gamma))
-
-
 def score_items(ex: Tape | Eager, params: ModelParams, q_task: Value, ids) -> Value:
     """sigmoid(gamma - L1 distance to each item embedding), in (0, 1).
 
@@ -335,40 +331,61 @@ def score_items(ex: Tape | Eager, params: ModelParams, q_task: Value, ids) -> Va
     (B, m) scores row b's items against ``q_task[b]``, shape (B, m).
     """
     dist = ex.gather_l1(ex.param(params.entity_emb), ids, q_task)
-    return _probability(ex, dist, params.gamma)
+    return ex.sigmoid(ex.scale_shift(dist, -1.0, params.gamma))
+
+
+# Elements (512 KB) of the largest (B, d, n_items) difference array that
+# ``catalog_scores`` forms in one go; past it, rows stream through a
+# (B, n_items) accumulator instead of filling the per-core L2 cache.
+SCORE_SCRATCH = 2**16
 
 
 class Catalog:
     """The item table of one parameter state, laid out for ranking.
 
-    ``ids`` holds the item ids (int64) in the order given, ``cols`` a
-    (d, n_items) copy of their embeddings, one column per item, and ``buf``
-    a scratch array of that shape which every ``catalog_scores`` call
-    overwrites. The copy does not follow later updates of ``params``:
-    inference builds one per ``evaluate`` call or ``answer`` session.
+    ``ids`` holds the item ids (int64) in the order given and ``cols`` a
+    (d, n_items) copy of their embeddings, one column per item. The copy
+    does not follow later updates of ``params``: inference builds one per
+    ``evaluate`` call or ``answer`` session.
     """
 
     def __init__(self, params: ModelParams, item_ids):
         self.ids = np.asarray(item_ids, dtype=np.int64)
         self.cols = np.ascontiguousarray(params.entity_emb.data[self.ids].T)
-        self.buf = np.empty_like(self.cols)
         self.gamma = params.gamma
 
 
 def catalog_scores(catalog: Catalog, q_task: np.ndarray) -> np.ndarray:
-    """``score_items`` of one (d,) query over the whole catalog, in catalog
-    order.
+    """``score_items`` over the whole catalog, in catalog order: (n_items,)
+    for one (d,) query, (B, n_items) for a (B, d) block of queries.
 
-    The L1 distance sums the d rows of ``|cols - q|`` one after another,
+    The L1 distance adds the d rows of ``|cols - q|`` one after another,
     vectorised over items, instead of summing each item's row; the scores
     can therefore differ from ``score_items`` in the last bits, while items
-    with equal embeddings still get equal scores.
+    with equal embeddings still get equal scores. When the (B, d, n_items)
+    differences fit in ``SCORE_SCRATCH`` they are formed in one go;
+    otherwise the rows stream through a (B, n_items) accumulator. Both add
+    in the same order, so a query's scores have the same bytes for every B.
+    A one-item catalog always goes in one go: numpy sums a single column
+    pairwise, not row by row.
     """
-    if np.shape(q_task) != catalog.cols.shape[:1]:
-        raise OpShapeError("catalog_scores", catalog.cols.shape, np.shape(q_task))
-    buf = np.subtract(catalog.cols, q_task[:, None], out=catalog.buf)
-    np.abs(buf, out=buf)
-    return _probability(EAGER, buf.sum(axis=0), catalog.gamma)
+    cols, q_task = catalog.cols, np.asarray(q_task)
+    d, n_items = cols.shape
+    if q_task.ndim not in (1, 2) or q_task.shape[-1] != d:
+        raise OpShapeError("catalog_scores", cols.shape, q_task.shape)
+    q = q_task.reshape(-1, d)
+    if q.size * n_items <= SCORE_SCRATCH or n_items == 1:
+        diff = cols - q[:, :, None]
+        dist = np.abs(diff, out=diff).sum(axis=1)
+    else:
+        dist = np.abs(cols[0] - q[:, :1])
+        diff = np.empty_like(dist)
+        for j in range(1, d):
+            np.subtract(cols[j], q[:, j, None], out=diff)
+            dist += np.abs(diff, out=diff)
+    del diff  # before the sigmoid's temporaries, each as large as dist
+    scores = EAGER.sigmoid(np.subtract(catalog.gamma, dist, out=dist))
+    return scores.reshape(q_task.shape[:-1] + (n_items,))
 
 
 # --- checkpoint i/o ----------------------------------------------------------

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lqrec import evaluation
+from lqrec import evaluation, model
 from lqrec.autodiff import EAGER
 from lqrec.dataset import BASIC_SHAPES, DatasetConfig, build_dataset
 from lqrec.evaluation import evaluate, filtered_rank, rank_items
+from lqrec.kg import KnowledgeGraph, Vocab
 from lqrec.model import Catalog, ModelParams, catalog_scores, embed_instance, score_items
 from lqrec.oracle import TASK_JOINT
 from lqrec.query import ALL_SHAPES
@@ -246,8 +247,9 @@ def test_evaluate_scores_updated_params(bench, monkeypatch):
     seen = []
 
     def recording(catalog, q_task):
-        seen.append(catalog_scores(catalog, q_task))
-        return seen[-1]
+        scores = catalog_scores(catalog, q_task)
+        seen.extend(scores)  # one row per record of the block
+        return scores
 
     monkeypatch.setattr(evaluation, "catalog_scores", recording)
     evaluate(test, params, kg)
@@ -263,3 +265,33 @@ def test_evaluate_scores_updated_params(bench, monkeypatch):
         fresh = score_items(EAGER, params, joint[row], ids)
         assert np.max(np.abs(new - fresh)) <= 1e-12
         assert np.max(np.abs(new - old)) > 1e-6
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_evaluate_report_independent_of_block_size(bench, monkeypatch, per_block):
+    # the report does not depend on how many records share a scoring call,
+    # nor on whether a block forms its differences in one go or streams rows
+    split, datasets = bench
+    kg, test = split.train, datasets["test"]
+    params = ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=12)
+    want = evaluate(test, params, kg).to_json_dict()
+    blocks = []
+
+    def recording(catalog, q_task):
+        blocks.append(len(q_task))
+        return catalog_scores(catalog, q_task)
+
+    monkeypatch.setattr(evaluation, "catalog_scores", recording)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK", per_block * len(kg.sorted_items()))
+    monkeypatch.setattr(model, "SCORE_SCRATCH", 0)
+    assert evaluate(test, params, kg).to_json_dict() == want
+    assert blocks == [len(test[s:s + per_block]) for s in range(0, len(test), per_block)]
+
+
+def test_evaluate_nothing_on_an_empty_catalog():
+    kg = KnowledgeGraph(Vocab(["a", "b"]), Vocab(["r", "likes"]), [(0, 0, 1)],
+                        frozenset(), frozenset(), like_rel=1)
+    params = ModelParams.init(kg, d=4, k=1, gamma=2.0, seed=0)
+    report = evaluate([], params, kg)
+    assert report.to_json_dict() == {"ks": [10, 20], "per_shape": {}, "avg": {},
+                                     "counts": {}, "variant": "mtl"}

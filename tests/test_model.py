@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from lqrec.autodiff import EAGER, Tape, Tensor, backward
+from lqrec import model
+from lqrec.autodiff import EAGER, OpShapeError, Tape, Tensor, backward
 from lqrec.evaluation import rank_items
 from lqrec.kg import ArtifactMismatchError, graph_from_names
 from lqrec.model import (
@@ -271,7 +272,7 @@ def test_catalog_scores_equal_taped_score_items(world, params):
 @pytest.mark.parametrize("d", [3, 8, 32, 64])
 def test_catalog_scores_match_score_items(d, n_items):
     # differential check of the column-table kernel against the row gather
-    # of score_items on random tables, including after a reused scratch
+    # of score_items on random tables
     rng = np.random.default_rng(1_000 * d + n_items)
     shapes = param_shapes(d, 1, n_items + 7, 2)
     params = ModelParams({name: rng.uniform(-0.5, 0.5, size=shape) / math.sqrt(d)
@@ -297,6 +298,49 @@ def test_catalog_scores_match_score_items(d, n_items):
     assert at.tolist() == list(range(at[0], at[0] + 5))
     assert ranked[at].tolist() == sorted(twins.tolist())
     assert len(set(scores[at].tolist())) == 1
+
+
+def reference_catalog_scores(catalog, q):
+    """The one-query scorer that block scoring replaced: one (d, n_items)
+    difference array, summed over its rows."""
+    return EAGER.sigmoid(catalog.gamma - np.abs(catalog.cols - q[:, None]).sum(axis=0))
+
+
+@pytest.mark.parametrize("scratch", [model.SCORE_SCRATCH, 0])  # 0: rows stream
+@pytest.mark.parametrize("n_items", [0, 1, 2, 45, 3_000])
+@pytest.mark.parametrize("d", [8, 32])
+def test_catalog_scores_blocks_equal_one_query_reference(monkeypatch, d, n_items,
+                                                         scratch):
+    # every row of a block's scores has the bytes of the one-query formula,
+    # whether the block forms its differences in one go or streams its rows
+    monkeypatch.setattr(model, "SCORE_SCRATCH", scratch)
+    rng = np.random.default_rng(7 * d + n_items)
+    shapes = param_shapes(d, 1, n_items + 3, 2)
+    params = ModelParams({name: rng.uniform(-0.5, 0.5, size=shape) / math.sqrt(d)
+                          for name, shape in shapes.items()},
+                         k=1, gamma=2.0, variant="mtl", seed=0)
+    ids = np.arange(n_items)
+    twins = ids[::7]  # duplicated embedding columns must still tie
+    params.entity_emb.data[twins] = params.entity_emb.data[0]
+    catalog = Catalog(params, ids)
+    queries = params.entity_emb.data[rng.integers(0, n_items + 3, size=9)]
+    queries += rng.normal(0, 0.3, size=queries.shape) / math.sqrt(d)
+    want = [reference_catalog_scores(catalog, q) for q in queries]
+    for q, row in zip(queries, want):
+        assert catalog_scores(catalog, q).tobytes() == row.tobytes()
+    for block in (1, 2, 7, len(queries)):
+        got = [row for start in range(0, len(queries), block)
+               for row in catalog_scores(catalog, queries[start:start + block])]
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+    for row in want:
+        assert len(set(row[twins].tolist())) <= 1
+
+
+def test_catalog_scores_rejects_query_shapes(world, params):
+    catalog = Catalog(params, world.sorted_items())
+    for q in (np.float64(0.5), np.zeros((1, 2, 8)), np.zeros(7), np.zeros((3, 9))):
+        with pytest.raises(OpShapeError):
+            catalog_scores(catalog, q)
 
 
 def test_margin_shift_preserves_ranking(world):
