@@ -214,11 +214,9 @@ class Eager:
 
     def sigmoid(self, x: np.ndarray) -> np.ndarray:
         """Logistic function without overflow for large negative inputs."""
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        e = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0, e)
+        out /= 1.0 + e
         return out
 
     def softmax_last_dim(self, x: np.ndarray) -> np.ndarray:

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import shutil
 import sys
 
 from . import dataset as ds
 from . import kg as kgmod
 from . import oracle
+from .artifacts import ArtifactMismatchError, write_json
 from .autodiff import EAGER
 from .evaluation import evaluate, rank_items
-from .kg import (ArtifactMismatchError, GraphFormatError, SplitInfeasibleError,
-                 UnknownNameError, load_graph)
+from .kg import GraphFormatError, SplitInfeasibleError, UnknownNameError, load_graph
 from .model import (
     VARIANTS,
     Catalog,
@@ -32,15 +30,6 @@ from .model import (
 from .model import catalog_scores  # noqa: F401
 from .query import QuerySyntaxError, parse_query
 from .training import TrainConfig, TrainingDivergedError, train
-
-SPLIT_COPY_FILES = (
-    kgmod.TRAIN_FILE,
-    kgmod.HELDOUT_FILE,
-    kgmod.ITEMS_FILE,
-    kgmod.USERS_FILE,
-    kgmod.MANIFEST_FILE,
-)
-
 
 def cmd_split(args) -> int:
     kg = load_graph(args.triples, args.items, args.users, args.like)
@@ -55,10 +44,7 @@ def cmd_build_dataset(args) -> int:
     cfg = ds.DatasetConfig.from_file(args.config)
     datasets, report = ds.build_dataset(split, cfg)
     ds.write_dataset(datasets, report, split.full, args.out_dir)
-    for fname in SPLIT_COPY_FILES:
-        shutil.copyfile(
-            os.path.join(args.split_dir, fname), os.path.join(args.out_dir, fname)
-        )
+    kgmod.save_split(split, args.out_dir)
     print(report.to_text(), end="")
     violations = ds.verify_dataset(split, args.out_dir)
     if violations:
@@ -112,7 +98,7 @@ def cmd_eval(args) -> int:
     report = evaluate(instances, params, kg, ks=ks, target="hard")
     print(report.to_text(), end="")
     if args.out:
-        kgmod.write_json(args.out, report.to_json_dict())
+        write_json(args.out, report.to_json_dict())
     return 0
 
 

@@ -18,8 +18,8 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from . import oracle
-from .kg import (ArtifactMismatchError, KgSplit, KnowledgeGraph, UnknownNameError,
-                 atomic_write, parse_json)
+from .artifacts import ArtifactMismatchError, atomic_write, parse_json
+from .kg import KgSplit, KnowledgeGraph, UnknownNameError
 from .oracle import TASK_JOINT, TASK_REQ, TASKS
 from .query import (
     ALL_SHAPES,
@@ -403,7 +403,7 @@ def write_dataset(
     out_dir: str,
 ) -> None:
     """Each split's records as JSON lines, then the report as ``stats.txt``;
-    every file is written through :func:`kg.atomic_write`."""
+    every file is written through :func:`artifacts.atomic_write`."""
     os.makedirs(out_dir, exist_ok=True)
     for split_name, instances in datasets.items():
         with atomic_write(os.path.join(out_dir, DATASET_FILES[split_name])) as f:

@@ -9,17 +9,17 @@ sorts, some on first use. Graphs are immutable and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
+
+from . import artifacts
 
 
 class GraphFormatError(ValueError):
@@ -35,11 +35,6 @@ class UnknownNameError(KeyError):
 
 class SplitInfeasibleError(RuntimeError):
     """Raised when an edge hold-out cannot preserve vocabulary coverage."""
-
-
-class ArtifactMismatchError(RuntimeError):
-    """A saved artifact (split directory or checkpoint) is malformed or does
-    not fit what it is loaded with."""
 
 
 # Characters that would break the s-expression query syntax if they appeared
@@ -348,35 +343,6 @@ USERS_FILE = "users.txt"
 MANIFEST_FILE = "manifest.json"
 
 
-@contextmanager
-def atomic_write(path: str):
-    """A binary file written beside ``path`` and renamed over it once the
-    block completes, so a failed write leaves the previous file intact."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def write_json(path: str, obj) -> None:
-    """``obj`` as indented, key-sorted JSON and a newline, via :func:`atomic_write`."""
-    with atomic_write(path) as f:
-        f.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-
-
-def parse_json(data: bytes, where: str):
-    """The JSON value of ``data`` as strict UTF-8; anything else (a BOM, too deep
-    a nesting) raises ``ArtifactMismatchError`` naming ``where``."""
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ArtifactMismatchError(f"{where}: not UTF-8 JSON: {exc}") from None
-
-
 def write_triples(path: str, kg: KnowledgeGraph, triples) -> str:
     """One ``head<TAB>rel<TAB>tail`` line of names per triple (``Triple``s or
     ``(n, 3)`` id rows), in order; returns the sha256 of the bytes written."""
@@ -384,14 +350,14 @@ def write_triples(path: str, kg: KnowledgeGraph, triples) -> str:
     h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T.tolist()
     data = "".join(map("{}\t{}\t{}\n".format, map(ev.__getitem__, h),
                        map(rv.__getitem__, r), map(ev.__getitem__, t))).encode("utf-8")
-    with atomic_write(path) as f:
+    with artifacts.atomic_write(path) as f:
         f.write(data)
     return hashlib.sha256(data).hexdigest()
 
 
 def write_names(path: str, kg: KnowledgeGraph, ids: Iterable[int]) -> None:
     """One entity name per line, by ascending id."""
-    with atomic_write(path) as f:
+    with artifacts.atomic_write(path) as f:
         f.write("".join(kg.entity_vocab.name_of(e) + "\n" for e in sorted(ids))
                 .encode("utf-8"))
 
@@ -413,29 +379,22 @@ def save_split(split: KgSplit, out_dir: str) -> dict:
         "n_items": len(kg.items), "n_users": len(kg.users),
         "train_sha256": train_sha, "heldout_sha256": held_sha,
     }
-    write_json(os.path.join(out_dir, MANIFEST_FILE), manifest)
+    artifacts.write_json(os.path.join(out_dir, MANIFEST_FILE), manifest)
     return manifest
 
 
 def _read_manifest(path: str) -> dict:
     """The manifest's JSON object, with the fields ``load_split`` uses typed."""
     with open(path, "rb") as f:
-        manifest = parse_json(f.read(), path)
+        manifest = artifacts.parse_json(f.read(), path)
     if not isinstance(manifest, dict):
-        raise ArtifactMismatchError(f"{path}: not a JSON object")
+        raise artifacts.ArtifactMismatchError(f"{path}: not a JSON object")
     for key, kind, name in (("like_rel", str, "a string"),
                             ("fraction", (int, float), "a number"), ("seed", int, "an integer")):
         value = manifest.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise ArtifactMismatchError(f"{path}: {key} must be {name}, is {value!r}")
+            raise artifacts.ArtifactMismatchError(f"{path}: {key} must be {name}, is {value!r}")
     return manifest
-
-
-def _check_manifest(path: str, manifest: dict, found: dict, extra=()) -> None:
-    bad = [f"{key} is {value!r}, manifest says {manifest.get(key)!r}"
-           for key, value in found.items() if manifest.get(key) != value] + list(extra)
-    if bad:
-        raise ArtifactMismatchError(f"{path}: " + "; ".join(bad))
 
 
 def load_split(split_dir: str) -> KgSplit:
@@ -455,21 +414,21 @@ def load_split(split_dir: str) -> KgSplit:
     for path in paths:
         with open(path, "rb") as f:
             blobs.append(f.read())
-    _check_manifest(manifest_path, manifest, {
+    artifacts.check_manifest(manifest_path, manifest, {
         key: hashlib.sha256(data).hexdigest()
         for key, data in zip(("train_sha256", "heldout_sha256"), blobs)})
     train_fields, held_fields = map(_parse_fields, paths, blobs, (3, 3))
     n_train = len(train_fields) // 3
     ev, rv, ids = _index_fields(train_fields + held_fields)
     like = manifest["like_rel"]
-    _check_manifest(manifest_path, manifest, {
+    artifacts.check_manifest(manifest_path, manifest, {
         "n_train": n_train, "n_held_out": len(held_fields) // 3,
         "n_entities": len(ev), "n_relations": len(rv),
     }, [] if like in rv else [f"like_rel {like!r} is not a relation"])
     items, users = (frozenset(map(ev.id_of, _read_fields(os.path.join(split_dir, f), 1)))
                     for f in (ITEMS_FILE, USERS_FILE))
     full = KnowledgeGraph(ev, rv, ids, items, users, rv.id_of(like))
-    _check_manifest(manifest_path, manifest, {
+    artifacts.check_manifest(manifest_path, manifest, {
         "n_items": len(items), "n_users": len(users), "n_triples": len(full.array)})
     train = KnowledgeGraph(ev, rv, ids[:n_train], full.items, full.users, full.like_rel)
     return KgSplit(full=full, train=train, held_out=full.triples_of(ids[n_train:]),

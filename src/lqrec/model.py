@@ -40,8 +40,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import ArtifactMismatchError, atomic_write, parse_json
 from .autodiff import EAGER, Eager, OpShapeError, Tape, Tensor, Value
-from .kg import ArtifactMismatchError, KnowledgeGraph, atomic_write, parse_json
+from .kg import KnowledgeGraph
 from .oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .query import QueryNode, skeleton
 
@@ -409,7 +410,7 @@ def _header(params: ModelParams) -> dict:
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Write through :func:`kg.atomic_write`, so an interrupted save leaves
+    """Write through :func:`artifacts.atomic_write`, so an interrupted save leaves
     the previous file intact."""
     with atomic_write(path) as f:
         f.write(json.dumps(_header(params), sort_keys=True).encode("utf-8") + b"\n")

@@ -27,10 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff
+from .artifacts import atomic_write, write_json
 from .autodiff import AdamState, Tape, Tensor, adam_step
 from .dataset import RecInstance, read_key_values
 from .evaluation import evaluate
-from .kg import KnowledgeGraph, atomic_write, write_json
+from .kg import KnowledgeGraph
 from .model import ModelParams, embed_instance, model_variant, score_items, save_checkpoint
 from .oracle import TASKS
 

@@ -390,3 +390,34 @@ def test_adam_in_place_matches_reference():
         assert np.array_equal(ours[name].data, ref[name].data), name
         assert np.array_equal(state.m[name], m[name]), name
         assert np.array_equal(state.v[name], v[name]), name
+
+
+def _masked_sigmoid(x):
+    """The logistic function by boolean-mask gathers and scatters, the form
+    ``Eager.sigmoid`` must reproduce bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_reference():
+    rng = np.random.default_rng(5)
+    edges = [0.0, -0.0, np.inf, -np.inf, 745.2, -745.2, 800.0, -800.0,
+             5e-324, -5e-324, 2.2e-308, -2.2e-308]
+    cases = [rng.standard_normal((rng.integers(1, 9), rng.integers(1, 300)))
+             * rng.choice([1.0, 10.0, 400.0]) for _ in range(200)]
+    cases += [rng.standard_normal(250) * 30, np.array(edges), np.empty((0, 4))]
+    cases += [np.array(v) for v in edges]  # 0-d inputs
+    for x in cases:
+        with np.errstate(under="ignore"):
+            got, want = EAGER.sigmoid(x), _masked_sigmoid(x)
+        assert type(got) is np.ndarray and got.shape == x.shape
+        assert got.tobytes() == want.tobytes(), x
+    for v in (-745.2, 800.0):  # the same underflow is raised, not hidden
+        with np.errstate(all="raise"):
+            for fn in (EAGER.sigmoid, _masked_sigmoid):
+                with pytest.raises(FloatingPointError):
+                    fn(np.array([v]))

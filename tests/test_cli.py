@@ -17,6 +17,9 @@ from lqrec.query import (And, Or, Project, QuerySyntaxError, parse_query,
 from lqrec.synth import clustered_world, write_world_files
 
 
+SPLIT_FILES = ["train.tsv", "heldout.tsv", "items.txt", "users.txt", "manifest.json"]
+
+
 def dir_hash(path, names):
     h = hashlib.sha256()
     for name in names:
@@ -83,9 +86,7 @@ def test_split_rerun_identical(pipeline):
         "--out", str(out2),
     ])
     assert rc == 0
-    names = ["train.tsv", "heldout.tsv", "items.txt", "users.txt",
-             "manifest.json"]
-    assert dir_hash(pipeline["split"], names) == dir_hash(out2, names)
+    assert dir_hash(pipeline["split"], SPLIT_FILES) == dir_hash(out2, SPLIT_FILES)
 
 
 def test_split_bad_fraction(pipeline):
@@ -105,6 +106,50 @@ def test_build_dataset_rerun_identical(pipeline):
     assert rc == 0
     names = ["train.jsonl", "valid.jsonl", "test.jsonl", "stats.txt"]
     assert dir_hash(pipeline["data"], names) == dir_hash(out2, names)
+
+
+def test_build_dataset_writes_canonical_split(pipeline):
+    for name in SPLIT_FILES:
+        assert (pipeline["data"] / name).read_bytes() == \
+            (pipeline["split"] / name).read_bytes(), name
+
+
+def test_build_dataset_into_split_dir(pipeline):
+    # --out-dir may be --split-dir: the split is rewritten with the same bytes
+    both = pipeline["root"] / "in_place"
+    shutil.copytree(pipeline["split"], both)
+    rc = main(["build-dataset", "--split-dir", str(both),
+               "--config", str(pipeline["ds_cfg"]), "--out-dir", str(both)])
+    assert rc == 0
+    assert dir_hash(both, SPLIT_FILES) == dir_hash(pipeline["split"], SPLIT_FILES)
+    names = ["train.jsonl", "valid.jsonl", "test.jsonl", "stats.txt"]
+    assert dir_hash(both, names) == dir_hash(pipeline["data"], names)
+    assert main(["train", "--data", str(both), "--config", str(pipeline["train_cfg"]),
+                 "--seed", "5", "--out", str(pipeline["root"] / "in_place_run")]) == 0
+
+
+def test_build_dataset_canonicalises_crlf_split(pipeline):
+    crlf = pipeline["root"] / "crlf_split"
+    shutil.copytree(pipeline["split"], crlf)
+    manifest = json.loads((crlf / "manifest.json").read_text())
+    for name, key in (("train.tsv", "train_sha256"), ("heldout.tsv", "heldout_sha256"),
+                      ("items.txt", None), ("users.txt", None)):
+        blob = (crlf / name).read_bytes().replace(b"\n", b"\r\n")
+        (crlf / name).write_bytes(blob)
+        if key:
+            manifest[key] = hashlib.sha256(blob).hexdigest()
+    (crlf / "manifest.json").write_text(json.dumps(manifest))
+    out = pipeline["root"] / "crlf_data"
+    rc = main(["build-dataset", "--split-dir", str(crlf),
+               "--config", str(pipeline["ds_cfg"]), "--out-dir", str(out)])
+    assert rc == 0
+    src, copy = load_split(str(crlf)), load_split(str(out))
+    for a, b in ((src.full, copy.full), (src.train, copy.train)):
+        assert a.entity_vocab.names == b.entity_vocab.names
+        assert a.relation_vocab.names == b.relation_vocab.names
+        assert a.array.tobytes() == b.array.tobytes() and a.array.shape == b.array.shape
+    # the copy is the canonical split (LF line endings, its own hashes)
+    assert dir_hash(out, SPLIT_FILES) == dir_hash(pipeline["split"], SPLIT_FILES)
 
 
 def test_build_dataset_missing_config(pipeline):

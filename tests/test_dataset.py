@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from lqrec import dataset, oracle
+from lqrec.artifacts import ArtifactMismatchError
 from lqrec.dataset import (
     BASIC_SHAPES,
     DatasetConfig,
@@ -25,7 +26,7 @@ from lqrec.dataset import (
     verify_dataset,
     write_dataset,
 )
-from lqrec.kg import ArtifactMismatchError, graph_from_names
+from lqrec.kg import graph_from_names
 from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import ALL_SHAPES, ZERO_SHOT_SHAPES, QueryShape, classify_shape
 from lqrec.training import TrainConfig

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import lqrec
+from lqrec import kg as kgmod
+from lqrec.artifacts import ArtifactMismatchError
 from lqrec.cli import main
 from lqrec.kg import (
-    ArtifactMismatchError,
     GraphFormatError,
     SplitInfeasibleError,
     UnknownNameError,
@@ -246,16 +247,39 @@ def _write_mode_open(call):
     return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
 
 
-def _json_decode(call):
-    return (isinstance(call.func, ast.Attribute) and call.func.attr in ("load", "loads")
-            and isinstance(call.func.value, ast.Name) and call.func.value.id == "json")
+def _module_call(module, names=None):
+    """A test for calls ``module.<attr>(...)``, any attr or one of ``names``."""
+    def is_target(call):
+        return (isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name) and call.func.value.id == module
+                and (names is None or call.func.attr in names))
+    return is_target
 
 
-def test_artifact_io_goes_through_kg_helpers():
-    # Files are written only through atomic_write and JSON artifacts decoded
-    # only by parse_json, so every artifact is atomic and checked the same way.
-    assert _calls_outside({"kg.py:atomic_write"}, _write_mode_open) == []
-    assert _calls_outside({"kg.py:parse_json"}, _json_decode) == []
+ARTIFACT_NAMES = ("ArtifactMismatchError", "atomic_write", "write_json", "parse_json",
+                  "check_manifest")
+
+
+def test_artifact_io_has_one_writer_and_one_reader():
+    # Files are written and renamed into place only by atomic_write (no
+    # shutil copies, no other os.replace/os.rename), and JSON artifacts are
+    # decoded only by parse_json, so every artifact is atomic and checked the
+    # same way.
+    writer = {"artifacts.py:atomic_write"}
+    assert _calls_outside(writer, _write_mode_open) == []
+    assert _calls_outside(writer, _module_call("os", ("replace", "rename"))) == []
+    assert _calls_outside(set(), _module_call("shutil")) == []
+    reader = {"artifacts.py:parse_json"}
+    assert _calls_outside(reader, _module_call("json", ("load", "loads"))) == []
+    # The helpers are defined in artifacts.py alone; kg neither defines nor
+    # re-exports them.
+    defined = [f"{path.name}:{node.name}"
+               for path in sorted(Path(lqrec.__file__).parent.glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.lstrip("_") in ARTIFACT_NAMES]
+    assert defined == [f"artifacts.py:{name}" for name in ARTIFACT_NAMES]
+    assert [name for name in ARTIFACT_NAMES if hasattr(kgmod, name)] == []
 
 
 def test_save_split_is_atomic(tmp_path, world, monkeypatch):

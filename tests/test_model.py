@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from lqrec import model
+from lqrec.artifacts import ArtifactMismatchError
 from lqrec.autodiff import EAGER, OpShapeError, Tape, Tensor, backward
 from lqrec.evaluation import rank_items
-from lqrec.kg import ArtifactMismatchError, graph_from_names
+from lqrec.kg import graph_from_names
 from lqrec.model import (
     Catalog,
     ModelParams,
