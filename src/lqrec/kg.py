@@ -37,9 +37,13 @@ class SplitInfeasibleError(RuntimeError):
     """Raised when an edge hold-out cannot preserve vocabulary coverage."""
 
 
-# Characters that would break the s-expression query syntax if they appeared
-# inside an entity or relation name.
-_FORBIDDEN_NAME_CHARS = set(" \t\r\n()\"'")
+# What ends a name in query text: the 29 characters ``str.isspace()`` accepts
+# (listed: a regex class of them beats ``\s``) and the parentheses.
+NAME_SEPARATORS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+                   "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000()")
+# A graph name holds none of them, so it reads back as one query token, nor a
+# quote or the ``|`` that ends the user name of an ``answer`` line.
+_FORBIDDEN_NAME_CHARS = set(NAME_SEPARATORS + "\"'|")
 
 # Whole-file forms of a triple file and of a name list: lines of three
 # tab-separated names or of one name, blank lines allowed.
@@ -121,9 +125,11 @@ class KnowledgeGraph:
         if bad.any():
             i = int(bad.argmax())
             tri = Triple(*rows[i].tolist())
-            raise GraphFormatError(
-                f"triple {tri} out of vocabulary range" if not in_range[i]
-                else f"interaction triple {tri} must link a user to an item")
+            if not in_range[i]:
+                raise GraphFormatError(f"triple {tri} out of vocabulary range")
+            names = (entity_vocab.names[tri.head], relation_vocab.names[tri.rel],
+                     entity_vocab.names[tri.tail])
+            raise GraphFormatError(f"interaction triple {names} must link a user to an item")
         # Duplicate edges carry no information for traversal and would break
         # the disjointness of edge splits; keep first occurrences only.
         _, first = np.unique((h * n_rel + r) * n_ent + t, return_index=True)
@@ -268,12 +274,22 @@ def graph_from_names(triple_rows: Iterable[tuple[str, str, str]],
                           frozenset(map(ev.id_of, user_names)), rv.id_of(like_rel_name))
 
 
+def _listed_ids(path: str, ev: Vocab, error: type[Exception]) -> frozenset[int]:
+    """Ids of the entity names in ``path``; one ``ev`` lacks raises ``error`` naming it."""
+    try:
+        return frozenset(map(ev.id_of, _read_fields(path, 1)))
+    except UnknownNameError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def load_graph(triple_file: str, item_file: str, user_file: str,
                like_rel_name: str) -> KnowledgeGraph:
     """Load and index a graph from the three line-oriented vocabulary files."""
-    fields = _read_fields(triple_file, 3)
-    return graph_from_names(zip(*[iter(fields)] * 3), _read_fields(item_file, 1),
-                            _read_fields(user_file, 1), like_rel_name)
+    ev, rv, ids = _index_fields(_read_fields(triple_file, 3))
+    if not len(ids):
+        raise GraphFormatError("empty graph: no triples")
+    return KnowledgeGraph(ev, rv, ids, _listed_ids(item_file, ev, GraphFormatError),
+                          _listed_ids(user_file, ev, GraphFormatError), rv.id_of(like_rel_name))
 
 
 @dataclass(frozen=True)
@@ -402,10 +418,11 @@ def load_split(split_dir: str) -> KgSplit:
 
     The manifest must be a JSON object whose ``like_rel`` names a relation,
     with a numeric ``fraction`` and an integer ``seed``, and the files must
-    match its hashes and counts, or ``ArtifactMismatchError`` is raised; a
-    triple file's hash is checked before it is parsed. Ids follow first
-    appearance over the train rows, then the held-out rows; the train graph
-    is the first ``n_train`` rows of the full graph's id array.
+    match its hashes and counts and list only entities of the triples, or
+    ``ArtifactMismatchError`` is raised; a triple file's hash is checked
+    before it is parsed. Ids follow first appearance over the train rows,
+    then the held-out rows; the train graph is the first ``n_train`` rows of
+    the full graph's id array.
     """
     manifest_path = os.path.join(split_dir, MANIFEST_FILE)
     manifest = _read_manifest(manifest_path)
@@ -425,7 +442,7 @@ def load_split(split_dir: str) -> KgSplit:
         "n_train": n_train, "n_held_out": len(held_fields) // 3,
         "n_entities": len(ev), "n_relations": len(rv),
     }, [] if like in rv else [f"like_rel {like!r} is not a relation"])
-    items, users = (frozenset(map(ev.id_of, _read_fields(os.path.join(split_dir, f), 1)))
+    items, users = (_listed_ids(os.path.join(split_dir, f), ev, artifacts.ArtifactMismatchError)
                     for f in (ITEMS_FILE, USERS_FILE))
     full = KnowledgeGraph(ev, rv, ids, items, users, rv.id_of(like))
     artifacts.check_manifest(manifest_path, manifest, {

@@ -14,14 +14,15 @@ so structurally equal queries always serialize to the same text.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Union
 
-from .kg import KnowledgeGraph
+from .kg import NAME_SEPARATORS, KnowledgeGraph
 
 
 class QuerySyntaxError(ValueError):
-    """Parse failure; ``offset`` is the byte position in the input text."""
+    """Parse failure; ``offset`` is the character index in the input text."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -123,83 +124,60 @@ def canonicalize(q: QueryNode, kg: KnowledgeGraph) -> QueryNode:
 MAX_QUERY_DEPTH = 64
 
 
-class _Reader:
-    """Cursor over the input with byte offsets for error reporting."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise QuerySyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def token(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isspace() or c in "()":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise QuerySyntaxError("expected a name", start)
-        return self.text[start:self.pos]
+# A token is a parenthesis or a maximal run of name characters; the
+# separators between tokens are dropped.
+_TOKEN = re.compile("[()]|[^" + re.escape(NAME_SEPARATORS) + "]+")
 
 
-def _parse_node(r: _Reader, kg: KnowledgeGraph, depth: int = 1) -> QueryNode:
-    r.skip_ws()
-    open_pos = r.pos
-    r.expect("(")
+def _offset(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts; ``len(text)`` past the last."""
+    return ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[i]
+
+
+def _parse_node(text: str, tokens: list[str], i: int, kg: KnowledgeGraph,
+                depth: int = 1) -> tuple[QueryNode, int]:
+    """The node whose ``(`` is ``tokens[i]``, and the index after its ``)``;
+    ``tokens`` ends in ``""``, which is not a name either (``"" in "()"``)."""
+    if tokens[i] != "(":
+        raise QuerySyntaxError("expected '('", _offset(text, i))
     if depth > MAX_QUERY_DEPTH:
-        raise QuerySyntaxError(
-            f"query nested deeper than {MAX_QUERY_DEPTH} levels", open_pos
-        )
-    r.skip_ws()
-    head = r.token()
-    if head == "e":
-        r.skip_ws()
-        name_pos = r.pos
-        name = r.token()
-        if name not in kg.entity_vocab:
-            raise QuerySyntaxError(f"unknown entity {name!r}", name_pos)
-        node: QueryNode = Anchor(kg.entity_vocab.id_of(name))
-    elif head == "p":
-        r.skip_ws()
-        name_pos = r.pos
-        name = r.token()
-        if name not in kg.relation_vocab:
-            raise QuerySyntaxError(f"unknown relation {name!r}", name_pos)
-        child = _parse_node(r, kg, depth + 1)
-        node = Project(kg.relation_vocab.id_of(name), child)
+        raise QuerySyntaxError(f"query nested deeper than {MAX_QUERY_DEPTH} levels",
+                               _offset(text, i))
+    open_i, head = i, tokens[i + 1]
+    if head in "()":
+        raise QuerySyntaxError("expected a name", _offset(text, i + 1))
+    i += 2
+    if head in ("e", "p"):
+        kind, vocab = (("entity", kg.entity_vocab) if head == "e"
+                       else ("relation", kg.relation_vocab))
+        if tokens[i] in "()":
+            raise QuerySyntaxError("expected a name", _offset(text, i))
+        if tokens[i] not in vocab:
+            raise QuerySyntaxError(f"unknown {kind} {tokens[i]!r}", _offset(text, i))
+        ident = vocab.id_of(tokens[i])
+        if head == "e":
+            node: QueryNode = Anchor(ident)
+            i += 1
+        else:
+            child, i = _parse_node(text, tokens, i + 1, kg, depth + 1)
+            node = Project(ident, child)
     elif head in ("and", "or"):
         children = []
-        while True:
-            r.skip_ws()
-            if r.peek() == ")":
-                break
-            if r.peek() != "(":
-                raise QuerySyntaxError("expected a subquery", r.pos)
-            children.append(_parse_node(r, kg, depth + 1))
+        while tokens[i] != ")":
+            if tokens[i] != "(":
+                raise QuerySyntaxError("expected a subquery", _offset(text, i))
+            child, i = _parse_node(text, tokens, i, kg, depth + 1)
+            children.append(child)
         if len(children) < 2:
-            raise QuerySyntaxError(
-                f"({head} ...) needs at least 2 children", open_pos
-            )
+            raise QuerySyntaxError(f"({head} ...) needs at least 2 children",
+                                   _offset(text, open_i))
         node = And(tuple(children)) if head == "and" else Or(tuple(children))
     else:
-        raise QuerySyntaxError(
-            f"expected one of p/and/or/e, got {head!r}", open_pos + 1
-        )
-    r.skip_ws()
-    r.expect(")")
-    return node
+        raise QuerySyntaxError(f"expected one of p/and/or/e, got {head!r}",
+                               _offset(text, open_i) + 1)
+    if tokens[i] != ")":
+        raise QuerySyntaxError("expected ')'", _offset(text, i))
+    return node, i + 1
 
 
 def parse_query(text: str, kg: KnowledgeGraph) -> QueryNode:
@@ -208,11 +186,10 @@ def parse_query(text: str, kg: KnowledgeGraph) -> QueryNode:
     Bare anchors are rejected at the root: a requirement must end in a
     projection, intersection, or union.
     """
-    r = _Reader(text)
-    node = _parse_node(r, kg)
-    r.skip_ws()
-    if r.pos != len(r.text):
-        raise QuerySyntaxError("trailing input after query", r.pos)
+    tokens = _TOKEN.findall(text) + [""]
+    node, i = _parse_node(text, tokens, 0, kg)
+    if i != len(tokens) - 1:
+        raise QuerySyntaxError("trailing input after query", _offset(text, i))
     if isinstance(node, Anchor):
         raise QuerySyntaxError("a bare anchor is not a requirement", 0)
     return canonicalize(node, kg)

@@ -67,7 +67,9 @@ class TrainConfig:
 
     def __post_init__(self):
         model_variant(self.variant)
-        _task_weights(self.task_weights)
+        if not any(effective_task_weights(self.variant, _task_weights(self.task_weights))):
+            raise ValueError(f"task_weights {tuple(self.task_weights)} leave variant "
+                             f"{self.variant!r} no positive task weight")
         for key in _INT_FLOORS:
             _checked_int(key, getattr(self, key))
         for key in _FLOAT_KEYS:
@@ -80,9 +82,12 @@ class TrainConfig:
 
 
 def _task_weights(weights: Sequence[float]) -> tuple[float, ...]:
-    """``weights`` as a tuple if it has one entry per task, else ``ValueError``."""
+    """``weights`` as a tuple: three finite entries >= 0, not all 0; else ``ValueError``."""
     if len(weights) != 3:
         raise ValueError("task_weights must have three entries")
+    if not all(math.isfinite(w) and w >= 0 for w in weights) or not any(weights):
+        raise ValueError("task_weights must be finite and at least 0, and one "
+                         f"must be positive, got {tuple(weights)}")
     return tuple(weights)
 
 

@@ -10,9 +10,10 @@ import sys
 
 import pytest
 
+from lqrec import kg as kgmod
 from lqrec.cli import main
 from lqrec.kg import load_split
-from lqrec.query import (And, Or, Project, QuerySyntaxError, parse_query,
+from lqrec.query import (Anchor, And, Or, Project, QuerySyntaxError, parse_query,
                          serialize_query)
 from lqrec.synth import clustered_world, write_world_files
 
@@ -460,7 +461,8 @@ def test_held_out_record_without_hard_exit_code(pipeline, command, fname, capsys
 
 
 @pytest.mark.parametrize("line", ["lr=-1", "stop_threshold=nan", "gamma=0",
-                                  "seed=-1"])
+                                  "seed=-1", "task_weights=-1,1,1",
+                                  "task_weights=nan,1,1", "task_weights=0,0,0"])
 def test_train_config_bad_value_exit_code(pipeline, line, capsys):
     cfg = pipeline["root"] / f"bad_{line.split('=')[0]}.cfg"
     cfg.write_text(pipeline["train_cfg"].read_text() + line + "\n")
@@ -472,6 +474,21 @@ def test_train_config_bad_value_exit_code(pipeline, line, capsys):
     err = capsys.readouterr().err
     assert f"{cfg}:{lineno}: bad value for {key!r}: " in err, err
     assert not (pipeline["root"] / "bad_value_run").exists()
+
+
+def test_train_variant_without_weight_exit_code(pipeline, capsys):
+    # single-task trains the joint task alone, so a joint weight of 0 leaves
+    # it nothing to learn
+    cfg = pipeline["root"] / "no_joint.cfg"
+    cfg.write_text(pipeline["train_cfg"].read_text().replace("task_weights=1,1,1",
+                                                              "task_weights=0,1,1"))
+    rc = main(["train", "--data", str(pipeline["data"]), "--config", str(cfg),
+               "--variant", "single-task", "--seed", "5",
+               "--out", str(pipeline["root"] / "no_joint_run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "task_weights (0.0, 1.0, 1.0) leave variant 'single-task'" in err, err
+    assert not (pipeline["root"] / "no_joint_run").exists()
 
 
 def test_train_negative_seed_flag_exit_code(pipeline, capsys):
@@ -696,3 +713,59 @@ def test_answer_repl_survives_deep_nesting(pipeline, fuzz_inputs, monkeypatch,
     assert rc == 0
     assert out[0].startswith("error: query nested deeper than 64 levels")
     assert out[1].startswith("symbolic (")
+
+
+# Characters the loader must refuse in a name (every whitespace character,
+# the parentheses, the quotes and '|') and some it must accept.
+NAME_ALPHABET = ([chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+                 + list("()\"'|") + list("abe_-:#\\/[]{}<>=+~^$*?.,\x00é名")
+                 + ["\u200b", "\ufeff", "\u180e", "e", "p", "and", "or", "user"])
+
+
+def test_loaded_names_round_trip_through_query_and_answer(tmp_path, monkeypatch, capsys):
+    """Every name that the loader accepts anchors a query that reads back
+    as itself and names a relation and a user in an answer line; the loader
+    refuses exactly the names that hold a separator, a quote or '|'."""
+    rng = random.Random(17)
+    candidates = list(dict.fromkeys(
+        "".join(rng.choice(NAME_ALPHABET) for _ in range(rng.randrange(1, 5)))
+        for _ in range(3000)))
+    names = []
+    for name in candidates:
+        try:
+            if kgmod._parse_fields("users.txt", (name + "\n").encode(), 1) == [name]:
+                names.append(name)
+        except kgmod.GraphFormatError:
+            pass
+    refused = set(kgmod.NAME_SEPARATORS + "\"'|")
+    assert names == [n for n in candidates if not refused & set(n)]
+    assert 200 < len(names) < len(candidates) - 200
+    # each name is a user who likes the item and a relation from the hub
+    rows = [f"{n}\tlikes\titem" for n in names] + [f"hub\t{n}\titem" for n in names]
+    rows += [f"{h}\tr0\t{t}" for h in ("hub", "item", "x") for t in ("hub", "item", "x")]
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "t.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (raw / "items.txt").write_text("item\n", encoding="utf-8")
+    (raw / "users.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+    kg = kgmod.load_graph(str(raw / "t.tsv"), str(raw / "items.txt"),
+                          str(raw / "users.txt"), "likes")
+    ev, rv = kg.entity_vocab, kg.relation_vocab
+    lines = []
+    for n in names:
+        for q in (Project(rv.id_of("likes"), Anchor(ev.id_of(n))),
+                  Project(rv.id_of(n), Anchor(ev.id_of("hub")))):
+            text = serialize_query(q, kg)
+            assert parse_query(text, kg) == q, text
+            lines.append(f"user {n} | {text}")
+    assert main(["split", "--triples", str(raw / "t.tsv"), "--items",
+                 str(raw / "items.txt"), "--users", str(raw / "users.txt"),
+                 "--like", "likes", "--fraction", "0.001", "--seed", "1",
+                 "--out", str(tmp_path / "split")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+    assert main(["answer", "--kg", str(tmp_path / "split"), "--mode", "symbolic"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(lines)
+    assert all(line.startswith("symbolic (") for line in out), \
+        [line for line in out if not line.startswith("symbolic (")][:5]

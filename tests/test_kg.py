@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -303,3 +304,71 @@ def test_save_split_is_atomic(tmp_path, world, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_split(split_edges(world, 0.05, seed=8), str(tmp_path))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_name_separators_pinned():
+    # every character str.isspace() accepts, in code point order, then the
+    # parentheses; the loader also refuses the quotes and the REPL's '|'
+    spaces = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+    assert kgmod.NAME_SEPARATORS == spaces + "()"
+    assert len(spaces) == 29
+    assert kgmod._FORBIDDEN_NAME_CHARS == set(kgmod.NAME_SEPARATORS + "\"'|")
+
+
+GOOD_TRIPLES = "a\tr1\tx\na\tr1\ty\nu\tlikes\tx\n"
+
+
+def _raw_files(tmp_path, triples=GOOD_TRIPLES, items="x\ny\n", users="u\n"):
+    """The raw input files of ``lqrec split``, by role."""
+    raw = {}
+    for role, fname, text in (("triples", "t.tsv", triples), ("items", "items.txt", items),
+                              ("users", "users.txt", users)):
+        (tmp_path / fname).write_text(text, encoding="utf-8")
+        raw[role] = str(tmp_path / fname)
+    return raw
+
+
+def _split(raw, tmp_path):
+    return main(["split", "--triples", raw["triples"], "--items", raw["items"],
+                 "--users", raw["users"], "--like", "likes", "--fraction", "0.3",
+                 "--seed", "1", "--out", str(tmp_path / "split")])
+
+
+@pytest.mark.parametrize("role, text", [("triples", "a\tr1\tx\na\x0bb\tr1\tx\n"),
+                                        ("triples", "a\tr1\tx\na\tr1\u3000\tx\n"),
+                                        ("users", "u\nu|1\n")])
+def test_raw_name_with_separator_names_the_line(tmp_path, role, text, capsys):
+    # a name that a query or an answer line cannot carry is refused at load
+    raw = _raw_files(tmp_path, **{role: text})
+    assert _split(raw, tmp_path) == 2
+    assert f"error: {raw[role]}:2: name " in capsys.readouterr().err
+    assert not (tmp_path / "split").exists()
+
+
+def test_interaction_error_names_the_triple(tmp_path, capsys):
+    raw = _raw_files(tmp_path, "a\tr1\tx\nu\tlikes\tx\na\tlikes\ty\n")
+    assert _split(raw, tmp_path) == 2
+    assert ("error: interaction triple ('a', 'likes', 'y') must link a user to an item"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("role", ["items", "users"])
+def test_unknown_listed_name_names_the_file(tmp_path, role, capsys):
+    raw = _raw_files(tmp_path)
+    with open(raw[role], "a", encoding="utf-8") as f:
+        f.write("nope\n")
+    assert _split(raw, tmp_path) == 2
+    assert f"error: {raw[role]}: unknown name: 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fname", ["items.txt", "users.txt"])
+def test_split_dir_unknown_listed_name_is_mismatch(tmp_path, world, fname, capsys):
+    # a split file that does not fit the split's triples is an artifact mismatch
+    save_split(split_edges(world, 0.05, seed=7), str(tmp_path))
+    with open(tmp_path / fname, "a", encoding="utf-8") as f:
+        f.write("zzz\n")
+    with pytest.raises(ArtifactMismatchError, match="unknown name: 'zzz'"):
+        load_split(str(tmp_path))
+    assert main(["answer", "--kg", str(tmp_path), "--mode", "symbolic"]) == 4
+    assert (f"artifact mismatch: {tmp_path / fname}: unknown name: 'zzz'"
+            in capsys.readouterr().err)

@@ -146,7 +146,8 @@ def ref_parse_triple_lines(path):
 def ref_load_split(split_dir):
     train_rows = ref_parse_triple_lines(f"{split_dir}/train.tsv")
     held_rows = ref_parse_triple_lines(f"{split_dir}/heldout.tsv")
-    like = json.loads(open(f"{split_dir}/manifest.json").read())["like_rel"]
+    with open(f"{split_dir}/manifest.json") as f:
+        like = json.load(f)["like_rel"]
     full = ref_from_names(train_rows + held_rows, ref_read_names(f"{split_dir}/items.txt"),
                           ref_read_names(f"{split_dir}/users.txt"), like)
     ev, rv = full.entity_vocab, full.relation_vocab
@@ -304,6 +305,11 @@ MALFORMED = {
     "space_in_item": ("items.txt", 4, b"item 0_3"),
     "tab_in_user": ("users.txt", 2, b"user\t1"),
     "not_utf8_users": ("users.txt", 3, b"us\xc3er1"),
+    # whitespace beyond space/tab/CR/LF and the REPL's '|' end a name too
+    "vertical_tab": ("train.tsv", 13, b"attr0_1\ttags\titem\x0b0_3"),
+    "no_break_space": ("heldout.tsv", 3, "user1\tlikes\titem\u00a00_3".encode()),
+    "line_separator": ("items.txt", 5, "item\u20280_3".encode()),
+    "pipe_in_user": ("users.txt", 4, b"user|1"),
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -162,3 +163,142 @@ def test_canonicalize_idempotent(world):
     for shape in ALL_SHAPES:
         node = sample_with_retry(world, shape, rng)
         assert canonicalize(node, world) == node
+
+
+# --- reference: the former character-cursor parser ---------------------------
+
+
+class RefReader:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise QuerySyntaxError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def token(self):
+        start = self.pos
+        while self.pos < len(self.text):
+            c = self.text[self.pos]
+            if c.isspace() or c in "()":
+                break
+            self.pos += 1
+        if self.pos == start:
+            raise QuerySyntaxError("expected a name", start)
+        return self.text[start:self.pos]
+
+
+def ref_parse_node(r, kg, depth=1):
+    r.skip_ws()
+    open_pos = r.pos
+    r.expect("(")
+    if depth > MAX_QUERY_DEPTH:
+        raise QuerySyntaxError(f"query nested deeper than {MAX_QUERY_DEPTH} levels",
+                               open_pos)
+    r.skip_ws()
+    head = r.token()
+    if head == "e":
+        r.skip_ws()
+        name_pos = r.pos
+        name = r.token()
+        if name not in kg.entity_vocab:
+            raise QuerySyntaxError(f"unknown entity {name!r}", name_pos)
+        node = Anchor(kg.entity_vocab.id_of(name))
+    elif head == "p":
+        r.skip_ws()
+        name_pos = r.pos
+        name = r.token()
+        if name not in kg.relation_vocab:
+            raise QuerySyntaxError(f"unknown relation {name!r}", name_pos)
+        child = ref_parse_node(r, kg, depth + 1)
+        node = Project(kg.relation_vocab.id_of(name), child)
+    elif head in ("and", "or"):
+        children = []
+        while True:
+            r.skip_ws()
+            if r.peek() == ")":
+                break
+            if r.peek() != "(":
+                raise QuerySyntaxError("expected a subquery", r.pos)
+            children.append(ref_parse_node(r, kg, depth + 1))
+        if len(children) < 2:
+            raise QuerySyntaxError(f"({head} ...) needs at least 2 children", open_pos)
+        node = And(tuple(children)) if head == "and" else Or(tuple(children))
+    else:
+        raise QuerySyntaxError(f"expected one of p/and/or/e, got {head!r}", open_pos + 1)
+    r.skip_ws()
+    r.expect(")")
+    return node
+
+
+def ref_parse_query(text, kg):
+    r = RefReader(text)
+    node = ref_parse_node(r, kg)
+    r.skip_ws()
+    if r.pos != len(r.text):
+        raise QuerySyntaxError("trailing input after query", r.pos)
+    if isinstance(node, Anchor):
+        raise QuerySyntaxError("a bare anchor is not a requirement", 0)
+    return canonicalize(node, kg)
+
+
+def parse_outcome(parse, text, kg):
+    """The node, or the error's message and offset."""
+    try:
+        return parse(text, kg)
+    except QuerySyntaxError as exc:
+        return str(exc), exc.offset
+
+
+# Every whitespace character, the characters a name may not hold, a few that
+# it may, and the keywords, as single mutations.
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+MUTATIONS = WHITESPACE + list("()|\"'ae1_-\u00e9") + ["\u200b", "e", "p", "and", "or",
+                                                  "(e ", "(p ", ")"]
+
+
+def mutate(text, rng, kg):
+    pos = rng.randrange(len(text) + 1)
+    op = rng.randrange(4)
+    if op == 0:  # insert
+        return text[:pos] + rng.choice(MUTATIONS) + text[pos:]
+    if op == 1:  # delete one character
+        return text[:pos] + text[pos + 1:]
+    if op == 2:  # replace one character
+        return text[:pos] + rng.choice(MUTATIONS) + text[pos + 1:]
+    names = kg.entity_vocab.names if rng.random() < 0.5 else kg.relation_vocab.names
+    return text[:pos] + rng.choice(names) + text[pos:]  # insert a known name
+
+
+def test_parser_matches_reference_parser(world):
+    """The token-regex parser against the character-cursor parser it
+    replaced: the same node, or the same message and offset, on mutations of
+    sampled queries of every shape and on random token strings."""
+    rng = random.Random(2024)
+    samples = [serialize_query(sample_with_retry(world, shape, rng), world)
+               for shape in ALL_SHAPES for _ in range(40)]
+    texts = []
+    for _ in range(45_000):
+        text = rng.choice(samples)
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            text = mutate(text, rng, world)
+        texts.append(text)
+    words = MUTATIONS + ["(", ")", "(e", "(p", "(and", "(or"] + world.entity_vocab.names[:20]
+    texts += ["".join(rng.choice(words) for _ in range(rng.randrange(12)))
+              for _ in range(10_000)]
+    parsed = 0
+    for text in texts:
+        want = parse_outcome(ref_parse_query, text, world)
+        assert parse_outcome(parse_query, text, world) == want, text
+        parsed += not isinstance(want, tuple)
+    assert 0.05 * len(texts) < parsed < 0.95 * len(texts)
+    assert len(texts) >= 50_000
