@@ -81,6 +81,13 @@ def read_key_values(path: str, parsers: Mapping[str, Callable[[str], object]]) -
     return values
 
 
+def at_least(key: str, value: int | None, floor: int) -> int | None:
+    """``value`` unless it is below ``floor``, else ``ConfigError``; None passes."""
+    if value is not None and value < floor:
+        raise ConfigError(f"{key} must be at least {floor}, got {value}")
+    return value
+
+
 def _checked_count(split_name: str, shape: QueryShape, count: int) -> int:
     """``count`` if it is a valid request for the cell, else ``ConfigError``."""
     if count < 0:
@@ -98,16 +105,9 @@ def _checked_count(split_name: str, shape: QueryShape, count: int) -> int:
 _KNOBS = ("max_retries", "answer_cap")
 
 
-def _checked_knob(key: str, value: int) -> int:
-    """``value`` if it is at least 1, else ``ConfigError``."""
-    if value < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value}")
-    return value
-
-
 _DATASET_KEYS: dict[str, Callable[[str], object]] = {
     "seed": int,
-    **{key: lambda value, key=key: _checked_knob(key, int(value)) for key in _KNOBS},
+    **{key: lambda value, key=key: at_least(key, int(value), 1) for key in _KNOBS},
     **{f"{split_name}.{shape.value}":
        lambda value, split_name=split_name, shape=shape:
            _checked_count(split_name, shape, int(value))
@@ -130,7 +130,7 @@ class DatasetConfig:
 
     def __post_init__(self):
         for key in _KNOBS:
-            _checked_knob(key, getattr(self, key))
+            at_least(key, getattr(self, key), 1)
         for split_name, by_shape in self.counts.items():
             if split_name not in SPLIT_NAMES:
                 raise ConfigError(f"unknown split {split_name!r}")

@@ -204,6 +204,16 @@ class KnowledgeGraph:
         return tuple(self.in_adj)
 
 
+def _name_fault(name: str) -> str | None:
+    """Why ``name`` cannot be a graph name, or None if it can."""
+    if not name:
+        return "empty name field"
+    if bad := sorted(_FORBIDDEN_NAME_CHARS.intersection(name)):
+        return (f"name {name!r} contains forbidden character(s) {bad}; names must be "
+                "whitespace- and paren-free")
+    return None
+
+
 def _parse_lines(path: str, data: bytes, n_fields: int) -> list[str]:
     """The line parser over ``data``, the bytes of ``path``: ``n_fields``
     tab-separated names a line (blank lines skipped, lines split as in text
@@ -222,12 +232,8 @@ def _parse_lines(path: str, data: bytes, n_fields: int) -> list[str]:
             raise GraphFormatError(f"{where} expected exactly two tab separators, "
                                    f"got {len(parts) - 1}")
         for name in parts:
-            if not name:
-                raise GraphFormatError(f"{where} empty name field")
-            if bad := sorted(_FORBIDDEN_NAME_CHARS.intersection(name)):
-                raise GraphFormatError(f"{where} name {name!r} contains forbidden "
-                                       f"character(s) {bad}; names must be "
-                                       "whitespace- and paren-free")
+            if fault := _name_fault(name):
+                raise GraphFormatError(f"{where} {fault}")
         fields += parts
     return fields
 
@@ -266,10 +272,15 @@ def _index_fields(fields: list[str]) -> tuple[Vocab, Vocab, np.ndarray]:
 def graph_from_names(triple_rows: Iterable[tuple[str, str, str]],
                      item_names: Iterable[str], user_names: Iterable[str],
                      like_rel_name: str) -> KnowledgeGraph:
-    """Assemble a graph from name rows; ids follow first-appearance order."""
+    """Assemble a graph from name rows; ids follow first-appearance order.
+    Names follow the file loaders' rule, so the graph's split can be saved
+    and loaded back."""
     ev, rv, ids = _index_fields(list(chain.from_iterable(triple_rows)))
     if not len(ids):
         raise GraphFormatError("empty graph: no triples")
+    names = ev.names + rv.names
+    if not (all(names) and _FORBIDDEN_NAME_CHARS.isdisjoint("".join(names))):
+        raise GraphFormatError(next(filter(None, map(_name_fault, names))))
     return KnowledgeGraph(ev, rv, ids, frozenset(map(ev.id_of, item_names)),
                           frozenset(map(ev.id_of, user_names)), rv.id_of(like_rel_name))
 

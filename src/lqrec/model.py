@@ -22,13 +22,8 @@ Training scores its sampled items by gathering their rows (``score_items``);
 inference ranks the whole catalog from a ``Catalog``, a column copy of the
 item table made once per ``evaluate`` call or ``answer`` session
 (``catalog_scores``), for one query (an ``answer`` line) or a block of
-queries (``evaluate``'s records) per call.
-
-Variants:
-  mtl            experts + per-task gates (the full model)
-  shared-bottom  experts mixed uniformly into one shared representation
-  single-task    no experts/gates, joint task only
-  no-al / no-au  full model with the requirement / preference loss dropped
+queries (``evaluate``'s records) per call. ``VARIANTS`` lists the full
+model and its ablations.
 """
 
 from __future__ import annotations
@@ -36,7 +31,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,14 +42,12 @@ from .kg import KnowledgeGraph
 from .oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .query import QueryNode, skeleton
 
-VARIANTS = ("mtl", "shared-bottom", "single-task", "no-al", "no-au")
-
 CHECKPOINT_FORMAT = "lqrec-checkpoint-v1"
 
 
 def model_variant(name: str) -> str:
     if name not in VARIANTS:
-        raise ValueError(f"unknown variant {name!r}; expected one of {VARIANTS}")
+        raise ValueError(f"unknown variant {name!r}; expected one of {tuple(VARIANTS)}")
     return name
 
 
@@ -275,33 +269,57 @@ def embed_user_preference(ex: Tape | Eager, params: ModelParams, users, like_rel
 # --- multi-task head -------------------------------------------------------
 
 
+def _expert_bank(ex: Tape | Eager, params: ModelParams, q: Value) -> Value:
+    """The k experts' outputs for the joint embedding, side by side along
+    the last axis."""
+    return ex.concat_last_dim(*[ex.relu(ex.affine(ex.param(e), q)) for e in params.experts])
+
+
+def _gated_head(ex, params, q, q_l, q_u):
+    """Each task's softmax gate reads that task's own query embedding and
+    mixes the shared experts (MMoE)."""
+    stack = _expert_bank(ex, params, q)
+    gates = (ex.param(getattr(params, f"gate_{task}")) for task in TASKS)
+    return {task: ex.weighted_sum(ex.softmax_last_dim(ex.affine(gate, x)), stack)
+            for task, gate, x in zip(TASKS, gates, (q, q_l, q_u))}
+
+
+def _uniform_head(ex, params, q, q_l, q_u):
+    """The experts mixed uniformly into one representation for all tasks."""
+    uniform = ex.const(np.full(q.shape[:-1] + (params.k,), 1.0 / params.k))
+    return dict.fromkeys(TASKS, ex.weighted_sum(uniform, _expert_bank(ex, params, q)))
+
+
+def _no_head(ex, params, q, q_l, q_u):
+    """The joint embedding as it is: plain base-model scoring."""
+    return {TASK_JOINT: q}
+
+
+class Variant(NamedTuple):
+    """``head(ex, params, q, q_l, q_u)`` maps the joint, requirement and
+    preference embeddings to task embeddings; ``trains`` names the tasks
+    whose loss is trained."""
+
+    head: Callable[..., dict[str, Value]]
+    trains: tuple[str, ...]
+
+
+# The full model, then the paper's ablations; no-al / no-au drop the req / pref loss.
+VARIANTS: dict[str, Variant] = {
+    "mtl": Variant(_gated_head, TASKS),
+    "shared-bottom": Variant(_uniform_head, TASKS),
+    "single-task": Variant(_no_head, (TASK_JOINT,)),
+    "no-al": Variant(_gated_head, (TASK_JOINT, TASK_PREF)),
+    "no-au": Variant(_gated_head, (TASK_JOINT, TASK_REQ)),
+}
+
+
 def mtl_transform(
     ex: Tape | Eager, params: ModelParams, q: Value, q_l: Value, q_u: Value
 ) -> dict[str, Value]:
-    """Task embeddings from the expert bank.
-
-    Experts consume only the joint embedding; each task's gate consumes that
-    task's own query embedding and mixes the shared expert outputs, which sit
-    side by side along the last axis. The single-task variant bypasses the
-    head entirely (plain base-model scoring); shared-bottom mixes experts
-    uniformly into one representation for all tasks.
-    """
-    if params.variant == "single-task":
-        return {TASK_JOINT: q}
-    stack = ex.concat_last_dim(
-        *[ex.relu(ex.affine(ex.param(theta), q)) for theta in params.experts]
-    )
-    if params.variant == "shared-bottom":
-        uniform = ex.const(np.full(q.shape[:-1] + (params.k,), 1.0 / params.k))
-        shared = ex.weighted_sum(uniform, stack)
-        return {task: shared for task in TASKS}
-    gate_inputs = {TASK_JOINT: q, TASK_REQ: q_l, TASK_PREF: q_u}
-    out = {}
-    for task in TASKS:
-        gate = ex.param(getattr(params, f"gate_{task}"))
-        weights = ex.softmax_last_dim(ex.affine(gate, gate_inputs[task]))
-        out[task] = ex.weighted_sum(weights, stack)
-    return out
+    """Task embeddings from the joint (``q``), requirement and preference
+    embeddings, by the head of ``params.variant``."""
+    return VARIANTS[params.variant].head(ex, params, q, q_l, q_u)
 
 
 def embed_instance(

@@ -29,10 +29,11 @@ import numpy as np
 from . import autodiff
 from .artifacts import atomic_write, write_json
 from .autodiff import AdamState, Tape, Tensor, adam_step
-from .dataset import RecInstance, read_key_values
+from .dataset import RecInstance, at_least, read_key_values
 from .evaluation import evaluate
 from .kg import KnowledgeGraph
-from .model import ModelParams, embed_instance, model_variant, score_items, save_checkpoint
+from .model import (VARIANTS, ModelParams, embed_instance, model_variant, score_items,
+                    save_checkpoint)
 from .oracle import TASKS
 
 
@@ -66,12 +67,11 @@ class TrainConfig:
     stop_threshold: float | None = None
 
     def __post_init__(self):
-        model_variant(self.variant)
         if not any(effective_task_weights(self.variant, _task_weights(self.task_weights))):
             raise ValueError(f"task_weights {tuple(self.task_weights)} leave variant "
                              f"{self.variant!r} no positive task weight")
-        for key in _INT_FLOORS:
-            _checked_int(key, getattr(self, key))
+        for key, floor in _INT_FLOORS.items():
+            at_least(key, getattr(self, key), floor)
         for key in _FLOAT_KEYS:
             _checked_float(key, getattr(self, key))
 
@@ -97,13 +97,6 @@ _INT_FLOORS = {"d": 1, "k": 1, "batch_size": 1, "eval_every": 1, "eval_k": 1,
                "n_neg": 0, "epochs": 0, "patience": 0, "seed": 0}
 
 
-def _checked_int(key: str, value: int | None) -> int | None:
-    """``value`` unless it is below ``key``'s floor, else ``ValueError``."""
-    if value is not None and value < _INT_FLOORS[key]:
-        raise ValueError(f"{key} must be at least {_INT_FLOORS[key]}, got {value}")
-    return value
-
-
 # Real-valued settings must be finite, and these also positive.
 _POSITIVE_FLOATS = ("gamma", "lr")
 _FLOAT_KEYS = _POSITIVE_FLOATS + ("stop_threshold",)
@@ -122,25 +115,21 @@ def _checked_float(key: str, value: float | None) -> float | None:
 
 
 _TRAIN_KEYS: dict[str, Callable[[str], object]] = {
-    **{key: lambda value, key=key: _checked_int(key, int(value))
-       for key in _INT_FLOORS if key != "patience"},
+    **{key: lambda value, key=key, floor=floor: at_least(key, int(value), floor)
+       for key, floor in _INT_FLOORS.items() if key != "patience"},
     **{key: lambda value, key=key: _checked_float(key, float(value))
        for key in _FLOAT_KEYS},
-    "patience": lambda value: _checked_int("patience", None if value == "none" else int(value)),
+    "patience": lambda value: at_least("patience", None if value == "none" else int(value),
+                                       _INT_FLOORS["patience"]),
     "task_weights": lambda value: _task_weights([float(p) for p in value.split(",")]),
     "variant": model_variant,
 }
 
 
 def effective_task_weights(variant: str, weights) -> tuple[float, float, float]:
-    w = tuple(float(x) for x in weights)
-    if variant == "single-task":
-        return (w[0], 0.0, 0.0)
-    if variant == "no-al":
-        return (w[0], 0.0, w[2])
-    if variant == "no-au":
-        return (w[0], w[1], 0.0)
-    return w
+    """``weights``, with 0 for each task that ``VARIANTS[variant]`` does not train."""
+    trains = VARIANTS[model_variant(variant)].trains
+    return tuple(float(w) if task in trains else 0.0 for task, w in zip(TASKS, weights))
 
 
 class AnswerPack(NamedTuple):
@@ -322,14 +311,19 @@ def train(
     stops early when the no-improvement streak reaches ``patience`` or the
     validation metric reaches ``stop_threshold``. A non-finite loss aborts
     with a diagnostic dump. ``train_log.jsonl`` is written when the loop ends.
+    ``config`` must describe ``params`` (same d, k, gamma and variant).
     """
+    if differ := [f"{key} {getattr(config, key)!r} in the config, {getattr(params, key)!r} "
+                  "in the params" for key in ("d", "k", "gamma", "variant")
+                  if getattr(config, key) != getattr(params, key)]:
+        raise ValueError("config does not describe the params: " + "; ".join(differ))
     if config.seed is None:
         raise ValueError("training requires an explicit seed")
     if not train_instances:
         raise ValueError("no training instances")
     rng = np.random.default_rng(config.seed)
     state = AdamState(params.named(), lr=config.lr)
-    weights = effective_task_weights(params.variant, config.task_weights)
+    weights = effective_task_weights(config.variant, config.task_weights)
     pack = pack_answers(train_instances, kg.sorted_items(), weights, config.n_neg)
     metric_name = f"hit@{config.eval_k}"
 

@@ -13,6 +13,7 @@ import pytest
 from lqrec import kg as kgmod
 from lqrec.cli import main
 from lqrec.kg import load_split
+from lqrec.model import VARIANTS
 from lqrec.query import (Anchor, And, Or, Project, QuerySyntaxError, parse_query,
                          serialize_query)
 from lqrec.synth import clustered_world, write_world_files
@@ -216,7 +217,7 @@ def test_train_rerun_identical(pipeline):
 
 
 def test_train_variants_accepted(pipeline):
-    for variant in ("shared-bottom", "single-task", "no-al", "no-au"):
+    for variant in VARIANTS:
         out = pipeline["root"] / f"run_{variant}"
         cfg = pipeline["root"] / f"fast_{variant}.cfg"
         cfg.write_text("d=8\nk=2\ngamma=2.0\nlr=0.005\nepochs=1\n"

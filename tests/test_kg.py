@@ -21,7 +21,7 @@ from lqrec.kg import (
     save_split,
     split_edges,
 )
-from lqrec.synth import clustered_world
+from lqrec.synth import clustered_world, random_graph
 
 
 def test_load_counts(tmp_path):
@@ -343,6 +343,33 @@ def test_raw_name_with_separator_names_the_line(tmp_path, role, text, capsys):
     assert _split(raw, tmp_path) == 2
     assert f"error: {raw[role]}:2: name " in capsys.readouterr().err
     assert not (tmp_path / "split").exists()
+
+
+@pytest.mark.parametrize("row", [("a", "r1", "a b"), ("a", "r1", ""), ("x|y", "r1", "x"),
+                                 ("a", "r 1", "x")])
+def test_graph_from_names_refuses_what_the_loader_refuses(tmp_path, row):
+    # a graph built in Python holds only names its saved split can load back;
+    # the error is the loader's, without file:line
+    rows = [("a", "r1", "x"), ("u", "likes", "x"), row]
+    raw = _raw_files(tmp_path, "".join("\t".join(r) + "\n" for r in rows), "x\n")
+    with pytest.raises(GraphFormatError) as loaded:
+        load_graph(raw["triples"], raw["items"], raw["users"], "likes")
+    with pytest.raises(GraphFormatError) as built:
+        graph_from_names(rows, ["x"], ["u"], "likes")
+    assert str(loaded.value) == f"{raw['triples']}:3: {built.value}"
+
+
+@pytest.mark.parametrize("kg", [clustered_world(n_clusters=3, n_users=12, seed=5),
+                                random_graph(seed=3)], ids=["clustered", "random"])
+def test_generated_graph_split_loads_back(tmp_path, kg):
+    save_split(split_edges(kg, 0.1, seed=1), str(tmp_path))
+    loaded = load_split(str(tmp_path)).full
+
+    def named(graph):
+        ev, rv = graph.entity_vocab.name_of, graph.relation_vocab.name_of
+        return {(ev(h), rv(r), ev(t)) for h, r, t in graph.triples}
+
+    assert named(loaded) == named(kg)
 
 
 def test_interaction_error_names_the_triple(tmp_path, capsys):

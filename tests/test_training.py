@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from lqrec.autodiff import Tape
 from lqrec.dataset import DatasetConfig, build_dataset
 from lqrec.model import (
+    VARIANTS,
     ModelParams,
     embed_intersection,
     embed_requirement,
@@ -70,10 +72,55 @@ def test_config_from_file_and_overrides(tmp_path):
 
 
 def test_effective_weights():
-    assert effective_task_weights("mtl", (1, 1, 1)) == (1, 1, 1)
-    assert effective_task_weights("single-task", (1, 1, 1)) == (1, 0, 0)
-    assert effective_task_weights("no-al", (1, 1, 1)) == (1, 0, 1)
-    assert effective_task_weights("no-au", (1, 1, 1)) == (1, 1, 0)
+    # a task that a variant does not train gets weight 0
+    expected = {"mtl": (1, 2, 3), "shared-bottom": (1, 2, 3), "single-task": (1, 0, 0),
+                "no-al": (1, 0, 3), "no-au": (1, 2, 0)}
+    assert list(VARIANTS) == list(expected)
+    for variant in VARIANTS:
+        assert effective_task_weights(variant, (1, 2, 3)) == expected[variant], variant
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        effective_task_weights("bogus", (1, 2, 3))
+
+
+@pytest.mark.parametrize("variant, head, weights", [
+    ("no-al", "mtl", (1.0, 0.0, 1.0)),
+    ("no-au", "mtl", (1.0, 1.0, 0.0)),
+    ("single-task", "single-task", (1.0, 0.0, 0.0)),
+])
+def test_variant_trains_only_its_tasks(toy, variant, head, weights):
+    # a variant at weights 1,1,1 trains the bytes of its head's variant with
+    # the weights of the tasks it leaves out set to 0
+    split, datasets = toy
+    kg = split.train
+
+    def trained(variant, weights):
+        params = ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=3, variant=variant)
+        train(datasets["train"], params, kg,
+              TrainConfig(d=8, k=2, gamma=2.0, lr=5e-3, epochs=2, batch_size=10,
+                          n_neg=3, task_weights=weights, variant=variant, seed=4))
+        return params.params_hash()
+
+    assert trained(variant, (1.0, 1.0, 1.0)) == trained(head, weights)
+
+
+@pytest.mark.parametrize("params_keys, config_keys, message", [
+    ({"variant": "single-task"}, {"task_weights": (0.0, 1.0, 1.0)},
+     "variant 'mtl' in the config, 'single-task' in the params"),
+    ({"d": 6}, {}, "d 8 in the config, 6 in the params"),
+    ({"k": 3, "gamma": 1.5}, {},
+     "k 2 in the config, 3 in the params; gamma 2.0 in the config, 1.5 in the params"),
+], ids=["variant", "d", "k-gamma"])
+def test_train_rejects_config_of_other_params(toy, tmp_path, params_keys, config_keys,
+                                              message):
+    split, datasets = toy
+    kg = split.train
+    params = ModelParams.init(kg, **{"d": 8, "k": 2, "gamma": 2.0, "seed": 3,
+                                     **params_keys})
+    cfg = TrainConfig(d=8, k=2, gamma=2.0, epochs=1, batch_size=10, n_neg=2, seed=4,
+                      **config_keys)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(datasets["train"], params, kg, cfg, out_dir=str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
 
 
 def test_sample_negatives_forced():
