@@ -16,7 +16,7 @@ from . import kg as kgmod
 from . import oracle
 from .artifacts import ArtifactMismatchError, write_json
 from .autodiff import EAGER
-from .evaluation import evaluate, rank_items
+from .evaluation import check_cutoffs, evaluate, rank_items
 from .kg import GraphFormatError, SplitInfeasibleError, UnknownNameError, load_graph
 from .model import (
     VARIANTS,
@@ -94,8 +94,7 @@ def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     params.validate_against(kg)
     instances = ds.load_instances(args.data, "test", kg)
-    ks = tuple(int(x) for x in args.k.split(","))
-    report = evaluate(instances, params, kg, ks=ks, target="hard")
+    report = evaluate(instances, params, kg, ks=args.k, target="hard")
     print(report.to_text(), end="")
     if args.out:
         write_json(args.out, report.to_json_dict())
@@ -153,6 +152,19 @@ def cmd_answer(args) -> int:
     return 0
 
 
+def _cutoffs(text: str) -> tuple[int, ...]:
+    """``--k``: comma-separated cutoffs, checked before any file is read."""
+    try:
+        ks = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    try:
+        return check_cutoffs(ks)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lqrec",
@@ -187,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--k", default="10,20")
+    p.add_argument("--k", type=_cutoffs, default="10,20")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -202,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     try:
         return args.func(args)
     except TrainingDivergedError as exc:

@@ -1,19 +1,18 @@
 """Ranking evaluation: filtered ranks, hit@K / ndcg@K, per-shape report.
 
-Inference scores every catalog item against the joint-task embedding, from
-a ``model.Catalog`` (the item embeddings as a column table) built once per
-``evaluate`` call, so the table is never gathered per record. ``evaluate``
-scores its records in blocks of ``SCORE_BLOCK // n_items``, one
-``catalog_scores`` call per block, and ranks each record's row. Each target
-answer is ranked with all other known answers of its record removed
-from the candidate list (the usual filtered protocol), ties broken by
-ascending item id. Per-answer ndcg uses binary relevance: 1/log2(rank + 1)
-inside the cutoff, else 0. Aggregation is mean over answers, then records,
-then an unweighted mean over shapes.
+``evaluate`` builds one ``model.Catalog`` (the item embeddings as a column
+table) per call and works in blocks of ``SCORE_BLOCK // n_items`` records:
+one ``catalog_scores`` call scores a block and one ``filtered_rank`` call
+ranks all its targets. Each target is ranked with the other known answers
+of its record removed from the candidates (the usual filtered protocol),
+ties broken by ascending item id. Per-answer ndcg is 1/log2(rank + 1)
+inside the cutoff, else 0 (binary relevance). Aggregation is mean over
+answers, then records, then an unweighted mean over shapes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -67,20 +66,44 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def filtered_rank(scores: np.ndarray, item_ids: np.ndarray, targets: np.ndarray,
-                  known: np.ndarray) -> np.ndarray:
-    """1-based rank of each target among the catalog minus ``known``.
+def filtered_rank(scores: np.ndarray, item_ids: np.ndarray, targets, known,
+                  *, first: int = 0) -> np.ndarray:
+    """1-based rank of each target among the catalog minus its record's known ids.
 
-    ``targets`` is a subset of ``known``, so every target has the same
-    competitors, and one pass ranks them all. A competitor outranks a target
-    when it scores strictly higher, or ties and has the smaller id.
-    """
-    keep = np.ones(len(item_ids), dtype=bool)
-    keep[np.searchsorted(item_ids, known)] = False
-    rivals, rival_ids = scores[keep], item_ids[keep]
-    mine = scores[np.searchsorted(item_ids, targets)][:, None]
-    better = (rivals > mine) | ((rivals == mine) & (rival_ids < targets[:, None]))
-    return 1 + np.count_nonzero(better, axis=1)
+    ``scores`` is a ``(B, n_items)`` block with one collection of target ids
+    and one of known ids per row, or one row with one of each. Ranks come
+    back in record order, each record's by ascending id. A rival outranks a
+    target if it scores higher, or ties with a smaller id, and is not known.
+    Pass ``j`` ranks every record's ``j``-th target. ``ValueError`` names an
+    id missing from ``item_ids`` and its record, counted from ``first``."""
+    if scores.ndim == 1:
+        return filtered_rank(scores[None], item_ids, [targets], [known], first=first)
+    lens = [*map(len, targets), *map(len, known)]
+    rows = np.repeat(np.tile(np.arange(len(scores)), 2), lens)  # each id's record
+    ids = np.fromiter(itertools.chain(*targets, *known), np.int64, len(rows))
+    n = sum(lens[:len(scores)])  # the target ids come first, then the known ids
+    ids[:n] = ids[np.lexsort((ids[:n], rows[:n]))]  # ascending within each record
+    pos = np.searchsorted(item_ids, ids)
+    found = pos < len(item_ids)
+    found[found] = item_ids[pos[found]] == ids[found]
+    if not found.all():
+        bad = np.argmin(found)
+        raise ValueError(f"record {first + rows[bad]}: answer {ids[bad]} is not a catalog item")
+    rivals = scores.astype(float)
+    rivals[rows[n:], pos[n:]] = np.nan  # compares false: never outranks
+    counts = np.array(lens[:len(scores)], dtype=np.intp)
+    ranks, starts = np.empty(n, dtype=np.intp), np.cumsum(counts) - counts
+    for j in range(counts.max(initial=0)):
+        row = np.flatnonzero(counts > j)
+        at = pos[starts[row] + j]
+        mine = scores[row, at][:, None]
+        theirs = rivals if len(row) == len(rivals) else rivals[row]
+        better = (theirs > mine).sum(axis=1, dtype=np.uint32)
+        if (tied := theirs == mine).any():  # a tie outranks from a smaller id only
+            tie, tie_at = np.divmod(np.flatnonzero(tied), theirs.shape[1])
+            better = better + np.bincount(tie[tie_at < at[tie]], minlength=len(row))
+        ranks[starts[row] + j] = 1 + better
+    return ranks
 
 
 def rank_items(
@@ -118,20 +141,22 @@ def _record_metrics(ranks: list[int], ks) -> dict[str, float]:
     return out
 
 
-def evaluate(
-    instances: list[RecInstance],
-    params: ModelParams,
-    kg: KnowledgeGraph,
-    ks: tuple[int, ...] = (10, 20),
-    target: str = "hard",
-) -> EvalReport:
+def check_cutoffs(ks: tuple[int, ...]) -> tuple[int, ...]:
+    """``ks`` if every cutoff is at least 1 and appears once, else ``ValueError``."""
+    if min(ks, default=1) < 1 or len(set(ks)) < len(ks):
+        raise ValueError(f"cutoffs must be distinct and at least 1, got {list(ks)}")
+    return ks
+
+
+def evaluate(instances: list[RecInstance], params: ModelParams, kg: KnowledgeGraph,
+             ks: tuple[int, ...] = (10, 20), target: str = "hard") -> EvalReport:
     """Score the catalog per record and aggregate ranking metrics per shape.
 
     All records embed in one batch on ``EAGER`` (grouped by skeleton, no
     tape). One ``Catalog`` of the current parameters is built per call (never
-    kept across calls: training changes the parameters between them). The
-    records score it in blocks of ``SCORE_BLOCK // n_items``, one
-    ``catalog_scores`` call per block, and each record ranks its row.
+    kept across calls: training changes the parameters between them). Each
+    block of ``SCORE_BLOCK // n_items`` records takes one ``catalog_scores``
+    and one ``filtered_rank`` call.
 
     ``target="hard"`` ranks the held-out-only answers (test protocol) and
     requires every record to carry them; ``target="answers"`` ranks the
@@ -140,51 +165,36 @@ def evaluate(
     """
     if target not in ("hard", "answers"):
         raise ValueError(f"unknown target {target!r}")
-    if min(ks, default=1) < 1 or len(set(ks)) < len(ks):
-        raise ValueError(f"cutoffs must be distinct and at least 1, got {list(ks)}")
+    check_cutoffs(ks)
+    if target == "hard" and any(inst.hard is None for inst in instances):
+        raise ValueError("record lacks hard answers; evaluation on the hard "
+                         "target requires a valid/test record")
+    answers = [inst.answers[TASK_JOINT] for inst in instances]
+    hard = [frozenset() if inst.hard is None else inst.hard[TASK_JOINT] for inst in instances]
+    targets = hard if target == "hard" else answers
+    if not all(targets):
+        raise ValueError("record has no target answers to rank")
+    known = [a | h for a, h in zip(answers, hard)]
     catalog = Catalog(params, kg.sorted_items())
-    item_ids = catalog.ids
     if instances:
         joint = embed_instance(EAGER, params, [inst.user for inst in instances],
                                [inst.requirement for inst in instances],
                                kg.like_rel)[TASK_JOINT]
-    block = max(1, SCORE_BLOCK // max(1, len(item_ids)))
+    block = max(1, SCORE_BLOCK // max(1, len(catalog.ids)))
     by_shape: dict[str, list[dict[str, float]]] = {}
-    for row, inst in enumerate(instances):
-        if row % block == 0:
-            scores = catalog_scores(catalog, joint[row:row + block])
-        if target == "hard":
-            if inst.hard is None:
-                raise ValueError(
-                    "record lacks hard answers; evaluation on the hard target "
-                    "requires a valid/test record"
-                )
-            targets = inst.hard[TASK_JOINT]
-        else:
-            targets = inst.answers[TASK_JOINT]
-        if not targets:
-            raise ValueError("record has no target answers to rank")
-        known = inst.answers[TASK_JOINT]
-        if inst.hard is not None:
-            known = known | inst.hard[TASK_JOINT]
-        ranks = filtered_rank(scores[row % block], item_ids,
-                              np.array(sorted(targets)),
-                              np.array(sorted(known))).tolist()
-        by_shape.setdefault(inst.shape.value, []).append(_record_metrics(ranks, ks))
+    for start in range(0, len(instances), block):
+        ranks = iter(filtered_rank(catalog_scores(catalog, joint[start:start + block]),
+                                   catalog.ids, targets[start:start + block],
+                                   known[start:start + block], first=start).tolist())
+        for inst, ids in zip(instances[start:start + block], targets[start:start + block]):
+            by_shape.setdefault(inst.shape.value, []).append(
+                _record_metrics(list(itertools.islice(ranks, len(ids))), ks))
 
-    metric_names = [f"hit@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
-    per_shape = {
-        shape: {name: sum(m[name] for m in rows) / len(rows) for name in metric_names}
-        for shape, rows in by_shape.items()
-    }
-    averages = {
-        name: sum(per_shape[s][name] for s in per_shape) / len(per_shape)
-        for name in metric_names
-    } if per_shape else {}
-    return EvalReport(
-        ks=tuple(ks),
-        per_shape=per_shape,
-        averages=averages,
-        counts={shape: len(rows) for shape, rows in by_shape.items()},
-        variant=params.variant,
-    )
+    names = [f"hit@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+    per_shape = {shape: {n: sum(m[n] for m in rows) / len(rows) for n in names}
+                 for shape, rows in by_shape.items()}
+    averages = {n: sum(m[n] for m in per_shape.values()) / len(per_shape)
+                for n in names} if per_shape else {}
+    return EvalReport(ks=tuple(ks), per_shape=per_shape, averages=averages,
+                      counts={shape: len(rows) for shape, rows in by_shape.items()},
+                      variant=params.variant)

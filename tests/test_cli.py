@@ -273,6 +273,18 @@ def test_eval_bad_cutoffs_exit_code(pipeline, ks, capsys):
     assert "cutoffs must be distinct and at least 1" in captured.err
 
 
+@pytest.mark.parametrize("ks", ["x", "", "10,", "0", "10,10"])
+def test_eval_cutoffs_checked_before_loading(tmp_path, ks, capsys):
+    # argparse rejects --k before any artifact is read: the paths do not exist
+    rc = main(["eval", "--data", str(tmp_path / "absent"),
+               "--checkpoint", str(tmp_path / "absent.ckpt"), "--k", ks])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --k:" in captured.err
+    assert "absent" not in captured.err
+
+
 def test_eval_vocab_mismatch_exit_code(pipeline):
     other = clustered_world(n_clusters=2, attrs_per_cluster=4,
                             items_per_cluster=8, n_users=8, seed=99)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from lqrec import evaluation, model
 from lqrec.autodiff import EAGER
 from lqrec.dataset import BASIC_SHAPES, DatasetConfig, build_dataset
-from lqrec.evaluation import evaluate, filtered_rank, rank_items
+from lqrec.evaluation import _record_metrics, evaluate, filtered_rank, rank_items
 from lqrec.kg import KnowledgeGraph, Vocab
 from lqrec.model import Catalog, ModelParams, catalog_scores, embed_instance, score_items
 from lqrec.oracle import TASK_JOINT
@@ -87,6 +88,132 @@ def test_filtered_rank_one_pass_matches_per_target():
         want = [brute_force_rank(scores, item_ids, int(t), frozenset(known.tolist()))
                 for t in targets]
         assert got.tolist() == want
+
+
+def _random_record(rng, item_ids):
+    """(targets, known) of one record. Known is a random part of the catalog,
+    the targets alone (every other item a rival), the whole catalog (no
+    rival left) or all of it but one item."""
+    kind = int(rng.integers(4))
+    if kind < 2:
+        known = rng.choice(item_ids, size=int(rng.integers(1, len(item_ids) + 1)),
+                           replace=False)
+    else:
+        known = rng.permutation(item_ids)[kind - 2:] if len(item_ids) > 1 else item_ids
+    size = int(rng.integers(1, min(len(known), 100) + 1))
+    targets = np.sort(rng.choice(known, size=size, replace=False))
+    return targets, targets if kind == 1 else known
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filtered_rank_block_equals_per_record_calls(seed):
+    # one call over a (B, n_items) block ranks every record's targets as one
+    # call per record does, and as the brute-force reference does
+    rng = np.random.default_rng(100 + seed)
+    for trial in range(25):
+        n = int(rng.integers(1, 301))
+        item_ids = np.sort(rng.choice(np.arange(3 * n), size=n, replace=False))
+        scores = np.round(rng.random((int(rng.integers(1, 9)), n)), int(rng.integers(1, 3)))
+        records = [_random_record(rng, item_ids) for _ in scores]
+        # the block call takes sets (as evaluate passes them), the row calls arrays
+        got = filtered_rank(scores, item_ids, [set(t.tolist()) for t, _ in records],
+                            [set(k.tolist()) for _, k in records])
+        want = [filtered_rank(row, item_ids, t, k).tolist()
+                for row, (t, k) in zip(scores, records)]
+        assert got.tolist() == [rank for ranks in want for rank in ranks]
+        brute = [brute_force_rank(row, item_ids, int(x), frozenset(k.tolist()))
+                 for row, (t, k) in zip(scores, records) for x in t]
+        assert got.tolist() == brute
+
+
+def test_filtered_rank_nothing_to_rank():
+    ranks = filtered_rank(np.zeros((2, 3)), np.arange(3), [[], []], [[0], []])
+    assert ranks.tolist() == []
+
+
+def reference_evaluate(instances, params, kg, ks, target):
+    """The per-record loop ``evaluate`` replaced: one query scored at a time,
+    each target ranked by brute force, metrics added in record order."""
+    ids = np.asarray(kg.sorted_items())
+    catalog = Catalog(params, ids)
+    joint = embed_instance(EAGER, params, [i.user for i in instances],
+                           [i.requirement for i in instances], kg.like_rel)[TASK_JOINT]
+    by_shape = {}
+    for row, inst in enumerate(instances):
+        scores = catalog_scores(catalog, joint[row])
+        hard = inst.hard[TASK_JOINT] if inst.hard is not None else frozenset()
+        known = inst.answers[TASK_JOINT] | hard
+        targets = sorted(hard if target == "hard" else inst.answers[TASK_JOINT])
+        ranks = [brute_force_rank(scores, ids, t, known) for t in targets]
+        by_shape.setdefault(inst.shape.value, []).append(_record_metrics(ranks, ks))
+    names = [f"hit@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+    per_shape = {shape: {name: sum(m[name] for m in rows) / len(rows) for name in names}
+                 for shape, rows in by_shape.items()}
+    averages = {name: sum(per_shape[s][name] for s in per_shape) / len(per_shape)
+                for name in names}
+    return {"ks": list(ks), "per_shape": per_shape, "avg": averages,
+            "counts": {shape: len(rows) for shape, rows in by_shape.items()},
+            "variant": params.variant}
+
+
+@pytest.mark.parametrize("per_block", [None, 2])
+@pytest.mark.parametrize("split_name,target", [("test", "hard"), ("train", "answers")])
+def test_evaluate_equals_per_record_reference(bench, monkeypatch, per_block,
+                                              split_name, target):
+    # exact floats, at the default block size and at two records a block
+    split, datasets = bench
+    kg, records = split.train, datasets[split_name]
+    params = ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=13)
+    config = TrainConfig(d=8, k=2, gamma=2.0, lr=0.05, epochs=2, batch_size=16,
+                         n_neg=4, patience=None, seed=5)
+    train(datasets["train"], params, kg, config)
+    if per_block:
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", per_block * len(kg.sorted_items()))
+    ks = (1, 3, 10, 20)
+    got = evaluate(records, params, kg, ks=ks, target=target).to_json_dict()
+    assert got == reference_evaluate(records, params, kg, ks, target)
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 4])
+def test_evaluate_calls_each_traced_boundary_once_per_block(bench, monkeypatch,
+                                                             per_block):
+    # the benchmark's tracer wraps these two names at this module's
+    # attributes; each must run, once per scoring block
+    split, datasets = bench
+    kg, test = split.train, datasets["test"]
+    n_items = len(kg.sorted_items())
+    if per_block:
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", per_block * n_items)
+    block = max(1, evaluation.SCORE_BLOCK // n_items)
+    calls = {}
+    for name in ("filtered_rank", "catalog_scores"):
+        def counting(*args, _name=name, _inner=getattr(evaluation, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counting)
+    evaluate(test, ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=14), kg)
+    blocks = math.ceil(len(test) / block)
+    assert calls == {"filtered_rank": blocks, "catalog_scores": blocks}
+
+
+@pytest.mark.parametrize("kind", ["attribute", "unknown"])
+@pytest.mark.parametrize("field", ["hard", "answers"])
+def test_evaluate_rejects_non_catalog_answers(bench, monkeypatch, kind, field):
+    # a target or known id that is not a catalog item names its record and id,
+    # counted over all records: the bad record is not in the first block
+    split, datasets = bench
+    kg, test = split.train, list(datasets["test"])
+    items = kg.sorted_items()
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK", 3 * len(items))
+    bad = (min(set(range(len(kg.entity_vocab))) - set(items) - set(kg.users))
+           if kind == "attribute" else len(kg.entity_vocab) + 7)
+    row = len(test) - 2
+    sets = dict(getattr(test[row], field))
+    sets[TASK_JOINT] = sets[TASK_JOINT] | {bad}
+    test[row] = dataclasses.replace(test[row], **{field: sets})
+    params = ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=15)
+    with pytest.raises(ValueError, match=rf"record {row}: answer {bad} is not a catalog item"):
+        evaluate(test, params, kg)
 
 
 def test_rank_items_ties_ascending_id(world):
