@@ -16,6 +16,7 @@ import os
 import random
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import oracle
 from .artifacts import ArtifactMismatchError, atomic_write, parse_json
@@ -229,8 +230,12 @@ def sample_requirement(
 def _likers(kg: KnowledgeGraph, items: frozenset[int]) -> list[int]:
     """Users with an interaction edge into any of ``items``, ascending. For
     a requirement's answers these are exactly the users whose joint answer
-    set is nonempty."""
-    return sorted({h for i in items for r, h in kg.in_edges(i) if r == kg.like_rel})
+    set is nonempty. Each item's ``in_adj`` entry is sorted by ``(rel,
+    head)``, so only its ``like_rel`` run is read, found by bisection."""
+    lo, hi = (kg.like_rel,), (kg.like_rel + 1,)
+    return sorted({h for pairs in map(kg.in_adj.get, items, repeat(()))
+                   for _, h in pairs[bisect.bisect_left(pairs, lo):
+                                     bisect.bisect_left(pairs, hi)]})
 
 
 def sample_instance(
@@ -253,8 +258,8 @@ def sample_instance(
             q = sample_requirement(kg, shape, rng)
         except SamplingError:
             continue
-        a_req = oracle.answer_requirement(kg, q)
-        if not a_req or len(a_req) > cfg.answer_cap:
+        a_req = oracle.answer_requirement(kg, q, cfg.answer_cap)
+        if not a_req:  # unsatisfiable, or over the cap (None)
             continue
         likers = _likers(kg, a_req)
         if not likers:

@@ -182,13 +182,17 @@ class KnowledgeGraph:
     def triples(self) -> tuple[Triple, ...]:
         return self.triples_of(self.array)
 
-    # Built on first use (graphs that only answer queries never pay): backward
-    # sampling's index and its ascending pools of seed items and targets.
+    # Built on first use: backward sampling's index and its ascending pools of
+    # seed items and targets. The oracle reads ``in_adj`` when a projection
+    # checks its candidates' in-edges, so the ``answer`` REPL builds it on its
+    # first such line: 33 ms for the 78,090-triple train graph at 10,000
+    # items (2-vCPU x86-64 VM).
 
     @cached_property
     def in_adj(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """(rel, head) pairs pointing at each tail, sorted so backward query
-        sampling is deterministic; the tails are keyed in ascending order."""
+        sampling is deterministic and one relation's pairs are a run that
+        bisection finds; the tails are keyed in ascending order."""
         h, r, t = self.array.T
         order = np.argsort((t * self.n_relations + r) * self.n_entities + h)
         pairs = list(zip(_own(r[order], self._rels), _own(h[order], self._ents)))

@@ -10,13 +10,15 @@ import sys
 
 import pytest
 
-from lqrec import kg as kgmod
+from lqrec import kg as kgmod, oracle
 from lqrec.cli import main
 from lqrec.kg import load_split
 from lqrec.model import VARIANTS
 from lqrec.query import (Anchor, And, Or, Project, QuerySyntaxError, parse_query,
                          serialize_query)
 from lqrec.synth import clustered_world, write_world_files
+
+from test_oracle import reference_joint
 
 
 SPLIT_FILES = ["train.tsv", "heldout.tsv", "items.txt", "users.txt", "manifest.json"]
@@ -702,6 +704,30 @@ def _run_answer(pipeline, lines, monkeypatch, capsys):
     rc = main(["answer", "--kg", str(pipeline["data"]),
                "--checkpoint", str(pipeline["ckpt"]), "--mode", "both"])
     return rc, capsys.readouterr().out.split("\n")
+
+
+def test_answer_transcript_equals_reference_oracle(pipeline, monkeypatch, capsys):
+    # Requirements from the hub anchors: each root scopes the attributes of
+    # one or two clusters, and each category contains two sections.
+    hub_queries = [
+        "(p tags (p scopes (e root0)))",
+        "(p marks (p groups (p contains (e cat0))))",
+        "(and (p tags (p scopes (e root0))) (p marks (e attr0_1)))",
+        "(p tags (or (p scopes (e root0)) (p scopes (e root1))))",
+        "(p tags (and (p scopes (e root0)) (p groups (e sec0_0))))",
+        "(or (p tags (p scopes (e root1))) (p marks (e attr0_0)))",
+        "(and (p tags (p scopes (e root0))) (p marks (p scopes (e root0))) "
+        "(p tags (p groups (e sec2_1))))",
+    ]
+    lines = [f"user user{j} | {q}" for j in range(0, 18, 4) for q in hub_queries]
+    rc, got = _run_answer(pipeline, lines, monkeypatch, capsys)
+    assert rc == 0
+    monkeypatch.setattr(oracle, "answer_joint", reference_joint)
+    assert _run_answer(pipeline, lines, monkeypatch, capsys) == (rc, got)
+    symbolic = [line for line in got if line.startswith("symbolic (")]
+    assert len(symbolic) == len(lines)
+    assert "symbolic (0): (none)" in symbolic
+    assert any(not line.startswith("symbolic (0)") for line in symbolic)
 
 
 def test_answer_repl_fuzz(pipeline, fuzz_inputs, monkeypatch, capsys):

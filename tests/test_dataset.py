@@ -31,7 +31,7 @@ from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import ALL_SHAPES, ZERO_SHOT_SHAPES, QueryShape, classify_shape
 from lqrec.training import TrainConfig
 
-from test_oracle import random_shaped_query
+from test_oracle import random_shaped_query, reference_requirement
 
 
 def small_counts(n_train=5, n_valid=2, n_test=3):
@@ -301,6 +301,33 @@ def test_answer_cap_respected(world_split):
     for _ in range(10):
         inst = sample_instance(world_split, QueryShape.ONE_P, "train", rng, cfg)
         assert len(inst.answers[TASK_REQ]) <= 5
+
+
+def test_build_equals_reference_oracle_build(world_split, tmp_path, monkeypatch):
+    # The same records, split by split, as a build whose oracle is the
+    # reference traversal with a cap check on each finished answer set; the
+    # cap here stops some projections early.
+    cfg = DatasetConfig(counts=small_counts(), seed=21, answer_cap=12)
+    project, stopped = oracle._project, []
+
+    def spy(*args):
+        out = project(*args)
+        stopped.append(out is None)
+        return out
+
+    monkeypatch.setattr(oracle, "_project", spy)
+    datasets, report = build_dataset(world_split, cfg)
+    assert any(stopped)
+    monkeypatch.setattr(oracle, "_project", project)
+    monkeypatch.setattr(oracle, "answer_requirement", reference_requirement)
+    ref_datasets, ref_report = build_dataset(world_split, cfg)
+    assert all(datasets.values())
+    for split_name in datasets:
+        assert datasets[split_name] == ref_datasets[split_name], split_name
+    assert report.to_text() == ref_report.to_text()
+    monkeypatch.undo()
+    write_dataset(datasets, report, world_split.full, str(tmp_path))
+    assert verify_dataset(world_split, str(tmp_path)) == []
 
 
 def test_verify_pass_on_built_dataset(world_split, tmp_path):

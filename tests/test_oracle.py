@@ -3,13 +3,16 @@
 import random
 from collections import defaultdict
 
+import pytest
+
+from lqrec import oracle
 from lqrec.dataset import SamplingError, sample_requirement
 from lqrec.kg import graph_from_names, split_edges
 from lqrec.oracle import (TASK_JOINT, TASK_PREF, TASK_REQ, TASKS, answer_joint,
                           answer_preference, answer_requirement, answer_sets,
                           hard_answers)
 from lqrec.query import ALL_SHAPES, And, Anchor, Or, Project, parse_query
-from lqrec.synth import random_graph
+from lqrec.synth import clustered_world, random_graph
 
 
 def brute_force_answers(kg, q):
@@ -38,6 +41,42 @@ def brute_force_answers(kg, q):
         return result
 
     return frozenset(i for i in kg.items if truth(q, i))
+
+
+# --- reference: the former bottom-up traversal ------------------------------
+
+
+def reference_entities(kg, q):
+    """Every entity answering ``q``, bottom-up over the AST: a projection
+    unions the tails of its whole base, an intersection meets the answer
+    sets of all its children, smallest first."""
+    if isinstance(q, Anchor):
+        return frozenset((q.entity,))
+    if isinstance(q, Project):
+        out = set()
+        for e in reference_entities(kg, q.child):
+            out |= kg.neighbors_out(e, q.rel)
+        return frozenset(out)
+    if isinstance(q, And):
+        sets = sorted((reference_entities(kg, c) for c in q.children), key=len)
+        acc = sets[0]
+        for s in sets[1:]:
+            acc &= s
+        return acc
+    if isinstance(q, Or):
+        return frozenset().union(*(reference_entities(kg, c) for c in q.children))
+    raise TypeError(q)
+
+
+def reference_requirement(kg, q, cap=None):
+    """``answer_requirement`` as the reference traversal and a cap check on
+    its finished answer set."""
+    answers = reference_entities(kg, q) & kg.items
+    return None if cap is not None and len(answers) > cap else answers
+
+
+def reference_joint(kg, u, q):
+    return reference_requirement(kg, q) & answer_preference(kg, u)
 
 
 def random_shaped_query(kg, shape, rng):
@@ -237,3 +276,118 @@ def test_hard_answer_via_held_out_edge():
                 assert item in answer_joint(split.full, u, q)
             return
     raise AssertionError("no split produced a hard answer")
+
+
+# --- answering within candidate sets, against the reference traversal --------
+
+
+def hub_world():
+    """Few, large clusters: each root ``scopes`` half the attributes and each
+    attribute ``tags`` or ``marks`` about a third of its cluster's items."""
+    return clustered_world(n_clusters=4, attrs_per_cluster=4, items_per_cluster=40,
+                           n_users=16, tags_per_item=3, likes_per_user=8, seed=7)
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """(graph, requirement) pairs of all nine shapes: uniformly random ones
+    (mostly unsatisfiable) and backward-grounded ones, on random graphs and
+    on a hub-heavy clustered world."""
+    rng = random.Random(404)
+    graphs = [random_graph(n_entities=30, n_triples=140, n_relations=4, n_items=10,
+                           n_users=4, seed=trial) for trial in range(4)]
+    out = []
+    for kg in [*graphs, hub_world()]:
+        for shape in ALL_SHAPES:
+            for _ in range(3):
+                out.append((kg, random_shaped_query(kg, shape, rng)))
+                try:
+                    out.append((kg, sample_requirement(kg, shape, rng)))
+                except SamplingError:
+                    pass
+    return out
+
+
+def candidate_sets(kg, rng):
+    entities = range(kg.n_entities)
+    return [frozenset(), kg.items, frozenset(entities) - kg.items,
+            *(frozenset(rng.sample(entities, n)) for n in (1, 3, kg.n_entities // 3))]
+
+
+def test_answers_within_candidate_sets_equal_reference(cases):
+    rng = random.Random(5)
+    nonempty = 0
+    for kg, q in cases:
+        full = reference_entities(kg, q)
+        assert oracle._eval(kg, q, None) == full, q
+        for within in candidate_sets(kg, rng):
+            assert oracle._eval(kg, q, within) == full & within, (q, sorted(within))
+        answers = answer_requirement(kg, q)
+        assert answers == full & kg.items == brute_force_answers(kg, q), q
+        for u in kg.users:
+            assert answer_joint(kg, u, q) == reference_joint(kg, u, q), (q, u)
+        nonempty += bool(answers)
+    assert nonempty > len(cases) // 3
+
+
+class CountingDict(dict):
+    """A graph index that counts its ``get`` calls."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def count_index_reads(kg, monkeypatch):
+    """(in_adj, out_index) of ``kg`` replaced by counting copies."""
+    in_adj, out_index = CountingDict(kg.in_adj), CountingDict(kg.out_index)
+    monkeypatch.setitem(vars(kg), "in_adj", in_adj)
+    monkeypatch.setattr(kg, "out_index", out_index)
+    return in_adj, out_index
+
+
+def test_projection_runs_both_directions(cases, monkeypatch):
+    # A projection checks its candidates' in-edges (``in_adj`` reads) or
+    # unions its base's tails (``out_index`` reads); the requirements and
+    # joint answers of these cases take both ways.
+    graphs = {id(kg): kg for kg, _ in cases}.values()
+    counters = [count_index_reads(kg, monkeypatch) for kg in graphs]
+    for kg, q in cases:
+        answer_requirement(kg, q)
+    assert sum(out_index.gets for _, out_index in counters) > 0
+    for kg, q in cases:
+        for u in kg.users:
+            answer_joint(kg, u, q)
+    assert sum(in_adj.gets for in_adj, _ in counters) > 0
+
+
+def test_cap_contract(cases):
+    # None exactly when the answer set is larger than the cap, else the set.
+    rng = random.Random(6)
+    over = 0
+    for kg, q in cases:
+        answers = reference_requirement(kg, q)
+        n = len(answers)
+        for cap in {n, max(n - 1, 0), 0, 1, rng.randrange(len(kg.items) + 2)}:
+            got = answer_requirement(kg, q, cap)
+            assert got == (None if n > cap else answers), (q, cap)
+            over += got is None
+    assert over
+
+
+def test_cap_stops_a_hub_projection_early(monkeypatch):
+    # (p tags (p scopes (e root0))): 8 scoped attributes with 154 tag edges
+    # to 77 items; a cap of 5 stops the union after a few attributes.
+    kg = hub_world()
+    q = parse_query("(p tags (p scopes (e root0)))", kg)
+    answers = reference_requirement(kg, q)
+    assert len(answers) > 5
+    _, out_index = count_index_reads(kg, monkeypatch)
+    assert answer_requirement(kg, q) == answers
+    uncapped, out_index.gets = out_index.gets, 0
+    assert answer_requirement(kg, q, 5) is None
+    assert 0 < out_index.gets < uncapped
