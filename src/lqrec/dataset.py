@@ -32,6 +32,7 @@ from .query import (
     QueryNode,
     QueryShape,
     SHAPE_TEMPLATES,
+    ZERO_SHOT_SHAPES,
     canonicalize,
     classify_shape,
     parse_query,
@@ -39,7 +40,11 @@ from .query import (
     shape_from_name,
 )
 
-SPLIT_NAMES = ("train", "valid", "test")
+# Per split: the shapes its records may hold, and whether it is held out
+# (grounded on the full graph, with hard answers) or on the train graph.
+SPLITS = {"train": (BASIC_SHAPES, False), "valid": (BASIC_SHAPES, True),
+          "test": (ALL_SHAPES, True)}
+SPLIT_NAMES = tuple(SPLITS)
 
 DATASET_FILES = {name: f"{name}.jsonl" for name in SPLIT_NAMES}
 STATS_FILE = "stats.txt"
@@ -90,15 +95,16 @@ def at_least(key: str, value: int | None, floor: int) -> int | None:
 
 
 def _checked_count(split_name: str, shape: QueryShape, count: int) -> int:
-    """``count`` if it is a valid request for the cell, else ``ConfigError``."""
+    """``count`` if it is a valid request for the cell, else ``ConfigError``;
+    the record loader checks each record's shape as a request for one."""
+    if not isinstance(shape, QueryShape):
+        raise ConfigError(f"shape key {shape!r} of split {split_name!r} is not a QueryShape")
     if count < 0:
         raise ConfigError(f"negative count for {split_name}/{shape.value}")
-    allowed = ALL_SHAPES if split_name == "test" else BASIC_SHAPES
-    if count > 0 and shape not in allowed:
-        raise ConfigError(
-            f"shape {shape.value} not allowed in split {split_name!r}; "
-            "the zero-shot shapes are reserved for testing"
-        )
+    if count > 0 and shape not in SPLITS[split_name][0]:
+        raise ConfigError(f"shape {shape.value} not allowed in split {split_name!r}"
+                          + ("; the zero-shot shapes are reserved for testing"
+                             if shape in ZERO_SHOT_SHAPES else ""))
     return count
 
 
@@ -252,7 +258,8 @@ def sample_instance(
     Valid/test instances must have at least one hard joint answer
     (``oracle.hard_answers``) or they are resampled.
     """
-    kg = split.train if split_name == "train" else split.full
+    held_out = SPLITS[split_name][1]
+    kg = split.full if held_out else split.train
     for _ in range(cfg.max_retries):
         try:
             q = sample_requirement(kg, shape, rng)
@@ -266,7 +273,7 @@ def sample_instance(
             continue
         u = likers[rng.randrange(len(likers))]
         answers = oracle.answer_sets(kg, u, a_req)
-        if split_name == "train":
+        if not held_out:
             return RecInstance(u, q, shape, answers)
         easy, hard = oracle.hard_answers(split, u, q, answers)
         if hard[TASK_JOINT]:
@@ -422,25 +429,23 @@ def write_dataset(
 def verify_dataset(split: KgSplit, out_dir: str) -> list[str]:
     """Re-derive every emitted record with the oracle and report violations.
 
-    Each file is read by :func:`load_instances`, so a record it rejects
-    raises ``ArtifactMismatchError`` naming ``path:line``. Per loaded record
-    the checks are: no zero-shot shape in the train file, and answer sets
-    equal to a fresh traversal. A train record holds its train-graph sets
-    and no hard answers; a valid/test record holds the easy and hard sets of
-    ``oracle.hard_answers``.
+    Each file is read by :func:`load_instances`, so a record it rejects (a
+    shape its split may not hold among them) raises ``ArtifactMismatchError``
+    naming ``path:line``. Each loaded record's answer sets must equal a fresh
+    traversal of its split's graph in ``SPLITS``: a train record holds its
+    train-graph sets and no hard answers; a held-out record holds the easy
+    and hard sets of ``oracle.hard_answers``.
     """
     violations = []
-    for split_name in SPLIT_NAMES:
+    for split_name, (_, held_out) in SPLITS.items():
         if not os.path.exists(os.path.join(out_dir, DATASET_FILES[split_name])):
             continue
-        kg = split.train if split_name == "train" else split.full
+        kg = split.full if held_out else split.train
         for lineno, inst in enumerate(load_instances(out_dir, split_name, kg), start=1):
             where = f"{split_name}:{lineno}"
-            if split_name == "train" and inst.shape not in BASIC_SHAPES:
-                violations.append(f"{where}: zero-shot shape in train file")
             u, q = inst.user, inst.requirement
             answers, hard = oracle.answer_sets(kg, u, oracle.answer_requirement(kg, q)), None
-            if split_name != "train":
+            if held_out:
                 answers, hard = oracle.hard_answers(split, u, q, answers)
             if inst.answers != answers:
                 violations.append(f"{where}: answer sets disagree with oracle")
@@ -457,8 +462,8 @@ def load_instances(data_dir: str, split_name: str,
     A line that is not UTF-8 JSON, not a record of the form ``instance_to_record``
     writes, names an unknown entity or relation, has a user or answer of the
     wrong kind or hard answers without a joint one, declares a shape its query
-    does not have, or lacks hard answers outside the train file raises
-    ``ArtifactMismatchError`` naming ``path:line``.
+    does not have or its split may not hold (``SPLITS``), or lacks hard answers
+    in a held-out split raises ``ArtifactMismatchError`` naming ``path:line``.
     """
     path = os.path.join(data_dir, DATASET_FILES[split_name])
     instances = []
@@ -472,7 +477,8 @@ def load_instances(data_dir: str, split_name: str,
                 if shape != inst.shape:
                     raise ValueError(f"a {shape.value} query labelled "
                                      f"{inst.shape.value}")
-                if inst.hard is None and split_name != "train":
+                _checked_count(split_name, inst.shape, 1)
+                if inst.hard is None and SPLITS[split_name][1]:
                     raise ValueError("a valid/test record without hard answers")
                 if inst.hard is not None and not inst.hard[TASK_JOINT]:
                     raise ValueError("hard answers with an empty joint set")

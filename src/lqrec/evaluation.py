@@ -23,7 +23,7 @@ from .dataset import RecInstance
 from .kg import KnowledgeGraph
 from .model import Catalog, ModelParams, catalog_scores, embed_instance
 from .oracle import TASK_JOINT
-from .query import ALL_SHAPES
+from .query import ALL_SHAPES, QueryShape
 
 # Scores per ``evaluate`` block: one ``catalog_scores`` call scores
 # SCORE_BLOCK // n_items records (at least one), so its (B, n_items)
@@ -52,7 +52,7 @@ class EvalReport:
         }
 
     def to_text(self) -> str:
-        cols = [s.value for s in ALL_SHAPES]
+        cols = [s.value for s in QueryShape if s in ALL_SHAPES or s.value in self.per_shape]
         header = f"{'metric':<9}" + "".join(f"{c:>8}" for c in cols) + f"{'avg':>8}"
         lines = [header]
         for metric in self.metric_names():

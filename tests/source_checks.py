@@ -1,0 +1,32 @@
+"""Checks on the package's source text shared by several test modules."""
+
+import ast
+from pathlib import Path
+
+import lqrec
+
+SRC_DIR = Path(lqrec.__file__).parent
+
+
+def literal_comparisons(names, src_dir=SRC_DIR):
+    """``file:line`` of every ``==``, ``!=``, ``in`` or ``not in`` in the
+    modules of ``src_dir`` with one of the string literals ``names`` on one
+    side, alone or in a tuple, list, set or dict display."""
+
+    def literals(node):
+        elts = {ast.Tuple: "elts", ast.List: "elts", ast.Set: "elts",
+                ast.Dict: "keys"}.get(type(node))
+        return {e.value for e in (getattr(node, elts) if elts else [node])
+                if isinstance(e, ast.Constant)}
+
+    found = []
+    for path in sorted(Path(src_dir).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, sides, sides[1:]):
+                if (isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                        and (literals(left) | literals(right)) & set(names)):
+                    found.append(f"{path.name}:{node.lineno}")
+    return found

@@ -18,6 +18,7 @@ from lqrec.query import (Anchor, And, Or, Project, QuerySyntaxError, parse_query
                          serialize_query)
 from lqrec.synth import clustered_world, write_world_files
 
+from test_dataset import unclassified_record
 from test_oracle import reference_joint
 
 
@@ -473,6 +474,44 @@ def test_held_out_record_without_hard_exit_code(pipeline, command, fname, capsys
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert f"{data / fname}:1: a valid/test record without hard answers" in err, err
+
+
+def _test_record(pipeline, shape):
+    """The first record of ``shape`` in the pipeline's test file."""
+    with open(pipeline["data"] / "test.jsonl") as f:
+        return next(r for r in map(json.loads, f) if r["shape"] == shape)
+
+
+@pytest.mark.parametrize("fname", ["valid.jsonl", "train.jsonl"])
+def test_zero_shot_record_outside_test_exit_code(pipeline, fname, capsys):
+    # a zero-shot record is refused in a train or valid file, at its line
+    data = pipeline["root"] / f"zero_shot_{fname}"
+    shutil.copytree(pipeline["data"], data)
+    record = _test_record(pipeline, "ip")
+    if fname == "train.jsonl":
+        del record["hard"]
+    lines = (data / fname).read_text().splitlines()
+    (data / fname).write_text("\n".join(lines[:1] + [json.dumps(record)] + lines[1:]) + "\n")
+    argv = ["train", "--data", str(data), "--seed", "5",
+            "--config", str(pipeline["train_cfg"]),
+            "--out", str(pipeline["root"] / f"zero_shot_run_{fname}")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert (f"{data / fname}:2: shape ip not allowed in split {fname[:-6]!r}; "
+            "the zero-shot shapes are reserved for testing") in err, err
+
+
+def test_unclassified_record_exit_code(pipeline, capsys):
+    # a record of a query no template matches is refused in every split
+    data = pipeline["root"] / "unclassified"
+    shutil.copytree(pipeline["data"], data)
+    record = unclassified_record(_test_record(pipeline, "2i"), load_split(str(data)).full)
+    lines = (data / "test.jsonl").read_text().splitlines()
+    (data / "test.jsonl").write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+    assert main(["eval", "--data", str(data), "--checkpoint", str(pipeline["ckpt"])]) == 4
+    err = capsys.readouterr().err
+    assert (f"{data / 'test.jsonl'}:{len(lines) + 1}: "
+            "shape other not allowed in split 'test'\n") in err, err
 
 
 @pytest.mark.parametrize("line", ["lr=-1", "stop_threshold=nan", "gamma=0",

@@ -28,9 +28,11 @@ from lqrec.dataset import (
 )
 from lqrec.kg import graph_from_names
 from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
-from lqrec.query import ALL_SHAPES, ZERO_SHOT_SHAPES, QueryShape, classify_shape
+from lqrec.query import (ALL_SHAPES, ZERO_SHOT_SHAPES, And, QueryShape, classify_shape,
+                         parse_query, serialize_query)
 from lqrec.training import TrainConfig
 
+from source_checks import literal_comparisons
 from test_oracle import random_shaped_query, reference_requirement
 
 
@@ -50,6 +52,25 @@ def test_config_rejects_zero_shot_in_train():
 def test_config_rejects_zero_shot_in_valid():
     with pytest.raises(ConfigError):
         DatasetConfig(counts={"valid": {QueryShape.TWO_U: 1}}, seed=0)
+
+
+def test_config_rejects_unclassified_shape_for_what_it_is():
+    # no split holds `other`; the zero-shot reason is not its reason
+    with pytest.raises(ConfigError, match="shape other not allowed in split 'test'") as exc:
+        DatasetConfig(counts={"test": {QueryShape.UNCLASSIFIED: 1}}, seed=0)
+    assert "reserved for testing" not in str(exc.value)
+
+
+def test_config_rejects_shape_name_as_key():
+    # counts are keyed by QueryShape; a shape's name is refused, naming it
+    with pytest.raises(ConfigError, match="shape key '1p' of split 'train'"):
+        DatasetConfig(counts={"train": {"1p": 3}}, seed=0)
+
+
+def test_splits_are_decided_only_by_the_table():
+    # which shapes a split holds and which graph grounds it are read from
+    # dataset.SPLITS; no module branches on a split's name
+    assert literal_comparisons(dataset.SPLIT_NAMES) == []
 
 
 def test_config_from_file(tmp_path):
@@ -380,6 +401,28 @@ def test_verify_flags_hard_set_off_by_one(world_split, tmp_path, task):
     _edit_first_record(tmp_path / "test.jsonl", add_one)
     assert verify_dataset(world_split, str(tmp_path)) == [
         "test:1: hard answer sets disagree with oracle"]
+
+
+def unclassified_record(record, kg):
+    """``record`` of a 2i query ``(and X Y)`` turned into one of the
+    untemplated query ``(and X (and X Y))``: the same answer sets, shape
+    ``other``."""
+    x, y = parse_query(record["query"], kg).children
+    record.update(query=serialize_query(And((x, And((x, y)))), kg), shape="other")
+    return record
+
+
+def test_verify_rejects_unclassified_record(world_split, tmp_path):
+    cfg = DatasetConfig(counts={"test": {QueryShape.TWO_I: 2}}, seed=13)
+    datasets, report = build_dataset(world_split, cfg)
+    write_dataset(datasets, report, world_split.full, str(tmp_path))
+    path = tmp_path / "test.jsonl"
+    _edit_first_record(path, lambda record: unclassified_record(record, world_split.full))
+    query = json.loads(path.read_text().splitlines()[0])["query"]
+    assert classify_shape(parse_query(query, world_split.full)) == QueryShape.UNCLASSIFIED
+    with pytest.raises(ArtifactMismatchError, match=re.escape(
+            f"{path}:1: shape other not allowed in split 'test'")):
+        verify_dataset(world_split, str(tmp_path))
 
 
 def test_verify_flags_train_record_with_hard(world_split, tmp_path):

@@ -11,7 +11,7 @@ from lqrec.evaluation import _record_metrics, evaluate, filtered_rank, rank_item
 from lqrec.kg import KnowledgeGraph, Vocab
 from lqrec.model import Catalog, ModelParams, catalog_scores, embed_instance, score_items
 from lqrec.oracle import TASK_JOINT
-from lqrec.query import ALL_SHAPES
+from lqrec.query import ALL_SHAPES, And, QueryShape
 from lqrec.training import TrainConfig, train
 
 
@@ -294,6 +294,24 @@ def test_report_table_layout(bench):
     assert [row.split()[0] for row in body] == [
         "hit@10", "hit@20", "ndcg@10", "ndcg@20"
     ]
+
+
+def test_report_prints_a_column_per_reported_shape(bench):
+    # a record of an untemplated query is scored under `other`; its column is
+    # printed, so each row's avg is the mean of its printed cells
+    split, datasets = bench
+    inst = next(i for i in datasets["test"] if i.shape == QueryShape.TWO_I)
+    x, y = inst.requirement.children
+    other = dataclasses.replace(inst, requirement=And((x, And((x, y)))),
+                                shape=QueryShape.UNCLASSIFIED)
+    params = ModelParams.init(split.train, d=8, k=2, gamma=2.0, seed=8)
+    report = evaluate(datasets["test"] + [other], params, split.train, ks=(10, 20))
+    assert report.counts["other"] == 1
+    header, *rows = report.to_text().splitlines()
+    assert header.split()[1:] == [s.value for s in ALL_SHAPES] + ["other", "avg"]
+    for row in rows:
+        *cells, avg = (float(c) for c in row.split()[1:] if c != "-")
+        assert avg == pytest.approx(sum(cells) / len(cells), abs=1e-4)
 
 
 def test_report_json_roundtrip(bench):

@@ -1,14 +1,11 @@
-import ast
 import json
 import math
 import os
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lqrec
 from lqrec import model
 from lqrec.artifacts import ArtifactMismatchError
 from lqrec.autodiff import EAGER, OpShapeError, Tape, Tensor, backward
@@ -33,6 +30,7 @@ from lqrec.model import (
 )
 from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import parse_query
+from source_checks import literal_comparisons
 from test_autodiff import reduce_sum
 
 
@@ -53,34 +51,10 @@ def test_variant_validation():
                               "('mtl', 'shared-bottom', 'single-task', 'no-al', 'no-au')")
 
 
-def _variant_name_comparisons(src_dir):
-    """``file:line`` of every ``==``, ``!=``, ``in`` or ``not in`` in the
-    modules of ``src_dir`` with a variant-name string literal on one side,
-    alone or in a tuple, list, set or dict display."""
-
-    def literals(node):
-        elts = {ast.Tuple: "elts", ast.List: "elts", ast.Set: "elts",
-                ast.Dict: "keys"}.get(type(node))
-        return {e.value for e in (getattr(node, elts) if elts else [node])
-                if isinstance(e, ast.Constant)}
-
-    found = []
-    for path in sorted(Path(src_dir).glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Compare):
-                continue
-            sides = [node.left, *node.comparators]
-            for op, left, right in zip(node.ops, sides, sides[1:]):
-                if (isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
-                        and (literals(left) | literals(right)) & set(model.VARIANTS)):
-                    found.append(f"{path.name}:{node.lineno}")
-    return found
-
-
 def test_variants_are_decided_only_by_the_table():
     # what a variant means (its head, its trained tasks) is read from
     # model.VARIANTS; no module branches on a variant's name
-    assert _variant_name_comparisons(Path(lqrec.__file__).parent) == []
+    assert literal_comparisons(model.VARIANTS) == []
 
 
 def test_projection_is_translation(params):
