@@ -10,7 +10,7 @@ filtering) and ranking evaluation.
 
 from .kg import KgSplit, KnowledgeGraph, Triple, load_graph, split_edges
 from .query import QueryShape, classify_shape, parse_query, serialize_query
-from .oracle import answer_joint, answer_preference, answer_requirement, hard_answers
+from .oracle import answer_joint, answer_preference, answer_requirement, record_answers
 from .dataset import DatasetConfig, RecInstance, build_dataset, sample_requirement
 from .model import ModelParams, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -34,10 +34,10 @@ __all__ = [
     "build_dataset",
     "classify_shape",
     "evaluate",
-    "hard_answers",
     "load_checkpoint",
     "load_graph",
     "parse_query",
+    "record_answers",
     "sample_requirement",
     "save_checkpoint",
     "serialize_query",

@@ -16,12 +16,11 @@ import os
 import random
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import oracle
 from .artifacts import ArtifactMismatchError, atomic_write, parse_json
 from .kg import KgSplit, KnowledgeGraph, UnknownNameError
-from .oracle import TASK_JOINT, TASK_REQ, TASKS
+from .oracle import TASK_JOINT, TASK_REQ, TASKS, grounding, record_answers
 from .query import (
     ALL_SHAPES,
     And,
@@ -236,12 +235,8 @@ def sample_requirement(
 def _likers(kg: KnowledgeGraph, items: frozenset[int]) -> list[int]:
     """Users with an interaction edge into any of ``items``, ascending. For
     a requirement's answers these are exactly the users whose joint answer
-    set is nonempty. Each item's ``in_adj`` entry is sorted by ``(rel,
-    head)``, so only its ``like_rel`` run is read, found by bisection."""
-    lo, hi = (kg.like_rel,), (kg.like_rel + 1,)
-    return sorted({h for pairs in map(kg.in_adj.get, items, repeat(()))
-                   for _, h in pairs[bisect.bisect_left(pairs, lo):
-                                     bisect.bisect_left(pairs, hi)]})
+    set is nonempty."""
+    return sorted({h for _, run in kg.in_runs(items, kg.like_rel) for _, h in run})
 
 
 def sample_instance(
@@ -256,10 +251,10 @@ def sample_instance(
     The paired user is uniform among the users whose joint answer set is
     nonempty: one draw from the requirement answers' likers (``_likers``).
     Valid/test instances must have at least one hard joint answer
-    (``oracle.hard_answers``) or they are resampled.
+    (``oracle.record_answers``) or they are resampled.
     """
     held_out = SPLITS[split_name][1]
-    kg = split.full if held_out else split.train
+    kg = grounding(split, held_out)
     for _ in range(cfg.max_retries):
         try:
             q = sample_requirement(kg, shape, rng)
@@ -272,12 +267,9 @@ def sample_instance(
         if not likers:
             continue
         u = likers[rng.randrange(len(likers))]
-        answers = oracle.answer_sets(kg, u, a_req)
-        if not held_out:
-            return RecInstance(u, q, shape, answers)
-        easy, hard = oracle.hard_answers(split, u, q, answers)
-        if hard[TASK_JOINT]:
-            return RecInstance(u, q, shape, easy, hard)
+        answers, hard = record_answers(split, held_out, u, q, a_req)
+        if hard is None or hard[TASK_JOINT]:
+            return RecInstance(u, q, shape, answers, hard)
     raise SamplingError(
         f"retry budget exhausted sampling a {shape.value} instance for {split_name}"
     )
@@ -429,24 +421,21 @@ def write_dataset(
 def verify_dataset(split: KgSplit, out_dir: str) -> list[str]:
     """Re-derive every emitted record with the oracle and report violations.
 
-    Each file is read by :func:`load_instances`, so a record it rejects (a
+    Each file is read by :func:`read_records`, so a record it rejects (a
     shape its split may not hold among them) raises ``ArtifactMismatchError``
-    naming ``path:line``. Each loaded record's answer sets must equal a fresh
-    traversal of its split's graph in ``SPLITS``: a train record holds its
-    train-graph sets and no hard answers; a held-out record holds the easy
-    and hard sets of ``oracle.hard_answers``.
+    naming ``path:line``. Each record's answer sets must equal those
+    ``oracle.record_answers`` derives from a fresh traversal of its split's
+    graph; a violation names ``split:line``, the record's file line.
     """
     violations = []
     for split_name, (_, held_out) in SPLITS.items():
         if not os.path.exists(os.path.join(out_dir, DATASET_FILES[split_name])):
             continue
-        kg = split.full if held_out else split.train
-        for lineno, inst in enumerate(load_instances(out_dir, split_name, kg), start=1):
+        kg = grounding(split, held_out)
+        for lineno, inst in read_records(out_dir, split_name, kg):
             where = f"{split_name}:{lineno}"
-            u, q = inst.user, inst.requirement
-            answers, hard = oracle.answer_sets(kg, u, oracle.answer_requirement(kg, q)), None
-            if held_out:
-                answers, hard = oracle.hard_answers(split, u, q, answers)
+            answers, hard = record_answers(split, held_out, inst.user, inst.requirement,
+                                           oracle.answer_requirement(kg, inst.requirement))
             if inst.answers != answers:
                 violations.append(f"{where}: answer sets disagree with oracle")
             if inst.hard != hard:
@@ -454,10 +443,10 @@ def verify_dataset(split: KgSplit, out_dir: str) -> list[str]:
     return violations
 
 
-def load_instances(data_dir: str, split_name: str,
-                   kg: KnowledgeGraph) -> list[RecInstance]:
-    """The records of ``split_name``'s JSON-lines file in ``data_dir`` as
-    instances of ``kg``.
+def read_records(data_dir: str, split_name: str,
+                 kg: KnowledgeGraph) -> Iterator[tuple[int, RecInstance]]:
+    """``(file line, instance of kg)`` of each record in ``split_name``'s
+    JSON-lines file in ``data_dir``; blank lines are counted and skipped.
 
     A line that is not UTF-8 JSON, not a record of the form ``instance_to_record``
     writes, names an unknown entity or relation, has a user or answer of the
@@ -466,7 +455,6 @@ def load_instances(data_dir: str, split_name: str,
     in a held-out split raises ``ArtifactMismatchError`` naming ``path:line``.
     """
     path = os.path.join(data_dir, DATASET_FILES[split_name])
-    instances = []
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -484,5 +472,10 @@ def load_instances(data_dir: str, split_name: str,
                     raise ValueError("hard answers with an empty joint set")
             except (ValueError, UnknownNameError) as exc:
                 raise ArtifactMismatchError(f"{path}:{lineno}: {exc}") from None
-            instances.append(inst)
-    return instances
+            yield lineno, inst
+
+
+def load_instances(data_dir: str, split_name: str,
+                   kg: KnowledgeGraph) -> list[RecInstance]:
+    """The instances :func:`read_records` reads."""
+    return [inst for _, inst in read_records(data_dir, split_name, kg)]

@@ -39,8 +39,9 @@ class EvalReport:
     counts: dict[str, int] = field(default_factory=dict)
     variant: str = ""
 
-    def metric_names(self) -> list[str]:
-        return [f"hit@{k}" for k in self.ks] + [f"ndcg@{k}" for k in self.ks]
+    @staticmethod
+    def metric_names(ks: tuple[int, ...]) -> list[str]:
+        return [f"hit@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,7 +56,7 @@ class EvalReport:
         cols = [s.value for s in QueryShape if s in ALL_SHAPES or s.value in self.per_shape]
         header = f"{'metric':<9}" + "".join(f"{c:>8}" for c in cols) + f"{'avg':>8}"
         lines = [header]
-        for metric in self.metric_names():
+        for metric in self.metric_names(self.ks):
             cells = []
             for c in cols:
                 v = self.per_shape.get(c, {}).get(metric)
@@ -190,7 +191,7 @@ def evaluate(instances: list[RecInstance], params: ModelParams, kg: KnowledgeGra
             by_shape.setdefault(inst.shape.value, []).append(
                 _record_metrics(list(itertools.islice(ranks, len(ids))), ks))
 
-    names = [f"hit@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+    names = EvalReport.metric_names(ks)
     per_shape = {shape: {n: sum(m[n] for m in rows) / len(rows) for n in names}
                  for shape, rows in by_shape.items()}
     averages = {n: sum(m[n] for m in per_shape.values()) / len(per_shape)

@@ -12,14 +12,12 @@ or union at the root stops as soon as it holds more answers than that.
 
 On an incomplete graph the traversal is deliberately incomplete too: answers
 that need a held-out edge are exactly the "hard" answers used for testing.
-``hard_answers`` is the one place that rule is written: per task, the
-full-graph answers minus the train-graph ones. All functions are pure and
-safe to run concurrently on a shared graph.
+``record_answers`` is the one place that rule is written: per task, hard
+answers are the full-graph answers minus the train-graph ("easy") ones. All
+functions are pure and safe to run concurrently on a shared graph.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .kg import KgSplit, KnowledgeGraph
 from .query import And, Anchor, Or, Project, QueryNode
@@ -41,13 +39,10 @@ def _project(kg: KnowledgeGraph, rel: int, base: frozenset[int],
     """Tails of ``rel`` edges from ``base`` within ``within``; None once more
     than ``cap`` of them are found."""
     if within is not None and len(within) < len(base):
-        # Keep each candidate with an in-edge of ``rel`` from ``base``; an
-        # ``in_adj`` entry is sorted by (rel, head), so bisection finds the run.
+        # Keep each candidate with an in-edge of ``rel`` from ``base``.
         out = []
-        adj, lo, hi = kg.in_adj, (rel,), (rel + 1,)
-        for c in within:
-            pairs = adj.get(c, ())
-            for _, h in pairs[bisect_left(pairs, lo):bisect_left(pairs, hi)]:
+        for c, run in kg.in_runs(within, rel):
+            for _, h in run:
                 if h in base:
                     out.append(c)
                     break
@@ -106,7 +101,7 @@ def answer_requirement(kg: KnowledgeGraph, q: QueryNode,
 
 def answer_preference(kg: KnowledgeGraph, u: int) -> frozenset[int]:
     """Items the user has an interaction edge to."""
-    return kg.neighbors_out(u, kg.like_rel) & kg.items
+    return kg.neighbors_out(u, kg.like_rel)
 
 
 def answer_joint(kg: KnowledgeGraph, u: int, q: QueryNode) -> frozenset[int]:
@@ -114,18 +109,20 @@ def answer_joint(kg: KnowledgeGraph, u: int, q: QueryNode) -> frozenset[int]:
     return _eval(kg, q, answer_preference(kg, u))
 
 
-def answer_sets(kg: KnowledgeGraph, u: int,
-                req: frozenset[int]) -> dict[str, frozenset[int]]:
-    """The answer set of each task for user ``u`` on ``kg``, given ``req``,
-    the requirement's answers on ``kg``."""
-    pref = answer_preference(kg, u)
-    return {TASK_JOINT: req & pref, TASK_REQ: req, TASK_PREF: pref}
+def grounding(split: KgSplit, held_out: bool) -> KnowledgeGraph:
+    """The graph a record is grounded on: the full one if held out (valid/test)."""
+    return split.full if held_out else split.train
 
 
-def hard_answers(split: KgSplit, u: int, q: QueryNode, full: dict[str, frozenset[int]]
-                 ) -> tuple[dict[str, frozenset[int]], dict[str, frozenset[int]]]:
-    """(easy, hard) answer sets per task of user ``u`` and requirement ``q``,
-    given ``full``, their :func:`answer_sets` on the full graph: easy ones
-    are reachable on the train graph, hard ones only with held-out edges."""
-    easy = answer_sets(split.train, u, answer_requirement(split.train, q))
-    return easy, {task: full[task] - easy[task] for task in TASKS}
+def record_answers(split: KgSplit, held_out: bool, u: int, q: QueryNode, req: frozenset[int]
+                   ) -> tuple[dict[str, frozenset[int]], dict[str, frozenset[int]] | None]:
+    """``(answers, hard)`` per task of user ``u`` and requirement ``q``, given
+    ``req``, the answers of ``q`` on its :func:`grounding`: for a train record
+    its train-graph sets and None; for a held-out one the easy sets, reachable
+    on the train graph, and the hard ones, the full-graph sets minus them."""
+    pref = answer_preference(grounding(split, held_out), u)
+    answers = {TASK_JOINT: req & pref, TASK_REQ: req, TASK_PREF: pref}
+    if not held_out:
+        return answers, None
+    easy, _ = record_answers(split, False, u, q, answer_requirement(split.train, q))
+    return easy, {task: answers[task] - easy[task] for task in TASKS}

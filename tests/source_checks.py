@@ -30,3 +30,11 @@ def literal_comparisons(names, src_dir=SRC_DIR):
                         and (literals(left) | literals(right)) & set(names)):
                     found.append(f"{path.name}:{node.lineno}")
     return found
+
+
+def attribute_accesses(attr, src_dir=SRC_DIR):
+    """``file:line`` of every ``.attr`` access in the modules of ``src_dir``."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(Path(src_dir).glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == attr]

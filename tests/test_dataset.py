@@ -380,6 +380,20 @@ def test_verify_flags_corruption(world_split, tmp_path):
         verify_dataset(world_split, str(tmp_path))
 
 
+def test_verify_names_file_lines(world_split, tmp_path):
+    # a blank line 2 puts the second record on line 3; verify names line 3
+    cfg = DatasetConfig(counts=small_counts(0, 0, 2), seed=13)
+    datasets, report = build_dataset(world_split, cfg)
+    write_dataset(datasets, report, world_split.full, str(tmp_path))
+    path = tmp_path / "test.jsonl"
+    first, second, *rest = path.read_text().splitlines(keepends=True)
+    record = json.loads(second)
+    record["answers"][TASK_REQ].pop()
+    path.write_text(first + "\n" + json.dumps(record) + "\n" + "".join(rest))
+    assert verify_dataset(world_split, str(tmp_path)) == [
+        "test:3: answer sets disagree with oracle"]
+
+
 def _edit_first_record(path, edit):
     lines = path.read_text().splitlines(keepends=True)
     record = json.loads(lines[0])

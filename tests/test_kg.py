@@ -23,6 +23,8 @@ from lqrec.kg import (
 )
 from lqrec.synth import clustered_world, random_graph
 
+from source_checks import attribute_accesses
+
 
 def test_load_counts(tmp_path):
     (tmp_path / "t.tsv").write_text("a\tr1\tx\na\tr1\ty\nu\tlikes\tx\n")
@@ -98,6 +100,18 @@ def test_index_consistency(world):
     for tail, pairs in world.in_adj.items():
         assert list(pairs) == sorted(set(pairs)), tail
     assert list(world.in_adj) == sorted(world.in_adj)
+    targets = range(world.n_entities)
+    for rel in range(world.n_relations):
+        runs = list(world.in_runs(targets, rel))
+        assert [t for t, _ in runs] == list(targets)
+        for t, run in runs:
+            assert run == tuple(p for p in world.in_edges(t) if p[0] == rel), (t, rel)
+
+
+def test_only_the_graph_reads_its_in_edge_index():
+    # the layout of ``in_adj`` is kg's decision: other modules read in-edges
+    # through ``KnowledgeGraph.in_edges`` and ``in_runs``
+    assert [at for at in attribute_accesses("in_adj") if not at.startswith("kg.py:")] == []
 
 
 def test_duplicate_triples_dropped():

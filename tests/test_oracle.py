@@ -9,8 +9,7 @@ from lqrec import oracle
 from lqrec.dataset import SamplingError, sample_requirement
 from lqrec.kg import graph_from_names, split_edges
 from lqrec.oracle import (TASK_JOINT, TASK_PREF, TASK_REQ, TASKS, answer_joint,
-                          answer_preference, answer_requirement, answer_sets,
-                          hard_answers)
+                          answer_preference, answer_requirement, record_answers)
 from lqrec.query import ALL_SHAPES, And, Anchor, Or, Project, parse_query
 from lqrec.synth import clustered_world, random_graph
 
@@ -232,8 +231,11 @@ def test_shared_subquery_object_matches_fresh_copies(world_split):
 
 
 def full_and_hard_answers(split, u, q):
-    full = answer_sets(split.full, u, answer_requirement(split.full, q))
-    return full, *hard_answers(split, u, q, full)
+    """The full-graph answer sets per task, computed here, and the easy and
+    hard sets ``record_answers`` derives for a held-out record."""
+    req, pref = answer_requirement(split.full, q), answer_preference(split.full, u)
+    full = {TASK_JOINT: req & pref, TASK_REQ: req, TASK_PREF: pref}
+    return full, *record_answers(split, True, u, q, req)
 
 
 def test_hard_answers(world_split):
