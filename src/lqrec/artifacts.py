@@ -34,11 +34,15 @@ def write_json(path: str, obj) -> None:
         f.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_json(data: bytes, where: str):
-    """The JSON value of ``data`` as strict UTF-8; anything else (a BOM, too deep
-    a nesting) raises ``ArtifactMismatchError`` naming ``where``."""
+    """The value of ``data`` as standard JSON in strict UTF-8; anything else (a BOM,
+    ``NaN``, too deep a nesting) raises ``ArtifactMismatchError`` naming ``where``."""
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:
         raise ArtifactMismatchError(f"{where}: not UTF-8 JSON: {exc}") from None
 

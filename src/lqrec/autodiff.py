@@ -177,13 +177,19 @@ class Eager:
         half = x.shape[-1] // 2
         return x[..., :half], x[..., half:]
 
-    def stack_rows(self, arrays: list[np.ndarray]) -> np.ndarray:
-        """Rows of the operands in order as one (n, d) matrix; a vector is one
-        row, a matrix a block of rows."""
-        if (not arrays or any(a.ndim not in (1, 2) for a in arrays)
-                or len({a.shape[-1] for a in arrays}) != 1):
-            raise OpShapeError("stack_rows", *[a.shape for a in arrays])
-        return np.vstack(arrays)
+    def place_rows(self, parts: list[np.ndarray], rows) -> np.ndarray:
+        """One (n, d) matrix whose rows ``rows[i]`` are the (n_i, d) part
+        ``parts[i]``; the row lists must partition ``range(n)``."""
+        idx = [np.asarray(r, dtype=np.int64) for r in rows]
+        n = sum(r.size for r in idx)
+        if (not parts or len(parts) != len(idx) or len({p.shape[1:] for p in parts}) != 1
+                or any(p.ndim != 2 or r.shape != p.shape[:1] for p, r in zip(parts, idx))
+                or not np.array_equal(np.sort(np.concatenate(idx)), np.arange(n))):
+            raise OpShapeError("place_rows", *[p.shape for p in parts], *[r.shape for r in idx])
+        out = np.empty((n,) + parts[0].shape[1:])
+        for p, r in zip(parts, idx):
+            out[r] = p
+        return out
 
     # -- linear algebra -------------------------------------------------------
 
@@ -316,13 +322,15 @@ class Tape:
         return (self._node(lo, lambda g: _accumulate(x, g, (..., slice(None, half)))),
                 self._node(hi, lambda g: _accumulate(x, g, (..., slice(half, None)))))
 
-    def stack_rows(self, tensors: list[Tensor]) -> Tensor:
-        def backward(g):
-            bounds = np.cumsum([t.shape[0] if t.data.ndim == 2 else 1 for t in tensors])
-            for t, part in zip(tensors, np.split(g, bounds[:-1])):
-                _accumulate(t, part.reshape(t.shape))
+    def place_rows(self, parts: list[Tensor], rows) -> Tensor:
+        """``Eager.place_rows``; part i's gradient is rows ``rows[i]`` of the output's."""
+        idx = [np.asarray(r, dtype=np.int64) for r in rows]
 
-        return self._node(EAGER.stack_rows([t.data for t in tensors]), backward)
+        def backward(g):
+            for t, r in zip(parts, idx):
+                _accumulate(t, g[r])
+
+        return self._node(EAGER.place_rows([t.data for t in parts], idx), backward)
 
     def affine(self, w: Tensor, x: Tensor) -> Tensor:
         def backward(g):

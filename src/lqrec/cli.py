@@ -105,7 +105,7 @@ def _answer_line(line: str, kg, params, catalog, mode: str) -> None:
     if "|" not in line:
         raise QuerySyntaxError("expected 'user NAME | QUERY'", 0)
     user_part, query_part = (s.strip() for s in line.split("|", 1))
-    if not user_part.startswith("user ") and user_part != "user":
+    if user_part.split(maxsplit=1)[:1] != ["user"]:  # whitespace as between query names
         raise QuerySyntaxError("line must start with 'user NAME'", 0)
     user_name = user_part[len("user"):].strip()
     if not user_name:

@@ -151,7 +151,7 @@ def check_cutoffs(ks: tuple[int, ...]) -> tuple[int, ...]:
 
 def evaluate(instances: list[RecInstance], params: ModelParams, kg: KnowledgeGraph,
              ks: tuple[int, ...] = (10, 20), target: str = "hard") -> EvalReport:
-    """Score the catalog per record and aggregate ranking metrics per shape.
+    """Score the catalog per block of records and aggregate ranking metrics per shape.
 
     All records embed in one batch on ``EAGER`` (grouped by skeleton, no
     tape). One ``Catalog`` of the current parameters is built per call (never

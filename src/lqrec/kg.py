@@ -429,10 +429,12 @@ def _read_manifest(path: str) -> dict:
         manifest = artifacts.parse_json(f.read(), path)
     if not isinstance(manifest, dict):
         raise artifacts.ArtifactMismatchError(f"{path}: not a JSON object")
-    for key, kind, name in (("like_rel", str, "a string"),
-                            ("fraction", (int, float), "a number"), ("seed", int, "an integer")):
+    for key, ok, name in (
+            ("like_rel", lambda v: type(v) is str, "a string"),
+            ("fraction", lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)"),
+            ("seed", lambda v: type(v) is int, "an integer")):
         value = manifest.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if not ok(value):
             raise artifacts.ArtifactMismatchError(f"{path}: {key} must be {name}, is {value!r}")
     return manifest
 
@@ -441,7 +443,7 @@ def load_split(split_dir: str) -> KgSplit:
     """Reload a split directory written by :func:`save_split`.
 
     The manifest must be a JSON object whose ``like_rel`` names a relation,
-    with a numeric ``fraction`` and an integer ``seed``, and the files must
+    with a ``fraction`` in (0, 1) and an integer ``seed``, and the files must
     match its hashes and counts and list only entities of the triples, or
     ``ArtifactMismatchError`` is raised; a triple file's hash is checked
     before it is parsed. Ids follow first appearance over the train rows,

@@ -9,21 +9,20 @@ produces one embedding per task; an item's probability for a task is
 sigmoid(margin - L1(task embedding, item embedding)).
 
 The forward pass always runs on a batch of (user, requirement) pairs; a lone
-query is a batch of one. Requirements are grouped by skeleton (the query
-with its anchor and relation ids erased; the two child orders of a shape
-are two skeletons). Each group's ids become (B,) columns and go through one
-recursion on (B, d) tensors: a projection is one gather plus one add, an
-intersection one attention network on (B, 2d), a union one max. The group
-outputs return to batch order, and the preference, joint intersection,
-expert bank and gates then run once over the whole batch. Training,
-evaluation and ``answer`` all embed through this one path: training runs it
-on a ``Tape``, inference on ``autodiff.EAGER``, which records nothing.
-Training scores its sampled items by gathering their rows (``score_items``);
-inference ranks the whole catalog from a ``Catalog``, a column copy of the
-item table made once per ``evaluate`` call or ``answer`` session
-(``catalog_scores``), for one query (an ``answer`` line) or a block of
-queries (``evaluate``'s records) per call. ``VARIANTS`` lists the full
-model and its ablations.
+query is a batch of one. Requirements are grouped by skeleton (the query with
+its anchor and relation ids erased; the two child orders of a shape are two
+skeletons). Each group's queries are walked level by level on (B, d) tensors:
+a projection is one gather plus one add, an intersection one attention network
+on (B, 2d), a union one max. One op, ``place_rows``, puts the group outputs at
+their batch rows, and the preference, joint intersection, expert bank and
+gates then run once over the whole batch. Training, evaluation and ``answer``
+all embed through this one path: training runs it on a ``Tape``, inference on
+``autodiff.EAGER``, which records nothing. Training scores its sampled items
+by gathering their rows (``score_items``); inference ranks the whole catalog
+from a ``Catalog``, a column copy of the item table made once per ``evaluate``
+call or ``answer`` session (``catalog_scores``), for one query (an ``answer``
+line) or a block of queries (``evaluate``'s records) per call. ``VARIANTS``
+lists the full model and its ablations.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .artifacts import ArtifactMismatchError, atomic_write, parse_json
 from .autodiff import EAGER, Eager, OpShapeError, Tape, Tensor, Value
 from .kg import KnowledgeGraph
 from .oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
-from .query import QueryNode, skeleton
+from .query import Anchor, And, Project, QueryNode, skeleton
 
 CHECKPOINT_FORMAT = "lqrec-checkpoint-v1"
 
@@ -185,7 +184,7 @@ class ModelParams:
 def embed_projection(ex: Tape | Eager, params: ModelParams, base: Value, rel) -> Value:
     """Relation application is translation: base + relation vector.
 
-    ``rel`` is one relation id for a (d,) base or a (B,) id column for a
+    ``rel`` is one relation id for a (d,) base or B relation ids for a
     (B, d) base.
     """
     return ex.add(base, ex.gather(ex.param(params.relation_emb), rel))
@@ -213,20 +212,20 @@ def embed_union(ex: Tape | Eager, q1: Value, q2: Value) -> Value:
     return ex.elementwise_max(q1, q2)
 
 
-def _embed_skeleton(ex: Tape | Eager, params: ModelParams, skel: tuple, columns) -> Value:
-    """(B, d) embeddings of one skeleton group; ``columns`` yields the
-    group's (B,) id columns in the order ``query.skeleton`` lists ids.
-    n-ary nodes fold left over their child order."""
-    kind = skel[0]
-    if kind == "e":
-        return ex.gather(ex.param(params.entity_emb), next(columns))
-    if kind == "p":
-        base = _embed_skeleton(ex, params, skel[1], columns)
-        return embed_projection(ex, params, base, next(columns))
-    children = [_embed_skeleton(ex, params, c, columns) for c in skel[1]]
+def _embed_group(ex: Tape | Eager, params: ModelParams, nodes: Sequence[QueryNode]) -> Value:
+    """(B, d) embeddings of B queries of one skeleton, row b for ``nodes[b]``;
+    each level reads its ids from the group's nodes at that level. n-ary
+    nodes fold left over their child order."""
+    q = nodes[0]
+    if isinstance(q, Anchor):
+        return ex.gather(ex.param(params.entity_emb), [n.entity for n in nodes])
+    if isinstance(q, Project):
+        base = _embed_group(ex, params, [n.child for n in nodes])
+        return embed_projection(ex, params, base, [n.rel for n in nodes])
+    children = [_embed_group(ex, params, level) for level in zip(*[n.children for n in nodes])]
     acc = children[0]
     for child in children[1:]:
-        acc = (embed_intersection(ex, params, acc, child) if kind == "and"
+        acc = (embed_intersection(ex, params, acc, child) if isinstance(q, And)
                else embed_union(ex, acc, child))
     return acc
 
@@ -234,27 +233,18 @@ def _embed_skeleton(ex: Tape | Eager, params: ModelParams, skel: tuple, columns)
 def embed_requirement(
     ex: Tape | Eager, params: ModelParams, requirements: Sequence[QueryNode]
 ) -> Value:
-    """(B, d) embeddings of B requirements, one recursion per skeleton group.
-
-    Each group's anchor and relation ids are gathered as (B_g,) columns, and
-    the group outputs are put back into input order.
-    """
-    groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
+    """(B, d) embeddings of B requirements, one walk per skeleton group; the
+    group outputs are placed at their input rows."""
+    groups: dict[tuple, list[int]] = {}
     for row, q in enumerate(requirements):
-        ids: list[int] = []
-        rows, id_rows = groups.setdefault(skeleton(q, ids), ([], []))
-        rows.append(row)
-        id_rows.append(ids)
+        groups.setdefault(skeleton(q), []).append(row)
     if not groups:
         raise ValueError("no requirements to embed")
-    parts, order = [], []
-    for skel, (rows, id_rows) in groups.items():
-        columns = iter(np.array(id_rows, dtype=np.int64).T)
-        parts.append(_embed_skeleton(ex, params, skel, columns))
-        order.extend(rows)
+    parts = [_embed_group(ex, params, [requirements[row] for row in rows])
+             for rows in groups.values()]
     if len(parts) == 1:
         return parts[0]
-    return ex.gather(ex.stack_rows(parts), np.argsort(order))
+    return ex.place_rows(parts, list(groups.values()))
 
 
 def embed_user_preference(ex: Tape | Eager, params: ModelParams, users, like_rel: int) -> Value:

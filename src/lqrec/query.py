@@ -213,26 +213,20 @@ SHAPE_TEMPLATES: dict[QueryShape, tuple] = {
 }
 
 
-def skeleton(q: QueryNode, ids: list[int] | None = None) -> tuple:
+def skeleton(q: QueryNode) -> tuple:
     """The query's structure with its ids erased: ``("e",)``,
     ``("p", child)`` or ``("and"|"or", children)``.
 
     Children keep their order, so the two child orders of a shape are two
-    skeletons. When given, ``ids`` receives the anchor and relation ids,
-    children before the projection that applies to them.
+    skeletons.
     """
-    if ids is None:
-        ids = []
     if isinstance(q, Anchor):
-        ids.append(q.entity)
         return ("e",)
     if isinstance(q, Project):
-        child = skeleton(q.child, ids)
-        ids.append(q.rel)
-        return ("p", child)
+        return ("p", skeleton(q.child))
     if isinstance(q, (And, Or)):
         kind = "and" if isinstance(q, And) else "or"
-        return (kind, tuple(skeleton(c, ids) for c in q.children))
+        return (kind, tuple(skeleton(c) for c in q.children))
     raise TypeError(f"not a query node: {q!r}")
 
 

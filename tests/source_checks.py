@@ -38,3 +38,20 @@ def attribute_accesses(attr, src_dir=SRC_DIR):
             for path in sorted(Path(src_dir).glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def gathers_not_from_params(path=SRC_DIR / "model.py"):
+    """``file:line`` of every ``.gather`` or ``.gather_l1`` call in ``path``
+    whose table argument is not an ``ex.param(...)`` call."""
+
+    def is_param(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "param" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "ex")
+
+    path = Path(path)
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("gather", "gather_l1")
+            and not (node.args and is_param(node.args[0]))]

@@ -158,15 +158,27 @@ def test_shape_errors_carry_op_name():
 def test_gather_scatters_sparsely():
     tape = Tape()
     table = Tensor(np.arange(12.0).reshape(4, 3))
-    row = tape.gather(table, 2)
+    row = tape.gather(table, [2])
     rows = tape.gather(table, [1, 1, 3])
-    loss = reduce_sum(tape, tape.add(rows, tape.stack_rows([row, row, row])))
+    loss = reduce_sum(tape, tape.add(rows, tape.place_rows([row, row, row], [[2], [0], [1]])))
     backward(tape, loss)
     expected = np.zeros((4, 3))
-    expected[2] = 3.0  # row used three times via the stack
+    expected[2] = 3.0  # row placed three times
     expected[1] = 2.0  # repeated id accumulates
     expected[3] = 1.0
     np.testing.assert_array_equal(table.grad, expected)
+
+
+@pytest.mark.parametrize("ex", [EAGER, Tape()], ids=["eager", "tape"])
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1]],  # overlapping rows
+    [[0, 1], [3]],  # a missing row
+    [[0], [1, 2]],  # parts whose lengths differ from their row lists
+], ids=["overlap", "missing", "length"])
+def test_place_rows_refuses_non_partition(ex, rows):
+    parts = [np.ones((2, 3)), np.zeros((1, 3))]
+    with pytest.raises(OpShapeError, match="place_rows"):
+        ex.place_rows([ex.const(p) for p in parts], rows)
 
 
 def test_softmax_properties():
@@ -235,8 +247,9 @@ def test_op_gradients_against_finite_differences(seed):
             t.sigmoid(xm), Tensor(np.array([[1.0, 0.0, 0.0, 1.0],
                                             [0.0, 1.0, 0.0, 0.0]]))
         ),
-        "stack_blocks": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.stack_rows([x, ym, y]), t.gather(table, [0, 1, 2, 3]))
+        "place_blocks": lambda t: reduce_sum(t, 
+            t.elementwise_mul(t.place_rows([ym, t.sigmoid(xm)], [[3, 0], [1, 2]]),
+                              t.gather(table, [0, 1, 2, 3]))
         ),
         "gather_rows": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.gather(t.sigmoid(xm), [1, 0, 1]),
@@ -314,7 +327,7 @@ def test_node_protocol():
         "scale_shift": lambda t, v: t.scale_shift(v(x), 2.0, 1.0),
         "concat_last_dim": lambda t, v: t.concat_last_dim(v(xm), v(xm)),
         "split_halves": lambda t, v: t.split_halves(v(xm)),
-        "stack_rows": lambda t, v: t.stack_rows([v(x), v(xm)]),
+        "place_rows": lambda t, v: t.place_rows([v(xm), v(xm)], [[3, 0], [1, 2]]),
         "affine": lambda t, v: t.affine(v(w), v(xm)),
         "weighted_sum": lambda t, v: t.weighted_sum(v(gate), v(stack)),
         "relu": lambda t, v: t.relu(v(x)),

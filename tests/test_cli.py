@@ -340,6 +340,8 @@ def bad_manifests(pipeline):
         "like_rel_unknown": {"like_rel": "no_such_relation"},
         "no_fraction": {"fraction": None},
         "fraction_string": {"fraction": "0.05"},
+        "fraction_nan": {"fraction": float("nan")},
+        "fraction_seven": {"fraction": 7},
         "no_seed": {"seed": None},
         "seed_float": {"seed": 3.5},
         "seed_bool": {"seed": True},
@@ -767,6 +769,20 @@ def test_answer_transcript_equals_reference_oracle(pipeline, monkeypatch, capsys
     assert len(symbolic) == len(lines)
     assert "symbolic (0): (none)" in symbolic
     assert any(not line.startswith("symbolic (0)") for line in symbolic)
+
+
+@pytest.mark.parametrize("user_part", [
+    "user user0", "user\tuser0", "user  user0", "user\xa0user0", "userX"],
+    ids=["space", "tab", "two_spaces", "nbsp", "userX"])
+def test_answer_user_separator(pipeline, user_part, monkeypatch, capsys):
+    # the user name is separated by the whitespace that separates query names
+    rc, out = _run_answer(pipeline, [f"{user_part} | (p tags (e attr0_0))"],
+                          monkeypatch, capsys)
+    assert rc == 0
+    if user_part == "userX":
+        assert out[0].startswith("error: line must start with 'user NAME'")
+    else:
+        assert out[0].startswith("symbolic (")
 
 
 def test_answer_repl_fuzz(pipeline, fuzz_inputs, monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""Differential tests: the skeleton-grouped batch against one-instance batches.
+"""Differential tests: the skeleton-grouped batch against one-instance batches
+and against the id-column recursion it replaced.
 
 ``compute_loss`` averages over its batch, so the loss and every gradient of a
 mixed batch must equal the mean over single-instance batches; grouping by
@@ -14,11 +15,13 @@ import random
 import numpy as np
 import pytest
 
-from lqrec.autodiff import EAGER, Tape, backward
+from lqrec import model
+from lqrec.autodiff import EAGER, Tape, _accumulate, backward
 from lqrec.dataset import DatasetConfig, sample_instance
-from lqrec.model import VARIANTS, ModelParams, embed_instance
+from lqrec.model import (VARIANTS, ModelParams, embed_instance, embed_intersection,
+                         embed_projection, embed_union)
 from lqrec.oracle import TASK_PREF
-from lqrec.query import ALL_SHAPES, And, Or, Project, QueryShape
+from lqrec.query import ALL_SHAPES, Anchor, And, Or, Project, QueryShape
 from lqrec.training import compute_loss, pack_answers, sample_negatives
 
 TOL = 1e-10
@@ -110,3 +113,99 @@ def test_batched_inference_embeddings_bitwise(world_split, mixed_instances,
         assert set(alone) == set(batched)
         for task, emb in alone.items():
             assert emb[0].tobytes() == batched[task][row].tobytes()
+
+
+# --- the replaced path, kept as the reference --------------------------------
+# Each query listed its ids in one walk, the group's ids became (B,) columns
+# that the skeleton recursion consumed in that order, and the group outputs
+# went back to batch order as a stack of rows plus a gather.
+
+
+def _skeleton_ids(q, ids):
+    """``q``'s skeleton; ``ids`` receives its anchor and relation ids, children
+    before the projection that applies to them."""
+    if isinstance(q, Anchor):
+        ids.append(q.entity)
+        return ("e",)
+    if isinstance(q, Project):
+        child = _skeleton_ids(q.child, ids)
+        ids.append(q.rel)
+        return ("p", child)
+    kind = "and" if isinstance(q, And) else "or"
+    return (kind, tuple(_skeleton_ids(c, ids) for c in q.children))
+
+
+def _embed_columns(ex, params, skel, columns):
+    kind = skel[0]
+    if kind == "e":
+        return ex.gather(ex.param(params.entity_emb), next(columns))
+    if kind == "p":
+        base = _embed_columns(ex, params, skel[1], columns)
+        return embed_projection(ex, params, base, next(columns))
+    children = [_embed_columns(ex, params, c, columns) for c in skel[1]]
+    acc = children[0]
+    for child in children[1:]:
+        acc = (embed_intersection(ex, params, acc, child) if kind == "and"
+               else embed_union(ex, acc, child))
+    return acc
+
+
+def _stack_rows(ex, parts):
+    """The parts' rows in order; on a tape one node that hands each part its
+    block of the gradient."""
+    if ex is EAGER:
+        return np.vstack(parts)
+
+    def backward_fn(g):
+        bounds = np.cumsum([t.shape[0] for t in parts])[:-1]
+        for t, block in zip(parts, np.split(g, bounds)):
+            _accumulate(t, block)
+
+    return ex._node(np.vstack([t.data for t in parts]), backward_fn)
+
+
+def reference_embed_requirement(ex, params, requirements):
+    groups = {}
+    for row, q in enumerate(requirements):
+        ids = []
+        rows, id_rows = groups.setdefault(_skeleton_ids(q, ids), ([], []))
+        rows.append(row)
+        id_rows.append(ids)
+    parts, order = [], []
+    for skel, (rows, id_rows) in groups.items():
+        columns = iter(np.array(id_rows, dtype=np.int64).T)
+        parts.append(_embed_columns(ex, params, skel, columns))
+        order.extend(rows)
+    if len(parts) == 1:
+        return parts[0]
+    return ex.gather(_stack_rows(ex, parts), np.argsort(order))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_group_walk_equals_replaced_path(world_split, mixed_instances, variant,
+                                         monkeypatch):
+    """Every task embedding on EAGER and on a tape, the loss and every
+    parameter gradient equal the id-column path's byte for byte."""
+    kg = world_split.train
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=6, variant=variant)
+    users = [inst.user for inst in mixed_instances]
+    reqs = [inst.requirement for inst in mixed_instances]
+    pack = pack_answers(mixed_instances, kg.sorted_items(), (1.0, 1.0, 1.0), 5)
+    samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
+                               np.random.default_rng(3))
+
+    def run():
+        tape = Tape()
+        eager = embed_instance(EAGER, params, users, reqs, kg.like_rel)
+        taped = embed_instance(tape, params, users, reqs, kg.like_rel)
+        loss, grads = _loss_and_grads(mixed_instances, samples, params, kg,
+                                      (1.0, 1.0, 1.0))
+        return (len(tape.nodes), {t: e.tobytes() for t, e in eager.items()},
+                {t: e.data.tobytes() for t, e in taped.items()},
+                np.float64(loss).tobytes(), {n: g.tobytes() for n, g in grads.items()})
+
+    got = run()
+    monkeypatch.setattr(model, "embed_requirement", reference_embed_requirement)
+    want = run()
+    assert got[0] == want[0] - 1  # place_rows is one node, stack and gather two
+    assert got[1:] == want[1:]

@@ -30,7 +30,7 @@ from lqrec.model import (
 )
 from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import parse_query
-from source_checks import literal_comparisons
+from source_checks import gathers_not_from_params, literal_comparisons
 from test_autodiff import reduce_sum
 
 
@@ -49,6 +49,13 @@ def test_variant_validation():
         model_variant("bogus")
     assert str(exc.value) == ("unknown variant 'bogus'; expected one of "
                               "('mtl', 'shared-bottom', 'single-task', 'no-al', 'no-au')")
+
+
+def test_model_gathers_only_from_parameter_tables():
+    # a gather's row gradient then lands only in a parameter table, so its
+    # scatter could wait until the reverse sweep ends; batch rows are put in
+    # place by place_rows instead
+    assert gathers_not_from_params() == []
 
 
 def test_variants_are_decided_only_by_the_table():
