@@ -451,10 +451,12 @@ def read_records(data_dir: str, split_name: str,
     A line that is not UTF-8 JSON, not a record of the form ``instance_to_record``
     writes, names an unknown entity or relation, has a user or answer of the
     wrong kind or hard answers without a joint one, declares a shape its query
-    does not have or its split may not hold (``SPLITS``), or lacks hard answers
-    in a held-out split raises ``ArtifactMismatchError`` naming ``path:line``.
+    does not have or its split may not hold (``SPLITS``), lacks hard answers
+    in a held-out split, or in the train split has hard answers or an empty
+    answer set raises ``ArtifactMismatchError`` naming ``path:line``.
     """
     path = os.path.join(data_dir, DATASET_FILES[split_name])
+    held_out = SPLITS[split_name][1]
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -466,10 +468,13 @@ def read_records(data_dir: str, split_name: str,
                     raise ValueError(f"a {shape.value} query labelled "
                                      f"{inst.shape.value}")
                 _checked_count(split_name, inst.shape, 1)
-                if inst.hard is None and SPLITS[split_name][1]:
-                    raise ValueError("a valid/test record without hard answers")
-                if inst.hard is not None and not inst.hard[TASK_JOINT]:
+                if (inst.hard is not None) != held_out:
+                    raise ValueError("a valid/test record without hard answers" if held_out
+                                     else "a train record with hard answers")
+                if held_out and not inst.hard[TASK_JOINT]:
                     raise ValueError("hard answers with an empty joint set")
+                if not held_out and (empty := [t for t in TASKS if not inst.answers[t]]):
+                    raise ValueError(f"a train record with an empty {empty[0]} answer set")
             except (ValueError, UnknownNameError) as exc:
                 raise ArtifactMismatchError(f"{path}:{lineno}: {exc}") from None
             yield lineno, inst

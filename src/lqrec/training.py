@@ -1,12 +1,14 @@
 """Multi-task training loop: negative sampling, BCE loss, Adam, early stop.
 
-Each instance contributes one binary cross-entropy term per active task
-(joint / requirement / preference), built from one positive and ``n_neg``
-uniform negatives disjoint from that task's known answer set, averaged over
-the 1 + n_neg scores. Task terms are weighted and summed, then averaged over
-the batch. Every answer set is packed once per ``train`` call
-(``pack_answers``), and each step draws a whole batch's positives and
-negatives from that table in a few array calls (``sample_negatives``).
+Each instance contributes one binary cross-entropy term per trained task
+(joint / requirement / preference: those with a positive weight), built
+from one positive and ``n_neg`` uniform negatives disjoint from that task's
+known answer set, averaged over the 1 + n_neg scores. Task terms are
+weighted and summed, then averaged over the batch. Every trained task's
+answer set must be nonempty in every instance: the sets are packed once per
+``train`` call (``pack_answers``), which refuses an empty one, and each step
+draws a whole batch's positives and negatives from that table in a few
+array calls (``sample_negatives``), one block per trained task.
 
 One ``np.random.Generator`` seeded from ``config.seed`` drives shuffling and
 sampling: identical configs reproduce identical checkpoints bit for bit
@@ -38,7 +40,8 @@ from .oracle import TASKS
 
 
 class DegenerateInstanceError(ValueError):
-    """A task's answer set covers the whole catalog; nothing to contrast."""
+    """A trained task's answer set is empty (no positive) or covers the whole
+    catalog (no negative)."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -133,17 +136,18 @@ def effective_task_weights(variant: str, weights) -> tuple[float, float, float]:
 
 
 class AnswerPack(NamedTuple):
-    """The (instance, task) answer sets of a training set as CSR arrays.
+    """The answer sets of the trained ``tasks`` of a training set as CSR arrays.
 
-    Row ``3 * i + t`` holds instance i's answers for ``TASKS[t]`` (none when
-    the task's weight is 0), sorted, at ``answers[answer_start[r]:
-    answer_start[r + 1]]``. Its pool, ``items`` minus those answers, has
-    ``pool[r]`` items. With ``taken`` the sorted catalog positions of the
-    row's answers, ``shift_keys[answer_start[r] + k]`` is ``r * (len(items)
-    + 1) + taken[k] - k``: pool index j is catalog position j plus the
-    number of the row's keys up to ``r * (len(items) + 1) + j``.
+    Row ``len(tasks) * i + t`` holds instance i's answers for ``tasks[t]``,
+    sorted and never empty, at ``answers[answer_start[r]:answer_start[r +
+    1]]``. Its pool, ``items`` minus those answers, has ``pool[r]`` items.
+    With ``taken`` the sorted catalog positions of the row's answers,
+    ``shift_keys[answer_start[r] + k]`` is ``r * (len(items) + 1) + taken[k]
+    - k``: pool index j is catalog position j plus the number of the row's
+    keys up to ``r * (len(items) + 1) + j``.
     """
 
+    tasks: tuple[str, ...]
     items: np.ndarray
     answers: np.ndarray
     answer_start: np.ndarray
@@ -153,32 +157,35 @@ class AnswerPack(NamedTuple):
 
 def pack_answers(instances: Sequence[RecInstance], items: Sequence[int],
                  weights: tuple[float, float, float], n_neg: int) -> AnswerPack:
-    """Pack against the sorted catalog ``items``, which must hold every
-    weighted answer (``ValueError`` otherwise). A weighted answer set that
-    covers the catalog leaves nothing to contrast: with ``n_neg`` > 0 it
-    raises ``DegenerateInstanceError``."""
+    """Pack the answer sets of the tasks with a positive weight against the
+    sorted catalog ``items``, which must hold every one of them (``ValueError``
+    otherwise). An empty set leaves no positive, and with ``n_neg`` > 0 a set
+    that covers the catalog leaves nothing to contrast: either raises
+    ``DegenerateInstanceError`` naming the instance and task."""
     items = np.asarray(items, dtype=np.int64)
-    sets = [inst.answers[task] if weight else ()
-            for inst in instances for task, weight in zip(TASKS, weights)]
+    tasks = tuple(task for task, weight in zip(TASKS, weights) if weight)
+    sets = [inst.answers[task] for inst in instances for task in tasks]
     counts = np.fromiter(map(len, sets), np.int64, len(sets))
     flat = np.fromiter(chain.from_iterable(sets), np.int64, int(counts.sum()))
     row = np.repeat(np.arange(len(sets)), counts)
     answers = flat[np.lexsort((flat, row))]
     if (outside := np.isin(answers, items, invert=True)).any():
         i = int(outside.argmax())
-        inst, task = divmod(int(row[i]), 3)
-        raise ValueError(f"instance {inst}: {TASKS[task]} answer {int(answers[i])} "
+        inst, task = divmod(int(row[i]), len(tasks))
+        raise ValueError(f"instance {inst}: {tasks[task]} answer {int(answers[i])} "
                          "is not a catalog item")
     taken = np.searchsorted(items, answers)
     answer_start = np.concatenate(([0], np.cumsum(counts)))
     shift = taken - (np.arange(len(taken)) - answer_start[row])
     pool = len(items) - counts
-    degenerate = np.flatnonzero((counts > 0) & (pool == 0))
-    if n_neg and degenerate.size:
-        inst, task = divmod(int(degenerate[0]), 3)
-        raise DegenerateInstanceError(f"instance {inst}: the {TASKS[task]} answer "
-                                      "set covers the entire catalog")
-    return AnswerPack(items, answers, answer_start, row * (len(items) + 1) + shift, pool)
+    degenerate = np.flatnonzero((counts == 0) | ((pool == 0) & (n_neg > 0)))
+    if degenerate.size:
+        inst, task = divmod(int(degenerate[0]), len(tasks))
+        what = "is empty" if counts[degenerate[0]] == 0 else "covers the entire catalog"
+        raise DegenerateInstanceError(f"instance {inst}: the {tasks[task]} answer "
+                                      f"set {what}")
+    return AnswerPack(tasks, items, answers, answer_start,
+                      row * (len(items) + 1) + shift, pool)
 
 
 def _first_distinct(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +209,10 @@ def _pool_items(pack: AnswerPack, rows: np.ndarray, picks: np.ndarray) -> np.nda
 
 def sample_negatives(
     pack: AnswerPack, batch: np.ndarray, n_neg: int, rng: np.random.Generator
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """One positive and ``n_neg`` negatives per non-empty row of the batch
-    (indices into the packed instances), as ``{task: (batch rows, ids)}``.
+) -> dict[str, np.ndarray]:
+    """One positive and ``n_neg`` negatives per instance of the batch (indices
+    into the packed instances) and trained task, as ``{task: ids}``: one
+    ``(len(batch), 1 + n_neg)`` block per task, row b for ``batch[b]``.
 
     ``ids[:, 0]`` is uniform over the row's answers and ``ids[:, 1:]`` over
     its pool, without replacement if the pool has ``n_neg`` items and with
@@ -212,10 +220,10 @@ def sample_negatives(
     so no negative is an answer; rows short of distinct draws are redrawn at
     twice the width.
     """
-    local = np.arange(3 * len(batch))
-    rows = 3 * np.asarray(batch, dtype=np.int64).repeat(3) + local % 3
+    n_tasks = len(pack.tasks)
+    rows = (n_tasks * np.asarray(batch, dtype=np.int64)[:, None]
+            + np.arange(n_tasks)).ravel()
     start, end = pack.answer_start[rows], pack.answer_start[rows + 1]
-    rows, local, start, end = (a[end > start] for a in (rows, local, start, end))
     ids = np.empty((len(rows), 1 + n_neg), dtype=np.int64)
     ids[:, 0] = pack.answers[start + rng.integers(0, end - start)]
     if n_neg:
@@ -231,49 +239,38 @@ def sample_negatives(
             if todo.size:
                 draws = rng.integers(0, pool[todo, None], size=(len(todo), width))
         ids[:, 1:] = _pool_items(pack, rows, picks)
-    task = local % 3
-    return {name: (local[task == t] // 3, ids[task == t])
-            for t, name in enumerate(TASKS) if (task == t).any()}
+    return {task: ids[t::n_tasks] for t, task in enumerate(pack.tasks)}
 
 
 def compute_loss(
     tape: Tape,
     batch: Sequence[RecInstance],
-    samples: dict[str, tuple[np.ndarray, np.ndarray]],
+    samples: dict[str, np.ndarray],
     params: ModelParams,
     kg: KnowledgeGraph,
     task_weights: tuple[float, float, float],
 ) -> Tensor:
     """Weighted multi-task BCE, averaged over the batch.
 
-    ``samples`` is ``sample_negatives``'s ``{task: (batch rows, ids)}``.
-    The batch embeds in one ``embed_instance`` call and each task scores its
-    rows in one ``score_items`` call. An instance's term is the mean over its
-    1 + n_neg scores, so a task's summed terms are its (rows x scores) mean
-    times its row count.
+    ``samples`` is ``sample_negatives``'s ``{task: ids}``, a block of every
+    batch row for each task it trains. The batch embeds in one
+    ``embed_instance`` call and each task scores its block in one
+    ``score_items`` call. An instance's term is the mean over its 1 + n_neg
+    scores, so a task's mean term over the batch is the block's mean, scaled
+    by the task's weight.
     """
     if not batch:
         raise ValueError("empty batch")
     task_emb = embed_instance(tape, params, [inst.user for inst in batch],
                               [inst.requirement for inst in batch], kg.like_rel)
-    covered = np.zeros(len(batch), dtype=bool)
     total: Tensor | None = None
-    for task, weight in zip(TASKS, task_weights):
-        rows, ids = samples.get(task, ((), ()))
-        if task not in task_emb or not len(rows):
-            continue
-        covered[rows] = True
-        q_task = task_emb[task]
-        if len(rows) < len(batch):
-            q_task = tape.gather(q_task, rows)
-        probs = score_items(tape, params, q_task, ids)
+    for task, ids in samples.items():
+        probs = score_items(tape, params, task_emb[task], ids)
         labels = np.zeros(probs.shape)
         labels[:, 0] = 1.0
         bce = tape.bce_loss(probs, Tensor(labels))
-        term = tape.scale_shift(bce, weight * len(rows) / len(batch), 0.0)
+        term = tape.scale_shift(bce, task_weights[TASKS.index(task)], 0.0)
         total = term if total is None else tape.add(total, term)
-    if not covered.all():
-        raise ValueError("instance contributed no loss terms")
     return total
 
 
@@ -284,15 +281,6 @@ class TrainResult:
     epochs_run: int
     history: list[dict]
     checkpoint_path: str | None
-
-
-def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in params.named().items()}
-
-
-def _restore(params: ModelParams, snap: dict[str, np.ndarray]) -> None:
-    for name, t in params.named().items():
-        t.data[...] = snap[name]
 
 
 def train(
@@ -377,7 +365,7 @@ def train(
                 if best_metric is None or metric > best_metric:
                     best_metric = metric
                     best_epoch = epoch
-                    best_snap = _snapshot(params)
+                    best_snap = {name: t.data.copy() for name, t in params.named().items()}
                     streak = 0
                 else:
                     streak += 1
@@ -394,7 +382,8 @@ def train(
                                 for entry in history).encode("utf-8"))
 
     if valid_instances and best_metric is not None:
-        _restore(params, best_snap)
+        for name, t in params.named().items():
+            t.data[...] = best_snap[name]
     else:
         best_epoch = epochs_run
 

@@ -478,6 +478,29 @@ def test_held_out_record_without_hard_exit_code(pipeline, command, fname, capsys
     assert f"{data / fname}:1: a valid/test record without hard answers" in err, err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda record: {**record, "hard": {"joint": record["answers"]["joint"][:1],
+                                        "req": [], "pref": []}},
+     "a train record with hard answers"),
+    (lambda record: {**record, "answers": {**record["answers"], "joint": []}},
+     "a train record with an empty joint answer set"),
+], ids=["hard", "empty_joint"])
+def test_train_record_rule_exit_code(pipeline, edit, message, capsys, request):
+    # a train record has no hard answers, and every answer set nonempty: each
+    # instance trains every task
+    data = pipeline["root"] / request.node.callspec.id
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "train.jsonl").read_text().splitlines()
+    (data / "train.jsonl").write_text(
+        "\n".join([json.dumps(edit(json.loads(lines[0])))] + lines[1:]) + "\n")
+    argv = ["train", "--data", str(data), "--seed", "5",
+            "--config", str(pipeline["train_cfg"]),
+            "--out", str(pipeline["root"] / f"{request.node.callspec.id}_run")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"{data / 'train.jsonl'}:1: {message}" in err, err
+
+
 def _test_record(pipeline, shape):
     """The first record of ``shape`` in the pipeline's test file."""
     with open(pipeline["data"] / "test.jsonl") as f:

@@ -448,9 +448,12 @@ def test_verify_flags_train_record_with_hard(world_split, tmp_path):
         record["hard"] = {TASK_JOINT: record["answers"][TASK_JOINT][:1],
                           TASK_REQ: [], TASK_PREF: []}
 
-    _edit_first_record(tmp_path / "train.jsonl", add_hard)
-    assert verify_dataset(world_split, str(tmp_path)) == [
-        "train:1: hard answer sets disagree with oracle"]
+    # the loader refuses the record before verify compares it with the oracle
+    path = tmp_path / "train.jsonl"
+    _edit_first_record(path, add_hard)
+    with pytest.raises(ArtifactMismatchError, match=re.escape(
+            f"{path}:1: a train record with hard answers")):
+        verify_dataset(world_split, str(tmp_path))
 
 
 def test_shortfall_stats_pinned(world_split, tmp_path):

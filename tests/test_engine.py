@@ -1,12 +1,12 @@
 """Differential tests: the skeleton-grouped batch against one-instance batches
 and against the id-column recursion it replaced.
 
-``compute_loss`` averages over its batch, so the loss and every gradient of a
-mixed batch must equal the mean over single-instance batches; grouping by
-skeleton only reorders floating-point sums. Inference embeddings must match
-bit for bit, because row-wise products do not depend on the batch size, and
-the eager forward must match the taped one, because both run the same op
-functions.
+Every instance trains every task it is given samples for, and ``compute_loss``
+averages over its batch, so the loss and every gradient of a mixed batch must
+equal the mean over single-instance batches; grouping by skeleton only
+reorders floating-point sums. Inference embeddings must match bit for bit,
+because row-wise products do not depend on the batch size, and the eager
+forward must match the taped one, because both run the same op functions.
 """
 
 import dataclasses
@@ -20,9 +20,9 @@ from lqrec.autodiff import EAGER, Tape, _accumulate, backward
 from lqrec.dataset import DatasetConfig, sample_instance
 from lqrec.model import (VARIANTS, ModelParams, embed_instance, embed_intersection,
                          embed_projection, embed_union)
-from lqrec.oracle import TASK_PREF
 from lqrec.query import ALL_SHAPES, Anchor, And, Or, Project, QueryShape
-from lqrec.training import compute_loss, pack_answers, sample_negatives
+from lqrec.training import (compute_loss, effective_task_weights, pack_answers,
+                            sample_negatives)
 
 TOL = 1e-10
 
@@ -38,9 +38,8 @@ def _reversed_children(q):
 
 @pytest.fixture(scope="module")
 def mixed_instances(world_split):
-    """All nine shapes, both child orders of pi/ip/up (pi's two orders are
-    two skeletons; ip/up's stay one skeleton with swapped id columns), and
-    one instance whose preference answer set is empty."""
+    """All nine shapes and both child orders of pi/ip/up (pi's two orders are
+    two skeletons; ip/up's stay one skeleton with swapped id columns)."""
     rng = random.Random(31)
     cfg = DatasetConfig(counts={}, seed=0, max_retries=500)
     out = [sample_instance(world_split, shape, "train", rng, cfg)
@@ -49,9 +48,6 @@ def mixed_instances(world_split):
         if inst.shape in (QueryShape.PI, QueryShape.IP, QueryShape.UP):
             out.append(dataclasses.replace(
                 inst, requirement=_reversed_children(inst.requirement)))
-    empty = out[0]
-    out.append(dataclasses.replace(
-        empty, answers={**empty.answers, TASK_PREF: frozenset()}))
     return out
 
 
@@ -67,8 +63,7 @@ def _loss_and_grads(batch, samples, params, kg, weights):
 
 def _row_of(samples, row):
     """One batch row's samples, as a one-instance batch sees them."""
-    return {task: (rows[rows == row] - row, ids[rows == row])
-            for task, (rows, ids) in samples.items() if (rows == row).any()}
+    return {task: ids[row:row + 1] for task, ids in samples.items()}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -77,12 +72,12 @@ def test_batch_matches_mean_of_single_instances(world_split, mixed_instances,
                                                 variant, weights):
     kg = world_split.train
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=4, variant=variant)
-    # samples drawn for every task: a zero weight keeps its term at scale 0
-    pack = pack_answers(mixed_instances, kg.sorted_items(), (1.0, 1.0, 1.0), 5)
+    # as in training, samples are drawn for the tasks the variant trains
+    # at a positive weight
+    weights = effective_task_weights(variant, weights)
+    pack = pack_answers(mixed_instances, kg.sorted_items(), weights, 5)
     samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
                                np.random.default_rng(9))
-    last = len(mixed_instances) - 1
-    assert last not in samples[TASK_PREF][0]
     loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)
     singles = [_loss_and_grads([inst], _row_of(samples, row), params, kg, weights)
                for row, inst in enumerate(mixed_instances)]
@@ -190,7 +185,8 @@ def test_group_walk_equals_replaced_path(world_split, mixed_instances, variant,
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=6, variant=variant)
     users = [inst.user for inst in mixed_instances]
     reqs = [inst.requirement for inst in mixed_instances]
-    pack = pack_answers(mixed_instances, kg.sorted_items(), (1.0, 1.0, 1.0), 5)
+    weights = effective_task_weights(variant, (1.0, 1.0, 1.0))
+    pack = pack_answers(mixed_instances, kg.sorted_items(), weights, 5)
     samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
                                np.random.default_rng(3))
 
@@ -198,8 +194,7 @@ def test_group_walk_equals_replaced_path(world_split, mixed_instances, variant,
         tape = Tape()
         eager = embed_instance(EAGER, params, users, reqs, kg.like_rel)
         taped = embed_instance(tape, params, users, reqs, kg.like_rel)
-        loss, grads = _loss_and_grads(mixed_instances, samples, params, kg,
-                                      (1.0, 1.0, 1.0))
+        loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)
         return (len(tape.nodes), {t: e.tobytes() for t, e in eager.items()},
                 {t: e.data.tobytes() for t, e in taped.items()},
                 np.float64(loss).tobytes(), {n: g.tobytes() for n, g in grads.items()})

@@ -30,7 +30,7 @@ from lqrec.model import (
 )
 from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import parse_query
-from source_checks import gathers_not_from_params, literal_comparisons
+from source_checks import SRC_DIR, gathers_not_from_params, literal_comparisons
 from test_autodiff import reduce_sum
 
 
@@ -56,6 +56,12 @@ def test_model_gathers_only_from_parameter_tables():
     # scatter could wait until the reverse sweep ends; batch rows are put in
     # place by place_rows instead
     assert gathers_not_from_params() == []
+
+
+def test_training_gathers_only_from_parameter_tables():
+    # every instance trains every task the loss scores, so each task scores
+    # its whole batch embedding and the loss gathers no rows of it
+    assert gathers_not_from_params(SRC_DIR / "training.py") == []
 
 
 def test_variants_are_decided_only_by_the_table():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,8 +54,7 @@ def draw(instances, items, n_neg, seed=0, weights=(1.0, 1.0, 1.0), batch=None):
 
 def row_samples(samples, task, row):
     """(positive, negatives) of one batch row for ``task``."""
-    rows, ids = samples[task]
-    pos, *negs = ids[list(rows).index(row)].tolist()
+    pos, *negs = samples[task][row].tolist()
     return pos, negs
 
 
@@ -127,11 +127,11 @@ def test_sample_negatives_forced():
     # a pool of exactly n_neg items is drawn whole; a smaller one is drawn
     # with replacement, from the pool only
     instances = answer_rows((frozenset({7}),) * 3)
-    for _, ids in draw(instances, [7, 8, 9], 2).values():
+    for ids in draw(instances, [7, 8, 9], 2).values():
         assert ids[0, 0] == 7 and sorted(ids[0, 1:]) == [8, 9]
     drawn = set()
     for seed in range(10):
-        for _, ids in draw(instances, [7, 8, 9], 5, seed).values():
+        for ids in draw(instances, [7, 8, 9], 5, seed).values():
             assert set(ids[0, 1:].tolist()) <= {8, 9}
             drawn |= set(ids[0, 1:].tolist())
     assert drawn == {8, 9}
@@ -141,38 +141,43 @@ def test_sample_negatives_zero():
     # n_neg = 0 leaves the positive only, even where the pool is empty
     samples = draw(answer_rows(({1}, {1, 2}, {2})), [1, 2], 0)
     assert set(samples) == set(TASKS)
-    for rows, ids in samples.values():
-        assert rows.tolist() == [0] and ids.shape == (1, 1)
+    for ids in samples.values():
+        assert ids.shape == (1, 1)
 
 
 def test_sample_negatives_disjoint_many_draws():
     items = list(range(40))
     answers = frozenset(range(0, 40, 3))
-    instances = answer_rows((answers, frozenset(range(1, 40)), frozenset()))
-    samples = draw(instances, items, 5, seed=1, batch=np.zeros(2000, dtype=int))
+    instances = answer_rows((answers, frozenset(range(1, 40)), frozenset({1})))
+    samples = draw(instances, items, 5, seed=1, weights=(1.0, 1.0, 0.0),
+                   batch=np.zeros(2000, dtype=int))
     assert set(samples) == {"joint", "req"}
-    for task, (rows, ids) in samples.items():
+    for task, ids in samples.items():
         task_answers = instances[0].answers[task]
-        assert len(rows) == 2000
+        assert len(ids) == 2000
         assert set(ids[:, 0].tolist()) <= task_answers
         assert not set(ids[:, 1:].ravel().tolist()) & task_answers
     # "req" leaves a pool of one: drawn with replacement
-    assert set(samples["req"][1][:, 1:].ravel().tolist()) == {0}
-    negs = np.sort(samples["joint"][1][:, 1:], axis=1)
+    assert set(samples["req"][:, 1:].ravel().tolist()) == {0}
+    negs = np.sort(samples["joint"][:, 1:], axis=1)
     assert (np.diff(negs, axis=1) > 0).all()
 
 
 def test_sample_negatives_degenerate():
     sets = [(frozenset({5}),) * 3, (frozenset({5}), frozenset({5, 6, 7}),
                                     frozenset({6}))]
-    with pytest.raises(DegenerateInstanceError, match="instance 1.*req"):
+    with pytest.raises(DegenerateInstanceError,
+                       match="instance 1: the req answer set covers the entire catalog"):
         pack_answers(answer_rows(*sets), [5, 6, 7], (1.0, 1.0, 1.0), 2)
-    # a weight of 0 or an empty answer set skips the row, as in training
+    # a weight of 0 leaves the task out; a trained task's empty answer set
+    # has no positive and is refused
     samples = draw(answer_rows(*sets), [5, 6, 7], 2, weights=(1.0, 0.0, 1.0))
-    assert "req" not in samples
+    assert list(samples) == ["joint", "pref"]
     sets[1] = (frozenset({5}), frozenset(), frozenset({6}))
-    samples = draw(answer_rows(*sets), [5, 6, 7], 2)
-    assert samples["req"][0].tolist() == [0]
+    with pytest.raises(DegenerateInstanceError,
+                       match="instance 1: the req answer set is empty"):
+        pack_answers(answer_rows(*sets), [5, 6, 7], (1.0, 1.0, 1.0), 0)
+    pack_answers(answer_rows(*sets), [5, 6, 7], (1.0, 0.0, 1.0), 0)
 
 
 @pytest.mark.parametrize("n_items", [12, 40, 85, 86, 90, 300, 2000])
@@ -183,7 +188,7 @@ def test_sample_negatives_matches_materialized_pool(n_items):
     items = list(range(3, 3 + 2 * n_items, 2))
     gen = np.random.default_rng(n_items)
     instances = answer_rows(*(
-        [frozenset(gen.choice(items, size=gen.integers(0, n_items // 2),
+        [frozenset(gen.choice(items, size=gen.integers(1, n_items // 2),
                               replace=False).tolist())
          for _ in TASKS]
         for _ in range(10)))
@@ -196,7 +201,7 @@ def test_sample_negatives_matches_materialized_pool(n_items):
         batch = gen.permutation(10)
         samples = draw(instances, items, n_neg, seed=n_neg, batch=batch)
         for t, task in enumerate(TASKS):
-            for row, (pos, *negs) in zip(*samples[task]):
+            for row, (pos, *negs) in enumerate(samples[task].tolist()):
                 pool = pools[batch[row]][t]
                 assert pos in instances[batch[row]].answers[task]
                 assert set(negs) <= set(pool)
@@ -212,7 +217,7 @@ def test_negative_pool_view_elements():
     from lqrec.training import _pool_items
 
     items = [2, 3, 5, 7, 11, 13, 17]
-    for answers in (frozenset(), frozenset({2}), frozenset({17, 3}),
+    for answers in (frozenset({2}), frozenset({17, 3}),
                     frozenset({5, 7, 11}), frozenset(items[1:])):
         pack = pack_answers(answer_rows((answers, {2}, {3})), items,
                             (1.0, 1.0, 1.0), 1)
@@ -224,7 +229,8 @@ def test_negative_pool_view_elements():
 
 @pytest.mark.parametrize("outside", [0, 4, 18])
 def test_pack_answers_rejects_answer_outside_catalog(outside):
-    sets = [(frozenset({5}),) * 3, (frozenset({5, outside}), frozenset({7}), frozenset())]
+    sets = [(frozenset({5}),) * 3,
+            (frozenset({5, outside}), frozenset({7}), frozenset({3}))]
     with pytest.raises(ValueError, match=f"instance 1: joint answer {outside} is not"):
         pack_answers(answer_rows(*sets), [2, 3, 5, 7, 11, 13, 17], (1.0, 1.0, 1.0), 2)
     # an unweighted task's answers are not packed, so they are not checked
@@ -239,10 +245,10 @@ def test_sample_negatives_uniform():
     # that of 7 (24.3)
     items = list(range(30))
     answers = frozenset(range(0, 24, 3))
-    instances = answer_rows((answers, frozenset(), frozenset()))
-    rows, ids = draw(instances, items, 5, seed=8,
-                     batch=np.zeros(3000, dtype=int))["joint"]
-    assert len(rows) == 3000
+    instances = answer_rows((answers, frozenset({1}), frozenset({1})))
+    ids = draw(instances, items, 5, seed=8, weights=(1.0, 0.0, 0.0),
+               batch=np.zeros(3000, dtype=int))["joint"]
+    assert len(ids) == 3000
     counts = np.bincount(ids[:, 1:].ravel(), minlength=30)
     pool = [i for i in items if i not in answers]
     assert counts[list(answers)].sum() == 0
@@ -336,6 +342,42 @@ def test_single_task_variant_equals_plain_base_loss(toy):
             -(labels * np.log(probs) + (1 - labels) * np.log1p(-probs)).mean()
         )
     assert float(loss.data) == pytest.approx(total / len(batch), rel=1e-12)
+
+
+# Tape nodes of one compute_loss batch that holds all five basic shapes, at
+# criterion 5's k = 3, and the mtl step's nodes per op. They bound the
+# step's cost: a change that adds nodes fails here, and one that removes
+# nodes lowers these bounds with it.
+STEP_NODES = {"mtl": 119, "shared-bottom": 111, "single-task": 91, "no-al": 113,
+              "no-au": 113}
+MTL_STEP_OPS = Counter({
+    "gather": 21, "add": 18, "affine": 14, "sigmoid": 11, "elementwise_mul": 8,
+    "split_halves": 8, "sub": 8, "relu": 7, "scale_shift": 6, "concat_last_dim": 5,
+    "bce_loss": 3, "gather_l1": 3, "softmax_last_dim": 3, "weighted_sum": 3,
+    "place_rows": 1})
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_tape_nodes_bounded(toy, variant):
+    split, datasets = toy
+    kg = split.train
+    instances = datasets["train"]
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=3, variant=variant)
+    weights = effective_task_weights(variant, (1.0, 1.0, 1.0))
+    pack = pack_answers(instances, kg.sorted_items(), weights, 4)
+    # the whole set and a batch of 8: the count depends on the shapes held,
+    # not on the batch size
+    for batch in (np.arange(len(instances)), np.arange(0, len(instances), 7)):
+        rows = [instances[i] for i in batch]
+        assert {inst.shape for inst in rows} == set(BASIC_SHAPES)
+        tape = Tape()
+        compute_loss(tape, rows, sample_negatives(pack, batch, 4, np.random.default_rng(0)),
+                     params, kg, weights)
+        assert len(tape.nodes) <= STEP_NODES[variant], len(tape.nodes)
+        if variant == "mtl":
+            # each node's backward is defined in its Tape op method
+            ops = Counter(fn.__qualname__.split(".")[1] for _, fn in tape.nodes)
+            assert not ops - MTL_STEP_OPS, ops - MTL_STEP_OPS
 
 
 def test_loss_decreases_on_toy_set(toy):
