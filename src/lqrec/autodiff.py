@@ -24,8 +24,13 @@ operands' arrays and records the result with its backward rule, as one
 Subgradient conventions are fixed: relu'(0) = 0, the L1 distance uses
 sign with sign(0) = 0, and elementwise_max routes ties to its first operand.
 
-A tape is single-threaded. Several tapes may run concurrently over shared
-read-only parameters; applying gradients must be serialized by the caller.
+A table read by gathers gets a row-sparse gradient, and ``adam_step``
+updates only rows that have had a gradient; both keep the bytes of the
+dense path (``_add_rows``, ``adam_step``).
+
+A tape is single-threaded. Several tapes may record forward passes
+concurrently over shared parameters; backward passes (which write their
+gradients) and ``adam_step`` must be serialized by the caller.
 """
 
 from __future__ import annotations
@@ -51,9 +56,14 @@ class EmptyTapeError(RuntimeError):
 
 
 class Tensor:
-    """A float64 array with a gradient slot, filled by the backward pass."""
+    """A float64 array with a gradient slot, filled by the backward pass.
 
-    __slots__ = ("data", "grad")
+    ``grad`` is dense when ``grad_ids`` is None; otherwise it holds one row
+    per id of the ascending ``grad_ids``, every other row's gradient being
+    0.0. ``compact`` holds the rows gathers add up during ``backward``.
+    """
+
+    __slots__ = ("data", "grad", "grad_ids", "compact")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
@@ -61,13 +71,22 @@ class Tensor:
             raise OpShapeError("tensor", arr.shape)
         self.data = arr
         self.grad: np.ndarray | None = None
+        self.grad_ids: np.ndarray | None = None
+        self.compact: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def shape(self):
         return self.data.shape
 
     def zero_grad(self):
-        self.grad = None
+        self.grad = self.grad_ids = self.compact = None
+
+    def dense_grad(self) -> np.ndarray:
+        """The gradient as a new array of the tensor's shape (0.0: none)."""
+        out = np.zeros_like(self.data)
+        if self.grad is not None:
+            out[... if self.grad_ids is None else self.grad_ids] = self.grad
+        return out
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -81,6 +100,8 @@ def _accumulate(t: Tensor, g: np.ndarray, part=...) -> None:
     """``t.grad[part] += g``, allocating a zero gradient on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
+    elif t.grad_ids is not None:
+        t.grad, t.grad_ids = t.dense_grad(), None
     t.grad[part] += g
 
 
@@ -89,11 +110,36 @@ def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
         raise OpShapeError(op, a.shape, b.shape)
 
 
-def _scatter_add(table: Tensor, idx: np.ndarray, rows: np.ndarray) -> None:
-    """``table.grad[idx] += rows``; repeated ids add up."""
-    if table.grad is None:
-        table.grad = np.zeros_like(table.data)
-    np.add.at(table.grad, idx, rows)
+def _add_rows(table: Tensor, idx: np.ndarray, rows: np.ndarray,
+              gathered: list[np.ndarray]) -> None:
+    """Add gradient ``rows`` for ``table``'s rows ``idx`` into its compact
+    gradient, one row per distinct id its tape gathered (``gathered``). Each
+    element takes its rows one at a time from 0.0, in backward order, as
+    ``np.add.at`` calls into a zero table did: the sums have the same bytes.
+    """
+    d = table.shape[1]
+    if table.compact is None:
+        seen = np.zeros(len(table.data), dtype=bool)
+        seen[np.concatenate([i.reshape(-1) for i in gathered])] = True
+        ids = np.flatnonzero(seen)
+        slot = np.empty(len(table.data), dtype=np.int64)  # id -> compact row
+        slot[ids] = np.arange(ids.size)
+        table.compact = (ids, np.zeros(ids.size * d), slot)
+    _, sums, slot = table.compact
+    keys = slot[idx.reshape(-1)] * d
+    np.add.at(sums, (keys[:, None] + np.arange(d)).reshape(-1), rows.reshape(-1))
+
+
+def _settle_rows(t: Tensor, fold: bool) -> None:
+    """``t``'s compact gradient becomes its row-sparse one, or is folded into
+    its dense one when ``fold`` is set or ``t`` already has a gradient."""
+    (ids, sums, _), t.compact = t.compact, None
+    rows = sums.reshape(ids.size, t.shape[1])
+    if fold or t.grad is not None:
+        t.grad, t.grad_ids = t.dense_grad(), None
+        t.grad[ids] += rows
+    else:
+        t.grad, t.grad_ids = rows, ids
 
 
 def _rowwise_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -240,6 +286,9 @@ class Tape:
     def __init__(self):
         # (output, backward closure over saved activations)
         self.nodes: list[tuple[Tensor, object]] = []
+        # the ids each tensor's gathers read; a gather's backward holds its
+        # table's list, not the tape, so no reference cycle keeps a tape alive
+        self.gathered: dict[Tensor, list[np.ndarray]] = {}
 
     def _node(self, data, backward_fn) -> Tensor:
         """Wrap an op's result and record it with its backward."""
@@ -254,19 +303,22 @@ class Tape:
         return Tensor(data)
 
     def gather(self, table: Tensor, ids) -> Tensor:
-        """``Eager.gather``; the backward pass scatter-adds only into the
-        touched rows."""
+        """``Eager.gather``; the backward pass adds the output's gradient to
+        the gathered rows' (``_add_rows``)."""
         idx = np.asarray(ids, dtype=np.int64)
+        (gathered := self.gathered.setdefault(table, [])).append(idx)
         return self._node(EAGER.gather(table.data, idx),
-                          lambda g: _scatter_add(table, idx, g))
+                          lambda g: _add_rows(table, idx, g, gathered))
 
     def gather_l1(self, table: Tensor, ids, q: Tensor) -> Tensor:
-        """``Eager.gather_l1``; only touched table rows receive gradient."""
+        """``Eager.gather_l1``; the table's gradient rows are added as
+        ``gather``'s."""
         idx = np.asarray(ids, dtype=np.int64)
+        (gathered := self.gathered.setdefault(table, [])).append(idx)
 
         def backward(g):
             s = g[..., None] * np.sign(table.data[idx] - q.data[..., None, :])
-            _scatter_add(table, idx, s)
+            _add_rows(table, idx, s, gathered)
             _accumulate(q, -s.sum(axis=-2))
 
         return self._node(EAGER.gather_l1(table.data, idx, q.data), backward)
@@ -395,6 +447,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     Gradients add across shared subgraphs; parameters used in several branches
     end up with the sum of the branch gradients. Caller is responsible for
     zeroing parameter gradients between optimization steps.
+
+    A gathered tape output's compact gradient is folded into its dense one
+    when the sweep reaches its node; every other gathered tensor's becomes
+    its row-sparse gradient after the sweep.
     """
     if not tape.nodes:
         raise EmptyTapeError("backward called before any forward op")
@@ -402,52 +458,79 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise OpShapeError("backward", loss.data.shape)
     loss.grad = np.ones_like(loss.data)
     for out, backward_fn in reversed(tape.nodes):
+        if out.compact:
+            _settle_rows(out, fold=True)
         if out.grad is not None:
             backward_fn(out.grad)
+    for t in tape.gathered:
+        if t.compact:
+            _settle_rows(t, fold=False)
 
 
 class AdamState:
-    """Per-parameter moment buffers for bias-corrected Adam, plus two scratch
-    buffers per parameter so a step allocates no parameter-sized array."""
+    """Bias-corrected Adam moments for the rows that have had a gradient.
+
+    With ``n = seen[name]``, ``rows[name][:n]`` lists a parameter's seen row
+    ids in first-seen order, ``m[name][:n]`` and ``v[name][:n]`` hold their
+    moments and ``slot[name]`` maps an id to its place (-1: not seen). Once
+    three quarters of the rows are seen (a dense gradient sees all), all
+    are: the moments go to row order and ``rows[name]`` becomes ``...``.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.lr = lr
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.scratch = {name: (np.empty_like(p.data), np.empty_like(p.data))
-                        for name, p in params.items()}
+        self.seen = dict.fromkeys(params, 0)
+        self.rows = {name: np.empty(len(p.data), dtype=np.int64) for name, p in params.items()}
+        self.slot = {name: np.full(len(p.data), -1) for name, p in params.items()}
+        self.m = {name: np.empty_like(p.data) for name, p in params.items()}
+        self.v = {name: np.empty_like(p.data) for name, p in params.items()}
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One bias-corrected adaptive-moment update; missing grads count as zero.
 
-    In place, in the order of ``m = b1 m + (1 - b1) g``,
-    ``v = b2 v + ((1 - b2) g) g`` and
-    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``.
+    In the order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g``
+    and ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, over the seen rows,
+    with dense Adam's bytes. An unseen row (m = v = 0, g = +0.0) would get
+    ``p -= +0.0``. A seen row without a gradient skips adding +0.0 to
+    ``b1 m`` and ``b2 v``, which are never -0.0: m and v start at +0.0, a
+    sum is -0.0 only if both terms are, and b1, b2 > 1/2 keep nonzero
+    products nonzero.
     """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = p.grad
-        m, v = state.m[name], state.v[name]
-        a, b = state.scratch[name]
-        if g is None:
-            a[...] = b[...] = 0.0
-        else:
-            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-            np.multiply(g, 1.0 - ADAM_BETA2, out=b)
-            b *= g
+        slot, n, rows = state.slot[name], state.seen[name], state.rows[name]
+        ids = ... if p.grad_ids is None else p.grad_ids
+        if p.grad is not None and rows is not ...:
+            ids = np.arange(len(slot)) if ids is ... else ids
+            new = ids[slot[ids] < 0]
+            if new.size:
+                slot[new] = np.arange(n, n + new.size)
+                rows[n:n + new.size] = new
+                state.m[name][n:n + new.size] = state.v[name][n:n + new.size] = 0.0
+                n = state.seen[name] = n + new.size
+            if 4 * n >= 3 * len(slot):  # most rows seen: all of them, in row order
+                for moments in (state.m[name], state.v[name]):
+                    seen = moments[:n].copy()
+                    moments[...] = 0.0
+                    moments[rows[:n]] = seen
+                n, rows = state.seen[name], state.rows[name] = len(slot), ...
+        rows = rows if rows is ... else rows[:n]
+        m, v = state.m[name][:n], state.v[name][:n]
         m *= ADAM_BETA1
-        m += a
         v *= ADAM_BETA2
-        v += b
-        np.divide(m, bc1, out=a)
+        if p.grad is not None:
+            at = ids if rows is ... else slot[ids]
+            m[at] += p.grad * (1.0 - ADAM_BETA1)
+            v[at] += p.grad * (1.0 - ADAM_BETA2) * p.grad
+        a = m / bc1
         a *= state.lr
-        np.divide(v, bc2, out=b)
+        b = v / bc2
         np.sqrt(b, out=b)
         b += ADAM_EPS
         a /= b
-        p.data -= a
+        p.data[rows] -= a

@@ -224,8 +224,7 @@ def worst_gradient_error(instances, samples, params, kg, weights, names=None):
         if names is not None and name not in names:
             continue
         flat = tensor.data.reshape(-1)
-        grad = (tensor.grad if tensor.grad is not None
-                else np.zeros_like(tensor.data)).reshape(-1)
+        grad = tensor.dense_grad().reshape(-1)
         for i in range(flat.size):
             n_elements += 1
             err = rel_err(flat, i, grad[i], 1e-5)

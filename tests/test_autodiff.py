@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,7 +62,7 @@ def check_op(build, tensors, h=1e-6, tol=1e-7):
     loss = build(tape)
     backward(tape, loss)
     for t in tensors:
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        analytic = t.dense_grad()
 
         def run():
             return float(build(Tape()).data)
@@ -166,7 +169,52 @@ def test_gather_scatters_sparsely():
     expected[2] = 3.0  # row placed three times
     expected[1] = 2.0  # repeated id accumulates
     expected[3] = 1.0
-    np.testing.assert_array_equal(table.grad, expected)
+    np.testing.assert_array_equal(table.grad_ids, [1, 2, 3])  # only the gathered rows
+    np.testing.assert_array_equal(table.dense_grad(), expected)
+
+
+def test_gathered_table_also_read_densely_and_accumulated():
+    """A table that gathers and a dense op both read gets a dense gradient,
+    and a second backward without zeroing adds to a row-sparse gradient in
+    either order of the two kinds of use."""
+    def gathers(tape, table):
+        return reduce_sum(tape, tape.gather(table, [1, 1, 3]))
+
+    def both(tape, table):
+        return tape.add(gathers(tape, table), reduce_sum(tape, tape.scale_shift(table, 2.0, 0.0)))
+
+    once = np.zeros((4, 2))
+    once[1], once[3] = 2.0, 1.0
+    for first, second in ((both, gathers), (gathers, both)):
+        table = Tensor(np.arange(8.0).reshape(4, 2))
+        for build in (first, second):
+            tape = Tape()
+            backward(tape, build(tape, table))
+            if build is both:
+                assert table.grad_ids is None and table.grad.shape == (4, 2)
+        np.testing.assert_array_equal(table.dense_grad(), 2 * once + 2.0)
+    table.zero_grad()
+    tape = Tape()
+    backward(tape, gathers(tape, table))
+    np.testing.assert_array_equal(table.grad_ids, [1, 3])
+    np.testing.assert_array_equal(table.dense_grad(), once)
+
+
+def test_tape_freed_without_cycle_collector():
+    """No backward closure refers back to its tape, so a tape and its
+    activations go with its last reference, not at the next collection."""
+    table, q = Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))
+    tape = Tape()
+    loss = reduce_sum(tape, tape.add(tape.gather(table, [0, 3]),
+                                     tape.gather_l1(table, [[0, 1], [2, 3]], q)))
+    backward(tape, loss)
+    freed = weakref.ref(tape)
+    gc.disable()
+    try:
+        del tape, loss
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("ex", [EAGER, Tape()], ids=["eager", "tape"])
@@ -369,7 +417,7 @@ def _reference_adam_step(params, m, v, t, lr):
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.dense_grad()
         m[name] *= ADAM_BETA1
         m[name] += (1.0 - ADAM_BETA1) * g
         v[name] *= ADAM_BETA2
@@ -403,6 +451,95 @@ def test_adam_in_place_matches_reference():
         assert np.array_equal(ours[name].data, ref[name].data), name
         assert np.array_equal(state.m[name], m[name]), name
         assert np.array_equal(state.v[name], v[name]), name
+
+
+def _signed_magnitudes(rng, shape):
+    """Values of both signs from 1e-8 to 1e8, about a tenth each +0.0 and -0.0."""
+    out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    out[rng.random(shape) < 0.1] = 0.0
+    out[rng.random(shape) < 0.1] = -0.0
+    return out
+
+
+def test_deferred_row_reduction_matches_add_at_chain():
+    """A table's row-sparse gradient has the bytes of the ``np.add.at`` calls
+    into a zero table that each gather's backward used to make, in sweep
+    order."""
+    rng = np.random.default_rng(3)
+    table = Tensor(rng.standard_normal((12, 5)))
+    q = Tensor(rng.standard_normal((4, 5)))
+    tape = Tape()
+    # many repeats of 8 of the 12 ids, and a gather of no rows
+    ids = [rng.integers(0, 8, size=n) for n in (200, 0, 37, 200)]
+    outs = [tape.gather(table, i) for i in ids]
+    l1_ids = rng.integers(0, 8, size=(4, 30))
+    outs.append(tape.gather_l1(table, l1_ids, q))
+    grads = [_signed_magnitudes(rng, out.shape) for out in outs]
+
+    def feed(g):
+        for out, grad in zip(outs, grads):
+            out.grad = grad
+
+    backward(tape, tape._node(np.float64(0.0), feed))
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, l1_ids,
+              grads[-1][..., None] * np.sign(table.data[l1_ids] - q.data[:, None, :]))
+    for i, grad in reversed(list(zip(ids, grads))):
+        np.add.at(expected, i, grad)
+    np.testing.assert_array_equal(table.grad_ids, np.arange(8))
+    assert table.grad.shape == (8, 5)
+    assert table.dense_grad().tobytes() == expected.tobytes()
+
+
+def test_seen_row_adam_matches_dense_kernel():
+    """Adam over the seen rows gives dense Adam's parameter and moment bytes
+    over 60 steps: rows seen once and then idle, all-zero and -0.0 gradient
+    rows, parameters at +0.0 and -0.0, steps without a table gradient, and a
+    table ("most") whose rows all move to row order once most are seen."""
+    rng = np.random.default_rng(17)
+    init = {"table": rng.standard_normal((24, 3)), "most": rng.standard_normal((8, 3)),
+            "w": rng.standard_normal((4, 2))}
+    for name in ("table", "most"):
+        init[name][[0, 5]] = 0.0
+        init[name][[1, 6]] = -0.0
+    ours = {name: Tensor(a.copy()) for name, a in init.items()}
+    ref = {name: Tensor(a.copy()) for name, a in init.items()}
+    state = AdamState(ours, lr=0.05)
+    m = {name: np.zeros_like(a) for name, a in init.items()}
+    v = {name: np.zeros_like(a) for name, a in init.items()}
+    for t in range(1, 61):
+        # "table" row 13 is seen on the first step only; rows 14-23 never
+        draws = {"table": np.append(rng.choice(12, size=rng.integers(0, 6), replace=False),
+                                    [13] if t == 1 else []).astype(np.int64),
+                 "most": rng.choice(8, size=rng.integers(0, 3), replace=False)}
+        w_grad = None if t % 5 == 0 else rng.standard_normal((4, 2))
+        for params in (ours, ref):
+            params["w"].grad = None if w_grad is None else w_grad.copy()
+        for name, ids in draws.items():
+            ids = np.sort(ids)
+            rows = rng.standard_normal((ids.size, 3))
+            rows[rng.random(ids.size) < 0.3] = 0.0
+            rows[rng.random(ids.size) < 0.3] = -0.0
+            dense = np.zeros_like(init[name])
+            dense[ids] = rows
+            ours[name].zero_grad()
+            ref[name].zero_grad()
+            if t % 7:  # every seventh step the tables have no gradient
+                ours[name].grad, ours[name].grad_ids = rows, ids
+                ref[name].grad = dense
+        adam_step(ours, state)
+        _reference_adam_step(ref, m, v, t, 0.05)
+        for name in init:
+            assert ours[name].data.tobytes() == ref[name].data.tobytes(), (t, name)
+            n, seen = state.seen[name], state.rows[name]
+            for ours_moment, ref_moment in ((state.m[name], m[name]), (state.v[name], v[name])):
+                if seen is ...:
+                    got = ours_moment
+                else:
+                    got = np.zeros_like(ref_moment)
+                    got[seen[:n]] = ours_moment[:n]
+                assert got.tobytes() == ref_moment.tobytes(), (t, name)
+    assert state.seen["table"] == 13 and state.rows["most"] is ... and state.rows["w"] is ...
 
 
 def _masked_sigmoid(x):

@@ -56,8 +56,7 @@ def _loss_and_grads(batch, samples, params, kg, weights):
     tape = Tape()
     loss = compute_loss(tape, batch, samples, params, kg, weights)
     backward(tape, loss)
-    grads = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-             for name, t in params.named().items()}
+    grads = {name: t.dense_grad() for name, t in params.named().items()}
     return float(loss.data), grads
 
 

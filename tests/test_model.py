@@ -393,7 +393,7 @@ def test_score_gradient_matches_fd(world):
     out = reduce_sum(tape, score_items(tape, p, Tensor(q_data), [item]))
     p.zero_grads()
     backward(tape, out)
-    grad = p.entity_emb.grad[item]
+    grad = p.entity_emb.dense_grad()[item]
     h = 1e-6
     fd = np.zeros(8)
     for j in range(8):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lqrec.autodiff import Tape
+from lqrec.autodiff import AdamState, Tape, adam_step, backward
 from lqrec.dataset import DatasetConfig, build_dataset
 from lqrec.model import (
     VARIANTS,
@@ -378,6 +378,43 @@ def test_step_tape_nodes_bounded(toy, variant):
             # each node's backward is defined in its Tape op method
             ops = Counter(fn.__qualname__.split(".")[1] for _, fn in tape.nodes)
             assert not ops - MTL_STEP_OPS, ops - MTL_STEP_OPS
+
+
+def test_step_gradient_and_adam_stay_row_sparse(toy, monkeypatch):
+    """After one five-shape batch the entity table's gradient has a row for
+    each distinct id the step gathered and no other, and Adam then holds
+    moments for those rows only: neither the backward pass nor Adam runs
+    over the whole table."""
+    split, datasets = toy
+    kg = split.train
+    instances = datasets["train"]
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=3)
+    table = params.entity_emb
+    read = []
+    for op in ("gather", "gather_l1"):
+        def spy(tape, source, ids, *rest, op=getattr(Tape, op)):
+            if source is table:
+                read.append(np.asarray(ids).ravel())
+            return op(tape, source, ids, *rest)
+        monkeypatch.setattr(Tape, op, spy)
+    weights = effective_task_weights("mtl", (1.0, 1.0, 1.0))
+    pack = pack_answers(instances, kg.sorted_items(), weights, 4)
+    batch = np.arange(0, len(instances), 7)
+    assert {instances[i].shape for i in batch} == set(BASIC_SHAPES)
+    tape = Tape()
+    loss = compute_loss(tape, [instances[i] for i in batch],
+                        sample_negatives(pack, batch, 4, np.random.default_rng(0)),
+                        params, kg, weights)
+    backward(tape, loss)
+    gathered = np.unique(np.concatenate(read))
+    assert gathered.size < len(table.data)  # so a dense gradient would show
+    np.testing.assert_array_equal(table.grad_ids, gathered)
+    assert table.grad.shape == (gathered.size, table.shape[1])
+
+    state = AdamState(params.named(), lr=0.01)
+    adam_step(params.named(), state)
+    assert state.seen["entity_emb"] == gathered.size
+    np.testing.assert_array_equal(np.sort(state.rows["entity_emb"][:gathered.size]), gathered)
 
 
 def test_loss_decreases_on_toy_set(toy):
