@@ -60,10 +60,11 @@ class Tensor:
 
     ``grad`` is dense when ``grad_ids`` is None; otherwise it holds one row
     per id of the ascending ``grad_ids``, every other row's gradient being
-    0.0. ``compact`` holds the rows gathers add up during ``backward``.
+    0.0. ``rows_of`` pairs the id list of the tape whose gathers add to
+    ``grad`` with the map from an id to its row (``_add_rows``).
     """
 
-    __slots__ = ("data", "grad", "grad_ids", "compact")
+    __slots__ = ("data", "grad", "grad_ids", "rows_of")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
@@ -72,14 +73,14 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.grad_ids: np.ndarray | None = None
-        self.compact: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.rows_of: tuple[list[np.ndarray], np.ndarray | None] | None = None
 
     @property
     def shape(self):
         return self.data.shape
 
     def zero_grad(self):
-        self.grad = self.grad_ids = self.compact = None
+        self.grad = self.grad_ids = self.rows_of = None
 
     def dense_grad(self) -> np.ndarray:
         """The gradient as a new array of the tensor's shape (0.0: none)."""
@@ -112,34 +113,30 @@ def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
 
 def _add_rows(table: Tensor, idx: np.ndarray, rows: np.ndarray,
               gathered: list[np.ndarray]) -> None:
-    """Add gradient ``rows`` for ``table``'s rows ``idx`` into its compact
-    gradient, one row per distinct id its tape gathered (``gathered``). Each
-    element takes its rows one at a time from 0.0, in backward order, as
-    ``np.add.at`` calls into a zero table did: the sums have the same bytes.
+    """Add gradient ``rows`` into ``table``'s rows ``idx``. A table without a
+    gradient gets a row-sparse one over every id its tape gathered
+    (``gathered``). Each element takes its rows one at a time from 0.0, in
+    backward order, as ``np.add.at`` calls into a zero table did: the sums
+    have the same bytes.
     """
     d = table.shape[1]
-    if table.compact is None:
-        seen = np.zeros(len(table.data), dtype=bool)
-        seen[np.concatenate([i.reshape(-1) for i in gathered])] = True
-        ids = np.flatnonzero(seen)
-        slot = np.empty(len(table.data), dtype=np.int64)  # id -> compact row
-        slot[ids] = np.arange(ids.size)
-        table.compact = (ids, np.zeros(ids.size * d), slot)
-    _, sums, slot = table.compact
-    keys = slot[idx.reshape(-1)] * d
-    np.add.at(sums, (keys[:, None] + np.arange(d)).reshape(-1), rows.reshape(-1))
-
-
-def _settle_rows(t: Tensor, fold: bool) -> None:
-    """``t``'s compact gradient becomes its row-sparse one, or is folded into
-    its dense one when ``fold`` is set or ``t`` already has a gradient."""
-    (ids, sums, _), t.compact = t.compact, None
-    rows = sums.reshape(ids.size, t.shape[1])
-    if fold or t.grad is not None:
-        t.grad, t.grad_ids = t.dense_grad(), None
-        t.grad[ids] += rows
-    else:
-        t.grad, t.grad_ids = rows, ids
+    if table.rows_of is None or table.rows_of[0] is not gathered:  # first rows from this tape
+        slot = None  # id -> row of a row-sparse gradient
+        if table.grad is None:
+            seen = np.zeros(len(table.data), dtype=bool)
+            seen[np.concatenate([i.reshape(-1) for i in gathered])] = True
+            table.grad_ids = np.flatnonzero(seen)
+            table.grad = np.zeros((table.grad_ids.size, d))
+            slot = np.empty(len(table.data), dtype=np.int64)
+            slot[table.grad_ids] = np.arange(table.grad_ids.size)
+        elif table.grad_ids is not None:  # another tape's rows: go dense
+            table.grad, table.grad_ids = table.dense_grad(), None
+        table.rows_of = (gathered, slot)
+    at = idx.reshape(-1)
+    if table.grad_ids is not None:
+        at = table.rows_of[1][at]
+    np.add.at(table.grad.reshape(-1), (at[:, None] * d + np.arange(d)).reshape(-1),
+              rows.reshape(-1))
 
 
 def _rowwise_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -448,9 +445,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     end up with the sum of the branch gradients. Caller is responsible for
     zeroing parameter gradients between optimization steps.
 
-    A gathered tape output's compact gradient is folded into its dense one
-    when the sweep reaches its node; every other gathered tensor's becomes
-    its row-sparse gradient after the sweep.
+    A tensor that only gathers read keeps a row-sparse gradient; a tape
+    output's goes dense when the sweep reaches its node.
     """
     if not tape.nodes:
         raise EmptyTapeError("backward called before any forward op")
@@ -458,13 +454,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise OpShapeError("backward", loss.data.shape)
     loss.grad = np.ones_like(loss.data)
     for out, backward_fn in reversed(tape.nodes):
-        if out.compact:
-            _settle_rows(out, fold=True)
         if out.grad is not None:
+            if out.grad_ids is not None:
+                out.grad, out.grad_ids = out.dense_grad(), None
             backward_fn(out.grad)
-    for t in tape.gathered:
-        if t.compact:
-            _settle_rows(t, fold=False)
 
 
 class AdamState:
@@ -475,6 +468,7 @@ class AdamState:
     moments and ``slot[name]`` maps an id to its place (-1: not seen). Once
     three quarters of the rows are seen (a dense gradient sees all), all
     are: the moments go to row order and ``rows[name]`` becomes ``...``.
+    ``scratch`` holds two buffers for a step's temporaries.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
@@ -485,6 +479,8 @@ class AdamState:
         self.slot = {name: np.full(len(p.data), -1) for name, p in params.items()}
         self.m = {name: np.empty_like(p.data) for name, p in params.items()}
         self.v = {name: np.empty_like(p.data) for name, p in params.items()}
+        self.scratch = {name: (np.empty_like(p.data), np.empty_like(p.data))
+                        for name, p in params.items()}
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
@@ -527,9 +523,10 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
             at = ids if rows is ... else slot[ids]
             m[at] += p.grad * (1.0 - ADAM_BETA1)
             v[at] += p.grad * (1.0 - ADAM_BETA2) * p.grad
-        a = m / bc1
+        a, b = (buf[:n] for buf in state.scratch[name])
+        np.divide(m, bc1, out=a)
         a *= state.lr
-        b = v / bc2
+        np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
         b += ADAM_EPS
         a /= b

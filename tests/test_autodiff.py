@@ -175,29 +175,32 @@ def test_gather_scatters_sparsely():
 
 def test_gathered_table_also_read_densely_and_accumulated():
     """A table that gathers and a dense op both read gets a dense gradient,
-    and a second backward without zeroing adds to a row-sparse gradient in
-    either order of the two kinds of use."""
-    def gathers(tape, table):
-        return reduce_sum(tape, tape.gather(table, [1, 1, 3]))
+    and a second backward without zeroing adds to a row-sparse gradient,
+    whatever the first backward left and whichever rows the second gathers."""
+    def gathers(ids):
+        return lambda tape, table: reduce_sum(tape, tape.gather(table, ids))
+
+    def dense(tape, table):
+        return reduce_sum(tape, tape.scale_shift(table, 2.0, 0.0))
 
     def both(tape, table):
-        return tape.add(gathers(tape, table), reduce_sum(tape, tape.scale_shift(table, 2.0, 0.0)))
+        return tape.add(gathers([1, 1, 3])(tape, table), dense(tape, table))
 
-    once = np.zeros((4, 2))
-    once[1], once[3] = 2.0, 1.0
-    for first, second in ((both, gathers), (gathers, both)):
-        table = Tensor(np.arange(8.0).reshape(4, 2))
-        for build in (first, second):
-            tape = Tape()
-            backward(tape, build(tape, table))
-            if build is both:
-                assert table.grad_ids is None and table.grad.shape == (4, 2)
-        np.testing.assert_array_equal(table.dense_grad(), 2 * once + 2.0)
+    expected = {gathers([1, 1, 3]): [0, 2, 0, 1], gathers([0, 3]): [1, 0, 0, 1],
+                both: [2, 4, 2, 3]}
+    for first in expected:
+        for second in expected:
+            table = Tensor(np.arange(8.0).reshape(4, 2))
+            for build in (first, second):
+                tape = Tape()
+                backward(tape, build(tape, table))
+            total = np.add(expected[first], expected[second])
+            np.testing.assert_array_equal(table.dense_grad(), np.repeat(total, 2).reshape(4, 2))
     table.zero_grad()
     tape = Tape()
-    backward(tape, gathers(tape, table))
+    backward(tape, gathers([1, 1, 3])(tape, table))
     np.testing.assert_array_equal(table.grad_ids, [1, 3])
-    np.testing.assert_array_equal(table.dense_grad(), once)
+    np.testing.assert_array_equal(table.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
 def test_tape_freed_without_cycle_collector():
@@ -302,6 +305,10 @@ def test_op_gradients_against_finite_differences(seed):
         "gather_rows": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.gather(t.sigmoid(xm), [1, 0, 1]),
                               t.gather(table, [0, 1, 2]))
+        ),
+        # a tape output gathered at one of its rows
+        "gather_one_row": lambda t: reduce_sum(t, 
+            t.elementwise_mul(t.gather(t.sigmoid(xm), [1, 1]), t.gather(table, [0, 4]))
         ),
     }
     targets = [w, x, y, table, gate, stack, xm, ym, gm, sm]
