@@ -26,7 +26,7 @@ sign with sign(0) = 0, and elementwise_max routes ties to its first operand.
 
 A table read by gathers gets a row-sparse gradient, and ``adam_step``
 updates only rows that have had a gradient; both keep the bytes of the
-dense path (``_add_rows``, ``adam_step``).
+dense path (``backward``, ``adam_step``).
 
 A tape is single-threaded. Several tapes may record forward passes
 concurrently over shared parameters; backward passes (which write their
@@ -60,11 +60,10 @@ class Tensor:
 
     ``grad`` is dense when ``grad_ids`` is None; otherwise it holds one row
     per id of the ascending ``grad_ids``, every other row's gradient being
-    0.0. ``rows_of`` pairs the id list of the tape whose gathers add to
-    ``grad`` with the map from an id to its row (``_add_rows``).
+    0.0, and ``slot`` maps an id to its row.
     """
 
-    __slots__ = ("data", "grad", "grad_ids", "rows_of")
+    __slots__ = ("data", "grad", "grad_ids", "slot")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
@@ -73,14 +72,14 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.grad_ids: np.ndarray | None = None
-        self.rows_of: tuple[list[np.ndarray], np.ndarray | None] | None = None
+        self.slot: np.ndarray | None = None
 
     @property
     def shape(self):
         return self.data.shape
 
     def zero_grad(self):
-        self.grad = self.grad_ids = self.rows_of = None
+        self.grad = self.grad_ids = self.slot = None
 
     def dense_grad(self) -> np.ndarray:
         """The gradient as a new array of the tensor's shape (0.0: none)."""
@@ -111,30 +110,12 @@ def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
         raise OpShapeError(op, a.shape, b.shape)
 
 
-def _add_rows(table: Tensor, idx: np.ndarray, rows: np.ndarray,
-              gathered: list[np.ndarray]) -> None:
-    """Add gradient ``rows`` into ``table``'s rows ``idx``. A table without a
-    gradient gets a row-sparse one over every id its tape gathered
-    (``gathered``). Each element takes its rows one at a time from 0.0, in
-    backward order, as ``np.add.at`` calls into a zero table did: the sums
-    have the same bytes.
-    """
+def _add_rows(table: Tensor, idx: np.ndarray, rows: np.ndarray) -> None:
+    """Add gradient ``rows`` into ``table``'s rows ``idx``, each element one
+    row at a time from 0.0 in backward order: the bytes of ``np.add.at``
+    calls into a zero table."""
     d = table.shape[1]
-    if table.rows_of is None or table.rows_of[0] is not gathered:  # first rows from this tape
-        slot = None  # id -> row of a row-sparse gradient
-        if table.grad is None:
-            seen = np.zeros(len(table.data), dtype=bool)
-            seen[np.concatenate([i.reshape(-1) for i in gathered])] = True
-            table.grad_ids = np.flatnonzero(seen)
-            table.grad = np.zeros((table.grad_ids.size, d))
-            slot = np.empty(len(table.data), dtype=np.int64)
-            slot[table.grad_ids] = np.arange(table.grad_ids.size)
-        elif table.grad_ids is not None:  # another tape's rows: go dense
-            table.grad, table.grad_ids = table.dense_grad(), None
-        table.rows_of = (gathered, slot)
-    at = idx.reshape(-1)
-    if table.grad_ids is not None:
-        at = table.rows_of[1][at]
+    at = idx.reshape(-1) if table.grad_ids is None else table.slot[idx.reshape(-1)]
     np.add.at(table.grad.reshape(-1), (at[:, None] * d + np.arange(d)).reshape(-1),
               rows.reshape(-1))
 
@@ -283,9 +264,10 @@ class Tape:
     def __init__(self):
         # (output, backward closure over saved activations)
         self.nodes: list[tuple[Tensor, object]] = []
-        # the ids each tensor's gathers read; a gather's backward holds its
-        # table's list, not the tape, so no reference cycle keeps a tape alive
+        # the ids each tensor's gathers read, for backward; gather closures
+        # hold only their operands and ids, so no cycle keeps a tape alive
         self.gathered: dict[Tensor, list[np.ndarray]] = {}
+        self.swept = False  # set by backward: a second sweep would add every gradient again
 
     def _node(self, data, backward_fn) -> Tensor:
         """Wrap an op's result and record it with its backward."""
@@ -303,19 +285,18 @@ class Tape:
         """``Eager.gather``; the backward pass adds the output's gradient to
         the gathered rows' (``_add_rows``)."""
         idx = np.asarray(ids, dtype=np.int64)
-        (gathered := self.gathered.setdefault(table, [])).append(idx)
-        return self._node(EAGER.gather(table.data, idx),
-                          lambda g: _add_rows(table, idx, g, gathered))
+        self.gathered.setdefault(table, []).append(idx)
+        return self._node(EAGER.gather(table.data, idx), lambda g: _add_rows(table, idx, g))
 
     def gather_l1(self, table: Tensor, ids, q: Tensor) -> Tensor:
         """``Eager.gather_l1``; the table's gradient rows are added as
         ``gather``'s."""
         idx = np.asarray(ids, dtype=np.int64)
-        (gathered := self.gathered.setdefault(table, [])).append(idx)
+        self.gathered.setdefault(table, []).append(idx)
 
         def backward(g):
             s = g[..., None] * np.sign(table.data[idx] - q.data[..., None, :])
-            _add_rows(table, idx, s, gathered)
+            _add_rows(table, idx, s)
             _accumulate(q, -s.sum(axis=-2))
 
         return self._node(EAGER.gather_l1(table.data, idx, q.data), backward)
@@ -445,13 +426,26 @@ def backward(tape: Tape, loss: Tensor) -> None:
     end up with the sum of the branch gradients. Caller is responsible for
     zeroing parameter gradients between optimization steps.
 
-    A tensor that only gathers read keeps a row-sparse gradient; a tape
-    output's goes dense when the sweep reaches its node.
+    Before the sweep, a tensor the tape gathered gets a zero row-sparse
+    gradient over the ids gathered if it has none, or goes dense if it holds
+    an earlier tape's rows; a dense read or its own node makes it dense too.
+    A swept tape raises ``EmptyTapeError``.
     """
     if not tape.nodes:
         raise EmptyTapeError("backward called before any forward op")
+    if tape.swept:
+        raise EmptyTapeError("backward already swept this tape")
     if loss.data.shape != ():
         raise OpShapeError("backward", loss.data.shape)
+    tape.swept = True
+    for table, ids in tape.gathered.items():
+        if table.grad is None:
+            seen = np.zeros(len(table.data), dtype=bool)
+            seen[np.concatenate([i.reshape(-1) for i in ids])] = True
+            table.grad_ids, table.slot = np.flatnonzero(seen), np.cumsum(seen) - 1
+            table.grad = np.zeros((table.grad_ids.size, table.shape[1]))
+        elif table.grad_ids is not None:  # an earlier tape's rows
+            table.grad, table.grad_ids = table.dense_grad(), None
     loss.grad = np.ones_like(loss.data)
     for out, backward_fn in reversed(tape.nodes):
         if out.grad is not None:

@@ -140,6 +140,22 @@ def test_backward_on_empty_tape():
         backward(Tape(), Tensor(np.array(0.0)))
 
 
+def test_backward_refuses_swept_tape():
+    """A second sweep of one tape would add every node's gradient again: it
+    raises and leaves the first pass's gradients as they were."""
+    tape = Tape()
+    x, w = Tensor(np.array([0.3, -1.2, 2.0])), Tensor(np.array([1.5, 0.5, -0.7]))
+    h = tape.scale_shift(x, 2.0, 0.1)
+    m = tape.elementwise_mul(h, w)
+    p = tape.sigmoid(m)
+    loss = tape.bce_loss(p, Tensor(np.array([1.0, 0.0, 1.0])))
+    backward(tape, loss)
+    first = [t.grad.tobytes() for t in (x, w, h, m, p, loss)]
+    with pytest.raises(EmptyTapeError, match="swept"):
+        backward(tape, loss)
+    assert [t.grad.tobytes() for t in (x, w, h, m, p, loss)] == first
+
+
 def test_backward_requires_scalar():
     tape = Tape()
     x = Tensor(np.ones(3))
@@ -496,6 +512,119 @@ def test_deferred_row_reduction_matches_add_at_chain():
     np.testing.assert_array_equal(table.grad_ids, np.arange(8))
     assert table.grad.shape == (8, 5)
     assert table.dense_grad().tobytes() == expected.tobytes()
+
+
+def _sweep(tape, outs, rng):
+    """``backward`` through a last node that gives each of ``outs`` a
+    ``_signed_magnitudes`` gradient; returns those gradients."""
+    grads = [_signed_magnitudes(rng, out.shape) for out in outs]
+
+    def feed(g):
+        for out, grad in zip(outs, grads):
+            out.grad = grad
+
+    backward(tape, tape._node(np.float64(0.0), feed))
+    return grads
+
+
+_MANY = np.random.default_rng(2).integers(0, 6, size=(2, 60))  # ids 0-5, repeated
+
+
+@pytest.mark.parametrize("tapes", [
+    [[("gather", _MANY[0]), ("gather", [0, 3, 5, 5])],
+     [("gather", [3, 0, 3, 5]), ("l1", [[3, 0], [3, 5]])]],
+    [[("gather", _MANY[0]), ("gather", [0, 3, 5, 5])],
+     [("gather", [6, 7, 7]), ("l1", [[6, 7], [7, 7]])]],
+    [[("dense", None), ("gather", _MANY[0]), ("gather", _MANY[1])]],
+    [[("gather", _MANY[0]), ("gather", _MANY[1]), ("dense", None)]],
+    [[("dense", None), ("gather", _MANY[0]), ("l1", _MANY[1].reshape(2, 30)),
+      ("dense", None)]],
+], ids=["two-tapes-overlapping", "two-tapes-disjoint", "dense-read-first",
+        "dense-read-last", "dense-reads-around"])
+def test_mixed_table_gradient_matches_add_at_chain(tapes):
+    """A table whose row-sparse gradient goes dense, because a second tape
+    adds to it without zeroing or because a dense op also reads it, has the
+    bytes of every contribution applied to a zero table in sweep order,
+    tape after tape."""
+    rng = np.random.default_rng(5)
+    table = Tensor(rng.standard_normal((8, 4)))
+    q = Tensor(rng.standard_normal((2, 4)))
+    expected = np.zeros_like(table.data)
+    for reads in tapes:
+        tape = Tape()
+        record = {"gather": lambda i: tape.gather(table, i),
+                  "l1": lambda i: tape.gather_l1(table, i, q),
+                  "dense": lambda i: tape.scale_shift(table, 1.0, 0.0)}
+        grads = _sweep(tape, [record[kind](ids) for kind, ids in reads], rng)
+        for (kind, ids), g in reversed(list(zip(reads, grads))):
+            if kind == "dense":
+                expected += g
+            elif kind == "l1":
+                ids = np.asarray(ids)
+                np.add.at(expected, ids,
+                          g[..., None] * np.sign(table.data[ids] - q.data[:, None, :]))
+            else:
+                np.add.at(expected, np.asarray(ids), g)
+    assert table.grad_ids is None
+    assert table.dense_grad().tobytes() == expected.tobytes()
+
+
+def test_gathered_tape_output_matches_add_at_chain():
+    """A tape output that only gathers read goes dense at its node with the
+    bytes of its gathers' ``np.add.at`` chain, and passes them on."""
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((6, 3)))
+    tape = Tape()
+    h = tape.scale_shift(x, 1.0, 0.0)
+    grads = _sweep(tape, [tape.gather(h, ids) for ids in _MANY], rng)
+    expected = np.zeros_like(x.data)
+    for ids, g in reversed(list(zip(_MANY, grads))):
+        np.add.at(expected, ids, g)
+    assert h.grad_ids is None and h.grad.tobytes() == expected.tobytes()
+    assert x.dense_grad().tobytes() == expected.tobytes()
+
+
+def test_table_gathered_without_gradient_matches_dense_adam():
+    """A table gathered on a tape whose gathers reach no loss ends the pass
+    with an all-zero row-sparse gradient over the ids gathered; Adam then
+    moves those rows as dense Adam does a zero gradient's, ``p - (+0.0)``,
+    over steps with and without rows that do get a gradient."""
+    rng = np.random.default_rng(23)
+    init = {"table": rng.standard_normal((10, 3)), "x": rng.standard_normal(3)}
+    init["table"][[0, 4]] = 0.0
+    init["table"][[1, 5]] = -0.0
+    ours = {name: Tensor(a.copy()) for name, a in init.items()}
+    ref = {name: Tensor(a.copy()) for name, a in init.items()}
+    state = AdamState(ours, lr=0.05)
+    m = {name: np.zeros_like(a) for name, a in init.items()}
+    v = {name: np.zeros_like(a) for name, a in init.items()}
+    idle = [[0, 1, 2], [4, 5, 1], [0, 5, 3, 3], [2, 4]]
+    for t, ids in enumerate(idle, start=1):
+        for params in (ours, ref):
+            for p in params.values():
+                p.zero_grad()
+            tape = Tape()
+            tape.gather(params["table"], ids)
+            loss = reduce_sum(tape, tape.scale_shift(params["x"], 1.5, 0.0))
+            if t % 2:  # odd steps: rows 7-9 reach the loss
+                live = reduce_sum(tape, tape.gather(params["table"], [7 + t % 3, 9]))
+                loss = tape.add(loss, live)
+            backward(tape, loss)
+        table = ours["table"]
+        if t % 2 == 0:
+            np.testing.assert_array_equal(table.grad_ids, np.unique(ids))
+            assert not table.grad.any()
+        adam_step(ours, state)
+        _reference_adam_step(ref, m, v, t, 0.05)
+        for name in init:
+            assert ours[name].data.tobytes() == ref[name].data.tobytes(), (t, name)
+            n, seen = state.seen[name], state.rows[name]
+            for ours_moment, ref_moment in ((state.m[name], m[name]), (state.v[name], v[name])):
+                got = ours_moment
+                if seen is not ...:
+                    got = np.zeros_like(ref_moment)
+                    got[seen[:n]] = ours_moment[:n]
+                assert got.tobytes() == ref_moment.tobytes(), (t, name)
 
 
 def test_seen_row_adam_matches_dense_kernel():
