@@ -203,15 +203,15 @@ def _ground(kg: KnowledgeGraph, skel: tuple, target: int, rng: random.Random,
                      else _pick_other_target(kg, target, rng))
             branches.append(_ground(kg, child, other, rng, False))
         return Or(tuple(branches))
-    pairs = kg.in_edges(target)
+    span = kg.in_span(target)
     n = 1 if kind == "p" else len(skel[1])
-    if len(pairs) < n:
-        raise SamplingError(f"entity {target} needs {n} in-edges, has {len(pairs)}")
+    if len(span) < n:
+        raise SamplingError(f"entity {target} needs {n} in-edges, has {len(span)}")
     if kind == "p":
-        rel, head = pairs[rng.randrange(len(pairs))]
+        rel, head = kg.in_edge(span[rng.randrange(len(span))])
         return Project(rel, _ground(kg, skel[1], head, rng, False))
-    return And(tuple(Project(rel, _ground(kg, child[1], head, rng, False))
-                     for child, (rel, head) in zip(skel[1], rng.sample(pairs, n))))
+    return And(tuple(Project(rel, _ground(kg, child[1], head, rng, False)) for child, (rel, head)
+                     in zip(skel[1], map(kg.in_edge, rng.sample(span, n)))))
 
 
 def sample_requirement(
@@ -236,7 +236,7 @@ def _likers(kg: KnowledgeGraph, items: frozenset[int]) -> list[int]:
     """Users with an interaction edge into any of ``items``, ascending. For
     a requirement's answers these are exactly the users whose joint answer
     set is nonempty."""
-    return sorted({h for _, run in kg.in_runs(items, kg.like_rel) for _, h in run})
+    return sorted({h for _, heads in kg.in_runs(items, kg.like_rel) for h in heads})
 
 
 def sample_instance(

@@ -3,11 +3,13 @@
 A graph is one ``(n, 3)`` int64 array of ``(head, relation, tail)`` ids over
 dense integer vocabularies, with a designated interaction relation linking
 users to items; its traversal indices are built from that array with numpy
-sorts, some on first use. Graphs are immutable and safe to share across threads.
+sorts: tail sets by ``(head, relation)`` and, on first use, the in-edges as
+flat sequences by tail. Graphs are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import random
@@ -88,25 +90,15 @@ class Vocab:
                                        for name in self.names)).hexdigest()
 
 
-def _own(ids: np.ndarray, own: list[int]) -> list[int]:
-    """``ids`` as the int objects of ``own``, a vocabulary's ids by id."""
-    return list(map(own.__getitem__, ids.tolist()))
-
-
-def _runs(sorted_key: np.ndarray, values: list) -> tuple[list[int], Iterator[list]]:
-    """Start offsets of the runs of equal ``sorted_key``, and each run's ``values``."""
-    cut = (np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1).tolist()
-    starts = [0] + cut
-    return starts, map(values.__getitem__, map(slice, starts, cut + [len(values)]))
-
-
 class KnowledgeGraph:
     """Immutable triple store: ``array`` holds the distinct ``(head, rel,
     tail)`` rows (first occurrences, in input order) as ``(n, 3)`` int64 and
-    ``out_index`` maps ``(head, rel)`` to its tails; ``in_adj`` and the
-    ``Triple`` view ``triples`` are built on first use. Every id in them is
-    the vocabulary's own int object. Each ``like_rel`` triple runs from one
-    of ``users`` to one of ``items``."""
+    ``out_index`` maps ``(head, rel)`` to its tails. Built on first use: the
+    ``Triple`` view ``triples``, and the in-edges sorted by ``(tail, rel,
+    head)`` as per-entity offsets, relations and heads, which ``in_span``,
+    ``in_edge`` and ``in_runs`` read. Every id in them is the vocabulary's
+    own int object. Each ``like_rel`` triple runs from one of ``users`` to
+    one of ``items``."""
 
     def __init__(self, entity_vocab: Vocab, relation_vocab: Vocab, triples,
                  items: frozenset[int], users: frozenset[int], like_rel: int):
@@ -138,20 +130,22 @@ class KnowledgeGraph:
             rows = rows[np.sort(first)]
         rows.flags.writeable = False
         self.array = rows
-        # Indices map numpy output through the vocabularies' own id objects,
-        # so set lookups hit on identity before comparing ints.
+        # Indices map numpy ids through object arrays of the vocabularies' own
+        # id objects, so set lookups hit on identity before comparing ints.
         self._ents, self._rels = ents, rels = [
-            list(map(v.index.__getitem__, v.names)) for v in (entity_vocab, relation_vocab)]
+            np.array(list(map(v.index.__getitem__, v.names)), dtype=object)
+            for v in (entity_vocab, relation_vocab)]
 
         # A stable sort fills each tail set in triple order. Freezing a set, not a
         # list, sizes the table to fit (a list's can be 2x sparser, slower to scan).
         h, r, t = rows.T
         key = h * n_rel + r
         order = np.argsort(key, kind="stable")
-        starts, runs = _runs(key[order], _own(t[order], ents))
-        first = order[starts]
+        starts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist()]
+        tails, first = ents[t[order]].tolist(), order[starts]
+        runs = map(tails.__getitem__, map(slice, starts, starts[1:] + [len(tails)]))
         self.out_index: dict[tuple[int, int], frozenset[int]] = dict(zip(
-            zip(_own(h[first], ents), _own(r[first], rels)), map(frozenset, map(set, runs))))
+            zip(ents[h[first]].tolist(), rels[r[first]].tolist()), map(frozenset, map(set, runs))))
 
     @property
     def n_entities(self) -> int:
@@ -165,17 +159,23 @@ class KnowledgeGraph:
         """Exact tail set of ``(e, r, *)`` edges; empty when there are none."""
         return self.out_index.get((e, r), frozenset())
 
-    def in_edges(self, t: int) -> tuple[tuple[int, int], ...]:
-        """Distinct ``(rel, head)`` pairs with an edge into ``t``, sorted."""
-        return self.in_adj.get(t, ())
+    def in_span(self, t: int) -> range:
+        """Positions of ``t``'s in-edges, sorted by ``(rel, head)``, for ``in_edge``."""
+        off = self._in_index[0]
+        return range(off[t], off[t + 1])
 
-    def in_runs(self, targets: Iterable[int], rel: int) -> Iterator[tuple[int, tuple]]:
-        """``(t, pairs)`` for each ``t`` of ``targets`` in turn: the run of its
-        ``in_edges`` of relation ``rel``, found by bisection."""
-        adj, lo, hi = self.in_adj, (rel,), (rel + 1,)
+    def in_edge(self, i: int) -> tuple[int, int]:
+        """``(rel, head)`` of the in-edge at position ``i`` of an ``in_span``."""
+        _, rels, heads = self._in_index
+        return rels[i], heads[i]
+
+    def in_runs(self, targets: Iterable[int], rel: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """``(t, heads)`` for each ``t`` of ``targets`` in turn: the heads of
+        its in-edges of relation ``rel``, ascending, found by bisection."""
+        off, rels, heads = self._in_index
         for t in targets:
-            pairs = adj.get(t, ())
-            yield t, pairs[bisect_left(pairs, lo):bisect_left(pairs, hi)]
+            lo, hi = off[t], off[t + 1]
+            yield t, heads[bisect_left(rels, rel, lo, hi):bisect_left(rels, rel + 1, lo, hi)]
 
     def sorted_items(self) -> tuple[int, ...]:
         """Item ids in ascending order, sorted once at construction."""
@@ -184,8 +184,8 @@ class KnowledgeGraph:
     def triples_of(self, rows: np.ndarray) -> tuple[Triple, ...]:
         """``(n, 3)`` id rows of this graph's vocabularies as ``Triple``s."""
         h, r, t = np.asarray(rows).reshape(-1, 3).T
-        return tuple(map(Triple, _own(h, self._ents), _own(r, self._rels),
-                         _own(t, self._ents)))
+        return tuple(map(Triple, self._ents[h].tolist(), self._rels[r].tolist(),
+                         self._ents[t].tolist()))
 
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
@@ -194,27 +194,29 @@ class KnowledgeGraph:
     # Built on first use: backward sampling's index and its ascending pools of
     # seed items and targets. The oracle reads ``in_runs`` when a projection
     # checks its candidates' in-edges, so the ``answer`` REPL builds it on its
-    # first such line: 33 ms for the 78,090-triple train graph at 10,000
-    # items (2-vCPU x86-64 VM).
+    # first such line: 6-8 ms for the 78,090-triple train graph at 10,000
+    # items (2-vCPU x86-64 VM), including a young collection that untracks
+    # its tuples of ints, a 1-3 ms scan that otherwise fell on a later line.
 
     @cached_property
-    def in_adj(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """(rel, head) pairs pointing at each tail, sorted so backward query
-        sampling is deterministic and one relation's pairs are a run that
-        ``in_runs`` finds; the tails are keyed in ascending order."""
+    def _in_index(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``(off, rels, heads)``: the edges sorted by ``(tail, rel, head)``,
+        with the in-edges of ``t`` at positions ``off[t]:off[t + 1]``."""
         h, r, t = self.array.T
         order = np.argsort((t * self.n_relations + r) * self.n_entities + h)
-        pairs = list(zip(_own(r[order], self._rels), _own(h[order], self._ents)))
-        starts, runs = _runs(t[order], pairs)
-        return dict(zip(_own(t[order[starts]], self._ents), map(tuple, runs)))
+        off = np.searchsorted(t[order], np.arange(self.n_entities + 1))
+        index = (tuple(off.tolist()), tuple(self._rels[r[order]].tolist()),
+                 tuple(self._ents[h[order]].tolist()))
+        gc.collect(0)
+        return index
 
     @cached_property
     def seed_items(self) -> tuple[int, ...]:
-        return tuple(i for i in self.sorted_items() if i in self.in_adj)
+        return tuple(filter(set(self.in_edge_targets).__contains__, self.sorted_items()))
 
     @cached_property
     def in_edge_targets(self) -> tuple[int, ...]:
-        return tuple(self.in_adj)
+        return tuple(self._ents[np.flatnonzero(np.diff(self._in_index[0]))].tolist())
 
 
 def _name_fault(name: str) -> str | None:

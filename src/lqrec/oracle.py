@@ -41,13 +41,11 @@ def _project(kg: KnowledgeGraph, rel: int, base: frozenset[int],
     if within is not None and len(within) < len(base):
         # Keep each candidate with an in-edge of ``rel`` from ``base``.
         out = []
-        for c, run in kg.in_runs(within, rel):
-            for _, h in run:
-                if h in base:
-                    out.append(c)
-                    break
-            if cap is not None and len(out) > cap:
-                return None
+        for c, heads in kg.in_runs(within, rel):
+            if not base.isdisjoint(heads):
+                out.append(c)
+                if cap is not None and len(out) > cap:
+                    return None
         return frozenset(out)
     acc: set[int] = set()
     tails, none = kg.out_index.get, frozenset()

@@ -18,6 +18,11 @@ TINY_ROWS = [
 ]
 
 
+def in_edges(kg, t):
+    """Distinct ``(rel, head)`` pairs with an edge into ``t``, sorted."""
+    return tuple(map(kg.in_edge, kg.in_span(t)))
+
+
 @pytest.fixture
 def tiny_kg():
     return graph_from_names(

@@ -30,6 +30,7 @@ from lqrec.kg import graph_from_names
 from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
 from lqrec.query import (ALL_SHAPES, ZERO_SHOT_SHAPES, And, QueryShape, classify_shape,
                          parse_query, serialize_query)
+from lqrec.synth import clustered_world
 from lqrec.training import TrainConfig
 
 from source_checks import literal_comparisons
@@ -211,6 +212,21 @@ def test_likers_are_the_users_with_joint_answers(world_split, graph):
         assert _likers(kg, oracle.answer_requirement(kg, q)) == want, q
         sizes.append(len(want))
     assert 0 in sizes and any(0 < n < len(kg.users) for n in sizes)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_likers_match_a_scan_of_the_interaction_triples(seed):
+    # Random sets of items, and of any entities, of every size from empty
+    # to the whole catalog, against a scan of every interaction triple.
+    kg = clustered_world(seed=seed)
+    likes = [(t.head, t.tail) for t in kg.triples if t.rel == kg.like_rel]
+    rng = random.Random(seed)
+    for pool in (kg.sorted_items(), range(kg.n_entities)):
+        for n in (0, 1, 5, 50, len(pool)):
+            for _ in range(10):
+                chosen = frozenset(rng.sample(pool, n))
+                want = sorted({u for u, item in likes if item in chosen})
+                assert _likers(kg, chosen) == want, (seed, n)
 
 
 def test_sampled_user_covers_exactly_the_qualifying_users(world_split, monkeypatch):

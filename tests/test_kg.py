@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import random
@@ -23,6 +24,7 @@ from lqrec.kg import (
 )
 from lqrec.synth import clustered_world, random_graph
 
+from conftest import in_edges
 from source_checks import attribute_accesses
 
 
@@ -93,25 +95,44 @@ def test_neighbors_out_empty(tiny_kg):
 def test_index_consistency(world):
     for t in world.triples:
         assert t.tail in world.out_index[(t.head, t.rel)]
-        assert (t.rel, t.head) in world.in_edges(t.tail)
+        assert (t.rel, t.head) in in_edges(world, t.tail)
     total = sum(len(v) for v in world.out_index.values())
     assert total == len(world.triples)
-    assert sum(len(v) for v in world.in_adj.values()) == len(world.triples)
-    for tail, pairs in world.in_adj.items():
-        assert list(pairs) == sorted(set(pairs)), tail
-    assert list(world.in_adj) == sorted(world.in_adj)
     targets = range(world.n_entities)
+    assert sum(len(in_edges(world, t)) for t in targets) == len(world.triples)
+    for tail in world.in_edge_targets:
+        pairs = in_edges(world, tail)
+        assert list(pairs) == sorted(set(pairs)), tail
+    assert list(world.in_edge_targets) == sorted(world.in_edge_targets)
+    assert world.in_edge_targets == tuple(t for t in targets if in_edges(world, t))
     for rel in range(world.n_relations):
         runs = list(world.in_runs(targets, rel))
         assert [t for t, _ in runs] == list(targets)
         for t, run in runs:
-            assert run == tuple(p for p in world.in_edges(t) if p[0] == rel), (t, rel)
+            assert run == tuple(h for r, h in in_edges(world, t) if r == rel), (t, rel)
+
+
+def test_in_edge_index_leaves_no_items_for_the_collector(world):
+    # the index's tuples of ints are untracked once built, so no later
+    # collection scans its items (automatic collections are off meanwhile)
+    g = kgmod.KnowledgeGraph(world.entity_vocab, world.relation_vocab, world.array,
+                             world.items, world.users, world.like_rel)
+    assert "_in_index" not in vars(g)
+    gc.disable()
+    try:
+        list(g.in_runs([0], 0))
+        index = g._in_index
+    finally:
+        gc.enable()
+    assert [type(part) for part in index] == [tuple] * 3
+    assert not any(map(gc.is_tracked, index))
 
 
 def test_only_the_graph_reads_its_in_edge_index():
-    # the layout of ``in_adj`` is kg's decision: other modules read in-edges
-    # through ``KnowledgeGraph.in_edges`` and ``in_runs``
-    assert [at for at in attribute_accesses("in_adj") if not at.startswith("kg.py:")] == []
+    # the layout of the in-edge index is kg's decision: other modules read
+    # in-edges through ``KnowledgeGraph.in_span``, ``in_edge`` and ``in_runs``
+    assert [at for at in attribute_accesses("_in_index") if not at.startswith("kg.py:")] == []
+    assert "in_adj" not in vars(kgmod.KnowledgeGraph) and attribute_accesses("in_adj") == []
 
 
 def test_duplicate_triples_dropped():

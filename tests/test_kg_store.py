@@ -3,7 +3,7 @@
 ``RefGraph``, ``ref_*`` and the line parsers below are the former
 constructor, name->id assignment, edge split, split loader and parsers, kept
 here only as the reference. The new store must give the same triples,
-vocabularies, adjacency (including the order of ``in_adj``), sampling pools
+vocabularies, adjacency (including the order of the in-edges), sampling pools
 and parse errors, and hold the vocabulary's own int objects in its indices.
 """
 
@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from conftest import TINY_ROWS
+from conftest import TINY_ROWS, in_edges
 from lqrec import kg, synth
 from lqrec.cli import main
 from lqrec.kg import (GraphFormatError, SplitInfeasibleError, Triple, Vocab,
@@ -206,9 +206,11 @@ def assert_same_graph(new, ref):
         got, want = new.neighbors_out(head, rel), ref.neighbors_out(head, rel)
         # equal sets with the same table: same iteration order and size
         assert list(got) == list(want) and sys.getsizeof(got) == sys.getsizeof(want)
-    assert list(new.in_adj) == list(ref.in_adj)
+    # the in-edge spans of ascending entity ids tile the sorted edges
+    assert [i for e in range(ref.n_entities) for i in new.in_span(e)] == list(
+        range(len(ref.triples)))
     for e in range(ref.n_entities):
-        assert new.in_edges(e) == ref.in_edges(e)
+        assert in_edges(new, e) == ref.in_edges(e)
     assert new.seed_items == ref.seed_items
     assert new.in_edge_targets == ref.in_edge_targets
     # every id in the indices is the vocabulary's own int object
@@ -216,10 +218,12 @@ def assert_same_graph(new, ref):
     for (head, rel), tails in new.out_index.items():
         assert head is ev.index[ev.names[head]] and rel is rv.index[rv.names[rel]]
         assert all(t is ev.index[ev.names[t]] for t in tails)
-    for tail, pairs in new.in_adj.items():
+    for tail in new.in_edge_targets:
         assert tail is ev.index[ev.names[tail]]
         assert all(r is rv.index[rv.names[r]] and h is ev.index[ev.names[h]]
-                   for r, h in pairs)
+                   for r, h in in_edges(new, tail))
+        assert all(h is ev.index[ev.names[h]] for _, heads in
+                   new.in_runs([tail], in_edges(new, tail)[0][0]) for h in heads)
 
 
 # --- differential tests -----------------------------------------------------
@@ -230,6 +234,44 @@ def test_graph_matches_reference(named_input):
     rows = rows + rows[: len(rows) // 3]  # duplicates keep first occurrences
     args = (named_input["items"], named_input["users"], named_input["like"])
     assert_same_graph(graph_from_names(rows, *args), ref_from_names(rows, *args))
+
+
+def test_ids_past_the_small_int_cache_match_reference():
+    # Ids above 256 are distinct int objects, so the vocabulary's own ones
+    # can only come from mapping through it: 301 relations and entities.
+    rows = [(f"e{j}", f"r{j}", f"e{j + 1}") for j in range(300)] + [("u", "likes", "e0")]
+    args = (rows, ["e0"], ["u"], "likes")
+    assert_same_graph(graph_from_names(*args), ref_from_names(*args))
+
+
+# Graphs whose lowest and highest entity ids have no in-edges or have some.
+# Entity 0 is the first name to appear; "spare" adds a highest id no triple
+# names.
+BOUNDARY_ROWS = {
+    "ends-only-heads": [("a", "r", "b"), ("b", "s", "c"), ("u", "likes", "c"),
+                        ("a", "s", "c"), ("w", "r", "b")],
+    "ends-are-tails": [("c", "r", "a"), ("a", "s", "c"), ("u", "likes", "c"),
+                       ("a", "r", "z"), ("z", "s", "a")],
+}
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("name", sorted(BOUNDARY_ROWS))
+def test_in_edges_at_the_id_boundaries(name, spare):
+    g = graph_from_names(BOUNDARY_ROWS[name], ["c"], ["u"], "likes")
+    ev = Vocab(g.entity_vocab.names + ["spare"] * spare)
+    args = (ev, g.relation_vocab, g.array.tolist(), g.items, g.users, g.like_rel)
+    new, ref = kg.KnowledgeGraph(*args), RefGraph(*args)
+    ends_empty = name == "ends-only-heads"
+    assert ((not ref.in_edges(0), not ref.in_edges(len(ev) - 1))
+            == (ends_empty, ends_empty or spare))
+    for e in range(len(ev)):
+        assert in_edges(new, e) == ref.in_edges(e), e
+        for rel in range(len(g.relation_vocab)):
+            want = tuple(h for r, h in ref.in_edges(e) if r == rel)
+            assert list(new.in_runs([e], rel)) == [(e, want)], (e, rel)
+    assert new.in_edge_targets == ref.in_edge_targets
+    assert new.seed_items == ref.seed_items
 
 
 @pytest.mark.parametrize("fraction,seed", [(0.05, 1), (0.2, 7)])

@@ -344,16 +344,28 @@ class CountingDict(dict):
         return super().get(*args)
 
 
+class CountingRuns:
+    """``kg.in_runs`` that counts the in-edge runs it hands out."""
+
+    def __init__(self, in_runs):
+        self.in_runs, self.gets = in_runs, 0
+
+    def __call__(self, targets, rel):
+        for run in self.in_runs(targets, rel):
+            self.gets += 1
+            yield run
+
+
 def count_index_reads(kg, monkeypatch):
-    """(in_adj, out_index) of ``kg`` replaced by counting copies."""
-    in_adj, out_index = CountingDict(kg.in_adj), CountingDict(kg.out_index)
-    monkeypatch.setitem(vars(kg), "in_adj", in_adj)
+    """(in_runs, out_index) of ``kg`` replaced by counting copies."""
+    in_runs, out_index = CountingRuns(kg.in_runs), CountingDict(kg.out_index)
+    monkeypatch.setattr(kg, "in_runs", in_runs)
     monkeypatch.setattr(kg, "out_index", out_index)
-    return in_adj, out_index
+    return in_runs, out_index
 
 
 def test_projection_runs_both_directions(cases, monkeypatch):
-    # A projection checks its candidates' in-edges (``in_adj`` reads) or
+    # A projection checks its candidates' in-edges (``in_runs`` reads) or
     # unions its base's tails (``out_index`` reads); the requirements and
     # joint answers of these cases take both ways.
     graphs = {id(kg): kg for kg, _ in cases}.values()
@@ -364,7 +376,7 @@ def test_projection_runs_both_directions(cases, monkeypatch):
     for kg, q in cases:
         for u in kg.users:
             answer_joint(kg, u, q)
-    assert sum(in_adj.gets for in_adj, _ in counters) > 0
+    assert sum(in_runs.gets for in_runs, _ in counters) > 0
 
 
 def test_cap_contract(cases):
@@ -379,6 +391,23 @@ def test_cap_contract(cases):
             assert got == (None if n > cap else answers), (q, cap)
             over += got is None
     assert over
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cap_contract_of_a_candidate_scan(seed):
+    # A projection into fewer candidates than its base checks the candidates'
+    # in-edges; with a cap, None exactly when more than cap of them qualify.
+    kg = clustered_world(seed=seed)
+    rng = random.Random(seed)
+    base = frozenset(kg.users)
+    within = frozenset(rng.sample(kg.sorted_items(), len(base) - 1))
+    answers = frozenset(c for c in within
+                        if any(c in kg.neighbors_out(u, kg.like_rel) for u in base))
+    n = len(answers)
+    assert n > 1
+    for cap in (None, 0, 1, n - 1, n, n + 1):
+        got = oracle._project(kg, kg.like_rel, base, within, cap)
+        assert got == (None if cap is not None and n > cap else answers), cap
 
 
 def test_cap_stops_a_hub_projection_early(monkeypatch):
