@@ -1,8 +1,8 @@
 """Learnable query-embedding model with multi-task knowledge sharing.
 
 Queries embed into the entity space: projections add the relation vector,
-intersections mix their operands by a learned two-branch attention, unions
-take the elementwise max. A joint query is the intersection (same network)
+intersections mix their operands by a learned per-dimension sigmoid gate,
+unions take the elementwise max. A joint query is the intersection (same network)
 of the requirement embedding and the user-preference embedding. A bank of k
 expert transforms of the joint embedding, mixed by per-task softmax gates,
 produces one embedding per task; an item's probability for a task is
@@ -12,8 +12,8 @@ The forward pass always runs on a batch of (user, requirement) pairs; a lone
 query is a batch of one. Requirements are grouped by skeleton (the query with
 its anchor and relation ids erased; the two child orders of a shape are two
 skeletons). Each group's queries are walked level by level on (B, d) tensors:
-a projection is one gather plus one add, an intersection one attention network
-on (B, 2d), a union one max. One op, ``place_rows``, puts the group outputs at
+a projection is one gather plus one add, an intersection one gate network on
+(B, 2d), a union one max. One op, ``place_rows``, puts the group outputs at
 their batch rows, and the preference, joint intersection, expert bank and
 gates then run once over the whole batch. Training, evaluation and ``answer``
 all embed through this one path: training runs it on a ``Tape``, inference on
@@ -41,7 +41,7 @@ from .kg import KnowledgeGraph
 from .oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .query import Anchor, And, Project, QueryNode, skeleton
 
-CHECKPOINT_FORMAT = "lqrec-checkpoint-v1"
+CHECKPOINT_FORMAT = "lqrec-checkpoint-v2"
 
 
 def model_variant(name: str) -> str:
@@ -56,14 +56,14 @@ def param_shapes(d: int, k: int, n_entities: int, n_relations: int) -> dict[str,
 
     Affine weights carry their bias as the last row. The intersection network
     maps the 2d concatenation of two operands through a d-wide relu layer to
-    2d logits, one d-vector of attention logits per operand. Experts are relu
+    d gate logits, one per dimension. Experts are relu
     affines over the joint embedding; gates are softmax affines, one per task.
     """
     shapes = {
         "entity_emb": (n_entities, d),
         "relation_emb": (n_relations, d),
         "inter_w1": (2 * d + 1, d),
-        "inter_w2": (d + 1, 2 * d),
+        "inter_w2": (d + 1, d),
     }
     for s in range(k):
         shapes[f"expert_{s}"] = (d + 1, d)
@@ -191,21 +191,17 @@ def embed_projection(ex: Tape | Eager, params: ModelParams, base: Value, rel) ->
 
 
 def embed_intersection(ex: Tape | Eager, params: ModelParams, q1: Value, q2: Value) -> Value:
-    """Attention-weighted mix of the two operands.
+    """Per-dimension convex mix of the two operands.
 
-    The attention network produces one logit vector per operand; weights are
-    normalized per dimension across the two branches (a two-way softmax,
-    computed as sigmoids of the logit difference), so the output is a
-    per-dimension convex combination of the operands. With all-zero
-    parameters the weights are exactly 0.5/0.5.
+    The gate network maps the operand pair to one logit per dimension; its
+    sigmoid ``w`` weighs ``q1`` and ``1 - w`` weighs ``q2``, computed as
+    ``q2 + w * (q1 - q2)``. With all-zero parameters ``w`` is exactly 0.5, so
+    the output is the mean of the operands up to rounding.
     """
     x = ex.concat_last_dim(q1, q2)
     hidden = ex.relu(ex.affine(ex.param(params.inter_w1), x))
-    logits = ex.affine(ex.param(params.inter_w2), hidden)
-    l1, l2 = ex.split_halves(logits)
-    w1 = ex.sigmoid(ex.sub(l1, l2))
-    w2 = ex.sigmoid(ex.sub(l2, l1))
-    return ex.add(ex.elementwise_mul(w1, q1), ex.elementwise_mul(w2, q2))
+    w = ex.sigmoid(ex.affine(ex.param(params.inter_w2), hidden))
+    return ex.add(q2, ex.elementwise_mul(w, ex.sub(q1, q2)))
 
 
 def embed_union(ex: Tape | Eager, q1: Value, q2: Value) -> Value:

@@ -338,10 +338,9 @@ def test_criterion_6_operator_invariants(gen_split):
 
         x = tape.concat_last_dim(a, b)
         hidden = tape.relu(tape.affine(params.inter_w1, x))
-        l1, l2 = tape.split_halves(tape.affine(params.inter_w2, hidden))
-        w1 = tape.sigmoid(tape.sub(l1, l2)).data
-        w2 = tape.sigmoid(tape.sub(l2, l1)).data
-        if np.max(np.abs(w1 + w2 - 1.0)) > 1e-12:
+        w = tape.sigmoid(tape.affine(params.inter_w2, hidden)).data
+        if (not np.all((w >= 0.0) & (w <= 1.0))
+                or np.max(np.abs(inter - (w * a.data + (1.0 - w) * b.data))) > 1e-12):
             failures.append("branch weight normalization")
         g = tape.softmax_last_dim(tape.affine(params.gate_joint, a)).data
         if abs(g.sum() - 1.0) > 1e-12:

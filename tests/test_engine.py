@@ -1,5 +1,6 @@
 """Differential tests: the skeleton-grouped batch against one-instance batches
-and against the id-column recursion it replaced.
+and against the id-column recursion it replaced, and the one-gate
+intersection against the two-logit form it replaced.
 
 Every instance trains every task it is given samples for, and ``compute_loss``
 averages over its batch, so the loss and every gradient of a mixed batch must
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from lqrec import model
-from lqrec.autodiff import EAGER, Tape, _accumulate, backward
+from lqrec.autodiff import EAGER, Tape, Tensor, _accumulate, backward
 from lqrec.dataset import DatasetConfig, sample_instance
 from lqrec.model import (VARIANTS, ModelParams, embed_instance, embed_intersection,
                          embed_projection, embed_union)
@@ -203,3 +204,80 @@ def test_group_walk_equals_replaced_path(world_split, mixed_instances, variant,
     want = run()
     assert got[0] == want[0] - 1  # place_rows is one node, stack and gather two
     assert got[1:] == want[1:]
+
+
+# --- the two-logit intersection, kept as the reference -------------------------
+# inter_w2 mapped the hidden layer to 2d logits, one d-vector per operand, and
+# each dimension's two weights were the sigmoids of the logits' differences.
+# They depend only on the difference of the two halves, so the one-gate form
+# with inter_w2' = inter_w2[:, :d] - inter_w2[:, d:] (bias row included)
+# computes the same function.
+
+
+def _halves(ex, x):
+    """``x``'s last axis cut in two; on a tape one node per half."""
+    half = x.shape[-1] // 2
+    if ex is EAGER:
+        return x[..., :half], x[..., half:]
+    zeros = np.zeros(x.shape[:-1] + (half,))
+    return (ex._node(x.data[..., :half],
+                     lambda g: _accumulate(x, np.concatenate([g, zeros], axis=-1))),
+            ex._node(x.data[..., half:],
+                     lambda g: _accumulate(x, np.concatenate([zeros, g], axis=-1))))
+
+
+def two_logit_intersection(inter_w2):
+    """``embed_intersection`` as it was, reading the (d + 1, 2d) ``inter_w2``."""
+
+    def embed(ex, params, q1, q2):
+        x = ex.concat_last_dim(q1, q2)
+        hidden = ex.relu(ex.affine(ex.param(params.inter_w1), x))
+        l1, l2 = _halves(ex, ex.affine(ex.param(inter_w2), hidden))
+        w1 = ex.sigmoid(ex.sub(l1, l2))
+        w2 = ex.sigmoid(ex.sub(l2, l1))
+        return ex.add(ex.elementwise_mul(w1, q1), ex.elementwise_mul(w2, q2))
+
+    return embed
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("seed", range(2))
+def test_gate_equals_two_logit_intersection(world_split, mixed_instances, variant,
+                                            seed, monkeypatch):
+    """With the old ``inter_w2`` mapped to its halves' difference, every task
+    embedding, the loss and every shared parameter's gradient agree with the
+    two-logit form within TOL; the gate's gradient is the old left half's
+    and the negated right half's."""
+    kg = world_split.train
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=seed, variant=variant)
+    d = params.d
+    rng = np.random.default_rng(40 + seed)
+    old_w2 = Tensor(rng.uniform(-1.0, 1.0, size=(d + 1, 2 * d)))
+    params.inter_w2.data[...] = old_w2.data[:, :d] - old_w2.data[:, d:]
+    users = [inst.user for inst in mixed_instances]
+    reqs = [inst.requirement for inst in mixed_instances]
+    weights = effective_task_weights(variant, (1.0, 1.0, 1.0))
+    pack = pack_answers(mixed_instances, kg.sorted_items(), weights, 5)
+    samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
+                               np.random.default_rng(seed))
+
+    def run():
+        old_w2.zero_grad()
+        embedded = embed_instance(EAGER, params, users, reqs, kg.like_rel)
+        loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)
+        return embedded, loss, grads
+
+    new_emb, new_loss, new_grads = run()
+    monkeypatch.setattr(model, "embed_intersection", two_logit_intersection(old_w2))
+    old_emb, old_loss, old_grads = run()
+    assert set(new_emb) == set(old_emb)
+    for task, emb in new_emb.items():
+        np.testing.assert_allclose(emb, old_emb[task], rtol=0, atol=TOL, err_msg=task)
+    assert abs(new_loss - old_loss) <= TOL
+    for name, g in new_grads.items():
+        if name != "inter_w2":
+            np.testing.assert_allclose(g, old_grads[name], rtol=0, atol=TOL, err_msg=name)
+    old_gate = old_w2.dense_grad()
+    assert np.abs(new_grads["inter_w2"]).max() > 1e-3
+    np.testing.assert_allclose(new_grads["inter_w2"], old_gate[:, :d], rtol=0, atol=TOL)
+    np.testing.assert_allclose(new_grads["inter_w2"], -old_gate[:, d:], rtol=0, atol=TOL)

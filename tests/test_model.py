@@ -106,18 +106,25 @@ def test_intersection_zero_params_is_mean(params):
 
 
 def test_intersection_weights_sum_to_one(params):
+    """The gate ``w`` lies in [0, 1] and the output is ``w * q1 + (1 - w) * q2``:
+    in every dimension the two operands' weights sum to one."""
     rng = np.random.default_rng(4)
+    params.inter_w2.data[...] = rng.standard_normal(params.inter_w2.shape) * 3.0
     tape = Tape()
+    gates = []
     for _ in range(20):
         q1 = make_vec(rng.standard_normal(8))
         q2 = make_vec(rng.standard_normal(8))
         x = tape.concat_last_dim(q1, q2)
         hidden = tape.relu(tape.affine(params.inter_w1, x))
-        logits = tape.affine(params.inter_w2, hidden)
-        l1, l2 = tape.split_halves(logits)
-        w1 = tape.sigmoid(tape.sub(l1, l2))
-        w2 = tape.sigmoid(tape.sub(l2, l1))
-        np.testing.assert_allclose(w1.data + w2.data, np.ones(8), atol=1e-12)
+        w = tape.sigmoid(tape.affine(params.inter_w2, hidden)).data
+        assert np.all((w >= 0.0) & (w <= 1.0))
+        out = embed_intersection(tape, params, q1, q2).data
+        np.testing.assert_allclose(out, w * q1.data + (1.0 - w) * q2.data,
+                                   rtol=0, atol=1e-12)
+        gates.append(w)
+    # the gates lean both ways, so a swapped mix would fail above
+    assert np.min(gates) < 0.1 and np.max(gates) > 0.9
 
 
 def test_intersection_convex_combination(params):
@@ -480,7 +487,7 @@ def test_init_draws_in_spec_order(world, tmp_path):
     expected = {"entity_emb": emb(world.n_entities),
                 "relation_emb": emb(world.n_relations),
                 "inter_w1": affine(2 * d, d),
-                "inter_w2": affine(d, 2 * d)}
+                "inter_w2": affine(d, d)}
     for s in range(k):
         expected[f"expert_{s}"] = affine(d, d)
     for task in ("joint", "req", "pref"):
@@ -538,6 +545,8 @@ CORRUPTIONS = {
     "header not UTF-8": lambda h, body: b"\xff\xfe\n" + body,
     "header deeply nested": lambda h, body: b"[" * 100_000 + b"\n" + body,
     "gamma infinite": lambda h, body: _with_header({**h, "gamma": math.inf}, body),
+    # the two-logit intersection's checkpoints, inter_w2 (d + 1, 2d)
+    "format v1": lambda h, body: _with_header({**h, "format": "lqrec-checkpoint-v1"}, body),
 }
 
 
