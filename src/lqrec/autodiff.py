@@ -96,13 +96,13 @@ class Tensor:
 Value = Tensor | np.ndarray
 
 
-def _accumulate(t: Tensor, g: np.ndarray, part=...) -> None:
-    """``t.grad[part] += g``, allocating a zero gradient on first use."""
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """``t.grad += g``, allocating a zero gradient on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     elif t.grad_ids is not None:
         t.grad, t.grad_ids = t.dense_grad(), None
-    t.grad[part] += g
+    t.grad += g
 
 
 def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -193,13 +193,6 @@ class Eager:
         if not arrays or any(a.ndim == 0 or a.shape[:-1] != lead for a in arrays):
             raise OpShapeError("concat_last_dim", *[a.shape for a in arrays])
         return np.concatenate(arrays, axis=-1)
-
-    def split_halves(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split the last axis into two equal halves."""
-        if x.ndim == 0 or x.shape[-1] % 2 != 0:
-            raise OpShapeError("split_halves", x.shape)
-        half = x.shape[-1] // 2
-        return x[..., :half], x[..., half:]
 
     def place_rows(self, parts: list[np.ndarray], rows) -> np.ndarray:
         """One (n, d) matrix whose rows ``rows[i]`` are the (n_i, d) part
@@ -344,13 +337,6 @@ class Tape:
 
         return self._node(EAGER.concat_last_dim(*[t.data for t in tensors]),
                           backward)
-
-    def split_halves(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """``Eager.split_halves``, one node per half."""
-        lo, hi = EAGER.split_halves(x.data)
-        half = lo.shape[-1]
-        return (self._node(lo, lambda g: _accumulate(x, g, (..., slice(None, half)))),
-                self._node(hi, lambda g: _accumulate(x, g, (..., slice(half, None)))))
 
     def place_rows(self, parts: list[Tensor], rows) -> Tensor:
         """``Eager.place_rows``; part i's gradient is rows ``rows[i]`` of the output's."""

@@ -19,6 +19,7 @@ from lqrec.autodiff import (
     adam_step,
     backward,
 )
+from source_checks import attribute_accesses
 
 
 def reduce_sum(tape, x):
@@ -275,7 +276,6 @@ def test_op_gradients_against_finite_differences(seed):
         "affine_vec": lambda t: reduce_sum(t, t.affine(w, x)),
         "affine_mat": lambda t: reduce_sum(t, t.affine(w, t.gather(table, [0, 2, 5]))),
         "concat": lambda t: reduce_sum(t, t.concat_last_dim(x, y)),
-        "split": lambda t: reduce_sum(t, t.split_halves(x)[0]),
         "mul": lambda t: reduce_sum(t, t.elementwise_mul(x, y)),
         "sub": lambda t: reduce_sum(t, t.sub(x, y)),
         "softmax": lambda t: reduce_sum(t, 
@@ -297,9 +297,6 @@ def test_op_gradients_against_finite_differences(seed):
         ),
         "concat_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.concat_last_dim(xm, ym), t.concat_last_dim(ym, xm))
-        ),
-        "split_batch": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.split_halves(xm)[1], t.split_halves(ym)[0])
         ),
         "softmax_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.softmax_last_dim(xm), ym)
@@ -379,10 +376,10 @@ def test_bce_guard_no_nan():
 
 
 def test_node_protocol():
-    """On a tape every op appends one (output, backward) node per tensor it
-    returns. ``Eager`` has the same ops but ``bce_loss``, and each gives the
-    tape's result bit for bit; ``param`` and ``const`` make leaf operands
-    and record nothing."""
+    """On a tape every op returns one tensor and appends it as one
+    (output, backward) node. ``Eager`` has the same ops but ``bce_loss``, and
+    each gives the tape's result bit for bit; ``param`` and ``const`` make
+    leaf operands and record nothing."""
     x, y = rng_tensor((4,), 1), rng_tensor((4,), 2)
     xm = rng_tensor((2, 4), 3)
     table, w = rng_tensor((6, 4), 4), rng_tensor((5, 3), 5)
@@ -397,7 +394,6 @@ def test_node_protocol():
         "elementwise_max": lambda t, v: t.elementwise_max(v(x), v(y)),
         "scale_shift": lambda t, v: t.scale_shift(v(x), 2.0, 1.0),
         "concat_last_dim": lambda t, v: t.concat_last_dim(v(xm), v(xm)),
-        "split_halves": lambda t, v: t.split_halves(v(xm)),
         "place_rows": lambda t, v: t.place_rows([v(xm), v(xm)], [[3, 0], [1, 2]]),
         "affine": lambda t, v: t.affine(v(w), v(xm)),
         "weighted_sum": lambda t, v: t.weighted_sum(v(gate), v(stack)),
@@ -411,27 +407,27 @@ def test_node_protocol():
     assert public == set(cases) | leaves
     assert {name for name in vars(Eager) if not name.startswith("_")} == (
         public - {"bce_loss"})
-    recorded = {}
     for name, op in cases.items():
         tape = Tape()
-        result = op(tape, tape.param)
-        outputs = result if isinstance(result, tuple) else (result,)
-        recorded[name] = (tape.nodes, outputs)
+        out = op(tape, tape.param)
+        assert len(tape.nodes) == 1 and tape.nodes[0][0] is out, name
+        assert callable(tape.nodes[0][1]), name
         if name != "bce_loss":
-            eager = op(EAGER, EAGER.param)
-            eager = eager if isinstance(eager, tuple) else (eager,)
-            assert [e.tobytes() for e in eager] == [
-                out.data.tobytes() for out in outputs], name
-    miscounted = [n for n, (nodes, outs) in recorded.items() if len(nodes) != len(outs)]
-    assert miscounted == []
-    for name, (nodes, outputs) in recorded.items():
-        assert [out for out, _ in nodes] == list(outputs), name
-        assert all(callable(fn) for _, fn in nodes), name
-    assert len(recorded["split_halves"][0]) == 2
+            assert op(EAGER, EAGER.param).tobytes() == out.data.tobytes(), name
     tape = Tape()
     assert tape.param(x) is x and isinstance(tape.const(x.data), Tensor)
     assert EAGER.param(x) is x.data and EAGER.const(x.data) is x.data
     assert tape.nodes == []
+
+
+def test_every_op_is_used_outside_the_engine():
+    """Each public op of ``Tape`` and ``Eager`` is accessed by name somewhere
+    in the package outside ``autodiff.py``, so an op the model stops using
+    fails here and leaves the op set."""
+    ops = {name for cls in (Tape, Eager) for name in vars(cls) if not name.startswith("_")}
+    unused = sorted(op for op in ops
+                    if all(at.startswith("autodiff.py:") for at in attribute_accesses(op)))
+    assert unused == []
 
 
 def _reference_adam_step(params, m, v, t, lr):

@@ -317,6 +317,17 @@ def test_corrupt_checkpoint_exit_code(pipeline, command, capsys):
     assert "artifact mismatch" in capsys.readouterr().err
 
 
+def test_old_checkpoint_format_exit_code(pipeline, capsys):
+    # lqrec-checkpoint-v1 held the two-logit intersection's (d + 1, 2d) inter_w2
+    head, body = pipeline["ckpt"].read_bytes().split(b"\n", 1)
+    old = pipeline["root"] / "format_v1.ckpt"
+    header = {**json.loads(head), "format": "lqrec-checkpoint-v1"}
+    old.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    assert main(["eval", "--data", str(pipeline["data"]), "--checkpoint", str(old)]) == 4
+    err = capsys.readouterr().err
+    assert "artifact mismatch" in err and str(old) in err
+
+
 @pytest.fixture(scope="module")
 def tampered_data(pipeline):
     """A copy of the dataset directory with one byte of train.tsv changed."""
