@@ -2,10 +2,10 @@
 
 Queries embed into the entity space: projections add the relation vector,
 intersections mix their operands by a learned per-dimension sigmoid gate,
-unions take the elementwise max. A joint query is the intersection (same network)
-of the requirement embedding and the user-preference embedding. A bank of k
-expert transforms of the joint embedding, mixed by per-task softmax gates,
-produces one embedding per task; an item's probability for a task is
+unions take the elementwise max. A joint query is the intersection (same
+network) of the requirement embedding and the user-preference embedding. A
+bank of k expert transforms of the joint embedding, mixed by per-task softmax
+gates, produces one embedding per task; an item's probability for a task is
 sigmoid(margin - L1(task embedding, item embedding)).
 
 The forward pass always runs on a batch of (user, requirement) pairs; a lone
@@ -56,8 +56,8 @@ def param_shapes(d: int, k: int, n_entities: int, n_relations: int) -> dict[str,
 
     Affine weights carry their bias as the last row. The intersection network
     maps the 2d concatenation of two operands through a d-wide relu layer to
-    d gate logits, one per dimension. Experts are relu
-    affines over the joint embedding; gates are softmax affines, one per task.
+    d gate logits, one per dimension. Experts are relu affines over the joint
+    embedding; gates are softmax affines, one per task.
     """
     shapes = {
         "entity_emb": (n_entities, d),
