@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_BCE_EPS = 1e-12
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -131,9 +130,9 @@ def _rowwise_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 class Eager:
-    """Every op of ``Tape`` but ``bce_loss``, under the same name, on plain
-    float64 arrays. ``param`` and ``const`` make a model parameter or a
-    constant an operand: a plain array here, a ``Tensor`` on a tape."""
+    """Every op of ``Tape`` but ``logistic_loss``, under the same name, on
+    plain float64 arrays. ``param`` and ``const`` make a model parameter or
+    a constant an operand: a plain array here, a ``Tensor`` on a tape."""
 
     def param(self, t: Tensor) -> np.ndarray:
         return t.data
@@ -386,21 +385,23 @@ class Tape:
 
         return self._node(s, backward)
 
-    def bce_loss(self, probs: Tensor, labels: Tensor) -> Tensor:
-        """Binary cross-entropy, averaged over all elements.
-
-        Probabilities are clipped to [eps, 1-eps] purely as a log() guard;
-        sigmoid outputs only reach the clip under extreme saturation.
-        """
-        if probs.shape != labels.shape or probs.data.ndim == 0:
-            raise OpShapeError("bce_loss", probs.shape, labels.shape)
-        p = np.clip(probs.data, _BCE_EPS, 1.0 - _BCE_EPS)
-        y = labels.data
-        n = p.size
-        loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n
+    def logistic_loss(self, scores: Tensor) -> Tensor:
+        """Logistic loss on logits, averaged over all elements: column 0 of
+        each row is the positive, ``softplus(-z)``, and every other column a
+        negative, ``softplus(z)``. Written as ``max(t, 0) + log1p(exp(-|t|))``,
+        it neither overflows nor warns, and a non-finite logit gives a
+        non-finite loss."""
+        if scores.data.ndim == 0 or scores.data.size == 0:
+            raise OpShapeError("logistic_loss", scores.shape)
+        t = scores.data.copy()
+        t[..., 0] = -t[..., 0]
+        n = t.size
+        loss = (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))).sum() / n
 
         def backward(g):
-            _accumulate(probs, g * (-(y / p) + (1.0 - y) / (1.0 - p)) / n)
+            grad = EAGER.sigmoid(t) * (g / n)
+            grad[..., 0] = -grad[..., 0]
+            _accumulate(scores, grad)
 
         return self._node(loss, backward)
 

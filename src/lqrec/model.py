@@ -5,8 +5,9 @@ intersections mix their operands by a learned per-dimension sigmoid gate,
 unions take the elementwise max. A joint query is the intersection (same
 network) of the requirement embedding and the user-preference embedding. A
 bank of k expert transforms of the joint embedding, mixed by per-task softmax
-gates, produces one embedding per task; an item's probability for a task is
-sigmoid(margin - L1(task embedding, item embedding)).
+gates, produces one embedding per task; an item's logit for a task is
+margin - L1(task embedding, item embedding), and its probability the
+sigmoid of that logit.
 
 The forward pass always runs on a batch of (user, requirement) pairs; a lone
 query is a batch of one. Requirements are grouped by skeleton (the query with
@@ -17,12 +18,13 @@ a projection is one gather plus one add, an intersection one gate network on
 their batch rows, and the preference, joint intersection, expert bank and
 gates then run once over the whole batch. Training, evaluation and ``answer``
 all embed through this one path: training runs it on a ``Tape``, inference on
-``autodiff.EAGER``, which records nothing. Training scores its sampled items
-by gathering their rows (``score_items``); inference ranks the whole catalog
-from a ``Catalog``, a column copy of the item table made once per ``evaluate``
-call or ``answer`` session (``catalog_scores``), for one query (an ``answer``
-line) or a block of queries (``evaluate``'s records) per call. ``VARIANTS``
-lists the full model and its ablations.
+``autodiff.EAGER``, which records nothing. Training takes the logits of its
+sampled items by gathering their rows (``score_items``); inference ranks the
+whole catalog by probability from a ``Catalog``, a column copy of the item
+table made once per ``evaluate`` call or ``answer`` session
+(``catalog_scores``), for one query (an ``answer`` line) or a block of
+queries (``evaluate``'s records) per call. ``VARIANTS`` lists the full model
+and its ablations.
 """
 
 from __future__ import annotations
@@ -330,13 +332,14 @@ def embed_instance(
 
 
 def score_items(ex: Tape | Eager, params: ModelParams, q_task: Value, ids) -> Value:
-    """sigmoid(gamma - L1 distance to each item embedding), in (0, 1).
+    """The logit gamma - L1 distance to each item embedding; its sigmoid is
+    the item's probability.
 
     ``q_task`` (d,) with ids (m,) gives (m,); ``q_task`` (B, d) with ids
     (B, m) scores row b's items against ``q_task[b]``, shape (B, m).
     """
     dist = ex.gather_l1(ex.param(params.entity_emb), ids, q_task)
-    return ex.sigmoid(ex.scale_shift(dist, -1.0, params.gamma))
+    return ex.scale_shift(dist, -1.0, params.gamma)
 
 
 # Elements (512 KB) of the largest (B, d, n_items) difference array that
@@ -361,16 +364,18 @@ class Catalog:
 
 
 def catalog_scores(catalog: Catalog, q_task: np.ndarray) -> np.ndarray:
-    """``score_items`` over the whole catalog, in catalog order: (n_items,)
-    for one (d,) query, (B, n_items) for a (B, d) block of queries.
+    """The sigmoid of ``score_items``'s logits over the whole catalog: each
+    item's probability, in catalog order. (n_items,) for one (d,) query,
+    (B, n_items) for a (B, d) block of queries.
 
     The L1 distance adds the d rows of ``|cols - q|`` one after another,
     vectorised over items, instead of summing each item's row; the scores
-    can therefore differ from ``score_items`` in the last bits, while items
-    with equal embeddings still get equal scores. When the (B, d, n_items)
-    differences fit in ``SCORE_SCRATCH`` they are formed in one go;
-    otherwise the rows stream through a (B, n_items) accumulator. Both add
-    in the same order, so a query's scores have the same bytes for every B.
+    can therefore differ from the sigmoid of ``score_items`` in the last
+    bits, while items with equal embeddings still get equal scores. When the
+    (B, d, n_items) differences fit in ``SCORE_SCRATCH`` they are formed in
+    one go; otherwise the rows stream through a (B, n_items) accumulator.
+    Both add in the same order, so a query's scores have the same bytes for
+    every B.
     A one-item catalog always goes in one go: numpy sums a single column
     pairwise, not row by row.
     """

@@ -1,9 +1,9 @@
-"""Multi-task training loop: negative sampling, BCE loss, Adam, early stop.
+"""Multi-task training loop: negative sampling, logistic loss, Adam, early stop.
 
-Each instance contributes one binary cross-entropy term per trained task
-(joint / requirement / preference: those with a positive weight), built
-from one positive and ``n_neg`` uniform negatives disjoint from that task's
-known answer set, averaged over the 1 + n_neg scores. Task terms are
+Each instance contributes one logistic-loss term per trained task (joint /
+requirement / preference: those with a positive weight), built from the
+logits of one positive and ``n_neg`` uniform negatives disjoint from that
+task's known answer set, averaged over the 1 + n_neg logits. Task terms are
 weighted and summed, then averaged over the batch. Every trained task's
 answer set must be nonempty in every instance: the sets are packed once per
 ``train`` call (``pack_answers``), which refuses an empty one, and each step
@@ -250,14 +250,14 @@ def compute_loss(
     kg: KnowledgeGraph,
     task_weights: tuple[float, float, float],
 ) -> Tensor:
-    """Weighted multi-task BCE, averaged over the batch.
+    """Weighted multi-task logistic loss, averaged over the batch.
 
     ``samples`` is ``sample_negatives``'s ``{task: ids}``, a block of every
     batch row for each task it trains. The batch embeds in one
     ``embed_instance`` call and each task scores its block in one
-    ``score_items`` call. An instance's term is the mean over its 1 + n_neg
-    scores, so a task's mean term over the batch is the block's mean, scaled
-    by the task's weight.
+    ``score_items`` call, whose logits go to one ``logistic_loss`` node. An
+    instance's term is the mean over its 1 + n_neg logits, so a task's mean
+    term over the batch is the block's mean, scaled by the task's weight.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -265,11 +265,8 @@ def compute_loss(
                               [inst.requirement for inst in batch], kg.like_rel)
     total: Tensor | None = None
     for task, ids in samples.items():
-        probs = score_items(tape, params, task_emb[task], ids)
-        labels = np.zeros(probs.shape)
-        labels[:, 0] = 1.0
-        bce = tape.bce_loss(probs, Tensor(labels))
-        term = tape.scale_shift(bce, task_weights[TASKS.index(task)], 0.0)
+        loss = tape.logistic_loss(score_items(tape, params, task_emb[task], ids))
+        term = tape.scale_shift(loss, task_weights[TASKS.index(task)], 0.0)
         total = term if total is None else tape.add(total, term)
     return total
 

@@ -86,15 +86,15 @@ def test_relu_subgradient():
 
 
 def test_sigmoid_bce_composite_gradient():
-    # d(BCE(sigmoid(z), y))/dz = p - y
-    for z0, y0 in [(0.7, 1.0), (-1.3, 0.0), (2.5, 0.0)]:
+    # the logistic loss is the BCE of sigmoid(z) against y = 1 in column 0
+    # and y = 0 elsewhere: d/dz of one element's term is sigmoid(z) - y
+    for z0 in (0.7, -1.3, 2.5):
         tape = Tape()
-        z = Tensor(np.array([z0]))
-        p = tape.sigmoid(z)
-        loss = tape.bce_loss(p, Tensor(np.array([y0])))
-        backward(tape, loss)
-        expected = 1.0 / (1.0 + np.exp(-z0)) - y0
-        np.testing.assert_allclose(z.grad, [expected], rtol=1e-12)
+        z = Tensor(np.full((2, 3), z0))
+        backward(tape, tape.logistic_loss(z))
+        p = 1.0 / (1.0 + np.exp(-z0))
+        expected = np.array([[p - 1.0, p, p]] * 2) / z.data.size
+        np.testing.assert_allclose(z.grad, expected, rtol=1e-12)
 
 
 def test_elementwise_max_forward_and_routing():
@@ -149,7 +149,7 @@ def test_backward_refuses_swept_tape():
     h = tape.scale_shift(x, 2.0, 0.1)
     m = tape.elementwise_mul(h, w)
     p = tape.sigmoid(m)
-    loss = tape.bce_loss(p, Tensor(np.array([1.0, 0.0, 1.0])))
+    loss = tape.logistic_loss(p)
     backward(tape, loss)
     first = [t.grad.tobytes() for t in (x, w, h, m, p, loss)]
     with pytest.raises(EmptyTapeError, match="swept"):
@@ -284,9 +284,7 @@ def test_op_gradients_against_finite_differences(seed):
         "weighted": lambda t: reduce_sum(t, t.weighted_sum(gate, stack)),
         "l1_vec": lambda t: reduce_sum(t, t.gather_l1(table, [1, 3], x)),
         "sigmoid": lambda t: reduce_mean(t, t.sigmoid(x)),
-        "bce": lambda t: t.bce_loss(
-            t.sigmoid(x), Tensor(np.array([1.0, 0.0, 0.0, 1.0]))
-        ),
+        "logistic": lambda t: t.logistic_loss(t.scale_shift(x, 3.0, 0.5)),
         "mean": lambda t: reduce_mean(t, t.gather(table, [0, 4])),
         "max": lambda t: reduce_sum(t, t.elementwise_max(x, y)),
         "relu": lambda t: reduce_sum(t, t.relu(x)),
@@ -307,10 +305,7 @@ def test_op_gradients_against_finite_differences(seed):
         "l1_batch": lambda t: reduce_sum(t, 
             t.gather_l1(table, [[1, 3, 3], [0, 5, 2]], xm)
         ),
-        "bce_batch": lambda t: t.bce_loss(
-            t.sigmoid(xm), Tensor(np.array([[1.0, 0.0, 0.0, 1.0],
-                                            [0.0, 1.0, 0.0, 0.0]]))
-        ),
+        "logistic_batch": lambda t: t.logistic_loss(t.scale_shift(xm, 3.0, -0.5)),
         "place_blocks": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.place_rows([ym, t.sigmoid(xm)], [[3, 0], [1, 2]]),
                               t.gather(table, [0, 1, 2, 3]))
@@ -369,22 +364,27 @@ def test_adam_deterministic():
 
 
 def test_bce_guard_no_nan():
+    # logits of +-800 give a finite loss and finite gradients; a non-finite
+    # logit gives a non-finite loss, with no warning (warnings are errors)
     tape = Tape()
-    probs = tape.sigmoid(Tensor(np.array([-800.0, 800.0])))
-    loss = tape.bce_loss(probs, Tensor(np.array([1.0, 0.0])))
-    assert np.isfinite(loss.data)
+    z = Tensor(np.array([[-800.0, 800.0], [800.0, -800.0]]))
+    loss = tape.logistic_loss(z)
+    assert float(loss.data) == 400.0
+    backward(tape, loss)
+    np.testing.assert_array_equal(z.grad, [[-0.25, 0.25], [0.0, 0.0]])
+    for bad in ([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        assert not np.isfinite(Tape().logistic_loss(Tensor(np.array(bad))).data), bad
 
 
 def test_node_protocol():
     """On a tape every op returns one tensor and appends it as one
-    (output, backward) node. ``Eager`` has the same ops but ``bce_loss``, and
-    each gives the tape's result bit for bit; ``param`` and ``const`` make
-    leaf operands and record nothing."""
+    (output, backward) node. ``Eager`` has the same ops but
+    ``logistic_loss``, and each gives the tape's result bit for bit;
+    ``param`` and ``const`` make leaf operands and record nothing."""
     x, y = rng_tensor((4,), 1), rng_tensor((4,), 2)
     xm = rng_tensor((2, 4), 3)
     table, w = rng_tensor((6, 4), 4), rng_tensor((5, 3), 5)
     gate, stack = rng_tensor((3,), 6), rng_tensor((12,), 7)
-    probs = Tensor(np.full(4, 0.25))
     cases = {
         "gather": lambda t, v: t.gather(v(table), [0, 2]),
         "gather_l1": lambda t, v: t.gather_l1(v(table), [[1, 3], [0, 5]], v(xm)),
@@ -400,19 +400,19 @@ def test_node_protocol():
         "relu": lambda t, v: t.relu(v(x)),
         "sigmoid": lambda t, v: t.sigmoid(v(x)),
         "softmax_last_dim": lambda t, v: t.softmax_last_dim(v(xm)),
-        "bce_loss": lambda t, v: t.bce_loss(probs, t.const(np.ones(4))),
+        "logistic_loss": lambda t, v: t.logistic_loss(v(xm)),
     }
     leaves = {"param", "const"}
     public = {name for name in vars(Tape) if not name.startswith("_")}
     assert public == set(cases) | leaves
     assert {name for name in vars(Eager) if not name.startswith("_")} == (
-        public - {"bce_loss"})
+        public - {"logistic_loss"})
     for name, op in cases.items():
         tape = Tape()
         out = op(tape, tape.param)
         assert len(tape.nodes) == 1 and tape.nodes[0][0] is out, name
         assert callable(tape.nodes[0][1]), name
-        if name != "bce_loss":
+        if name != "logistic_loss":
             assert op(EAGER, EAGER.param).tobytes() == out.data.tobytes(), name
     tape = Tape()
     assert tape.param(x) is x and isinstance(tape.const(x.data), Tensor)

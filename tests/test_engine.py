@@ -1,6 +1,7 @@
 """Differential tests: the skeleton-grouped batch against one-instance batches
-and against the id-column recursion it replaced, and the one-gate
-intersection against the two-logit form it replaced.
+and against the id-column recursion it replaced, the one-gate intersection
+against the two-logit form it replaced, and the logistic loss on logits
+against the clipped BCE of their sigmoids that it replaced.
 
 Every instance trains every task it is given samples for, and ``compute_loss``
 averages over its batch, so the loss and every gradient of a mixed batch must
@@ -20,7 +21,8 @@ from lqrec import model
 from lqrec.autodiff import EAGER, Tape, Tensor, _accumulate, backward
 from lqrec.dataset import DatasetConfig, sample_instance
 from lqrec.model import (VARIANTS, ModelParams, embed_instance, embed_intersection,
-                         embed_projection, embed_union)
+                         embed_projection, embed_union, score_items)
+from lqrec.oracle import TASKS
 from lqrec.query import ALL_SHAPES, Anchor, And, Or, Project, QueryShape
 from lqrec.training import (compute_loss, effective_task_weights, pack_answers,
                             sample_negatives)
@@ -52,10 +54,10 @@ def mixed_instances(world_split):
     return out
 
 
-def _loss_and_grads(batch, samples, params, kg, weights):
+def _loss_and_grads(batch, samples, params, kg, weights, loss_fn=compute_loss):
     params.zero_grads()
     tape = Tape()
-    loss = compute_loss(tape, batch, samples, params, kg, weights)
+    loss = loss_fn(tape, batch, samples, params, kg, weights)
     backward(tape, loss)
     grads = {name: t.dense_grad() for name, t in params.named().items()}
     return float(loss.data), grads
@@ -281,3 +283,86 @@ def test_gate_equals_two_logit_intersection(world_split, mixed_instances, varian
     assert np.abs(new_grads["inter_w2"]).max() > 1e-3
     np.testing.assert_allclose(new_grads["inter_w2"], old_gate[:, :d], rtol=0, atol=TOL)
     np.testing.assert_allclose(new_grads["inter_w2"], -old_gate[:, d:], rtol=0, atol=TOL)
+
+
+# --- the clipped BCE of sigmoids, kept as the reference ------------------------
+# Each task's scores went through a sigmoid node, then one binary
+# cross-entropy node against a labels array (1 in column 0, 0 elsewhere) with
+# the probabilities clipped to [1e-12, 1 - 1e-12] as a log() guard.
+
+_BCE_EPS = 1e-12
+
+
+def clipped_bce(tape, probs, labels):
+    """Binary cross-entropy averaged over all elements, as one tape node."""
+    p = np.clip(probs.data, _BCE_EPS, 1.0 - _BCE_EPS)
+    n = p.size
+    loss = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)).sum() / n
+
+    def backward_fn(g):
+        _accumulate(probs, g * (-(labels / p) + (1.0 - labels) / (1.0 - p)) / n)
+
+    return tape._node(loss, backward_fn)
+
+
+def sigmoid_bce(tape, scores):
+    """The old loss of a (B, 1 + n_neg) block of logits, positives in column 0."""
+    labels = np.zeros(scores.shape)
+    labels[..., 0] = 1.0
+    return clipped_bce(tape, tape.sigmoid(scores), labels)
+
+
+def reference_compute_loss(tape, batch, samples, params, kg, task_weights):
+    """``compute_loss`` as it was, with ``sigmoid_bce`` as each task's loss."""
+    task_emb = embed_instance(tape, params, [inst.user for inst in batch],
+                              [inst.requirement for inst in batch], kg.like_rel)
+    total = None
+    for task, ids in samples.items():
+        bce = sigmoid_bce(tape, score_items(tape, params, task_emb[task], ids))
+        term = tape.scale_shift(bce, task_weights[TASKS.index(task)], 0.0)
+        total = term if total is None else tape.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_logistic_loss_equals_sigmoid_bce(world_split, mixed_instances, variant):
+    """On the nine-shape batch the loss and every parameter's gradient agree
+    with the clipped BCE of the logits' sigmoids within TOL."""
+    kg = world_split.train
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=7, variant=variant)
+    weights = effective_task_weights(variant, (1.0, 0.6, 1.3))
+    pack = pack_answers(mixed_instances, kg.sorted_items(), weights, 5)
+    samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
+                               np.random.default_rng(11))
+    loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)
+    ref_loss, ref_grads = _loss_and_grads(mixed_instances, samples, params, kg, weights,
+                                          reference_compute_loss)
+    assert abs(loss - ref_loss) <= TOL
+    assert np.abs(grads["entity_emb"]).max() > 1e-3
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=TOL, err_msg=name)
+
+
+@pytest.mark.parametrize("shape", [(1,), (17,), (1, 6), (8, 17), (64, 33)])
+def test_logistic_loss_equals_sigmoid_bce_on_random_logits(shape):
+    """On logits in [-20, 20] the gradients agree within TOL. The losses
+    agree within the reference's own rounding: it takes the log of ``p`` or
+    ``1 - p`` from a rounded ``p``, which near |z| = 20 keeps about 8
+    digits of a 2e-9 term (a few ulps of 1 over that term, per element),
+    while the op's loss equals ``np.logaddexp``'s softplus to 1e-14."""
+    rng = np.random.default_rng(shape[-1])
+    for _ in range(20):
+        z = Tensor(rng.uniform(-20.0, 20.0, size=shape))
+        got = []
+        for loss_fn in (Tape.logistic_loss, sigmoid_bce):
+            z.zero_grad()
+            tape = Tape()
+            loss = loss_fn(tape, z)
+            backward(tape, loss)
+            got.append((float(loss.data), z.grad))
+        (loss, grad), (ref_loss, ref_grad) = got
+        signed = np.concatenate([-z.data[..., :1], z.data[..., 1:]], axis=-1)
+        assert loss == pytest.approx(np.logaddexp(0.0, signed).mean(), rel=1e-14, abs=0)
+        ulps = 4 * np.finfo(float).eps / EAGER.sigmoid(-signed)
+        assert loss == pytest.approx(ref_loss, rel=1e-14, abs=ulps.sum() / z.data.size)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=TOL)

@@ -407,7 +407,7 @@ def test_evaluate_scores_updated_params(bench, monkeypatch):
     joint = embed_instance(EAGER, params, [i.user for i in test],
                            [i.requirement for i in test], kg.like_rel)[TASK_JOINT]
     for row, (old, new) in enumerate(zip(before, seen, strict=True)):
-        fresh = score_items(EAGER, params, joint[row], ids)
+        fresh = EAGER.sigmoid(score_items(EAGER, params, joint[row], ids))
         assert np.max(np.abs(new - fresh)) <= 1e-12
         assert np.max(np.abs(new - old)) > 1e-6
 

@@ -257,16 +257,13 @@ def test_full_mtl_distinct_task_embeddings(world):
 def test_score_closed_forms(world):
     p = ModelParams.init(world, d=8, k=2, gamma=2.0, seed=4)
     item = sorted(world.items)[0]
-    # distance exactly 2 -> sigma(0) = 0.5
+    # distance exactly 2 -> logit gamma - 2 = 0
     q = Tensor(p.entity_emb.data[item] + np.array([2.0] + [0.0] * 7))
     tape = Tape()
-    assert float(score_items(tape, p, q, [item]).data[0]) == pytest.approx(
-        0.5, abs=1e-12)
-    # zero distance -> sigma(gamma) = sigma(2)
+    assert float(score_items(tape, p, q, [item]).data[0]) == pytest.approx(0.0, abs=1e-12)
+    # zero distance -> logit gamma = 2
     q0 = Tensor(p.entity_emb.data[item].copy())
-    s = float(score_items(tape, p, q0, [item]).data[0])
-    assert s == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
-    assert s == pytest.approx(0.8808, abs=1e-4)
+    assert float(score_items(tape, p, q0, [item]).data[0]) == 2.0
 
 
 def test_score_monotone_in_distance(world):
@@ -295,7 +292,8 @@ def test_catalog_scores_equal_taped_score_items(world, params):
     taped = score_items(Tape(), params, Tensor(q), ids).data
     assert score_items(EAGER, params, q, ids).tobytes() == taped.tobytes()
     # the column-table kernel sums in another order: equal to rounding
-    assert np.max(np.abs(catalog_scores(Catalog(params, ids), q) - taped)) <= 1e-12
+    probs = EAGER.sigmoid(taped)
+    assert np.max(np.abs(catalog_scores(Catalog(params, ids), q) - probs)) <= 1e-12
 
 
 @pytest.mark.parametrize("n_items", [1, 250, 10_000])
@@ -312,7 +310,7 @@ def test_catalog_scores_match_score_items(d, n_items):
     catalog = Catalog(params, ids)
     for _ in range(3):
         q = params.entity_emb.data[rng.choice(ids)] + rng.normal(0, 0.3, d) / math.sqrt(d)
-        want = score_items(EAGER, params, q, ids)
+        want = EAGER.sigmoid(score_items(EAGER, params, q, ids))
         got = catalog_scores(catalog, q)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert len(np.unique(want)) == n_items  # tie-free input
