@@ -2,13 +2,15 @@
 
 Each instance contributes one logistic-loss term per trained task (joint /
 requirement / preference: those with a positive weight), built from the
-logits of one positive and ``n_neg`` uniform negatives disjoint from that
-task's known answer set, averaged over the 1 + n_neg logits. Task terms are
-weighted and summed, then averaged over the batch. Every trained task's
-answer set must be nonempty in every instance: the sets are packed once per
-``train`` call (``pack_answers``), which refuses an empty one, and each step
-draws a whole batch's positives and negatives from that table in a few
-array calls (``sample_negatives``), one block per trained task.
+logits of one positive and ``n_neg`` negatives drawn uniformly, with
+replacement, from outside that task's known answer set: ``softplus(-z)``
+for the positive and ``softplus(z)`` for each negative, averaged over the
+1 + n_neg logits. This is the binary cross-entropy of their sigmoids. Task
+terms are weighted and summed, then averaged over the batch. Every trained
+task's answer set must be nonempty in every instance: the sets are packed
+once per ``train`` call (``pack_answers``), which refuses an empty one, and
+each step draws a whole batch's positives and negatives from that table in
+a few array calls (``sample_negatives``), one block per trained task.
 
 One ``np.random.Generator`` seeded from ``config.seed`` drives shuffling and
 sampling: identical configs reproduce identical checkpoints bit for bit
@@ -188,18 +190,6 @@ def pack_answers(instances: Sequence[RecInstance], items: Sequence[int],
                       row * (len(items) + 1) + shift, pool)
 
 
-def _first_distinct(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``n`` distinct values of each row in draw order, for the rows
-    that have ``n`` (the returned mask)."""
-    order = np.argsort(draws, axis=1, kind="stable")
-    ranked = np.take_along_axis(draws, order, axis=1)
-    keep = np.ones(draws.shape, dtype=bool)
-    np.put_along_axis(keep, order[:, 1:], ranked[:, 1:] != ranked[:, :-1], axis=1)
-    keep &= np.cumsum(keep, axis=1) <= n
-    full = keep.sum(axis=1) == n
-    return draws[full][keep[full]].reshape(-1, n), full
-
-
 def _pool_items(pack: AnswerPack, rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Item ``picks[i, j]`` of pack row ``rows[i]``'s pool."""
     keys = rows[:, None] * (len(pack.items) + 1) + picks
@@ -214,11 +204,9 @@ def sample_negatives(
     into the packed instances) and trained task, as ``{task: ids}``: one
     ``(len(batch), 1 + n_neg)`` block per task, row b for ``batch[b]``.
 
-    ``ids[:, 0]`` is uniform over the row's answers and ``ids[:, 1:]`` over
-    its pool, without replacement if the pool has ``n_neg`` items and with
-    replacement otherwise. Pool indices map to items through the shift keys,
-    so no negative is an answer; rows short of distinct draws are redrawn at
-    twice the width.
+    ``ids[:, 0]`` is uniform over the row's answers and each of ``ids[:,
+    1:]`` uniform over its pool, drawn with replacement. Pool indices map to
+    items through the shift keys, so no negative is an answer.
     """
     n_tasks = len(pack.tasks)
     rows = (n_tasks * np.asarray(batch, dtype=np.int64)[:, None]
@@ -226,19 +214,8 @@ def sample_negatives(
     start, end = pack.answer_start[rows], pack.answer_start[rows + 1]
     ids = np.empty((len(rows), 1 + n_neg), dtype=np.int64)
     ids[:, 0] = pack.answers[start + rng.integers(0, end - start)]
-    if n_neg:
-        pool, width = pack.pool[rows], n_neg + n_neg // 2 + 4
-        draws = rng.integers(0, pool[:, None], size=(len(rows), width))
-        picks = draws[:, :n_neg].copy()  # kept by rows with pool < n_neg
-        todo = np.flatnonzero(pool >= n_neg)
-        draws = draws[todo]
-        while todo.size:
-            got, full = _first_distinct(draws, n_neg)
-            picks[todo[full]] = got
-            todo, width = todo[~full], 2 * width
-            if todo.size:
-                draws = rng.integers(0, pool[todo, None], size=(len(todo), width))
-        ids[:, 1:] = _pool_items(pack, rows, picks)
+    draws = rng.integers(0, pack.pool[rows, None], size=(len(rows), n_neg))
+    ids[:, 1:] = _pool_items(pack, rows, draws)
     return {task: ids[t::n_tasks] for t, task in enumerate(pack.tasks)}
 
 

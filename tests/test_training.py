@@ -124,17 +124,37 @@ def test_train_rejects_config_of_other_params(toy, tmp_path, params_keys, config
 
 
 def test_sample_negatives_forced():
-    # a pool of exactly n_neg items is drawn whole; a smaller one is drawn
-    # with replacement, from the pool only
+    # a pool of two items, drawn with replacement at every n_neg: the
+    # positive is the one answer and the negatives come from the pool only
     instances = answer_rows((frozenset({7}),) * 3)
-    for ids in draw(instances, [7, 8, 9], 2).values():
-        assert ids[0, 0] == 7 and sorted(ids[0, 1:]) == [8, 9]
     drawn = set()
     for seed in range(10):
-        for ids in draw(instances, [7, 8, 9], 5, seed).values():
-            assert set(ids[0, 1:].tolist()) <= {8, 9}
-            drawn |= set(ids[0, 1:].tolist())
+        for n_neg in (1, 2, 5):
+            for ids in draw(instances, [7, 8, 9], n_neg, seed).values():
+                assert ids.shape == (1, 1 + n_neg) and ids[0, 0] == 7
+                assert set(ids[0, 1:].tolist()) <= {8, 9}
+                drawn |= set(ids[0, 1:].tolist())
     assert drawn == {8, 9}
+
+
+def test_sample_negatives_stream_pinned():
+    # the positives take the generator's first draw, one per row, and the
+    # negatives its next, n_neg per row: row b's negatives are its pool
+    # (as a list) at those draws
+    items = list(range(2, 40, 3))
+    instances = answer_rows(*(
+        [frozenset(items[i:i + 1 + i % 4]), frozenset({2}), frozenset({5})]
+        for i in range(6)))
+    batch = np.array([4, 0, 5, 5, 2])
+    samples = draw(instances, items, 7, seed=12, weights=(1.0, 0.0, 0.0), batch=batch)
+    answers = [sorted(instances[i].answers["joint"]) for i in batch]
+    pools = [[i for i in items if i not in a] for a in answers]
+    gen = np.random.default_rng(12)
+    positives = gen.integers(0, [len(a) for a in answers])
+    draws = gen.integers(0, np.array([[len(p)] for p in pools]), size=(len(batch), 7))
+    for row, (pos, *negs) in enumerate(samples["joint"].tolist()):
+        assert pos == answers[row][positives[row]]
+        assert negs == [pools[row][j] for j in draws[row]]
 
 
 def test_sample_negatives_zero():
@@ -157,10 +177,8 @@ def test_sample_negatives_disjoint_many_draws():
         assert len(ids) == 2000
         assert set(ids[:, 0].tolist()) <= task_answers
         assert not set(ids[:, 1:].ravel().tolist()) & task_answers
-    # "req" leaves a pool of one: drawn with replacement
+    # "req" leaves a pool of one
     assert set(samples["req"][:, 1:].ravel().tolist()) == {0}
-    negs = np.sort(samples["joint"][:, 1:], axis=1)
-    assert (np.diff(negs, axis=1) > 0).all()
 
 
 def test_sample_negatives_degenerate():
@@ -183,8 +201,8 @@ def test_sample_negatives_degenerate():
 @pytest.mark.parametrize("n_items", [12, 40, 85, 86, 90, 300, 2000])
 def test_sample_negatives_matches_materialized_pool(n_items):
     # every negative lies in the pool built as a list (the catalog minus the
-    # answers), without repeats when the pool allows; drawing n_neg = |pool|
-    # returns the whole pool; every positive is an answer
+    # answers), for n_neg below, at and above the pool size; every positive
+    # is an answer
     items = list(range(3, 3 + 2 * n_items, 2))
     gen = np.random.default_rng(n_items)
     instances = answer_rows(*(
@@ -192,11 +210,10 @@ def test_sample_negatives_matches_materialized_pool(n_items):
                               replace=False).tolist())
          for _ in TASKS]
         for _ in range(10)))
-    whole = n_items - n_items // 2  # instance 0's joint pool: drawn whole
+    whole = n_items - n_items // 2  # the size of instance 0's joint pool
     instances[0].answers["joint"] = frozenset(items[:n_items // 2])
     pools = [[[i for i in items if i not in inst.answers[task]] for task in TASKS]
              for inst in instances]
-    drawn_whole = 0
     for n_neg in (0, 1, 16, whole, n_items + 5):
         batch = gen.permutation(10)
         samples = draw(instances, items, n_neg, seed=n_neg, batch=batch)
@@ -204,13 +221,7 @@ def test_sample_negatives_matches_materialized_pool(n_items):
             for row, (pos, *negs) in enumerate(samples[task].tolist()):
                 pool = pools[batch[row]][t]
                 assert pos in instances[batch[row]].answers[task]
-                assert set(negs) <= set(pool)
-                if len(pool) >= n_neg:
-                    assert len(set(negs)) == n_neg
-                if len(pool) == n_neg:
-                    assert sorted(negs) == pool
-                    drawn_whole += 1
-    assert drawn_whole
+                assert len(negs) == n_neg and set(negs) <= set(pool)
 
 
 def test_negative_pool_view_elements():
