@@ -346,10 +346,11 @@ def test_logistic_loss_equals_sigmoid_bce(world_split, mixed_instances, variant)
 @pytest.mark.parametrize("shape", [(1,), (17,), (1, 6), (8, 17), (64, 33)])
 def test_logistic_loss_equals_sigmoid_bce_on_random_logits(shape):
     """On logits in [-20, 20] the gradients agree within TOL. The losses
-    agree within the reference's own rounding: it takes the log of ``p`` or
-    ``1 - p`` from a rounded ``p``, which near |z| = 20 keeps about 8
-    digits of a 2e-9 term (a few ulps of 1 over that term, per element),
-    while the op's loss equals ``np.logaddexp``'s softplus to 1e-14."""
+    agree within the reference's own rounding: it takes the log of ``p =
+    sigmoid(z)`` for a positive and of ``1 - p`` for a negative, from a
+    rounded ``p``, so each element's log is off by up to a few ulps of 1
+    over that probability (of order 1e-8 for a negative at z = 20). The op's
+    loss equals ``np.logaddexp``'s softplus to 1e-14."""
     rng = np.random.default_rng(shape[-1])
     for _ in range(20):
         z = Tensor(rng.uniform(-20.0, 20.0, size=shape))
