@@ -24,9 +24,9 @@ operands' arrays and records the result with its backward rule, as one
 Subgradient conventions are fixed: relu'(0) = 0, the L1 distance uses
 sign with sign(0) = 0, and elementwise_max routes ties to its first operand.
 
-A table read by gathers gets a row-sparse gradient, and ``adam_step``
-updates only rows that have had a gradient; both keep the bytes of the
-dense path (``backward``, ``adam_step``).
+A table read by gathers gets a row-sparse gradient with the bytes of the
+dense path (``backward``), and ``adam_step`` is lazy: it moves only the
+rows that have a gradient.
 
 A tape is single-threaded. Several tapes may record forward passes
 concurrently over shared parameters; backward passes (which write their
@@ -442,73 +442,36 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 class AdamState:
-    """Bias-corrected Adam moments for the rows that have had a gradient.
-
-    With ``n = seen[name]``, ``rows[name][:n]`` lists a parameter's seen row
-    ids in first-seen order, ``m[name][:n]`` and ``v[name][:n]`` hold their
-    moments and ``slot[name]`` maps an id to its place (-1: not seen). Once
-    three quarters of the rows are seen (a dense gradient sees all), all
-    are: the moments go to row order and ``rows[name]`` becomes ``...``.
-    ``scratch`` holds two buffers for a step's temporaries.
-    """
+    """Bias-corrected Adam moments: a dense zero-initialised ``m`` and ``v``
+    for each parameter."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.lr = lr
         self.step_count = 0
-        self.seen = dict.fromkeys(params, 0)
-        self.rows = {name: np.empty(len(p.data), dtype=np.int64) for name, p in params.items()}
-        self.slot = {name: np.full(len(p.data), -1) for name, p in params.items()}
-        self.m = {name: np.empty_like(p.data) for name, p in params.items()}
-        self.v = {name: np.empty_like(p.data) for name, p in params.items()}
-        self.scratch = {name: (np.empty_like(p.data), np.empty_like(p.data))
-                        for name, p in params.items()}
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
-    """One bias-corrected adaptive-moment update; missing grads count as zero.
+    """One lazy bias-corrected adaptive-moment update (TF Addons ``LazyAdam``,
+    PyTorch ``SparseAdam``): only the rows with a gradient move.
 
-    In the order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g``
-    and ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, over the seen rows,
-    with dense Adam's bytes. An unseen row (m = v = 0, g = +0.0) would get
-    ``p -= +0.0``. A seen row without a gradient skips adding +0.0 to
-    ``b1 m`` and ``b2 v``, which are never -0.0: m and v start at +0.0, a
-    sum is -0.0 only if both terms are, and b1, b2 > 1/2 keep nonzero
-    products nonzero.
+    Over those rows, ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g``
+    and ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, with ``bc1`` and
+    ``bc2`` from the count of steps taken, as in those two. A dense gradient
+    covers the whole parameter, a row-sparse one its ``grad_ids``. A
+    parameter without a gradient, and a row outside ``grad_ids``, keeps its
+    value and moments.
     """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        slot, n, rows = state.slot[name], state.seen[name], state.rows[name]
-        ids = ... if p.grad_ids is None else p.grad_ids
-        if p.grad is not None and rows is not ...:
-            ids = np.arange(len(slot)) if ids is ... else ids
-            new = ids[slot[ids] < 0]
-            if new.size:
-                slot[new] = np.arange(n, n + new.size)
-                rows[n:n + new.size] = new
-                state.m[name][n:n + new.size] = state.v[name][n:n + new.size] = 0.0
-                n = state.seen[name] = n + new.size
-            if 4 * n >= 3 * len(slot):  # most rows seen: all of them, in row order
-                for moments in (state.m[name], state.v[name]):
-                    seen = moments[:n].copy()
-                    moments[...] = 0.0
-                    moments[rows[:n]] = seen
-                n, rows = state.seen[name], state.rows[name] = len(slot), ...
-        rows = rows if rows is ... else rows[:n]
-        m, v = state.m[name][:n], state.v[name][:n]
-        m *= ADAM_BETA1
-        v *= ADAM_BETA2
-        if p.grad is not None:
-            at = ids if rows is ... else slot[ids]
-            m[at] += p.grad * (1.0 - ADAM_BETA1)
-            v[at] += p.grad * (1.0 - ADAM_BETA2) * p.grad
-        a, b = (buf[:n] for buf in state.scratch[name])
-        np.divide(m, bc1, out=a)
-        a *= state.lr
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        p.data[rows] -= a
+        if p.grad is None:
+            continue
+        at = ... if p.grad_ids is None else p.grad_ids
+        m = ADAM_BETA1 * state.m[name][at] + (1.0 - ADAM_BETA1) * p.grad
+        v = ADAM_BETA2 * state.v[name][at] + ((1.0 - ADAM_BETA2) * p.grad) * p.grad
+        state.m[name][at], state.v[name][at] = m, v
+        p.data[at] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -331,7 +331,7 @@ def test_adam_zero_gradient_no_move():
     params = {"p": p}
     state = AdamState(params, lr=0.1)
     before = p.data.copy()
-    adam_step(params, state)  # grad is None -> treated as zero
+    adam_step(params, state)  # grad is None -> skipped
     np.testing.assert_array_equal(p.data, before)
 
 
@@ -431,17 +431,24 @@ def test_every_op_is_used_outside_the_engine():
 
 
 def _reference_adam_step(params, m, v, t, lr):
-    """Adam written with whole-array temporaries, the expression order that
-    the in-place ``adam_step`` must reproduce bit for bit."""
+    """Lazy Adam written with whole-array temporaries over each gradient's
+    rows (all rows for a dense gradient), the expression order that the
+    in-place ``adam_step`` must reproduce bit for bit; a parameter without a
+    gradient is left as it is."""
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = p.dense_grad()
-        m[name] *= ADAM_BETA1
-        m[name] += (1.0 - ADAM_BETA1) * g
-        v[name] *= ADAM_BETA2
-        v[name] += (1.0 - ADAM_BETA2) * g * g
-        p.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+        if p.grad is None:
+            continue
+        rows = np.arange(len(p.data)) if p.grad_ids is None else p.grad_ids
+        g = p.grad
+        m_rows, v_rows, p_rows = m[name][rows], v[name][rows], p.data[rows]
+        m_rows *= ADAM_BETA1
+        m_rows += (1.0 - ADAM_BETA1) * g
+        v_rows *= ADAM_BETA2
+        v_rows += (1.0 - ADAM_BETA2) * g * g
+        p_rows -= lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + ADAM_EPS)
+        m[name][rows], v[name][rows], p.data[rows] = m_rows, v_rows, p_rows
 
 
 def test_adam_in_place_matches_reference():
@@ -457,15 +464,17 @@ def test_adam_in_place_matches_reference():
         rows = rng.choice(40, size=7, replace=False)
         table_grad = np.zeros((40, 6))  # sparse, as a gathered table's
         table_grad[rows] = rng.standard_normal((7, 6))
-        # "gappy" has no gradient on even steps: its moments still decay
-        # and it still moves
+        # "gappy" has no gradient on even steps, and then stays put
         grads = {"table": table_grad, "w": rng.standard_normal((3, 4)),
                  "gappy": rng.standard_normal(5) if t % 2 else None}
         for params in (ours, ref):
             for name, p in params.items():
                 p.grad = None if grads[name] is None else grads[name].copy()
+        gappy = ours["gappy"].data.tobytes(), state.m["gappy"].tobytes()
         adam_step(ours, state)
         _reference_adam_step(ref, m, v, t, 0.02)
+        if t % 2 == 0:
+            assert (ours["gappy"].data.tobytes(), state.m["gappy"].tobytes()) == gappy, t
     for name in init:
         assert np.array_equal(ours[name].data, ref[name].data), name
         assert np.array_equal(state.m[name], m[name]), name
@@ -580,11 +589,11 @@ def test_gathered_tape_output_matches_add_at_chain():
     assert x.dense_grad().tobytes() == expected.tobytes()
 
 
-def test_table_gathered_without_gradient_matches_dense_adam():
+def test_table_gathered_without_gradient_matches_lazy_reference():
     """A table gathered on a tape whose gathers reach no loss ends the pass
     with an all-zero row-sparse gradient over the ids gathered; Adam then
-    moves those rows as dense Adam does a zero gradient's, ``p - (+0.0)``,
-    over steps with and without rows that do get a gradient."""
+    updates exactly those rows, as the lazy reference does, over steps with
+    and without rows that do get a gradient."""
     rng = np.random.default_rng(23)
     init = {"table": rng.standard_normal((10, 3)), "x": rng.standard_normal(3)}
     init["table"][[0, 4]] = 0.0
@@ -614,24 +623,20 @@ def test_table_gathered_without_gradient_matches_dense_adam():
         _reference_adam_step(ref, m, v, t, 0.05)
         for name in init:
             assert ours[name].data.tobytes() == ref[name].data.tobytes(), (t, name)
-            n, seen = state.seen[name], state.rows[name]
-            for ours_moment, ref_moment in ((state.m[name], m[name]), (state.v[name], v[name])):
-                got = ours_moment
-                if seen is not ...:
-                    got = np.zeros_like(ref_moment)
-                    got[seen[:n]] = ours_moment[:n]
-                assert got.tobytes() == ref_moment.tobytes(), (t, name)
+            assert state.m[name].tobytes() == m[name].tobytes(), (t, name)
+            assert state.v[name].tobytes() == v[name].tobytes(), (t, name)
 
 
-def test_seen_row_adam_matches_dense_kernel():
-    """Adam over the seen rows gives dense Adam's parameter and moment bytes
-    over 60 steps: rows seen once and then idle, all-zero and -0.0 gradient
-    rows, parameters at +0.0 and -0.0, steps without a table gradient, and a
-    table ("most") whose rows all move to row order once most are seen."""
+def test_lazy_adam_leaves_rows_without_gradient():
+    """Over 60 steps, Adam moves a table's ``grad_ids`` rows as the lazy
+    reference does, and every row outside them, as every parameter whose
+    ``grad`` is None, keeps its value and moment bytes: rows updated once
+    and then idle, all-zero and -0.0 gradient rows, parameters at +0.0 and
+    -0.0, and steps without a table gradient."""
     rng = np.random.default_rng(17)
-    init = {"table": rng.standard_normal((24, 3)), "most": rng.standard_normal((8, 3)),
+    init = {"table": rng.standard_normal((24, 3)), "small": rng.standard_normal((8, 3)),
             "w": rng.standard_normal((4, 2))}
-    for name in ("table", "most"):
+    for name in ("table", "small"):
         init[name][[0, 5]] = 0.0
         init[name][[1, 6]] = -0.0
     ours = {name: Tensor(a.copy()) for name, a in init.items()}
@@ -640,10 +645,11 @@ def test_seen_row_adam_matches_dense_kernel():
     m = {name: np.zeros_like(a) for name, a in init.items()}
     v = {name: np.zeros_like(a) for name, a in init.items()}
     for t in range(1, 61):
-        # "table" row 13 is seen on the first step only; rows 14-23 never
+        # "table" row 13 has a gradient on the first step only; rows 14-23
+        # never, and keep their initial bytes and zero moments throughout
         draws = {"table": np.append(rng.choice(12, size=rng.integers(0, 6), replace=False),
                                     [13] if t == 1 else []).astype(np.int64),
-                 "most": rng.choice(8, size=rng.integers(0, 3), replace=False)}
+                 "small": rng.choice(8, size=rng.integers(0, 3), replace=False)}
         w_grad = None if t % 5 == 0 else rng.standard_normal((4, 2))
         for params in (ours, ref):
             params["w"].grad = None if w_grad is None else w_grad.copy()
@@ -652,26 +658,25 @@ def test_seen_row_adam_matches_dense_kernel():
             rows = rng.standard_normal((ids.size, 3))
             rows[rng.random(ids.size) < 0.3] = 0.0
             rows[rng.random(ids.size) < 0.3] = -0.0
-            dense = np.zeros_like(init[name])
-            dense[ids] = rows
-            ours[name].zero_grad()
-            ref[name].zero_grad()
-            if t % 7:  # every seventh step the tables have no gradient
-                ours[name].grad, ours[name].grad_ids = rows, ids
-                ref[name].grad = dense
+            for params in (ours, ref):
+                params[name].zero_grad()
+                if t % 7:  # every seventh step the tables have no gradient
+                    params[name].grad, params[name].grad_ids = rows.copy(), ids
+        before = {name: (p.data.copy(), state.m[name].copy(), state.v[name].copy())
+                  for name, p in ours.items()}
         adam_step(ours, state)
         _reference_adam_step(ref, m, v, t, 0.05)
-        for name in init:
-            assert ours[name].data.tobytes() == ref[name].data.tobytes(), (t, name)
-            n, seen = state.seen[name], state.rows[name]
-            for ours_moment, ref_moment in ((state.m[name], m[name]), (state.v[name], v[name])):
-                if seen is ...:
-                    got = ours_moment
-                else:
-                    got = np.zeros_like(ref_moment)
-                    got[seen[:n]] = ours_moment[:n]
-                assert got.tobytes() == ref_moment.tobytes(), (t, name)
-    assert state.seen["table"] == 13 and state.rows["most"] is ... and state.rows["w"] is ...
+        for name, p in ours.items():
+            assert p.data.tobytes() == ref[name].data.tobytes(), (t, name)
+            assert state.m[name].tobytes() == m[name].tobytes(), (t, name)
+            assert state.v[name].tobytes() == v[name].tobytes(), (t, name)
+            idle = np.ones(len(p.data), dtype=bool)
+            if p.grad is not None:
+                idle[... if p.grad_ids is None else p.grad_ids] = False
+            for now, then in zip((p.data, state.m[name], state.v[name]), before[name]):
+                assert now[idle].tobytes() == then[idle].tobytes(), (t, name)
+    assert ours["table"].data[14:].tobytes() == init["table"][14:].tobytes()
+    assert not state.m["table"][14:].any() and not state.v["table"][14:].any()
 
 
 def _masked_sigmoid(x):

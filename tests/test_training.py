@@ -393,8 +393,9 @@ def test_step_tape_nodes_bounded(toy, variant):
 
 def test_step_gradient_and_adam_stay_row_sparse(toy, monkeypatch):
     """After one five-shape batch the entity table's gradient has a row for
-    each distinct id the step gathered and no other, and Adam then holds
-    moments for those rows only: neither the backward pass nor Adam runs
+    each distinct id the step gathered and no other, and Adam then moves
+    those rows only and gives them nonzero moments; every other row keeps
+    its bytes and zero moments: neither the backward pass nor Adam runs
     over the whole table."""
     split, datasets = toy
     kg = split.train
@@ -422,10 +423,15 @@ def test_step_gradient_and_adam_stay_row_sparse(toy, monkeypatch):
     np.testing.assert_array_equal(table.grad_ids, gathered)
     assert table.grad.shape == (gathered.size, table.shape[1])
 
+    before = table.data.copy()
     state = AdamState(params.named(), lr=0.01)
     adam_step(params.named(), state)
-    assert state.seen["entity_emb"] == gathered.size
-    np.testing.assert_array_equal(np.sort(state.rows["entity_emb"][:gathered.size]), gathered)
+    moved = (table.data != before).any(axis=1)
+    np.testing.assert_array_equal(np.flatnonzero(moved), gathered)
+    m, v = state.m["entity_emb"], state.v["entity_emb"]
+    assert m[gathered].any(axis=1).all() and v[gathered].any(axis=1).all()
+    assert table.data[~moved].tobytes() == before[~moved].tobytes()
+    assert not m[~moved].any() and not v[~moved].any()
 
 
 def test_loss_decreases_on_toy_set(toy):
