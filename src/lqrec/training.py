@@ -308,26 +308,29 @@ def train(
                 tape = Tape()  # frees the last step's graph before sampling
                 params.zero_grads()
                 samples = sample_negatives(pack, chunk, config.n_neg, rng)
-                loss = compute_loss(tape, batch, samples, params, kg, weights)
-                loss_value = float(loss.data)
-                if not math.isfinite(loss_value):
-                    info = {
-                        "epoch": epoch,
-                        "batch_start": start,
-                        "loss": repr(loss_value),
-                        "param_norms": {
-                            name: float(np.abs(t.data).max())
-                            for name, t in params.named().items()
-                        },
-                    }
-                    path = out_dir and os.path.join(out_dir, "divergence.json")
-                    if path:
-                        write_json(path, info)
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}", dump_path=path
-                    )
-                autodiff.backward(tape, loss)
-                adam_step(params.named(), state)
+                # a diverging step overflows; the non-finite loss, not a
+                # numpy warning, reports it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss = compute_loss(tape, batch, samples, params, kg, weights)
+                    loss_value = float(loss.data)
+                    if not math.isfinite(loss_value):
+                        info = {
+                            "epoch": epoch,
+                            "batch_start": start,
+                            "loss": repr(loss_value),
+                            "param_norms": {
+                                name: float(np.abs(t.data).max())
+                                for name, t in params.named().items()
+                            },
+                        }
+                        path = out_dir and os.path.join(out_dir, "divergence.json")
+                        if path:
+                            write_json(path, info)
+                        raise TrainingDivergedError(
+                            f"non-finite loss at epoch {epoch}", dump_path=path
+                        )
+                    autodiff.backward(tape, loss)
+                    adam_step(params.named(), state)
                 epoch_loss += loss_value * len(chunk)
             entry = {"epoch": epoch, "loss": epoch_loss / len(order)}
             validated = valid_instances and epoch % config.eval_every == 0

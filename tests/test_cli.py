@@ -589,6 +589,21 @@ def test_train_negative_seed_flag_exit_code(pipeline, capsys):
     assert "seed must be at least 0, got -1" in capsys.readouterr().err
 
 
+def test_train_divergence_exit_code(pipeline, capsys):
+    # lr=1e200 makes the forward pass overflow within the first epoch; the
+    # non-finite loss is reported once, with no numpy warning before it
+    cfg = pipeline["root"] / "diverge.cfg"
+    cfg.write_text(pipeline["train_cfg"].read_text().replace("lr=0.005", "lr=1e200"))
+    out = pipeline["root"] / "diverge_run"
+    rc = main(["train", "--data", str(pipeline["data"]), "--config", str(cfg),
+               "--variant", "mtl", "--seed", "5", "--out", str(out)])
+    assert rc == 3
+    dump = out / "divergence.json"
+    assert capsys.readouterr().err == \
+        f"numeric failure: non-finite loss at epoch 1 (dump: {dump})\n"
+    assert json.loads(dump.read_text())["epoch"] == 1
+
+
 def test_answer_repl(pipeline):
     with open(pipeline["data"] / "test.jsonl") as f:
         record = json.loads(f.readline())
