@@ -186,12 +186,11 @@ class Eager:
 
     # -- shape plumbing ------------------------------------------------------
 
-    def concat_last_dim(self, *arrays: np.ndarray) -> np.ndarray:
-        """Join operands along the last axis; leading shapes must agree."""
-        lead = arrays[0].shape[:-1] if arrays else None
-        if not arrays or any(a.ndim == 0 or a.shape[:-1] != lead for a in arrays):
-            raise OpShapeError("concat_last_dim", *[a.shape for a in arrays])
-        return np.concatenate(arrays, axis=-1)
+    def concat_last_dim(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Join two operands along the last axis; leading shapes must agree."""
+        if a.ndim == 0 or b.ndim == 0 or a.shape[:-1] != b.shape[:-1]:
+            raise OpShapeError("concat_last_dim", a.shape, b.shape)
+        return np.concatenate((a, b), axis=-1)
 
     def place_rows(self, parts: list[np.ndarray], rows) -> np.ndarray:
         """One (n, d) matrix whose rows ``rows[i]`` are the (n_i, d) part
@@ -328,14 +327,13 @@ class Tape:
         return self._node(EAGER.scale_shift(x.data, scale, shift),
                           lambda g: _accumulate(x, g * scale))
 
-    def concat_last_dim(self, *tensors: Tensor) -> Tensor:
+    def concat_last_dim(self, a: Tensor, b: Tensor) -> Tensor:
         def backward(g):
-            bounds = np.cumsum([t.shape[-1] for t in tensors])[:-1]
-            for t, part in zip(tensors, np.split(g, bounds, axis=-1)):
-                _accumulate(t, part)
+            cut = a.shape[-1]
+            _accumulate(a, g[..., :cut])
+            _accumulate(b, g[..., cut:])
 
-        return self._node(EAGER.concat_last_dim(*[t.data for t in tensors]),
-                          backward)
+        return self._node(EAGER.concat_last_dim(a.data, b.data), backward)
 
     def place_rows(self, parts: list[Tensor], rows) -> Tensor:
         """``Eager.place_rows``; part i's gradient is rows ``rows[i]`` of the output's."""

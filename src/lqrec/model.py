@@ -43,7 +43,7 @@ from .kg import KnowledgeGraph
 from .oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .query import Anchor, And, Project, QueryNode, skeleton
 
-CHECKPOINT_FORMAT = "lqrec-checkpoint-v2"
+CHECKPOINT_FORMAT = "lqrec-checkpoint-v3"
 
 
 def model_variant(name: str) -> str:
@@ -58,17 +58,17 @@ def param_shapes(d: int, k: int, n_entities: int, n_relations: int) -> dict[str,
 
     Affine weights carry their bias as the last row. The intersection network
     maps the 2d concatenation of two operands through a d-wide relu layer to
-    d gate logits, one per dimension. Experts are relu affines over the joint
-    embedding; gates are softmax affines, one per task.
+    d gate logits, one per dimension. ``experts`` is the bank of k relu
+    affines over the joint embedding, expert s in columns s*d to (s+1)*d;
+    gates are softmax affines, one per task.
     """
     shapes = {
         "entity_emb": (n_entities, d),
         "relation_emb": (n_relations, d),
         "inter_w1": (2 * d + 1, d),
         "inter_w2": (d + 1, d),
+        "experts": (d + 1, k * d),
     }
-    for s in range(k):
-        shapes[f"expert_{s}"] = (d + 1, d)
     for task in TASKS:
         shapes[f"gate_{task}"] = (d + 1, k)
     return shapes
@@ -86,7 +86,8 @@ class ModelParams:
     """All learnable tensors (``param_shapes``) plus the margin hyperparameter.
 
     Each tensor is also an attribute of its name (``params.entity_emb``,
-    ``params.gate_joint``); ``experts`` lists the k expert affines.
+    ``params.gate_joint``); ``params.experts`` is the one tensor of all k
+    experts, side by side.
     """
 
     def __init__(
@@ -112,7 +113,6 @@ class ModelParams:
             raise ArtifactMismatchError(f"array shapes {bad} do not fit d={d}, k={k}")
         self._tensors = {name: Tensor(arrays[name]) for name in spec}
         vars(self).update(self._tensors)
-        self.experts = [self._tensors[f"expert_{s}"] for s in range(k)]
         self.gamma = float(gamma)
         self.variant = model_variant(variant)
         self.seed = seed
@@ -132,13 +132,14 @@ class ModelParams:
         variant: str = "mtl",
     ) -> "ModelParams":
         """Random initialization in ``param_shapes`` order: embeddings uniform
-        in +-0.5/sqrt(d), affine weights fan-in-scaled uniform. Deterministic
-        in ``seed``."""
+        in +-0.5/sqrt(d), affine weights fan-in-scaled uniform, ``experts``
+        one (d + 1, d) expert after another. Deterministic in ``seed``."""
         rng = np.random.default_rng(seed)
         bound = 0.5 / math.sqrt(d)
         arrays = {
             name: (rng.uniform(-bound, bound, size=shape) if name.endswith("_emb")
-                   else _affine_init(rng, shape))
+                   else np.hstack([_affine_init(rng, (d + 1, d)) for _ in range(k)])
+                   if name == "experts" else _affine_init(rng, shape))
             for name, shape in param_shapes(d, k, kg.n_entities, kg.n_relations).items()
         }
         return cls(
@@ -259,8 +260,9 @@ def embed_user_preference(ex: Tape | Eager, params: ModelParams, users, like_rel
 
 def _expert_bank(ex: Tape | Eager, params: ModelParams, q: Value) -> Value:
     """The k experts' outputs for the joint embedding, side by side along
-    the last axis."""
-    return ex.concat_last_dim(*[ex.relu(ex.affine(ex.param(e), q)) for e in params.experts])
+    the last axis: one relu affine through ``experts``, whose column blocks
+    are the experts' weights."""
+    return ex.relu(ex.affine(ex.param(params.experts), q))
 
 
 def _gated_head(ex, params, q, q_l, q_u):
@@ -302,14 +304,6 @@ VARIANTS: dict[str, Variant] = {
 }
 
 
-def mtl_transform(
-    ex: Tape | Eager, params: ModelParams, q: Value, q_l: Value, q_u: Value
-) -> dict[str, Value]:
-    """Task embeddings from the joint (``q``), requirement and preference
-    embeddings, by the head of ``params.variant``."""
-    return VARIANTS[params.variant].head(ex, params, q, q_l, q_u)
-
-
 def embed_instance(
     ex: Tape | Eager,
     params: ModelParams,
@@ -325,7 +319,7 @@ def embed_instance(
     q_u = embed_user_preference(ex, params, np.asarray(users, dtype=np.int64),
                                 like_rel)
     q = embed_intersection(ex, params, q_l, q_u)
-    return mtl_transform(ex, params, q, q_l, q_u)
+    return VARIANTS[params.variant].head(ex, params, q, q_l, q_u)
 
 
 # --- scoring ---------------------------------------------------------------
@@ -451,7 +445,7 @@ def load_checkpoint(path: str) -> ModelParams:
     header = parse_json(head, path)
     try:
         if header["format"] != CHECKPOINT_FORMAT:
-            raise ValueError("not a known checkpoint format")
+            raise ValueError(f"format {header['format']!r} is not {CHECKPOINT_FORMAT!r}")
         params = ModelParams(
             _split_arrays(body, header["arrays"]),
             k=header["k"],

@@ -260,7 +260,7 @@ def test_gradient_check_rejects_planted_relu_error(monkeypatch):
 
     monkeypatch.setattr(Tape, "relu", planted)
     worst, worst_at, _, n_rechecked = worst_gradient_error(
-        *gradient_fixture(), names=("expert_0",))
+        *gradient_fixture(), names=("experts",))
     assert worst >= GRAD_TOL and n_rechecked > 0, (worst, worst_at)
 
 

@@ -296,6 +296,10 @@ def test_op_gradients_against_finite_differences(seed):
         "concat_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.concat_last_dim(xm, ym), t.concat_last_dim(ym, xm))
         ),
+        # operands of unequal widths: the gradient is cut at the first's width
+        "concat_uneven": lambda t: reduce_sum(t, 
+            t.elementwise_mul(t.concat_last_dim(gm, xm), t.concat_last_dim(xm, gm))
+        ),
         "softmax_batch": lambda t: reduce_sum(t, 
             t.elementwise_mul(t.softmax_last_dim(xm), ym)
         ),

@@ -318,14 +318,17 @@ def test_corrupt_checkpoint_exit_code(pipeline, command, capsys):
 
 
 def test_old_checkpoint_format_exit_code(pipeline, capsys):
-    # lqrec-checkpoint-v1 held the two-logit intersection's (d + 1, 2d) inter_w2
+    # lqrec-checkpoint-v1 held the two-logit intersection's (d + 1, 2d)
+    # inter_w2, v2 the k expert tensors expert_0 .. expert_{k-1}
     head, body = pipeline["ckpt"].read_bytes().split(b"\n", 1)
-    old = pipeline["root"] / "format_v1.ckpt"
-    header = {**json.loads(head), "format": "lqrec-checkpoint-v1"}
-    old.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
-    assert main(["eval", "--data", str(pipeline["data"]), "--checkpoint", str(old)]) == 4
-    err = capsys.readouterr().err
-    assert "artifact mismatch" in err and str(old) in err
+    for version in (1, 2):
+        old = pipeline["root"] / f"format_v{version}.ckpt"
+        header = {**json.loads(head), "format": f"lqrec-checkpoint-v{version}"}
+        old.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        assert main(["eval", "--data", str(pipeline["data"]), "--checkpoint", str(old)]) == 4
+        err = capsys.readouterr().err
+        assert "artifact mismatch" in err and str(old) in err
+        assert f"'lqrec-checkpoint-v{version}'" in err  # the format, named
 
 
 @pytest.fixture(scope="module")

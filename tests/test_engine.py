@@ -1,7 +1,8 @@
 """Differential tests: the skeleton-grouped batch against one-instance batches
 and against the id-column recursion it replaced, the one-gate intersection
-against the two-logit form it replaced, and the logistic loss on logits
-against the clipped BCE of their sigmoids that it replaced.
+against the two-logit form it replaced, the logistic loss on logits against
+the clipped BCE of their sigmoids that it replaced, and the one-tensor expert
+bank against the per-expert bank it replaced.
 
 Every instance trains every task it is given samples for, and ``compute_loss``
 averages over its batch, so the loss and every gradient of a mixed batch must
@@ -367,3 +368,73 @@ def test_logistic_loss_equals_sigmoid_bce_on_random_logits(shape):
         ulps = 4 * np.finfo(float).eps / EAGER.sigmoid(-signed)
         assert loss == pytest.approx(ref_loss, rel=1e-14, abs=ulps.sum() / z.data.size)
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=TOL)
+
+
+# --- the per-expert bank, kept as the reference --------------------------------
+# The bank was k (d + 1, d) tensors, expert_0 .. expert_{k-1}: k affines, k
+# relus and one k-way join of their outputs. Expert s is column block s of
+# the one ``experts`` tensor that replaced them.
+
+
+def _join_last_dim(ex, parts):
+    """The parts side by side along the last axis; on a tape one node that
+    hands each part its block of the gradient."""
+    if ex is EAGER:
+        return np.concatenate(parts, axis=-1)
+
+    def backward_fn(g):
+        bounds = np.cumsum([t.shape[-1] for t in parts])[:-1]
+        for t, block in zip(parts, np.split(g, bounds, axis=-1)):
+            _accumulate(t, block)
+
+    return ex._node(np.concatenate([t.data for t in parts], axis=-1), backward_fn)
+
+
+def per_expert_bank(experts):
+    """``_expert_bank`` as it was, reading the k expert tensors ``experts``."""
+
+    def bank(ex, params, q):
+        return _join_last_dim(ex, [ex.relu(ex.affine(ex.param(e), q)) for e in experts])
+
+    return bank
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("seed", range(2))
+def test_one_expert_tensor_equals_per_expert_bank(world_split, mixed_instances, variant,
+                                                  seed, monkeypatch):
+    """With expert s taken from column block s of ``experts``, every EAGER
+    task embedding agrees with the per-expert bank within 1e-12, and the
+    loss and every other parameter's gradient within TOL; the ``experts``
+    gradient is the per-expert gradients side by side."""
+    kg = world_split.train
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=seed, variant=variant)
+    d, k = params.d, params.k
+    experts = [Tensor(params.experts.data[:, s * d:(s + 1) * d].copy()) for s in range(k)]
+    users = [inst.user for inst in mixed_instances]
+    reqs = [inst.requirement for inst in mixed_instances]
+    weights = effective_task_weights(variant, (1.0, 1.0, 1.0))
+    pack = pack_answers(mixed_instances, kg.sorted_items(), weights, 5)
+    samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
+                               np.random.default_rng(50 + seed))
+
+    def run():
+        for e in experts:
+            e.zero_grad()
+        embedded = embed_instance(EAGER, params, users, reqs, kg.like_rel)
+        loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)
+        return embedded, loss, grads
+
+    new_emb, new_loss, new_grads = run()
+    monkeypatch.setattr(model, "_expert_bank", per_expert_bank(experts))
+    old_emb, old_loss, old_grads = run()
+    assert set(new_emb) == set(old_emb)
+    for task, emb in new_emb.items():
+        np.testing.assert_allclose(emb, old_emb[task], rtol=0, atol=1e-12, err_msg=task)
+    assert abs(new_loss - old_loss) <= TOL
+    for name, g in new_grads.items():
+        if name != "experts":
+            np.testing.assert_allclose(g, old_grads[name], rtol=0, atol=TOL, err_msg=name)
+    old_bank = np.hstack([e.dense_grad() for e in experts])
+    assert (np.abs(old_bank).max() > 1e-3) == (variant != "single-task")  # it has no head
+    np.testing.assert_array_equal(new_grads["experts"], old_bank)

@@ -12,6 +12,7 @@ from lqrec.autodiff import EAGER, OpShapeError, Tape, Tensor, backward
 from lqrec.evaluation import rank_items
 from lqrec.kg import graph_from_names
 from lqrec.model import (
+    VARIANTS,
     Catalog,
     ModelParams,
     catalog_scores,
@@ -23,7 +24,6 @@ from lqrec.model import (
     embed_user_preference,
     load_checkpoint,
     model_variant,
-    mtl_transform,
     param_shapes,
     save_checkpoint,
     score_items,
@@ -195,8 +195,8 @@ def test_mtl_single_expert_gates_trivial(world):
     q_l = make_vec(rng.standard_normal(8))
     q_u = make_vec(rng.standard_normal(8))
     tape = Tape()
-    out = mtl_transform(tape, p, q, q_l, q_u)
-    expert = tape.relu(tape.affine(p.experts[0], q))
+    out = VARIANTS[p.variant].head(tape, p, q, q_l, q_u)
+    expert = tape.relu(tape.affine(p.experts, q))
     for task in (TASK_JOINT, TASK_REQ, TASK_PREF):
         np.testing.assert_allclose(out[task].data, expert.data, atol=1e-15)
 
@@ -225,9 +225,9 @@ def test_shared_bottom_one_representation(world):
                          variant="shared-bottom")
     rng = np.random.default_rng(1)
     tape = Tape()
-    out = mtl_transform(tape, p, make_vec(rng.standard_normal(8)),
-                        make_vec(rng.standard_normal(8)),
-                        make_vec(rng.standard_normal(8)))
+    out = VARIANTS[p.variant].head(tape, p, make_vec(rng.standard_normal(8)),
+                                   make_vec(rng.standard_normal(8)),
+                                   make_vec(rng.standard_normal(8)))
     assert out[TASK_JOINT] is out[TASK_REQ] is out[TASK_PREF]
 
 
@@ -237,7 +237,7 @@ def test_single_task_skips_head(world):
     rng = np.random.default_rng(1)
     q = make_vec(rng.standard_normal(8))
     tape = Tape()
-    out = mtl_transform(tape, p, q, q, q)
+    out = VARIANTS[p.variant].head(tape, p, q, q, q)
     assert list(out) == [TASK_JOINT]
     assert out[TASK_JOINT] is q
     assert not tape.nodes  # no experts or gates evaluated
@@ -247,9 +247,9 @@ def test_full_mtl_distinct_task_embeddings(world):
     p = ModelParams.init(world, d=8, k=3, gamma=2.0, seed=3)
     rng = np.random.default_rng(2)
     tape = Tape()
-    out = mtl_transform(tape, p, make_vec(rng.standard_normal(8)),
-                        make_vec(rng.standard_normal(8)),
-                        make_vec(rng.standard_normal(8)))
+    out = VARIANTS[p.variant].head(tape, p, make_vec(rng.standard_normal(8)),
+                                   make_vec(rng.standard_normal(8)),
+                                   make_vec(rng.standard_normal(8)))
     assert not np.array_equal(out[TASK_JOINT].data, out[TASK_REQ].data)
     assert not np.array_equal(out[TASK_JOINT].data, out[TASK_PREF].data)
 
@@ -486,15 +486,14 @@ def test_init_draws_in_spec_order(world, tmp_path):
                 "relation_emb": emb(world.n_relations),
                 "inter_w1": affine(2 * d, d),
                 "inter_w2": affine(d, d)}
-    for s in range(k):
-        expected[f"expert_{s}"] = affine(d, d)
+    expected["experts"] = np.hstack([affine(d, d) for _ in range(k)])  # expert by expert
     for task in ("joint", "req", "pref"):
         expected[f"gate_{task}"] = affine(d, k)
     named = params.named()
     assert list(named) == list(expected)
     for name, array in expected.items():
         assert named[name].data.tobytes() == array.tobytes(), name
-    assert params.experts == [named[f"expert_{s}"] for s in range(k)]
+    assert params.experts is named["experts"]
     assert params.gate_pref is named["gate_pref"]
 
     first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
@@ -545,6 +544,8 @@ CORRUPTIONS = {
     "gamma infinite": lambda h, body: _with_header({**h, "gamma": math.inf}, body),
     # the two-logit intersection's checkpoints, inter_w2 (d + 1, 2d)
     "format v1": lambda h, body: _with_header({**h, "format": "lqrec-checkpoint-v1"}, body),
+    # k expert tensors expert_0 .. expert_{k-1}, each (d + 1, d)
+    "format v2": lambda h, body: _with_header({**h, "format": "lqrec-checkpoint-v2"}, body),
 }
 
 
