@@ -61,14 +61,17 @@ def read_key_values(path: str, parsers: Mapping[str, Callable[[str], object]]) -
     """Parsed values of a ``key=value`` config file, keyed as in the file.
 
     ``#`` starts a comment and blank lines are skipped. Each value goes
-    through its key's entry in ``parsers``; a line without ``=``, an unknown
-    key, a value its parser rejects or a key given twice raises
-    ``ConfigError`` naming ``path:line`` and the key.
+    through its key's entry in ``parsers``; a line that is not UTF-8 or has
+    no ``=``, an unknown key, a value its parser rejects or a key given twice
+    raises ``ConfigError`` naming ``path:line`` (and the key).
     """
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
+    with open(path, "rb") as f:  # lines split as in text mode
+        for lineno, raw in enumerate(f.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8") from None
             if not line:
                 continue
             if "=" not in line:

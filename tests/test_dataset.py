@@ -127,6 +127,16 @@ def test_config_errors_name_location(tmp_path, from_file, line, message):
         from_file(str(p))
 
 
+@pytest.mark.parametrize("from_file", [DatasetConfig.from_file, TrainConfig.from_file],
+                         ids=["dataset", "train"])
+def test_config_not_utf8_names_location(tmp_path, from_file):
+    # lines are numbered as a text-mode reader splits them: CRLF, CR and LF
+    p = tmp_path / "cfg"
+    p.write_bytes(b"# comment\r\n\rseed=1\nd=\xff\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}:4: not UTF-8")):
+        from_file(str(p))
+
+
 def test_sampled_requirement_contains_seed_semantics(world):
     # backward construction guarantees a nonempty answer set
     rng = random.Random(11)
