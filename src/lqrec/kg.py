@@ -45,8 +45,8 @@ class SplitInfeasibleError(RuntimeError):
 NAME_SEPARATORS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
                    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000()")
 # A graph name holds none of them, so it reads back as one query token, nor a
-# quote or the ``|`` that ends the user name of an ``answer`` line.
-_FORBIDDEN_NAME_CHARS = set(NAME_SEPARATORS + "\"'|")
+# quote, the ``|`` that ends the user name of an ``answer`` line, or a U+FEFF BOM.
+_FORBIDDEN_NAME_CHARS = set(NAME_SEPARATORS + "\"'|\ufeff")
 
 # Whole-file forms of a triple file and of a name list: lines of three
 # tab-separated names or of one name, blank lines allowed.

@@ -862,7 +862,8 @@ def test_answer_repl_survives_deep_nesting(pipeline, fuzz_inputs, monkeypatch,
 
 
 # Characters the loader must refuse in a name (every whitespace character,
-# the parentheses, the quotes and '|') and some it must accept.
+# the parentheses, the quotes, '|' and the byte-order mark U+FEFF) and some
+# it must accept.
 NAME_ALPHABET = ([chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
                  + list("()\"'|") + list("abe_-:#\\/[]{}<>=+~^$*?.,\x00é名")
                  + ["\u200b", "\ufeff", "\u180e", "e", "p", "and", "or", "user"])
@@ -871,7 +872,7 @@ NAME_ALPHABET = ([chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 def test_loaded_names_round_trip_through_query_and_answer(tmp_path, monkeypatch, capsys):
     """Every name that the loader accepts anchors a query that reads back
     as itself and names a relation and a user in an answer line; the loader
-    refuses exactly the names that hold a separator, a quote or '|'."""
+    refuses exactly the names that hold a separator, a quote, '|' or U+FEFF."""
     rng = random.Random(17)
     candidates = list(dict.fromkeys(
         "".join(rng.choice(NAME_ALPHABET) for _ in range(rng.randrange(1, 5)))
@@ -883,7 +884,7 @@ def test_loaded_names_round_trip_through_query_and_answer(tmp_path, monkeypatch,
                 names.append(name)
         except kgmod.GraphFormatError:
             pass
-    refused = set(kgmod.NAME_SEPARATORS + "\"'|")
+    refused = set(kgmod.NAME_SEPARATORS + "\"'|\ufeff")
     assert names == [n for n in candidates if not refused & set(n)]
     assert 200 < len(names) < len(candidates) - 200
     # each name is a user who likes the item and a relation from the hub

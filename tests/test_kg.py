@@ -343,11 +343,12 @@ def test_save_split_is_atomic(tmp_path, world, monkeypatch):
 
 def test_name_separators_pinned():
     # every character str.isspace() accepts, in code point order, then the
-    # parentheses; the loader also refuses the quotes and the REPL's '|'
+    # parentheses; the loader also refuses the quotes, the REPL's '|' and a
+    # byte-order mark, which the query tokenizer reads as part of a name
     spaces = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
     assert kgmod.NAME_SEPARATORS == spaces + "()"
     assert len(spaces) == 29
-    assert kgmod._FORBIDDEN_NAME_CHARS == set(kgmod.NAME_SEPARATORS + "\"'|")
+    assert kgmod._FORBIDDEN_NAME_CHARS == set(kgmod.NAME_SEPARATORS + "\"'|\ufeff")
 
 
 GOOD_TRIPLES = "a\tr1\tx\na\tr1\ty\nu\tlikes\tx\n"
@@ -377,6 +378,19 @@ def test_raw_name_with_separator_names_the_line(tmp_path, role, text, capsys):
     raw = _raw_files(tmp_path, **{role: text})
     assert _split(raw, tmp_path) == 2
     assert f"error: {raw[role]}:2: name " in capsys.readouterr().err
+    assert not (tmp_path / "split").exists()
+
+
+def test_byte_order_mark_in_a_name_is_refused(tmp_path, capsys):
+    # a triple file saved with a UTF-8 BOM would name "\ufeffa" and "a" as
+    # two entities; the loader and graph_from_names refuse it alike
+    rows = [("\ufeffa", "tags", "x"), ("a", "tags", "y"), ("u", "likes", "x")]
+    raw = _raw_files(tmp_path, "".join("\t".join(r) + "\n" for r in rows))
+    assert _split(raw, tmp_path) == 2
+    with pytest.raises(GraphFormatError) as built:
+        graph_from_names(rows, ["x", "y"], ["u"], "likes")
+    assert "'\\ufeffa' contains forbidden character(s)" in str(built.value)
+    assert capsys.readouterr().err == f"error: {raw['triples']}:1: {built.value}\n"
     assert not (tmp_path / "split").exists()
 
 
