@@ -60,10 +60,10 @@ class ConfigError(ValueError):
 def read_key_values(path: str, parsers: Mapping[str, Callable[[str], object]]) -> dict:
     """Parsed values of a ``key=value`` config file, keyed as in the file.
 
-    ``#`` starts a comment and blank lines are skipped. Each value goes
-    through its key's entry in ``parsers``; a line that is not UTF-8 or has
-    no ``=``, an unknown key, a value its parser rejects or a key given twice
-    raises ``ConfigError`` naming ``path:line`` (and the key).
+    ``#`` starts a comment and blank lines are skipped. Each value goes through
+    its key's entry in ``parsers``; a line that is not UTF-8, holds a byte-order
+    mark (U+FEFF) or has no ``=``, an unknown key, a value its parser rejects or
+    a key given twice raises ``ConfigError`` naming ``path:line`` (and the key).
     """
     values = {}
     with open(path, "rb") as f:  # lines split as in text mode
@@ -74,6 +74,8 @@ def read_key_values(path: str, parsers: Mapping[str, Callable[[str], object]]) -
                 raise ConfigError(f"{path}:{lineno}: not UTF-8") from None
             if not line:
                 continue
+            if "\ufeff" in line:
+                raise ConfigError(f"{path}:{lineno}: U+FEFF byte-order mark")
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))

@@ -135,6 +135,10 @@ def test_config_not_utf8_names_location(tmp_path, from_file):
     p.write_bytes(b"# comment\r\n\rseed=1\nd=\xff\n")
     with pytest.raises(ConfigError, match=re.escape(f"{p}:4: not UTF-8")):
         from_file(str(p))
+    # a file saved with a UTF-8 byte-order mark
+    p.write_bytes(b"\xef\xbb\xbfseed=1\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}:1: U+FEFF byte-order mark")):
+        from_file(str(p))
 
 
 def test_sampled_requirement_contains_seed_semantics(world):
