@@ -224,8 +224,8 @@ def _name_fault(name: str) -> str | None:
     if not name:
         return "empty name field"
     if bad := sorted(_FORBIDDEN_NAME_CHARS.intersection(name)):
-        return (f"name {name!r} contains forbidden character(s) {bad}; names must be "
-                "whitespace- and paren-free")
+        return (f"name {name!r} contains forbidden character(s) {bad}; names hold no "
+                "whitespace, parenthesis, quote, '|' or U+FEFF")
     return None
 
 

@@ -394,6 +394,17 @@ def test_byte_order_mark_in_a_name_is_refused(tmp_path, capsys):
     assert not (tmp_path / "split").exists()
 
 
+@pytest.mark.parametrize("name", ["a|b", 'a"b'])
+def test_forbidden_character_error_states_the_whole_rule(name):
+    # '|' and the quotes are neither whitespace nor parentheses: the stated
+    # rule must cover them too
+    with pytest.raises(GraphFormatError) as built:
+        graph_from_names([(name, "r", "x"), ("u", "likes", "x")], ["x"], ["u"], "likes")
+    assert str(built.value) == (
+        f"name {name!r} contains forbidden character(s) [{name[1]!r}]; "
+        "names hold no whitespace, parenthesis, quote, '|' or U+FEFF")
+
+
 @pytest.mark.parametrize("row", [("a", "r1", "a b"), ("a", "r1", ""), ("x|y", "r1", "x"),
                                  ("a", "r 1", "x")])
 def test_graph_from_names_refuses_what_the_loader_refuses(tmp_path, row):

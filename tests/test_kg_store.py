@@ -113,7 +113,7 @@ def ref_check_name(name, path, lineno):
     if bad:
         raise GraphFormatError(
             f"{path}:{lineno}: name {name!r} contains forbidden character(s) "
-            f"{sorted(bad)}; names must be whitespace- and paren-free")
+            f"{sorted(bad)}; names hold no whitespace, parenthesis, quote, '|' or U+FEFF")
     return name
 
 
