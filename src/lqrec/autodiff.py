@@ -19,7 +19,8 @@ Each op's forward math, shape check included, is written once, as a method
 of ``Eager`` on plain float64 arrays; inference runs it on ``EAGER``, which
 records nothing. The ``Tape`` op of the same name calls that method on its
 operands' arrays and records the result with its backward rule, as one
-``(output, backward)`` node through ``Tape._node``.
+``(output, backward)`` node through ``Tape._node``. The logistic function,
+``sigmoid``, is a helper that ops and inference call, not an op.
 
 Subgradient conventions are fixed: relu'(0) = 0, the L1 distance uses
 sign with sign(0) = 0, and elementwise_max routes ties to its first operand.
@@ -129,10 +130,31 @@ def _rowwise_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ m)[..., 0, :]
 
 
+def _affine_backward(w: Tensor, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Add ``affine``'s weight gradient for input ``x`` and output gradient
+    ``g`` into ``w``; return the input gradient."""
+    x2 = x.reshape(-1, x.shape[-1])
+    g2 = g.reshape(-1, g.shape[-1])
+    gw = np.empty_like(w.data)
+    gw[:-1] = x2.T @ g2
+    gw[-1] = g2.sum(axis=0)
+    _accumulate(w, gw)
+    return g @ w.data[:-1].T
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow for large negative inputs."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
+
+
 class Eager:
     """Every op of ``Tape`` but ``logistic_loss``, under the same name, on
     plain float64 arrays. ``param`` and ``const`` make a model parameter or
-    a constant an operand: a plain array here, a ``Tensor`` on a tape."""
+    a constant an operand: a plain array here, a ``Tensor`` on a tape.
+    ``sigmoid`` is a module helper, not an op of either."""
 
     def param(self, t: Tensor) -> np.ndarray:
         return t.data
@@ -168,14 +190,6 @@ class Eager:
         _same_shape("add", a, b)
         return a + b
 
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        _same_shape("sub", a, b)
-        return a - b
-
-    def elementwise_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        _same_shape("elementwise_mul", a, b)
-        return a * b
-
     def elementwise_max(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _same_shape("elementwise_max", a, b)
         return np.where(a >= b, a, b)
@@ -185,12 +199,6 @@ class Eager:
         return scale * x + shift
 
     # -- shape plumbing ------------------------------------------------------
-
-    def concat_last_dim(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Join two operands along the last axis; leading shapes must agree."""
-        if a.ndim == 0 or b.ndim == 0 or a.shape[:-1] != b.shape[:-1]:
-            raise OpShapeError("concat_last_dim", a.shape, b.shape)
-        return np.concatenate((a, b), axis=-1)
 
     def place_rows(self, parts: list[np.ndarray], rows) -> np.ndarray:
         """One (n, d) matrix whose rows ``rows[i]`` are the (n_i, d) part
@@ -233,16 +241,25 @@ class Eager:
     def relu(self, x: np.ndarray) -> np.ndarray:
         return np.where(x > 0, x, 0.0)
 
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        """Logistic function without overflow for large negative inputs."""
-        e = np.exp(-np.abs(x))
-        out = np.where(x >= 0, 1.0, e)
-        out /= 1.0 + e
-        return out
-
     def softmax_last_dim(self, x: np.ndarray) -> np.ndarray:
         ex = np.exp(x - x.max(axis=-1, keepdims=True))
         return ex / ex.sum(axis=-1, keepdims=True)
+
+    def intersect(self, w1: np.ndarray, w2: np.ndarray, q1: np.ndarray,
+                  q2: np.ndarray) -> np.ndarray:
+        """``q2 + s * (q1 - q2)`` for equal-shape operands, with the gate
+        ``s = sigmoid(affine(w2, relu(affine(w1, x))))`` on ``x = [q1, q2]``."""
+        return self._intersect(w1, w2, q1, q2)[0]
+
+    def _intersect(self, w1, w2, q1, q2):
+        """``intersect``, then the ``x``, ``h``, ``s`` and ``q1 - q2`` its backward reads."""
+        if q1.ndim == 0 or q1.shape != q2.shape or w2.shape[-1:] != q1.shape[-1:]:
+            raise OpShapeError("intersect", w1.shape, w2.shape, q1.shape, q2.shape)
+        x = np.concatenate((q1, q2), axis=-1)
+        h = self.relu(self.affine(w1, x))
+        s = sigmoid(self.affine(w2, h))
+        diff = q1 - q2
+        return q2 + s * diff, x, h, s, diff
 
 
 EAGER = Eager()
@@ -299,20 +316,6 @@ class Tape:
 
         return self._node(EAGER.add(a.data, b.data), backward)
 
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, -g)
-
-        return self._node(EAGER.sub(a.data, b.data), backward)
-
-    def elementwise_mul(self, a: Tensor, b: Tensor) -> Tensor:
-        def backward(g):
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-
-        return self._node(EAGER.elementwise_mul(a.data, b.data), backward)
-
     def elementwise_max(self, a: Tensor, b: Tensor) -> Tensor:
         """Per-element max; ties route the gradient to the first operand."""
 
@@ -327,14 +330,6 @@ class Tape:
         return self._node(EAGER.scale_shift(x.data, scale, shift),
                           lambda g: _accumulate(x, g * scale))
 
-    def concat_last_dim(self, a: Tensor, b: Tensor) -> Tensor:
-        def backward(g):
-            cut = a.shape[-1]
-            _accumulate(a, g[..., :cut])
-            _accumulate(b, g[..., cut:])
-
-        return self._node(EAGER.concat_last_dim(a.data, b.data), backward)
-
     def place_rows(self, parts: list[Tensor], rows) -> Tensor:
         """``Eager.place_rows``; part i's gradient is rows ``rows[i]`` of the output's."""
         idx = [np.asarray(r, dtype=np.int64) for r in rows]
@@ -346,16 +341,8 @@ class Tape:
         return self._node(EAGER.place_rows([t.data for t in parts], idx), backward)
 
     def affine(self, w: Tensor, x: Tensor) -> Tensor:
-        def backward(g):
-            x2 = x.data.reshape(-1, x.shape[-1])
-            g2 = g.reshape(-1, g.shape[-1])
-            gw = np.empty_like(w.data)
-            gw[:-1] = x2.T @ g2
-            gw[-1] = g2.sum(axis=0)
-            _accumulate(w, gw)
-            _accumulate(x, g @ w.data[:-1].T)
-
-        return self._node(EAGER.affine(w.data, x.data), backward)
+        return self._node(EAGER.affine(w.data, x.data),
+                          lambda g: _accumulate(x, _affine_backward(w, x.data, g)))
 
     def weighted_sum(self, weights: Tensor, stack: Tensor) -> Tensor:
         def backward(g):
@@ -370,10 +357,6 @@ class Tape:
         return self._node(EAGER.relu(x.data),
                           lambda g: _accumulate(x, g * (x.data > 0)))
 
-    def sigmoid(self, x: Tensor) -> Tensor:
-        s = EAGER.sigmoid(x.data)
-        return self._node(s, lambda g: _accumulate(x, g * s * (1.0 - s)))
-
     def softmax_last_dim(self, x: Tensor) -> Tensor:
         s = EAGER.softmax_last_dim(x.data)
 
@@ -382,6 +365,25 @@ class Tape:
             _accumulate(x, s * (g - inner))
 
         return self._node(s, backward)
+
+    def intersect(self, w1: Tensor, w2: Tensor, q1: Tensor, q2: Tensor) -> Tensor:
+        """``Eager.intersect``. Its backward adds into ``q1`` and ``q2`` in the
+        order, and with the products, of one node per step of the forward, so
+        every gradient has that form's bytes."""
+        out, x, h, s, diff = EAGER._intersect(w1.data, w2.data, q1.data, q2.data)
+        d = q1.shape[-1]
+
+        def backward(g):
+            _accumulate(q2, g)
+            gs = g * s
+            _accumulate(q1, gs)
+            _accumulate(q2, -gs)
+            gh = _affine_backward(w2, h, (g * diff) * s * (1.0 - s))
+            gx = _affine_backward(w1, x, gh * (h > 0))
+            _accumulate(q1, gx[..., :d])
+            _accumulate(q2, gx[..., d:])
+
+        return self._node(out, backward)
 
     def logistic_loss(self, scores: Tensor) -> Tensor:
         """Logistic loss on logits, averaged over all elements: column 0 of
@@ -397,7 +399,7 @@ class Tape:
         loss = (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))).sum() / n
 
         def backward(g):
-            grad = EAGER.sigmoid(t) * (g / n)
+            grad = sigmoid(t) * (g / n)
             grad[..., 0] = -grad[..., 0]
             _accumulate(scores, grad)
 

@@ -13,8 +13,8 @@ The forward pass always runs on a batch of (user, requirement) pairs; a lone
 query is a batch of one. Requirements are grouped by skeleton (the query with
 its anchor and relation ids erased; the two child orders of a shape are two
 skeletons). Each group's queries are walked level by level on (B, d) tensors:
-a projection is one gather plus one add, an intersection one gate network on
-(B, 2d), a union one max. One op, ``place_rows``, puts the group outputs at
+a projection is one gather plus one add, an intersection one ``intersect``
+op, a union one max. One op, ``place_rows``, puts the group outputs at
 their batch rows, and the preference, joint intersection, expert bank and
 gates then run once over the whole batch. Training, evaluation and ``answer``
 all embed through this one path: training runs it on a ``Tape``, inference on
@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import ArtifactMismatchError, atomic_write, parse_json
-from .autodiff import EAGER, Eager, OpShapeError, Tape, Tensor, Value
+from .autodiff import Eager, OpShapeError, Tape, Tensor, Value, sigmoid
 from .kg import KnowledgeGraph
 from .oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from .query import Anchor, And, Project, QueryNode, skeleton
@@ -194,17 +194,11 @@ def embed_projection(ex: Tape | Eager, params: ModelParams, base: Value, rel) ->
 
 
 def embed_intersection(ex: Tape | Eager, params: ModelParams, q1: Value, q2: Value) -> Value:
-    """Per-dimension convex mix of the two operands.
-
-    The gate network maps the operand pair to one logit per dimension; its
-    sigmoid ``w`` weighs ``q1`` and ``1 - w`` weighs ``q2``, computed as
-    ``q2 + w * (q1 - q2)``. With all-zero parameters ``w`` is exactly 0.5, so
-    the output is the mean of the operands up to rounding.
-    """
-    x = ex.concat_last_dim(q1, q2)
-    hidden = ex.relu(ex.affine(ex.param(params.inter_w1), x))
-    w = ex.sigmoid(ex.affine(ex.param(params.inter_w2), hidden))
-    return ex.add(q2, ex.elementwise_mul(w, ex.sub(q1, q2)))
+    """Per-dimension convex mix of the two operands: the gate ``w`` of
+    ``Eager.intersect`` weighs ``q1`` and ``1 - w`` weighs ``q2``. With all-zero
+    parameters ``w`` is exactly 0.5, so the output is the mean of the operands
+    up to rounding."""
+    return ex.intersect(ex.param(params.inter_w1), ex.param(params.inter_w2), q1, q2)
 
 
 def embed_union(ex: Tape | Eager, q1: Value, q2: Value) -> Value:
@@ -388,7 +382,7 @@ def catalog_scores(catalog: Catalog, q_task: np.ndarray) -> np.ndarray:
             np.subtract(cols[j], q[:, j, None], out=diff)
             dist += np.abs(diff, out=diff)
     del diff  # before the sigmoid's temporaries, each as large as dist
-    scores = EAGER.sigmoid(np.subtract(catalog.gamma, dist, out=dist))
+    scores = sigmoid(np.subtract(catalog.gamma, dist, out=dist))
     return scores.reshape(q_task.shape[:-1] + (n_items,))
 
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from lqrec.autodiff import Tape, Tensor, backward
+from lqrec.autodiff import EAGER, Tape, Tensor, backward, sigmoid
 from lqrec.cli import main as cli_main
 from lqrec.dataset import (
     BuildReport,
@@ -336,9 +336,9 @@ def test_criterion_6_operator_invariants(gen_split):
         if not (np.all(inter >= lo) and np.all(inter <= hi)):
             failures.append("intersection convexity")
 
-        x = tape.concat_last_dim(a, b)
-        hidden = tape.relu(tape.affine(params.inter_w1, x))
-        w = tape.sigmoid(tape.affine(params.inter_w2, hidden)).data
+        x = np.concatenate([a.data, b.data])
+        hidden = EAGER.relu(EAGER.affine(params.inter_w1.data, x))
+        w = sigmoid(EAGER.affine(params.inter_w2.data, hidden))
         if (not np.all((w >= 0.0) & (w <= 1.0))
                 or np.max(np.abs(inter - (w * a.data + (1.0 - w) * b.data))) > 1e-12):
             failures.append("branch weight normalization")

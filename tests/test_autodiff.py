@@ -18,7 +18,9 @@ from lqrec.autodiff import (
     _accumulate,
     adam_step,
     backward,
+    sigmoid,
 )
+from reference_ops import mul, sigmoid_node
 from source_checks import attribute_accesses
 
 
@@ -147,8 +149,8 @@ def test_backward_refuses_swept_tape():
     tape = Tape()
     x, w = Tensor(np.array([0.3, -1.2, 2.0])), Tensor(np.array([1.5, 0.5, -0.7]))
     h = tape.scale_shift(x, 2.0, 0.1)
-    m = tape.elementwise_mul(h, w)
-    p = tape.sigmoid(m)
+    m = mul(tape, h, w)
+    p = sigmoid_node(tape, m)
     loss = tape.logistic_loss(p)
     backward(tape, loss)
     first = [t.grad.tobytes() for t in (x, w, h, m, p, loss)]
@@ -173,6 +175,10 @@ def test_shape_errors_carry_op_name():
         tape.affine(Tensor(np.ones((3, 2))), Tensor(np.ones(4)))
     with pytest.raises(OpShapeError, match="add"):
         EAGER.add(np.ones(2), np.ones(3))
+    # unequal operands, and a gate as wide as the hidden layer, not the operands
+    for w2, q2 in [(np.ones((3, 2)), np.ones(3)), (np.ones((3, 3)), np.ones(2))]:
+        with pytest.raises(OpShapeError, match="intersect"):
+            EAGER.intersect(np.ones((5, 2)), w2, np.ones(2), q2)
 
 
 def test_gather_scatters_sparsely():
@@ -271,59 +277,45 @@ def test_op_gradients_against_finite_differences(seed):
     ym = rng_tensor((2, 4), seed + 70)
     gm = rng_tensor((2, 3), seed + 80)
     sm = rng_tensor((2, 12), seed + 90)
+    w1 = rng_tensor((9, 3), seed + 100)
+    w2 = rng_tensor((4, 4), seed + 110)
 
     cases = {
         "affine_vec": lambda t: reduce_sum(t, t.affine(w, x)),
         "affine_mat": lambda t: reduce_sum(t, t.affine(w, t.gather(table, [0, 2, 5]))),
-        "concat": lambda t: reduce_sum(t, t.concat_last_dim(x, y)),
-        "mul": lambda t: reduce_sum(t, t.elementwise_mul(x, y)),
-        "sub": lambda t: reduce_sum(t, t.sub(x, y)),
-        "softmax": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.softmax_last_dim(x), y)
-        ),
+        "intersect": lambda t: reduce_sum(t, mul(t, t.intersect(w1, w2, x, y), y)),
+        "softmax": lambda t: reduce_sum(t, mul(t, t.softmax_last_dim(x), y)),
         "weighted": lambda t: reduce_sum(t, t.weighted_sum(gate, stack)),
         "l1_vec": lambda t: reduce_sum(t, t.gather_l1(table, [1, 3], x)),
-        "sigmoid": lambda t: reduce_mean(t, t.sigmoid(x)),
         "logistic": lambda t: t.logistic_loss(t.scale_shift(x, 3.0, 0.5)),
         "mean": lambda t: reduce_mean(t, t.gather(table, [0, 4])),
         "max": lambda t: reduce_sum(t, t.elementwise_max(x, y)),
         "relu": lambda t: reduce_sum(t, t.relu(x)),
         "scale_shift": lambda t: reduce_sum(t, t.scale_shift(x, -1.7, 0.3)),
         # the same ops on a leading batch axis
-        "affine_batch": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.affine(w, xm), gm)
-        ),
-        "concat_batch": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.concat_last_dim(xm, ym), t.concat_last_dim(ym, xm))
-        ),
-        # operands of unequal widths: the gradient is cut at the first's width
-        "concat_uneven": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.concat_last_dim(gm, xm), t.concat_last_dim(xm, gm))
-        ),
-        "softmax_batch": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.softmax_last_dim(xm), ym)
-        ),
+        "affine_batch": lambda t: reduce_sum(t, mul(t, t.affine(w, xm), gm)),
+        "intersect_batch": lambda t: reduce_sum(t, mul(t, t.intersect(w1, w2, xm, ym), xm)),
+        "softmax_batch": lambda t: reduce_sum(t, mul(t, t.softmax_last_dim(xm), ym)),
         "weighted_batch": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.weighted_sum(t.softmax_last_dim(gm), sm), xm)
+            mul(t, t.weighted_sum(t.softmax_last_dim(gm), sm), xm)
         ),
         "l1_batch": lambda t: reduce_sum(t, 
             t.gather_l1(table, [[1, 3, 3], [0, 5, 2]], xm)
         ),
         "logistic_batch": lambda t: t.logistic_loss(t.scale_shift(xm, 3.0, -0.5)),
         "place_blocks": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.place_rows([ym, t.sigmoid(xm)], [[3, 0], [1, 2]]),
-                              t.gather(table, [0, 1, 2, 3]))
+            mul(t, t.place_rows([ym, sigmoid_node(t, xm)], [[3, 0], [1, 2]]),
+                t.gather(table, [0, 1, 2, 3]))
         ),
         "gather_rows": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.gather(t.sigmoid(xm), [1, 0, 1]),
-                              t.gather(table, [0, 1, 2]))
+            mul(t, t.gather(sigmoid_node(t, xm), [1, 0, 1]), t.gather(table, [0, 1, 2]))
         ),
         # a tape output gathered at one of its rows
         "gather_one_row": lambda t: reduce_sum(t, 
-            t.elementwise_mul(t.gather(t.sigmoid(xm), [1, 1]), t.gather(table, [0, 4]))
+            mul(t, t.gather(sigmoid_node(t, xm), [1, 1]), t.gather(table, [0, 4]))
         ),
     }
-    targets = [w, x, y, table, gate, stack, xm, ym, gm, sm]
+    targets = [w, x, y, table, gate, stack, xm, ym, gm, sm, w1, w2]
     for name, build in cases.items():
         for target in targets:
             target.zero_grad()
@@ -386,24 +378,22 @@ def test_node_protocol():
     ``logistic_loss``, and each gives the tape's result bit for bit;
     ``param`` and ``const`` make leaf operands and record nothing."""
     x, y = rng_tensor((4,), 1), rng_tensor((4,), 2)
-    xm = rng_tensor((2, 4), 3)
+    xm, ym = rng_tensor((2, 4), 3), rng_tensor((2, 4), 10)
     table, w = rng_tensor((6, 4), 4), rng_tensor((5, 3), 5)
     gate, stack = rng_tensor((3,), 6), rng_tensor((12,), 7)
+    w1, w2 = rng_tensor((9, 3), 8), rng_tensor((4, 4), 9)
     cases = {
         "gather": lambda t, v: t.gather(v(table), [0, 2]),
         "gather_l1": lambda t, v: t.gather_l1(v(table), [[1, 3], [0, 5]], v(xm)),
         "add": lambda t, v: t.add(v(x), v(y)),
-        "sub": lambda t, v: t.sub(v(x), v(y)),
-        "elementwise_mul": lambda t, v: t.elementwise_mul(v(x), v(y)),
         "elementwise_max": lambda t, v: t.elementwise_max(v(x), v(y)),
         "scale_shift": lambda t, v: t.scale_shift(v(x), 2.0, 1.0),
-        "concat_last_dim": lambda t, v: t.concat_last_dim(v(xm), v(xm)),
         "place_rows": lambda t, v: t.place_rows([v(xm), v(xm)], [[3, 0], [1, 2]]),
         "affine": lambda t, v: t.affine(v(w), v(xm)),
         "weighted_sum": lambda t, v: t.weighted_sum(v(gate), v(stack)),
         "relu": lambda t, v: t.relu(v(x)),
-        "sigmoid": lambda t, v: t.sigmoid(v(x)),
         "softmax_last_dim": lambda t, v: t.softmax_last_dim(v(xm)),
+        "intersect": lambda t, v: t.intersect(v(w1), v(w2), v(xm), v(ym)),
         "logistic_loss": lambda t, v: t.logistic_loss(v(xm)),
     }
     leaves = {"param", "const"}
@@ -685,7 +675,7 @@ def test_lazy_adam_leaves_rows_without_gradient():
 
 def _masked_sigmoid(x):
     """The logistic function by boolean-mask gathers and scatters, the form
-    ``Eager.sigmoid`` must reproduce bit for bit."""
+    ``sigmoid`` must reproduce bit for bit."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -704,11 +694,11 @@ def test_sigmoid_matches_masked_reference():
     cases += [np.array(v) for v in edges]  # 0-d inputs
     for x in cases:
         with np.errstate(under="ignore"):
-            got, want = EAGER.sigmoid(x), _masked_sigmoid(x)
+            got, want = sigmoid(x), _masked_sigmoid(x)
         assert type(got) is np.ndarray and got.shape == x.shape
         assert got.tobytes() == want.tobytes(), x
     for v in (-745.2, 800.0):  # the same underflow is raised, not hidden
         with np.errstate(all="raise"):
-            for fn in (EAGER.sigmoid, _masked_sigmoid):
+            for fn in (sigmoid, _masked_sigmoid):
                 with pytest.raises(FloatingPointError):
                     fn(np.array([v]))

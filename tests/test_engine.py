@@ -1,6 +1,7 @@
 """Differential tests: the skeleton-grouped batch against one-instance batches
 and against the id-column recursion it replaced, the one-gate intersection
-against the two-logit form it replaced, the logistic loss on logits against
+against the two-logit form it replaced, the ``intersect`` op against the
+node-by-node intersection it replaced, the logistic loss on logits against
 the clipped BCE of their sigmoids that it replaced, and the one-tensor expert
 bank against the per-expert bank it replaced.
 
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from lqrec import model
-from lqrec.autodiff import EAGER, Tape, Tensor, _accumulate, backward
+from lqrec.autodiff import (EAGER, AdamState, Tape, Tensor, _accumulate, adam_step, backward,
+                            sigmoid)
 from lqrec.dataset import DatasetConfig, sample_instance
 from lqrec.model import (VARIANTS, ModelParams, embed_instance, embed_intersection,
                          embed_projection, embed_union, score_items)
@@ -27,6 +29,7 @@ from lqrec.oracle import TASKS
 from lqrec.query import ALL_SHAPES, Anchor, And, Or, Project, QueryShape
 from lqrec.training import (compute_loss, effective_task_weights, pack_answers,
                             sample_negatives)
+from reference_ops import join_last_dim, mul, sigmoid_node, sub
 
 TOL = 1e-10
 
@@ -233,12 +236,12 @@ def two_logit_intersection(inter_w2):
     """``embed_intersection`` as it was, reading the (d + 1, 2d) ``inter_w2``."""
 
     def embed(ex, params, q1, q2):
-        x = ex.concat_last_dim(q1, q2)
+        x = join_last_dim(ex, [q1, q2])
         hidden = ex.relu(ex.affine(ex.param(params.inter_w1), x))
         l1, l2 = _halves(ex, ex.affine(ex.param(inter_w2), hidden))
-        w1 = ex.sigmoid(ex.sub(l1, l2))
-        w2 = ex.sigmoid(ex.sub(l2, l1))
-        return ex.add(ex.elementwise_mul(w1, q1), ex.elementwise_mul(w2, q2))
+        w1 = sigmoid_node(ex, sub(ex, l1, l2))
+        w2 = sigmoid_node(ex, sub(ex, l2, l1))
+        return ex.add(mul(ex, w1, q1), mul(ex, w2, q2))
 
     return embed
 
@@ -286,6 +289,59 @@ def test_gate_equals_two_logit_intersection(world_split, mixed_instances, varian
     np.testing.assert_allclose(new_grads["inter_w2"], -old_gate[:, d:], rtol=0, atol=TOL)
 
 
+# --- the node-by-node intersection, kept as the reference ----------------------
+# The intersection was eight nodes: the operands joined, affine, relu, affine,
+# sigmoid, their difference, its product with the gate, and the sum with q2.
+
+
+def node_by_node_intersection(ex, params, q1, q2):
+    """``embed_intersection`` as it was, one node per step."""
+    x = join_last_dim(ex, [q1, q2])
+    hidden = ex.relu(ex.affine(ex.param(params.inter_w1), x))
+    w = sigmoid_node(ex, ex.affine(ex.param(params.inter_w2), hidden))
+    return ex.add(q2, mul(ex, w, sub(ex, q1, q2)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("seed", range(2))
+def test_intersect_equals_node_by_node_intersection(world_split, mixed_instances, variant,
+                                                    seed, monkeypatch):
+    """Byte for byte: every EAGER task embedding, the loss and every
+    parameter gradient, and every parameter and Adam moment after three
+    ``adam_step``s, since the op's backward adds into its operands in the
+    node-by-node order."""
+    kg = world_split.train
+    users = [inst.user for inst in mixed_instances]
+    reqs = [inst.requirement for inst in mixed_instances]
+    weights = effective_task_weights(variant, (1.0, 1.0, 1.0))
+    pack = pack_answers(mixed_instances, kg.sorted_items(), weights, 5)
+    samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
+                               np.random.default_rng(60 + seed))
+
+    def run():
+        params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=seed, variant=variant)
+        out = {f"emb {task}": e.tobytes() for task, e in
+               embed_instance(EAGER, params, users, reqs, kg.like_rel).items()}
+        state = AdamState(params.named(), lr=0.05)
+        for step in range(3):
+            loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)
+            if step == 0:
+                out["loss"] = np.float64(loss).tobytes()
+                out |= {f"grad {n}": g.tobytes() for n, g in grads.items()}
+                assert np.abs(grads["inter_w1"]).max() > 1e-5
+            adam_step(params.named(), state)
+        for name, t in params.named().items():
+            out |= {f"param {name}": t.data.tobytes(), f"m {name}": state.m[name].tobytes(),
+                    f"v {name}": state.v[name].tobytes()}
+        return out
+
+    got = run()
+    monkeypatch.setattr(model, "embed_intersection", node_by_node_intersection)
+    want = run()
+    assert got.keys() == want.keys()
+    assert [key for key in got if got[key] != want[key]] == []
+
+
 # --- the clipped BCE of sigmoids, kept as the reference ------------------------
 # Each task's scores went through a sigmoid node, then one binary
 # cross-entropy node against a labels array (1 in column 0, 0 elsewhere) with
@@ -310,7 +366,7 @@ def sigmoid_bce(tape, scores):
     """The old loss of a (B, 1 + n_neg) block of logits, positives in column 0."""
     labels = np.zeros(scores.shape)
     labels[..., 0] = 1.0
-    return clipped_bce(tape, tape.sigmoid(scores), labels)
+    return clipped_bce(tape, sigmoid_node(tape, scores), labels)
 
 
 def reference_compute_loss(tape, batch, samples, params, kg, task_weights):
@@ -365,7 +421,7 @@ def test_logistic_loss_equals_sigmoid_bce_on_random_logits(shape):
         (loss, grad), (ref_loss, ref_grad) = got
         signed = np.concatenate([-z.data[..., :1], z.data[..., 1:]], axis=-1)
         assert loss == pytest.approx(np.logaddexp(0.0, signed).mean(), rel=1e-14, abs=0)
-        ulps = 4 * np.finfo(float).eps / EAGER.sigmoid(-signed)
+        ulps = 4 * np.finfo(float).eps / sigmoid(-signed)
         assert loss == pytest.approx(ref_loss, rel=1e-14, abs=ulps.sum() / z.data.size)
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=TOL)
 
@@ -376,25 +432,11 @@ def test_logistic_loss_equals_sigmoid_bce_on_random_logits(shape):
 # the one ``experts`` tensor that replaced them.
 
 
-def _join_last_dim(ex, parts):
-    """The parts side by side along the last axis; on a tape one node that
-    hands each part its block of the gradient."""
-    if ex is EAGER:
-        return np.concatenate(parts, axis=-1)
-
-    def backward_fn(g):
-        bounds = np.cumsum([t.shape[-1] for t in parts])[:-1]
-        for t, block in zip(parts, np.split(g, bounds, axis=-1)):
-            _accumulate(t, block)
-
-    return ex._node(np.concatenate([t.data for t in parts], axis=-1), backward_fn)
-
-
 def per_expert_bank(experts):
     """``_expert_bank`` as it was, reading the k expert tensors ``experts``."""
 
     def bank(ex, params, q):
-        return _join_last_dim(ex, [ex.relu(ex.affine(ex.param(e), q)) for e in experts])
+        return join_last_dim(ex, [ex.relu(ex.affine(ex.param(e), q)) for e in experts])
 
     return bank
 

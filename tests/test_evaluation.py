@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lqrec import evaluation, model
-from lqrec.autodiff import EAGER
+from lqrec.autodiff import EAGER, sigmoid
 from lqrec.dataset import BASIC_SHAPES, DatasetConfig, build_dataset
 from lqrec.evaluation import _record_metrics, evaluate, filtered_rank, rank_items
 from lqrec.kg import KnowledgeGraph, Vocab
@@ -407,7 +407,7 @@ def test_evaluate_scores_updated_params(bench, monkeypatch):
     joint = embed_instance(EAGER, params, [i.user for i in test],
                            [i.requirement for i in test], kg.like_rel)[TASK_JOINT]
     for row, (old, new) in enumerate(zip(before, seen, strict=True)):
-        fresh = EAGER.sigmoid(score_items(EAGER, params, joint[row], ids))
+        fresh = sigmoid(score_items(EAGER, params, joint[row], ids))
         assert np.max(np.abs(new - fresh)) <= 1e-12
         assert np.max(np.abs(new - old)) > 1e-6
 

@@ -8,7 +8,7 @@ import pytest
 
 from lqrec import model
 from lqrec.artifacts import ArtifactMismatchError
-from lqrec.autodiff import EAGER, OpShapeError, Tape, Tensor, backward
+from lqrec.autodiff import EAGER, OpShapeError, Tape, Tensor, backward, sigmoid
 from lqrec.evaluation import rank_items
 from lqrec.kg import graph_from_names
 from lqrec.model import (
@@ -115,9 +115,9 @@ def test_intersection_weights_sum_to_one(params):
     for _ in range(20):
         q1 = make_vec(rng.standard_normal(8))
         q2 = make_vec(rng.standard_normal(8))
-        x = tape.concat_last_dim(q1, q2)
-        hidden = tape.relu(tape.affine(params.inter_w1, x))
-        w = tape.sigmoid(tape.affine(params.inter_w2, hidden)).data
+        x = np.concatenate([q1.data, q2.data])
+        hidden = EAGER.relu(EAGER.affine(params.inter_w1.data, x))
+        w = sigmoid(EAGER.affine(params.inter_w2.data, hidden))
         assert np.all((w >= 0.0) & (w <= 1.0))
         out = embed_intersection(tape, params, q1, q2).data
         np.testing.assert_allclose(out, w * q1.data + (1.0 - w) * q2.data,
@@ -292,7 +292,7 @@ def test_catalog_scores_equal_taped_score_items(world, params):
     taped = score_items(Tape(), params, Tensor(q), ids).data
     assert score_items(EAGER, params, q, ids).tobytes() == taped.tobytes()
     # the column-table kernel sums in another order: equal to rounding
-    probs = EAGER.sigmoid(taped)
+    probs = sigmoid(taped)
     assert np.max(np.abs(catalog_scores(Catalog(params, ids), q) - probs)) <= 1e-12
 
 
@@ -310,7 +310,7 @@ def test_catalog_scores_match_score_items(d, n_items):
     catalog = Catalog(params, ids)
     for _ in range(3):
         q = params.entity_emb.data[rng.choice(ids)] + rng.normal(0, 0.3, d) / math.sqrt(d)
-        want = EAGER.sigmoid(score_items(EAGER, params, q, ids))
+        want = sigmoid(score_items(EAGER, params, q, ids))
         got = catalog_scores(catalog, q)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert len(np.unique(want)) == n_items  # tie-free input
@@ -331,7 +331,7 @@ def test_catalog_scores_match_score_items(d, n_items):
 def reference_catalog_scores(catalog, q):
     """The one-query scorer that block scoring replaced: one (d, n_items)
     difference array, summed over its rows."""
-    return EAGER.sigmoid(catalog.gamma - np.abs(catalog.cols - q[:, None]).sum(axis=0))
+    return sigmoid(catalog.gamma - np.abs(catalog.cols - q[:, None]).sum(axis=0))
 
 
 @pytest.mark.parametrize("scratch", [model.SCORE_SCRATCH, 0])  # 0: rows stream
