@@ -55,3 +55,23 @@ def gathers_not_from_params(path=SRC_DIR / "model.py"):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("gather", "gather_l1")
             and not (node.args and is_param(node.args[0]))]
+
+
+def names_reached(names, path):
+    """``file:line`` of every name, attribute or string constant in ``path``
+    that is one of ``names``: a call, a reference or a ``getattr`` of it."""
+    path = Path(path)
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Constant) and node.value in names)]
+
+
+def imported_names(path):
+    """Every import of ``path`` as a dotted name: ``import a.b`` gives
+    ``a.b``, ``from a import b`` gives ``a.b``."""
+    return [name for node in ast.walk(ast.parse(Path(path).read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in (alias.name if isinstance(node, ast.Import)
+                         else f"{node.module}.{alias.name}" for alias in node.names)]

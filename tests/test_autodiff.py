@@ -20,7 +20,7 @@ from lqrec.autodiff import (
     backward,
     sigmoid,
 )
-from reference_ops import mul, sigmoid_node
+from reference_model import mul, sigmoid_node
 from source_checks import attribute_accesses
 
 
@@ -87,7 +87,7 @@ def test_relu_subgradient():
     np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
 
 
-def test_sigmoid_bce_composite_gradient():
+def test_logistic_loss_gradient_is_sigmoid_minus_label():
     # the logistic loss is the BCE of sigmoid(z) against y = 1 in column 0
     # and y = 0 elsewhere: d/dz of one element's term is sigmoid(z) - y
     for z0 in (0.7, -1.3, 2.5):
@@ -359,7 +359,7 @@ def test_adam_deterministic():
     assert run() == run()
 
 
-def test_bce_guard_no_nan():
+def test_logistic_loss_finite_on_large_logits_not_on_nonfinite_ones():
     # logits of +-800 give a finite loss and finite gradients; a non-finite
     # logit gives a non-finite loss, with no warning (warnings are errors)
     tape = Tape()

@@ -9,17 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lqrec.autodiff import AdamState, Tape, adam_step, backward, sigmoid
+from lqrec.autodiff import AdamState, Tape, adam_step, backward
 from lqrec.dataset import DatasetConfig, build_dataset
-from lqrec.model import (
-    VARIANTS,
-    ModelParams,
-    embed_intersection,
-    embed_requirement,
-    embed_user_preference,
-    score_items,
-)
-from lqrec.oracle import TASK_JOINT, TASKS
+from lqrec.model import VARIANTS, ModelParams
+from lqrec.oracle import TASKS
 from lqrec.query import BASIC_SHAPES
 from lqrec.training import (
     DegenerateInstanceError,
@@ -50,12 +43,6 @@ def draw(instances, items, n_neg, seed=0, weights=(1.0, 1.0, 1.0), batch=None):
     pack = pack_answers(instances, items, weights, n_neg)
     batch = np.arange(len(instances)) if batch is None else batch
     return sample_negatives(pack, batch, n_neg, np.random.default_rng(seed))
-
-
-def row_samples(samples, task, row):
-    """(positive, negatives) of one batch row for ``task``."""
-    pos, *negs = samples[task][row].tolist()
-    return pos, negs
 
 
 def test_config_from_file_and_overrides(tmp_path):
@@ -297,60 +284,6 @@ def test_loss_closed_form_half_probabilities(toy):
     tape = Tape()
     loss = compute_loss(tape, batch, samples, params, kg, weights)
     assert float(loss.data) == pytest.approx(3.0 * math.log(2.0), abs=1e-12)
-
-
-def test_loss_weight_vector_selects_tasks(toy):
-    split, datasets = toy
-    kg = split.train
-    params = ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=1)
-    batch = datasets["train"][:4]
-    samples = draw(batch, kg.sorted_items(), 4, seed=6, weights=(1.0, 0.0, 0.0))
-    tape = Tape()
-    loss_joint_only = compute_loss(tape, batch, samples, params, kg,
-                                   (1.0, 0.0, 0.0))
-    # recompute the joint term by hand from the shared operators
-    total = 0.0
-    for row, inst in enumerate(batch):
-        t = Tape()
-        q_l = embed_requirement(t, params, [inst.requirement])
-        q_u = embed_user_preference(t, params, [inst.user], kg.like_rel)
-        q = embed_intersection(t, params, q_l, q_u)
-        q_star = VARIANTS[params.variant].head(t, params, q, q_l, q_u)[TASK_JOINT]
-        pos, negs = row_samples(samples, TASK_JOINT, row)
-        probs = sigmoid(score_items(t, params, q_star, [[pos] + negs]).data)[0]
-        labels = np.array([1.0] + [0.0] * len(negs))
-        total += float(
-            -(labels * np.log(probs) + (1 - labels) * np.log1p(-probs)).mean()
-        )
-    assert float(loss_joint_only.data) == pytest.approx(total / len(batch),
-                                                        rel=1e-12)
-
-
-def test_single_task_variant_equals_plain_base_loss(toy):
-    # the single-task path must share the operator code: its loss equals a
-    # manual base-model loss built from the same embed ops, no head
-    split, datasets = toy
-    kg = split.train
-    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=2,
-                              variant="single-task")
-    weights = effective_task_weights("single-task", (1.0, 1.0, 1.0))
-    batch = datasets["train"][:5]
-    samples = draw(batch, kg.sorted_items(), 3, seed=7, weights=weights)
-    tape = Tape()
-    loss = compute_loss(tape, batch, samples, params, kg, weights)
-    total = 0.0
-    for row, inst in enumerate(batch):
-        t = Tape()
-        q_l = embed_requirement(t, params, [inst.requirement])
-        q_u = embed_user_preference(t, params, [inst.user], kg.like_rel)
-        q = embed_intersection(t, params, q_l, q_u)
-        pos, negs = row_samples(samples, TASK_JOINT, row)
-        probs = sigmoid(score_items(t, params, q, [[pos] + negs]).data)[0]
-        labels = np.array([1.0] + [0.0] * len(negs))
-        total += float(
-            -(labels * np.log(probs) + (1 - labels) * np.log1p(-probs)).mean()
-        )
-    assert float(loss.data) == pytest.approx(total / len(batch), rel=1e-12)
 
 
 # Tape nodes of one compute_loss batch that holds all five basic shapes, at
