@@ -101,7 +101,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _answer_line(line: str, kg, params, catalog, mode: str) -> None:
+def _answer_line(line: str, kg, params, catalog, mode: str):
+    """Yield the output lines for one input line; a bad line raises before the first."""
     if "|" not in line:
         raise QuerySyntaxError("expected 'user NAME | QUERY'", 0)
     user_part, query_part = (s.strip() for s in line.split("|", 1))
@@ -118,13 +119,13 @@ def _answer_line(line: str, kg, params, catalog, mode: str) -> None:
     if mode in ("symbolic", "both"):
         answers = sorted(oracle.answer_joint(kg, user, query))
         names = [kg.entity_vocab.name_of(i) for i in answers]
-        print(f"symbolic ({len(names)}): {' '.join(names) if names else '(none)'}")
+        yield f"symbolic ({len(names)}): {' '.join(names) if names else '(none)'}"
     if mode in ("embedding", "both"):
-        task_emb = embed_instance(EAGER, params, [user], [query], kg.like_rel)
+        task_emb = embed_instance(EAGER, params, [user], [query], kg.like_rel, (oracle.TASK_JOINT,))
         ids, scores = rank_items(catalog, task_emb[oracle.TASK_JOINT][0], top_n=10)
-        print("embedding top-10:")
+        yield "embedding top-10:"
         for item, score in zip(ids.tolist(), scores.tolist()):
-            print(f"  {kg.entity_vocab.name_of(item)}  {score:.4f}")
+            yield f"  {kg.entity_vocab.name_of(item)}  {score:.4f}"
 
 
 def cmd_answer(args) -> int:
@@ -146,7 +147,7 @@ def cmd_answer(args) -> int:
         if line in ("quit", "exit"):
             break
         try:
-            _answer_line(line, kg, params, catalog, args.mode)
+            print("\n".join(_answer_line(line, kg, params, catalog, args.mode)))
         except (QuerySyntaxError, UnknownNameError, GraphFormatError) as exc:
             print(f"error: {exc}")
     return 0

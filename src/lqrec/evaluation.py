@@ -180,7 +180,7 @@ def evaluate(instances: list[RecInstance], params: ModelParams, kg: KnowledgeGra
     if instances:
         joint = embed_instance(EAGER, params, [inst.user for inst in instances],
                                [inst.requirement for inst in instances],
-                               kg.like_rel)[TASK_JOINT]
+                               kg.like_rel, (TASK_JOINT,))[TASK_JOINT]
     block = max(1, SCORE_BLOCK // max(1, len(catalog.ids)))
     by_shape: dict[str, list[dict[str, float]]] = {}
     for start in range(0, len(instances), block):

@@ -5,9 +5,9 @@ intersections mix their operands by a learned per-dimension sigmoid gate,
 unions take the elementwise max. A joint query is the intersection (same
 network) of the requirement embedding and the user-preference embedding. A
 bank of k expert transforms of the joint embedding, mixed by per-task softmax
-gates, produces one embedding per task; an item's logit for a task is
-margin - L1(task embedding, item embedding), and its probability the
-sigmoid of that logit.
+gates, produces the embedding of each task asked for (inference asks for the
+joint task only); an item's logit for a task is margin - L1(task embedding,
+item embedding), and its probability the sigmoid of that logit.
 
 The forward pass always runs on a batch of (user, requirement) pairs; a lone
 query is a batch of one. Requirements are grouped by skeleton (the query with
@@ -259,30 +259,32 @@ def _expert_bank(ex: Tape | Eager, params: ModelParams, q: Value) -> Value:
     return ex.relu(ex.affine(ex.param(params.experts), q))
 
 
-def _gated_head(ex, params, q, q_l, q_u):
+def _gated_head(ex, params, q, q_l, q_u, tasks):
     """Each task's softmax gate reads that task's own query embedding and
-    mixes the shared experts (MMoE)."""
+    mixes the shared experts (MMoE); only the gates of ``tasks`` run."""
     stack = _expert_bank(ex, params, q)
     gates = (ex.param(getattr(params, f"gate_{task}")) for task in TASKS)
     return {task: ex.weighted_sum(ex.softmax_last_dim(ex.affine(gate, x)), stack)
-            for task, gate, x in zip(TASKS, gates, (q, q_l, q_u))}
+            for task, gate, x in zip(TASKS, gates, (q, q_l, q_u)) if task in tasks}
 
 
-def _uniform_head(ex, params, q, q_l, q_u):
+def _uniform_head(ex, params, q, q_l, q_u, tasks):
     """The experts mixed uniformly into one representation for all tasks."""
     uniform = ex.const(np.full(q.shape[:-1] + (params.k,), 1.0 / params.k))
-    return dict.fromkeys(TASKS, ex.weighted_sum(uniform, _expert_bank(ex, params, q)))
+    return dict.fromkeys(tasks, ex.weighted_sum(uniform, _expert_bank(ex, params, q)))
 
 
-def _no_head(ex, params, q, q_l, q_u):
-    """The joint embedding as it is: plain base-model scoring."""
-    return {TASK_JOINT: q}
+def _no_head(ex, params, q, q_l, q_u, tasks):
+    """The joint embedding as it is: plain base-model scoring, no other task."""
+    if bad := [task for task in tasks if task != TASK_JOINT]:
+        raise ValueError(f"variant {params.variant!r} has no {bad[0]!r} task")
+    return dict.fromkeys(tasks, q)
 
 
 class Variant(NamedTuple):
-    """``head(ex, params, q, q_l, q_u)`` maps the joint, requirement and
-    preference embeddings to task embeddings; ``trains`` names the tasks
-    whose loss is trained."""
+    """``head(ex, params, q, q_l, q_u, tasks)`` maps the joint, requirement and
+    preference embeddings to the embeddings of ``tasks`` (names from ``TASKS``)
+    only; ``trains`` names the tasks whose loss is trained."""
 
     head: Callable[..., dict[str, Value]]
     trains: tuple[str, ...]
@@ -304,16 +306,17 @@ def embed_instance(
     users: Sequence[int],
     requirements: Sequence[QueryNode],
     like_rel: int,
+    tasks: Sequence[str],
 ) -> dict[str, Value]:
-    """Full forward pass for a batch of (user, requirement) pairs: per-task
-    (B, d) embeddings, row b for pair b. A lone query is a batch of one."""
+    """Forward pass for a batch of (user, requirement) pairs: the (B, d)
+    embeddings of ``tasks``, row b for pair b. A lone query is a batch of one."""
     if len(users) != len(requirements):
         raise ValueError("one user per requirement")
     q_l = embed_requirement(ex, params, requirements)
     q_u = embed_user_preference(ex, params, np.asarray(users, dtype=np.int64),
                                 like_rel)
     q = embed_intersection(ex, params, q_l, q_u)
-    return VARIANTS[params.variant].head(ex, params, q, q_l, q_u)
+    return VARIANTS[params.variant].head(ex, params, q, q_l, q_u, tasks)
 
 
 # --- scoring ---------------------------------------------------------------

@@ -239,7 +239,8 @@ def compute_loss(
     if not batch:
         raise ValueError("empty batch")
     task_emb = embed_instance(tape, params, [inst.user for inst in batch],
-                              [inst.requirement for inst in batch], kg.like_rel)
+                              [inst.requirement for inst in batch], kg.like_rel,
+                              VARIANTS[params.variant].trains)
     total: Tensor | None = None
     for task, ids in samples.items():
         loss = tape.logistic_loss(score_items(tape, params, task_emb[task], ids))

@@ -653,19 +653,16 @@ def test_answer_symbolic_omits_hard(pipeline):
         assert hard_item not in symbolic_line.split()
 
 
-def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
-                                                      capsys):
-    # reference: score the whole catalog, sort it with lexsort, print the
-    # first ten; the REPL's top-n ranking must print the same bytes
-    import io
-
+def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch):
+    # reference: the symbolic answers from the oracle, and for the embedding
+    # the all-task forward, the whole catalog scored and sorted with lexsort,
+    # the first ten printed; the REPL's joint-only forward and top-n ranking
+    # must print the same bytes, each line's output in one write
     import numpy as np
 
     from lqrec.autodiff import EAGER
-    from lqrec.oracle import TASK_JOINT
-    from lqrec.kg import load_split
+    from lqrec.oracle import TASK_JOINT, TASKS
     from lqrec.model import Catalog, catalog_scores, embed_instance, load_checkpoint
-    from lqrec.query import parse_query
 
     kg = load_split(str(pipeline["data"])).train
     params = load_checkpoint(str(pipeline["ckpt"]))
@@ -673,23 +670,43 @@ def test_answer_embedding_output_matches_full_ranking(pipeline, monkeypatch,
         records = [json.loads(line) for line in f]
     catalog = Catalog(params, sorted(kg.items))
     ids = catalog.ids
-    expected = []
-    for record in records:
+    bad_query = "(i (e x)"
+    with pytest.raises(QuerySyntaxError) as bad:
+        parse_query(bad_query, kg)
+    session, expected = [], []
+    for n, record in enumerate(records):
+        if n == 1:
+            session.append(f"user {record['user']} | {bad_query}\n")
+            expected.append(f"error: {bad.value}\n")
         user = kg.entity_vocab.id_of(record["user"])
         q = parse_query(record["query"], kg)
-        q_star = embed_instance(EAGER, params, [user], [q],
-                                kg.like_rel)[TASK_JOINT][0]
+        names = [kg.entity_vocab.name_of(i) for i in sorted(oracle.answer_joint(kg, user, q))]
+        block = f"symbolic ({len(names)}): {' '.join(names) if names else '(none)'}\n"
+        q_star = embed_instance(EAGER, params, [user], [q], kg.like_rel, TASKS)[TASK_JOINT][0]
         scores = catalog_scores(catalog, q_star)
-        expected.append("embedding top-10:\n")
+        block += "embedding top-10:\n"
         for j in np.lexsort((ids, -scores))[:10]:
-            expected.append(f"  {kg.entity_vocab.name_of(int(ids[j]))}  "
-                            f"{scores[j]:.4f}\n")
-    session = "".join(f"user {r['user']} | {r['query']}\n" for r in records)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+            block += f"  {kg.entity_vocab.name_of(int(ids[j]))}  {scores[j]:.4f}\n"
+        session.append(f"user {record['user']} | {record['query']}\n")
+        expected.append(block)
+    assert len(records) > 1
+
+    class Writes(io.StringIO):
+        """stdout that keeps each write but the newline ``print`` ends with."""
+
+        def write(self, text):
+            if text != "\n":
+                texts.append(text)
+            return super().write(text)
+
+    texts = []
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(session)))
+    monkeypatch.setattr(sys, "stdout", Writes())
     rc = main(["answer", "--kg", str(pipeline["data"]),
-               "--checkpoint", str(pipeline["ckpt"]), "--mode", "embedding"])
+               "--checkpoint", str(pipeline["ckpt"]), "--mode", "both"])
     assert rc == 0
-    assert capsys.readouterr().out == "".join(expected)
+    assert sys.stdout.getvalue() == "".join(expected)
+    assert [text + "\n" for text in texts] == expected
 
 
 def test_inference_constructs_no_tape(pipeline, monkeypatch, capsys):

@@ -7,6 +7,8 @@ must equal the mean over single-instance batches; grouping by skeleton only
 reorders floating-point sums. Inference embeddings must match bit for bit,
 because row-wise products do not depend on the batch size, and the eager
 forward must match the taped one, because both run the same op functions.
+A task's embedding must also keep its bytes whichever other tasks are asked
+for, because each task's gate reads only its own inputs.
 
 The whole model is checked against ``reference_model``, which embeds one
 instance at a time from the smallest ops and scores it with the clipped BCE
@@ -16,6 +18,7 @@ BCE on random logits.
 """
 
 import dataclasses
+import itertools
 import random
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from lqrec import model
 from lqrec.autodiff import EAGER, AdamState, Tape, Tensor, adam_step, backward, sigmoid
 from lqrec.dataset import DatasetConfig, sample_instance
 from lqrec.model import VARIANTS, ModelParams, embed_instance
+from lqrec.oracle import TASK_JOINT, TASKS
 from lqrec.query import ALL_SHAPES, And, Or, Project, QueryShape
 from lqrec.training import (compute_loss, effective_task_weights, pack_answers,
                             sample_negatives)
@@ -34,6 +38,9 @@ from reference_model import sigmoid_bce
 from source_checks import imported_names, names_reached
 
 TOL = 1e-10
+# The tasks each variant's head can produce; single-task has no head.
+PRODUCES = {variant: (TASK_JOINT,) if variant == "single-task" else TASKS
+            for variant in VARIANTS}
 
 
 def _reversed_children(q):
@@ -99,23 +106,56 @@ def test_batch_matches_mean_of_single_instances(world_split, mixed_instances,
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_inference_embeddings_bitwise(world_split, mixed_instances,
                                               variant):
-    """Inference embeds on EAGER: every task embedding of the batch equals,
-    byte for byte, the taped forward of the same batch and each instance
-    embedded alone."""
+    """Inference embeds on EAGER: every computed task embedding of the batch
+    equals, byte for byte, the taped forward of the same batch and each
+    instance embedded alone."""
     kg = world_split.train
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=5, variant=variant)
     users = [inst.user for inst in mixed_instances]
     reqs = [inst.requirement for inst in mixed_instances]
-    batched = embed_instance(EAGER, params, users, reqs, kg.like_rel)
-    taped = embed_instance(Tape(), params, users, reqs, kg.like_rel)
-    assert set(taped) == set(batched)
+    tasks = PRODUCES[variant]
+    batched = embed_instance(EAGER, params, users, reqs, kg.like_rel, tasks)
+    taped = embed_instance(Tape(), params, users, reqs, kg.like_rel, tasks)
+    assert tuple(batched) == tuple(taped) == tasks
     for task, emb in taped.items():
         assert emb.data.tobytes() == batched[task].tobytes(), task
     for row, (user, req) in enumerate(zip(users, reqs)):
-        alone = embed_instance(EAGER, params, [user], [req], kg.like_rel)
+        alone = embed_instance(EAGER, params, [user], [req], kg.like_rel, tasks)
         assert set(alone) == set(batched)
         for task, emb in alone.items():
             assert emb[0].tobytes() == batched[task][row].tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_task_subset_keeps_each_task_embedding(world_split, mixed_instances, variant):
+    """A head computes only the tasks asked for, and each of them has the
+    bytes it has when every task the variant produces is asked for: on the
+    mixed batch and on each instance alone, for every subset."""
+    kg = world_split.train
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=6, variant=variant)
+    users = [inst.user for inst in mixed_instances]
+    reqs = [inst.requirement for inst in mixed_instances]
+    produces = PRODUCES[variant]
+    batches = [(users, reqs)] + [([u], [r]) for u, r in zip(users, reqs)]
+    for batch_users, batch_reqs in batches:
+        full = embed_instance(EAGER, params, batch_users, batch_reqs, kg.like_rel, produces)
+        for n in range(len(produces) + 1):
+            for tasks in itertools.combinations(produces, n):
+                got = embed_instance(EAGER, params, batch_users, batch_reqs, kg.like_rel,
+                                     tasks)
+                assert tuple(got) == tasks
+                for task, emb in got.items():
+                    assert emb.tobytes() == full[task].tobytes(), (tasks, task)
+
+
+@pytest.mark.parametrize("task", sorted(set(TASKS) - {TASK_JOINT}))
+def test_task_the_variant_cannot_produce_raises(world_split, mixed_instances, task):
+    kg = world_split.train
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=6, variant="single-task")
+    inst = mixed_instances[0]
+    with pytest.raises(ValueError, match=f"'single-task'.*'{task}'"):
+        embed_instance(EAGER, params, [inst.user], [inst.requirement], kg.like_rel,
+                       (TASK_JOINT, task))
 
 
 # --- the reference model -------------------------------------------------------
@@ -132,12 +172,12 @@ def test_model_equals_reference_model(world_split, mixed_instances, variant, see
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=seed, variant=variant)
     users = [inst.user for inst in mixed_instances]
     reqs = [inst.requirement for inst in mixed_instances]
-    batched = embed_instance(EAGER, params, users, reqs, kg.like_rel)
+    batched = embed_instance(EAGER, params, users, reqs, kg.like_rel, PRODUCES[variant])
     for row, (user, req) in enumerate(zip(users, reqs)):
         alone = reference_model.embed(EAGER, params, user, req, kg.like_rel)
         assert alone.keys() == batched.keys()
-        for task, emb in alone.items():
-            np.testing.assert_allclose(batched[task][row], emb, rtol=0, atol=1e-12,
+        for task, emb in batched.items():
+            np.testing.assert_allclose(emb[row], alone[task], rtol=0, atol=1e-12,
                                        err_msg=task)
     weights = effective_task_weights(variant, weights)
     pack = pack_answers(mixed_instances, kg.sorted_items(), weights, 5)
@@ -183,7 +223,8 @@ def test_intersect_equals_node_by_node_intersection(world_split, mixed_instances
     def run():
         params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=seed, variant=variant)
         out = {f"emb {task}": e.tobytes() for task, e in
-               embed_instance(EAGER, params, users, reqs, kg.like_rel).items()}
+               embed_instance(EAGER, params, users, reqs, kg.like_rel,
+                              PRODUCES[variant]).items()}
         state = AdamState(params.named(), lr=0.05)
         for step in range(3):
             loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)

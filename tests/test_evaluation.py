@@ -137,7 +137,8 @@ def reference_evaluate(instances, params, kg, ks, target):
     ids = np.asarray(kg.sorted_items())
     catalog = Catalog(params, ids)
     joint = embed_instance(EAGER, params, [i.user for i in instances],
-                           [i.requirement for i in instances], kg.like_rel)[TASK_JOINT]
+                           [i.requirement for i in instances], kg.like_rel,
+                           (TASK_JOINT,))[TASK_JOINT]
     by_shape = {}
     for row, inst in enumerate(instances):
         scores = catalog_scores(catalog, joint[row])
@@ -405,7 +406,7 @@ def test_evaluate_scores_updated_params(bench, monkeypatch):
     evaluate(test, params, kg)
     ids = np.asarray(kg.sorted_items())
     joint = embed_instance(EAGER, params, [i.user for i in test],
-                           [i.requirement for i in test], kg.like_rel)[TASK_JOINT]
+                           [i.requirement for i in test], kg.like_rel, (TASK_JOINT,))[TASK_JOINT]
     for row, (old, new) in enumerate(zip(before, seen, strict=True)):
         fresh = sigmoid(score_items(EAGER, params, joint[row], ids))
         assert np.max(np.abs(new - fresh)) <= 1e-12

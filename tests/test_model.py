@@ -28,7 +28,7 @@ from lqrec.model import (
     save_checkpoint,
     score_items,
 )
-from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ
+from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from lqrec.query import parse_query
 from source_checks import SRC_DIR, gathers_not_from_params, literal_comparisons
 from test_autodiff import reduce_sum
@@ -184,7 +184,7 @@ def test_joint_uses_same_network(world):
     inter = embed_intersection(
         tape, p, embed_requirement(tape, p, [q]),
         embed_user_preference(tape, p, [user], world.like_rel))
-    joint = embed_instance(Tape(), p, [user], [q], world.like_rel)[TASK_JOINT]
+    joint = embed_instance(Tape(), p, [user], [q], world.like_rel, (TASK_JOINT,))[TASK_JOINT]
     assert joint.data.tobytes() == inter.data.tobytes()
 
 
@@ -195,7 +195,7 @@ def test_mtl_single_expert_gates_trivial(world):
     q_l = make_vec(rng.standard_normal(8))
     q_u = make_vec(rng.standard_normal(8))
     tape = Tape()
-    out = VARIANTS[p.variant].head(tape, p, q, q_l, q_u)
+    out = VARIANTS[p.variant].head(tape, p, q, q_l, q_u, TASKS)
     expert = tape.relu(tape.affine(p.experts, q))
     for task in (TASK_JOINT, TASK_REQ, TASK_PREF):
         np.testing.assert_allclose(out[task].data, expert.data, atol=1e-15)
@@ -227,7 +227,7 @@ def test_shared_bottom_one_representation(world):
     tape = Tape()
     out = VARIANTS[p.variant].head(tape, p, make_vec(rng.standard_normal(8)),
                                    make_vec(rng.standard_normal(8)),
-                                   make_vec(rng.standard_normal(8)))
+                                   make_vec(rng.standard_normal(8)), TASKS)
     assert out[TASK_JOINT] is out[TASK_REQ] is out[TASK_PREF]
 
 
@@ -237,7 +237,7 @@ def test_single_task_skips_head(world):
     rng = np.random.default_rng(1)
     q = make_vec(rng.standard_normal(8))
     tape = Tape()
-    out = VARIANTS[p.variant].head(tape, p, q, q, q)
+    out = VARIANTS[p.variant].head(tape, p, q, q, q, (TASK_JOINT,))
     assert list(out) == [TASK_JOINT]
     assert out[TASK_JOINT] is q
     assert not tape.nodes  # no experts or gates evaluated
@@ -249,7 +249,7 @@ def test_full_mtl_distinct_task_embeddings(world):
     tape = Tape()
     out = VARIANTS[p.variant].head(tape, p, make_vec(rng.standard_normal(8)),
                                    make_vec(rng.standard_normal(8)),
-                                   make_vec(rng.standard_normal(8)))
+                                   make_vec(rng.standard_normal(8)), TASKS)
     assert not np.array_equal(out[TASK_JOINT].data, out[TASK_REQ].data)
     assert not np.array_equal(out[TASK_JOINT].data, out[TASK_PREF].data)
 
@@ -562,7 +562,7 @@ def test_embed_instance_full_pipeline(world, params):
     q = parse_query("(p tags (e attr1_2))", world)
     u = sorted(world.users)[0]
     tape = Tape()
-    out = embed_instance(tape, params, [u], [q], world.like_rel)
+    out = embed_instance(tape, params, [u], [q], world.like_rel, TASKS)
     assert set(out) == {TASK_JOINT, TASK_REQ, TASK_PREF}
     for t in out.values():
         assert t.data.shape == (1, 8)

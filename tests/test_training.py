@@ -287,15 +287,22 @@ def test_loss_closed_form_half_probabilities(toy):
 
 
 # Tape nodes of one compute_loss batch that holds all five basic shapes, at
-# criterion 5's k = 3, and the mtl step's nodes per op. They bound the
-# step's cost: a change that adds nodes fails here, and one that removes
-# nodes lowers these bounds with it.
-STEP_NODES = {"mtl": 63, "shared-bottom": 55, "single-task": 42, "no-al": 58,
-              "no-au": 58}
+# criterion 5's k = 3, and the mtl, no-al and no-au steps' nodes per op.
+# They bound the step's cost: a change that adds nodes fails here, and one
+# that removes nodes lowers these bounds with it.
+STEP_NODES = {"mtl": 63, "shared-bottom": 55, "single-task": 42, "no-al": 55,
+              "no-au": 55}
 MTL_STEP_OPS = Counter({
     "gather": 21, "add": 14, "intersect": 4, "affine": 4, "relu": 1, "scale_shift": 6,
     "logistic_loss": 3, "gather_l1": 3, "softmax_last_dim": 3, "weighted_sum": 3,
     "place_rows": 1})
+# no-al and no-au train two tasks: one gate (affine, softmax_last_dim,
+# weighted_sum) and one task tail fewer than mtl; the untrained task's gate
+# does not run.
+TWO_TASK_STEP_OPS = MTL_STEP_OPS - Counter({
+    "affine": 1, "softmax_last_dim": 1, "weighted_sum": 1, "gather_l1": 1,
+    "logistic_loss": 1, "scale_shift": 2, "add": 1})
+STEP_OPS = {"mtl": MTL_STEP_OPS, "no-al": TWO_TASK_STEP_OPS, "no-au": TWO_TASK_STEP_OPS}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -315,10 +322,10 @@ def test_step_tape_nodes_bounded(toy, variant):
         compute_loss(tape, rows, sample_negatives(pack, batch, 4, np.random.default_rng(0)),
                      params, kg, weights)
         assert len(tape.nodes) <= STEP_NODES[variant], len(tape.nodes)
-        if variant == "mtl":
+        if variant in STEP_OPS:
             # each node's backward is defined in its Tape op method
             ops = Counter(fn.__qualname__.split(".")[1] for _, fn in tape.nodes)
-            assert not ops - MTL_STEP_OPS, ops - MTL_STEP_OPS
+            assert not ops - STEP_OPS[variant], ops - STEP_OPS[variant]
 
 
 def test_step_gradient_and_adam_stay_row_sparse(toy, monkeypatch):
