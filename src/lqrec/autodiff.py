@@ -8,8 +8,8 @@ take an optional leading batch axis, so a lone vector is simply the unbatched
 case. A closed set of ops with hand-written backward rules keeps the engine
 small and each rule individually checkable against finite differences. All
 values are float64 and tensors are rank 0-2; scoring ``m`` items for each of
-``B`` queries is therefore one fused gather + L1 op (``gather_l1``) instead of
-a ``(B, m, d)`` tensor.
+``B`` queries is therefore one op (``gather_margin``: gather, L1 distance and
+margin) instead of a ``(B, m, d)`` tensor.
 
 Row-wise products (``affine``, ``weighted_sum``) multiply one row at a time,
 so a row's result does not depend on how many rows share its batch: a query
@@ -31,7 +31,11 @@ rows that have a gradient.
 
 A tape is single-threaded. Several tapes may record forward passes
 concurrently over shared parameters; backward passes (which write their
-gradients) and ``adam_step`` must be serialized by the caller.
+gradients) and ``adam_step`` must be serialized by the caller, and a tape's
+backward must come before any ``adam_step`` after its forward: ``affine``'s
+and ``intersect``'s backward read their weights' current ``.data``, so such
+an update silently changes those gradients. ``gather`` and ``gather_margin``
+read no parameter in backward.
 """
 
 from __future__ import annotations
@@ -96,11 +100,13 @@ class Tensor:
 Value = Tensor | np.ndarray
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """``t.grad += g``, allocating a zero gradient on first use."""
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """``t.grad += g``; a first gradient is ``g`` itself, or a copy of it when
+    ``shared`` (read elsewhere too, as an output's gradient an operand gets)."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    elif t.grad_ids is not None:
+        t.grad = g.copy() if shared else g
+        return
+    if t.grad_ids is not None:
         t.grad, t.grad_ids = t.dense_grad(), None
     t.grad += g
 
@@ -171,18 +177,23 @@ class Eager:
             raise OpShapeError("gather", table.shape, idx.shape)
         return table[idx]
 
-    def gather_l1(self, table: np.ndarray, ids, q: np.ndarray) -> np.ndarray:
-        """L1 distance from ``q`` to gathered table rows, in one op.
+    def gather_margin(self, table: np.ndarray, ids, q: np.ndarray, gamma: float) -> np.ndarray:
+        """The margin ``gamma`` minus the L1 distance from ``q`` to gathered
+        table rows, in one op: ``q`` (d,) with ids (m,) gives (m,); ``q`` (B,
+        d) with ids (B, m) gives (B, m), row b against ``table[ids[b, j]]``."""
+        return self._gather_margin(table, ids, q, gamma)[0]
 
-        ``q`` (d,) with ids (m,) gives (m,); ``q`` (B, d) with ids (B, m)
-        gives (B, m), where row b measures ``table[ids[b, j]]`` against
-        ``q[b]``.
-        """
+    def _gather_margin(self, table, ids, q, gamma):
+        """``gather_margin``, then the signs of ``table[ids] - q`` for its backward,
+        as int8: float64 signs held to the backward page-faulted on every step."""
         idx = np.asarray(ids, dtype=np.int64)
         if (table.ndim != 2 or q.ndim not in (1, 2) or idx.ndim != q.ndim
                 or idx.shape[:-1] != q.shape[:-1] or q.shape[-1] != table.shape[1]):
-            raise OpShapeError("gather_l1", table.shape, idx.shape, q.shape)
-        return np.abs(table[idx] - q[..., None, :]).sum(axis=-1)
+            raise OpShapeError("gather_margin", table.shape, idx.shape, q.shape)
+        diff = np.take(table, idx, axis=0)
+        diff -= q[..., None, :]
+        sign = (diff > 0).view(np.int8) - (diff < 0).view(np.int8)
+        return gamma - np.abs(diff, out=diff).sum(axis=-1), sign
 
     # -- elementwise arithmetic ---------------------------------------------
 
@@ -193,10 +204,6 @@ class Eager:
     def elementwise_max(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _same_shape("elementwise_max", a, b)
         return np.where(a >= b, a, b)
-
-    def scale_shift(self, x: np.ndarray, scale: float, shift: float) -> np.ndarray:
-        """``scale * x + shift`` with python-float constants."""
-        return scale * x + shift
 
     # -- shape plumbing ------------------------------------------------------
 
@@ -296,23 +303,25 @@ class Tape:
         self.gathered.setdefault(table, []).append(idx)
         return self._node(EAGER.gather(table.data, idx), lambda g: _add_rows(table, idx, g))
 
-    def gather_l1(self, table: Tensor, ids, q: Tensor) -> Tensor:
-        """``Eager.gather_l1``; the table's gradient rows are added as
-        ``gather``'s."""
+    def gather_margin(self, table: Tensor, ids, q: Tensor, gamma: float) -> Tensor:
+        """``Eager.gather_margin``. The forward keeps the differences' signs
+        for the backward, which scales them by minus the output's gradient
+        and adds those rows as ``gather`` does."""
         idx = np.asarray(ids, dtype=np.int64)
+        out, sign = EAGER._gather_margin(table.data, idx, q.data, gamma)
         self.gathered.setdefault(table, []).append(idx)
 
         def backward(g):
-            s = g[..., None] * np.sign(table.data[idx] - q.data[..., None, :])
+            s = -g[..., None] * sign
             _add_rows(table, idx, s)
             _accumulate(q, -s.sum(axis=-2))
 
-        return self._node(EAGER.gather_l1(table.data, idx, q.data), backward)
+        return self._node(out, backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
+            _accumulate(a, g, shared=True)
+            _accumulate(b, g, shared=True)
 
         return self._node(EAGER.add(a.data, b.data), backward)
 
@@ -325,10 +334,6 @@ class Tape:
             _accumulate(b, g * ~take_a)
 
         return self._node(EAGER.elementwise_max(a.data, b.data), backward)
-
-    def scale_shift(self, x: Tensor, scale: float, shift: float) -> Tensor:
-        return self._node(EAGER.scale_shift(x.data, scale, shift),
-                          lambda g: _accumulate(x, g * scale))
 
     def place_rows(self, parts: list[Tensor], rows) -> Tensor:
         """``Eager.place_rows``; part i's gradient is rows ``rows[i]`` of the output's."""
@@ -374,7 +379,7 @@ class Tape:
         d = q1.shape[-1]
 
         def backward(g):
-            _accumulate(q2, g)
+            _accumulate(q2, g, shared=True)
             gs = g * s
             _accumulate(q1, gs)
             _accumulate(q2, -gs)
@@ -385,21 +390,21 @@ class Tape:
 
         return self._node(out, backward)
 
-    def logistic_loss(self, scores: Tensor) -> Tensor:
-        """Logistic loss on logits, averaged over all elements: column 0 of
-        each row is the positive, ``softplus(-z)``, and every other column a
-        negative, ``softplus(z)``. Written as ``max(t, 0) + log1p(exp(-|t|))``,
-        it neither overflows nor warns, and a non-finite logit gives a
-        non-finite loss."""
+    def logistic_loss(self, scores: Tensor, weight: float = 1.0) -> Tensor:
+        """``weight`` times the logistic loss on logits, averaged over all
+        elements: column 0 of each row is the positive, ``softplus(-z)``, and
+        every other column a negative, ``softplus(z)``. Written as ``max(t,
+        0) + log1p(exp(-|t|))``, it neither overflows nor warns, and a
+        non-finite logit gives a non-finite loss."""
         if scores.data.ndim == 0 or scores.data.size == 0:
             raise OpShapeError("logistic_loss", scores.shape)
         t = scores.data.copy()
         t[..., 0] = -t[..., 0]
         n = t.size
-        loss = (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))).sum() / n
+        loss = weight * ((np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))).sum() / n)
 
         def backward(g):
-            grad = sigmoid(t) * (g / n)
+            grad = sigmoid(t) * ((g * weight) / n)
             grad[..., 0] = -grad[..., 0]
             _accumulate(scores, grad)
 

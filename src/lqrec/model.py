@@ -19,12 +19,12 @@ their batch rows, and the preference, joint intersection, expert bank and
 gates then run once over the whole batch. Training, evaluation and ``answer``
 all embed through this one path: training runs it on a ``Tape``, inference on
 ``autodiff.EAGER``, which records nothing. Training takes the logits of its
-sampled items by gathering their rows (``score_items``); inference ranks the
-whole catalog by probability from a ``Catalog``, a column copy of the item
-table made once per ``evaluate`` call or ``answer`` session
-(``catalog_scores``), for one query (an ``answer`` line) or a block of
-queries (``evaluate``'s records) per call. ``VARIANTS`` lists the full model
-and its ablations.
+sampled items by gathering their rows, one op per task (``score_items``);
+inference ranks the whole catalog by probability from a ``Catalog``, a
+column copy of the item table made once per ``evaluate`` call or ``answer``
+session (``catalog_scores``), for one query (an ``answer`` line) or a block
+of queries (``evaluate``'s records) per call. ``VARIANTS`` lists the full
+model and its ablations.
 """
 
 from __future__ import annotations
@@ -323,14 +323,13 @@ def embed_instance(
 
 
 def score_items(ex: Tape | Eager, params: ModelParams, q_task: Value, ids) -> Value:
-    """The logit gamma - L1 distance to each item embedding; its sigmoid is
-    the item's probability.
+    """The logit gamma - L1 distance to each item embedding, as one op; its
+    sigmoid is the item's probability.
 
     ``q_task`` (d,) with ids (m,) gives (m,); ``q_task`` (B, d) with ids
     (B, m) scores row b's items against ``q_task[b]``, shape (B, m).
     """
-    dist = ex.gather_l1(ex.param(params.entity_emb), ids, q_task)
-    return ex.scale_shift(dist, -1.0, params.gamma)
+    return ex.gather_margin(ex.param(params.entity_emb), ids, q_task, params.gamma)
 
 
 # Elements (512 KB) of the largest (B, d, n_items) difference array that

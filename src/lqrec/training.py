@@ -170,15 +170,17 @@ def pack_answers(instances: Sequence[RecInstance], items: Sequence[int],
     counts = np.fromiter(map(len, sets), np.int64, len(sets))
     flat = np.fromiter(chain.from_iterable(sets), np.int64, int(counts.sum()))
     row = np.repeat(np.arange(len(sets)), counts)
-    answers = flat[np.lexsort((flat, row))]
-    if (outside := np.isin(answers, items, invert=True)).any():
-        i = int(outside.argmax())
+    taken = np.searchsorted(items, flat)
+    found = taken < len(items)
+    found[found] = items[taken[found]] == flat[found]
+    if not found.all():
+        i = min(np.flatnonzero(~found), key=lambda i: (row[i], flat[i]))
         inst, task = divmod(int(row[i]), len(tasks))
-        raise ValueError(f"instance {inst}: {tasks[task]} answer {int(answers[i])} "
+        raise ValueError(f"instance {inst}: {tasks[task]} answer {int(flat[i])} "
                          "is not a catalog item")
-    taken = np.searchsorted(items, answers)
+    span = len(items) + 1
+    keys = np.sort(row * span + taken)  # each row's catalog positions, ascending
     answer_start = np.concatenate(([0], np.cumsum(counts)))
-    shift = taken - (np.arange(len(taken)) - answer_start[row])
     pool = len(items) - counts
     degenerate = np.flatnonzero((counts == 0) | ((pool == 0) & (n_neg > 0)))
     if degenerate.size:
@@ -186,8 +188,8 @@ def pack_answers(instances: Sequence[RecInstance], items: Sequence[int],
         what = "is empty" if counts[degenerate[0]] == 0 else "covers the entire catalog"
         raise DegenerateInstanceError(f"instance {inst}: the {tasks[task]} answer "
                                       f"set {what}")
-    return AnswerPack(tasks, items, answers, answer_start,
-                      row * (len(items) + 1) + shift, pool)
+    return AnswerPack(tasks, items, items[keys - row * span], answer_start,
+                      keys - (np.arange(len(keys)) - answer_start[row]), pool)
 
 
 def _pool_items(pack: AnswerPack, rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -230,21 +232,20 @@ def compute_loss(
     """Weighted multi-task logistic loss, averaged over the batch.
 
     ``samples`` is ``sample_negatives``'s ``{task: ids}``, a block of every
-    batch row for each task it trains. The batch embeds in one
-    ``embed_instance`` call and each task scores its block in one
-    ``score_items`` call, whose logits go to one ``logistic_loss`` node. An
-    instance's term is the mean over its 1 + n_neg logits, so a task's mean
-    term over the batch is the block's mean, scaled by the task's weight.
-    """
+    batch row for each task it trains. The batch embeds those tasks only, in
+    one ``embed_instance`` call; each task's tail is its block's logits (one
+    ``score_items`` op) and their ``logistic_loss`` times the task's weight.
+    An instance's term is the mean over its 1 + n_neg logits, so a task's
+    mean term over the batch is the block's mean."""
     if not batch:
         raise ValueError("empty batch")
     task_emb = embed_instance(tape, params, [inst.user for inst in batch],
                               [inst.requirement for inst in batch], kg.like_rel,
-                              VARIANTS[params.variant].trains)
+                              tuple(samples))
     total: Tensor | None = None
     for task, ids in samples.items():
-        loss = tape.logistic_loss(score_items(tape, params, task_emb[task], ids))
-        term = tape.scale_shift(loss, task_weights[TASKS.index(task)], 0.0)
+        term = tape.logistic_loss(score_items(tape, params, task_emb[task], ids),
+                                  task_weights[TASKS.index(task)])
         total = term if total is None else tape.add(total, term)
     return total
 

@@ -4,14 +4,14 @@ at a time: the reference that every fused op and every batched path of
 
 It runs each query as (d,) vectors through the smallest engine ops
 (``gather``, ``add``, ``elementwise_max``, ``affine``, ``relu``,
-``softmax_last_dim``, ``weighted_sum``, ``scale_shift``, ``const``) plus the
-helper nodes below, with no skeleton grouping and no fused op. It reads only
+``softmax_last_dim``, ``weighted_sum``, ``const``) plus the helper nodes
+below, with no skeleton grouping and no fused op. It reads only
 the arrays of a ``ModelParams``, never a function of ``lqrec.model``
 (``test_engine.py`` checks its source for that).
 
 A helper node is the plain array expression on ``EAGER`` and one
 ``Tape._node`` on a tape, whose backward adds each operand its gradient in
-operand order.
+operand order (a first gradient as a copy, since it may be the output's own).
 """
 
 import numpy as np
@@ -30,9 +30,14 @@ def _node(ex, forward, grads, *operands):
 
     def backward_fn(g):
         for t, gt in zip(operands, grads(g, *arrays)):
-            _accumulate(t, gt)
+            _accumulate(t, gt, shared=True)
 
     return ex._node(forward(*arrays), backward_fn)
+
+
+def scale_shift(ex, x, scale, shift):
+    """``scale * x + shift`` with python-float constants."""
+    return _node(ex, lambda x: scale * x + shift, lambda g, x: (g * scale,), x)
 
 
 def sub(ex, a, b):
@@ -148,8 +153,8 @@ def compute_loss(tape, batch, samples, params, kg, task_weights):
         task_emb = embed(tape, params, inst.user, inst.requirement, kg.like_rel)
         for task, ids in samples.items():
             items = tape.gather(tape.param(params.entity_emb), ids[row])
-            logits = tape.scale_shift(l1(tape, items, task_emb[task]), -1.0, params.gamma)
-            term = tape.scale_shift(sigmoid_bce(tape, logits),
-                                    task_weights[TASKS.index(task)], 0.0)
+            logits = scale_shift(tape, l1(tape, items, task_emb[task]), -1.0, params.gamma)
+            term = scale_shift(tape, sigmoid_bce(tape, logits),
+                               task_weights[TASKS.index(task)], 0.0)
             total = term if total is None else tape.add(total, term)
-    return tape.scale_shift(total, 1.0 / len(batch), 0.0)
+    return scale_shift(tape, total, 1.0 / len(batch), 0.0)

@@ -41,7 +41,7 @@ def attribute_accesses(attr, src_dir=SRC_DIR):
 
 
 def gathers_not_from_params(path=SRC_DIR / "model.py"):
-    """``file:line`` of every ``.gather`` or ``.gather_l1`` call in ``path``
+    """``file:line`` of every ``.gather`` or ``.gather_margin`` call in ``path``
     whose table argument is not an ``ex.param(...)`` call."""
 
     def is_param(node):
@@ -53,7 +53,7 @@ def gathers_not_from_params(path=SRC_DIR / "model.py"):
     return [f"{path.name}:{node.lineno}"
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("gather", "gather_l1")
+            and node.func.attr in ("gather", "gather_margin")
             and not (node.args and is_param(node.args[0]))]
 
 

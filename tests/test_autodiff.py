@@ -1,5 +1,7 @@
 import gc
+import itertools
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from lqrec.autodiff import (
     backward,
     sigmoid,
 )
-from reference_model import mul, sigmoid_node
+from reference_model import intersection, mul, scale_shift, sigmoid_node
 from source_checks import attribute_accesses
 
 
@@ -131,11 +133,64 @@ def test_sum_backward():
 def test_shared_parameter_grads_add():
     tape = Tape()
     x = Tensor(np.array([1.5, -0.5]))
-    branch1 = tape.scale_shift(x, 2.0, 0.0)
-    branch2 = tape.scale_shift(x, 3.0, 0.0)
+    branch1 = scale_shift(tape, x, 2.0, 0.0)
+    branch2 = scale_shift(tape, x, 3.0, 0.0)
     loss = reduce_sum(tape, tape.add(branch1, branch2))
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, [5.0, 5.0])
+
+
+def test_adopted_first_gradients_share_no_memory():
+    """A first gradient is the array the consumer computed, not a sum into
+    zeros, so no two tensors may be left holding one array: one tensor fed
+    to both operands of ``add`` gets twice the output's gradient, which
+    keeps its own, and each operand of ``add`` and of ``intersect`` (whose
+    backward reads its output's gradient after handing it on) keeps its own
+    array, equal to the node-by-node reference's."""
+    x, y, w = rng_tensor((2, 4), 1), rng_tensor((2, 4), 2), rng_tensor((2, 4), 3)
+    tape = Tape()
+    twice = tape.add(x, x)
+    backward(tape, reduce_sum(tape, mul(tape, twice, w)))
+    assert x.grad.tobytes() == (w.data + w.data).tobytes()
+    assert twice.grad.tobytes() == w.data.tobytes()
+    assert not np.shares_memory(x.grad, twice.grad)
+
+    w1, w2 = rng_tensor((9, 4), 4), rng_tensor((5, 4), 5)
+    got = []
+    for form in (Tape.intersect,
+                 lambda tape, w1, w2, a, b: intersection(
+                     tape, SimpleNamespace(inter_w1=w1, inter_w2=w2), a, b)):
+        for t in (x, y, w, w1, w2):
+            t.zero_grad()
+        tape = Tape()
+        total = tape.add(x, y)
+        out = form(tape, w1, w2, total, y)
+        backward(tape, reduce_sum(tape, mul(tape, out, w)))
+        tensors = (x, y, total, out, w1, w2)
+        for a, b in itertools.combinations(tensors, 2):
+            assert not np.shares_memory(a.grad, b.grad)
+        got.append([t.grad.tobytes() for t in (x, y, w1, w2)])
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.7, 2.5])
+def test_weighted_logistic_loss_equals_loss_then_scale(weight):
+    """``logistic_loss(z, w)`` has the bytes of the unweighted loss node
+    followed by a ``scale_shift(w, 0)`` node: the loss, and the gradient,
+    since the backward scales its output's gradient by w before dividing by
+    the element count."""
+    rng = np.random.default_rng(3)
+    for shape in [(5,), (4, 9)]:
+        z = Tensor(rng.uniform(-20.0, 20.0, size=shape))
+        got = []
+        for fused in (True, False):
+            z.zero_grad()
+            tape = Tape()
+            loss = (tape.logistic_loss(z, weight) if fused
+                    else scale_shift(tape, tape.logistic_loss(z), weight, 0.0))
+            backward(tape, loss)
+            got.append((np.float64(loss.data).tobytes(), z.grad.tobytes()))
+        assert got[0] == got[1]
 
 
 def test_backward_on_empty_tape():
@@ -148,7 +203,7 @@ def test_backward_refuses_swept_tape():
     raises and leaves the first pass's gradients as they were."""
     tape = Tape()
     x, w = Tensor(np.array([0.3, -1.2, 2.0])), Tensor(np.array([1.5, 0.5, -0.7]))
-    h = tape.scale_shift(x, 2.0, 0.1)
+    h = scale_shift(tape, x, 2.0, 0.1)
     m = mul(tape, h, w)
     p = sigmoid_node(tape, m)
     loss = tape.logistic_loss(p)
@@ -204,7 +259,7 @@ def test_gathered_table_also_read_densely_and_accumulated():
         return lambda tape, table: reduce_sum(tape, tape.gather(table, ids))
 
     def dense(tape, table):
-        return reduce_sum(tape, tape.scale_shift(table, 2.0, 0.0))
+        return reduce_sum(tape, scale_shift(tape, table, 2.0, 0.0))
 
     def both(tape, table):
         return tape.add(gathers([1, 1, 3])(tape, table), dense(tape, table))
@@ -232,7 +287,7 @@ def test_tape_freed_without_cycle_collector():
     table, q = Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))
     tape = Tape()
     loss = reduce_sum(tape, tape.add(tape.gather(table, [0, 3]),
-                                     tape.gather_l1(table, [[0, 1], [2, 3]], q)))
+                                     tape.gather_margin(table, [[0, 1], [2, 3]], q, 1.0)))
     backward(tape, loss)
     freed = weakref.ref(tape)
     gc.disable()
@@ -286,12 +341,12 @@ def test_op_gradients_against_finite_differences(seed):
         "intersect": lambda t: reduce_sum(t, mul(t, t.intersect(w1, w2, x, y), y)),
         "softmax": lambda t: reduce_sum(t, mul(t, t.softmax_last_dim(x), y)),
         "weighted": lambda t: reduce_sum(t, t.weighted_sum(gate, stack)),
-        "l1_vec": lambda t: reduce_sum(t, t.gather_l1(table, [1, 3], x)),
-        "logistic": lambda t: t.logistic_loss(t.scale_shift(x, 3.0, 0.5)),
+        "margin_vec": lambda t: reduce_sum(t, t.gather_margin(table, [1, 3], x, 0.5)),
+        "logistic": lambda t: t.logistic_loss(scale_shift(t, x, 3.0, 0.5)),
+        "logistic_weighted": lambda t: t.logistic_loss(scale_shift(t, x, 3.0, 0.5), 0.7),
         "mean": lambda t: reduce_mean(t, t.gather(table, [0, 4])),
         "max": lambda t: reduce_sum(t, t.elementwise_max(x, y)),
         "relu": lambda t: reduce_sum(t, t.relu(x)),
-        "scale_shift": lambda t: reduce_sum(t, t.scale_shift(x, -1.7, 0.3)),
         # the same ops on a leading batch axis
         "affine_batch": lambda t: reduce_sum(t, mul(t, t.affine(w, xm), gm)),
         "intersect_batch": lambda t: reduce_sum(t, mul(t, t.intersect(w1, w2, xm, ym), xm)),
@@ -299,10 +354,12 @@ def test_op_gradients_against_finite_differences(seed):
         "weighted_batch": lambda t: reduce_sum(t, 
             mul(t, t.weighted_sum(t.softmax_last_dim(gm), sm), xm)
         ),
-        "l1_batch": lambda t: reduce_sum(t, 
-            t.gather_l1(table, [[1, 3, 3], [0, 5, 2]], xm)
+        "margin_batch": lambda t: reduce_sum(t, mul(
+            t, t.gather_margin(table, [[1, 3, 3], [0, 5, 2]], xm, 2.0), gm)
         ),
-        "logistic_batch": lambda t: t.logistic_loss(t.scale_shift(xm, 3.0, -0.5)),
+        "logistic_batch": lambda t: t.logistic_loss(scale_shift(t, xm, 3.0, -0.5)),
+        "logistic_batch_weighted": lambda t: t.logistic_loss(
+            t.gather_margin(table, [[1, 3, 3], [0, 5, 2]], xm, 2.0), 1.3),
         "place_blocks": lambda t: reduce_sum(t, 
             mul(t, t.place_rows([ym, sigmoid_node(t, xm)], [[3, 0], [1, 2]]),
                 t.gather(table, [0, 1, 2, 3]))
@@ -384,10 +441,9 @@ def test_node_protocol():
     w1, w2 = rng_tensor((9, 3), 8), rng_tensor((4, 4), 9)
     cases = {
         "gather": lambda t, v: t.gather(v(table), [0, 2]),
-        "gather_l1": lambda t, v: t.gather_l1(v(table), [[1, 3], [0, 5]], v(xm)),
+        "gather_margin": lambda t, v: t.gather_margin(v(table), [[1, 3], [0, 5]], v(xm), 2.5),
         "add": lambda t, v: t.add(v(x), v(y)),
         "elementwise_max": lambda t, v: t.elementwise_max(v(x), v(y)),
-        "scale_shift": lambda t, v: t.scale_shift(v(x), 2.0, 1.0),
         "place_rows": lambda t, v: t.place_rows([v(xm), v(xm)], [[3, 0], [1, 2]]),
         "affine": lambda t, v: t.affine(v(w), v(xm)),
         "weighted_sum": lambda t, v: t.weighted_sum(v(gate), v(stack)),
@@ -495,7 +551,7 @@ def test_deferred_row_reduction_matches_add_at_chain():
     ids = [rng.integers(0, 8, size=n) for n in (200, 0, 37, 200)]
     outs = [tape.gather(table, i) for i in ids]
     l1_ids = rng.integers(0, 8, size=(4, 30))
-    outs.append(tape.gather_l1(table, l1_ids, q))
+    outs.append(tape.gather_margin(table, l1_ids, q, 1.0))
     grads = [_signed_magnitudes(rng, out.shape) for out in outs]
 
     def feed(g):
@@ -505,7 +561,7 @@ def test_deferred_row_reduction_matches_add_at_chain():
     backward(tape, tape._node(np.float64(0.0), feed))
     expected = np.zeros_like(table.data)
     np.add.at(expected, l1_ids,
-              grads[-1][..., None] * np.sign(table.data[l1_ids] - q.data[:, None, :]))
+              -grads[-1][..., None] * np.sign(table.data[l1_ids] - q.data[:, None, :]))
     for i, grad in reversed(list(zip(ids, grads))):
         np.add.at(expected, i, grad)
     np.testing.assert_array_equal(table.grad_ids, np.arange(8))
@@ -552,8 +608,8 @@ def test_mixed_table_gradient_matches_add_at_chain(tapes):
     for reads in tapes:
         tape = Tape()
         record = {"gather": lambda i: tape.gather(table, i),
-                  "l1": lambda i: tape.gather_l1(table, i, q),
-                  "dense": lambda i: tape.scale_shift(table, 1.0, 0.0)}
+                  "l1": lambda i: tape.gather_margin(table, i, q, 1.0),
+                  "dense": lambda i: scale_shift(tape, table, 1.0, 0.0)}
         grads = _sweep(tape, [record[kind](ids) for kind, ids in reads], rng)
         for (kind, ids), g in reversed(list(zip(reads, grads))):
             if kind == "dense":
@@ -561,7 +617,7 @@ def test_mixed_table_gradient_matches_add_at_chain(tapes):
             elif kind == "l1":
                 ids = np.asarray(ids)
                 np.add.at(expected, ids,
-                          g[..., None] * np.sign(table.data[ids] - q.data[:, None, :]))
+                          -g[..., None] * np.sign(table.data[ids] - q.data[:, None, :]))
             else:
                 np.add.at(expected, np.asarray(ids), g)
     assert table.grad_ids is None
@@ -574,7 +630,7 @@ def test_gathered_tape_output_matches_add_at_chain():
     rng = np.random.default_rng(13)
     x = Tensor(rng.standard_normal((6, 3)))
     tape = Tape()
-    h = tape.scale_shift(x, 1.0, 0.0)
+    h = scale_shift(tape, x, 1.0, 0.0)
     grads = _sweep(tape, [tape.gather(h, ids) for ids in _MANY], rng)
     expected = np.zeros_like(x.data)
     for ids, g in reversed(list(zip(_MANY, grads))):
@@ -604,7 +660,7 @@ def test_table_gathered_without_gradient_matches_lazy_reference():
                 p.zero_grad()
             tape = Tape()
             tape.gather(params["table"], ids)
-            loss = reduce_sum(tape, tape.scale_shift(params["x"], 1.5, 0.0))
+            loss = reduce_sum(tape, scale_shift(tape, params["x"], 1.5, 0.0))
             if t % 2:  # odd steps: rows 7-9 reach the loss
                 live = reduce_sum(tape, tape.gather(params["table"], [7 + t % 3, 9]))
                 loss = tape.add(loss, live)

@@ -13,8 +13,9 @@ for, because each task's gate reads only its own inputs.
 The whole model is checked against ``reference_model``, which embeds one
 instance at a time from the smallest ops and scores it with the clipped BCE
 of sigmoids. The ``intersect`` op must keep the bytes of the reference's
-node-by-node intersection, and ``logistic_loss`` must match the reference's
-BCE on random logits.
+node-by-node intersection, each task's two-node tail (``gather_margin``, a
+weighted ``logistic_loss``) the bytes of the four nodes it replaced, and
+``logistic_loss`` must match the reference's BCE on random logits.
 """
 
 import dataclasses
@@ -27,14 +28,15 @@ import pytest
 
 import reference_model
 from lqrec import model
-from lqrec.autodiff import EAGER, AdamState, Tape, Tensor, adam_step, backward, sigmoid
+from lqrec.autodiff import (EAGER, AdamState, Tape, Tensor, _accumulate, _add_rows,
+                            adam_step, backward, sigmoid)
 from lqrec.dataset import DatasetConfig, sample_instance
 from lqrec.model import VARIANTS, ModelParams, embed_instance
 from lqrec.oracle import TASK_JOINT, TASKS
 from lqrec.query import ALL_SHAPES, And, Or, Project, QueryShape
 from lqrec.training import (compute_loss, effective_task_weights, pack_answers,
                             sample_negatives)
-from reference_model import sigmoid_bce
+from reference_model import scale_shift, sigmoid_bce
 from source_checks import imported_names, names_reached
 
 TOL = 1e-10
@@ -198,49 +200,96 @@ def test_reference_model_reaches_no_fused_op_and_no_model_function():
     the reference names none of them and imports nothing from
     ``lqrec.model``, so it reads only a ``ModelParams``'s arrays."""
     path = Path(reference_model.__file__)
-    fused = {"intersect", "gather_l1", "logistic_loss", "place_rows"}
+    fused = {"intersect", "gather_margin", "logistic_loss", "place_rows"}
     assert names_reached(fused, path) == []
     allowed = ("numpy", "lqrec.autodiff.", "lqrec.oracle.", "lqrec.query.")
     assert [name for name in imported_names(path) if not name.startswith(allowed)] == []
+
+
+def _three_steps(kg, instances, variant, seed, weights, sample_seed, loss_fn=compute_loss):
+    """Bytes of every EAGER task embedding, the loss and every parameter
+    gradient, and every parameter and Adam moment after three ``adam_step``s
+    on one sample of the batch."""
+    users = [inst.user for inst in instances]
+    reqs = [inst.requirement for inst in instances]
+    weights = effective_task_weights(variant, weights)
+    pack = pack_answers(instances, kg.sorted_items(), weights, 5)
+    samples = sample_negatives(pack, np.arange(len(instances)), 5,
+                               np.random.default_rng(sample_seed))
+    params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=seed, variant=variant)
+    out = {f"emb {task}": e.tobytes() for task, e in
+           embed_instance(EAGER, params, users, reqs, kg.like_rel, PRODUCES[variant]).items()}
+    state = AdamState(params.named(), lr=0.05)
+    for step in range(3):
+        loss, grads = _loss_and_grads(instances, samples, params, kg, weights, loss_fn)
+        if step == 0:
+            out["loss"] = np.float64(loss).tobytes()
+            out |= {f"grad {n}": g.tobytes() for n, g in grads.items()}
+            assert np.abs(grads["inter_w1"]).max() > 1e-5
+        adam_step(params.named(), state)
+    for name, t in params.named().items():
+        out |= {f"param {name}": t.data.tobytes(), f"m {name}": state.m[name].tobytes(),
+                f"v {name}": state.v[name].tobytes()}
+    return out
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("seed", range(2))
 def test_intersect_equals_node_by_node_intersection(world_split, mixed_instances, variant,
                                                     seed, monkeypatch):
-    """Byte for byte: every EAGER task embedding, the loss and every
-    parameter gradient, and every parameter and Adam moment after three
-    ``adam_step``s, since the op's backward adds into its operands in the
-    node-by-node order."""
-    kg = world_split.train
-    users = [inst.user for inst in mixed_instances]
-    reqs = [inst.requirement for inst in mixed_instances]
-    weights = effective_task_weights(variant, (1.0, 1.0, 1.0))
-    pack = pack_answers(mixed_instances, kg.sorted_items(), weights, 5)
-    samples = sample_negatives(pack, np.arange(len(mixed_instances)), 5,
-                               np.random.default_rng(60 + seed))
-
-    def run():
-        params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=seed, variant=variant)
-        out = {f"emb {task}": e.tobytes() for task, e in
-               embed_instance(EAGER, params, users, reqs, kg.like_rel,
-                              PRODUCES[variant]).items()}
-        state = AdamState(params.named(), lr=0.05)
-        for step in range(3):
-            loss, grads = _loss_and_grads(mixed_instances, samples, params, kg, weights)
-            if step == 0:
-                out["loss"] = np.float64(loss).tobytes()
-                out |= {f"grad {n}": g.tobytes() for n, g in grads.items()}
-                assert np.abs(grads["inter_w1"]).max() > 1e-5
-            adam_step(params.named(), state)
-        for name, t in params.named().items():
-            out |= {f"param {name}": t.data.tobytes(), f"m {name}": state.m[name].tobytes(),
-                    f"v {name}": state.v[name].tobytes()}
-        return out
-
-    got = run()
+    """Byte for byte (``_three_steps``), since the op's backward adds into
+    its operands in the node-by-node order."""
+    args = (world_split.train, mixed_instances, variant, seed, (1.0, 1.0, 1.0), 60 + seed)
+    got = _three_steps(*args)
     monkeypatch.setattr(model, "embed_intersection", reference_model.intersection)
-    want = run()
+    want = _three_steps(*args)
+    assert got.keys() == want.keys()
+    assert [key for key in got if got[key] != want[key]] == []
+
+
+def _gather_l1(tape, table, ids, q):
+    """The L1 distance node that ``gather_margin`` replaced: its backward
+    gathers and subtracts again, and adds the table's rows as ``gather``'s."""
+    idx = np.asarray(ids, dtype=np.int64)
+    tape.gathered.setdefault(table, []).append(idx)
+
+    def backward_fn(g):
+        s = g[..., None] * np.sign(table.data[idx] - q.data[..., None, :])
+        _add_rows(table, idx, s)
+        _accumulate(q, -s.sum(axis=-2))
+
+    return tape._node(np.abs(table.data[idx] - q.data[..., None, :]).sum(axis=-1),
+                      backward_fn)
+
+
+def four_node_loss(tape, batch, samples, params, kg, task_weights):
+    """``compute_loss`` with each task's tail in its four-node form:
+    ``_gather_l1``, ``scale_shift(-1, gamma)``, an unweighted
+    ``logistic_loss`` and ``scale_shift(weight, 0)``."""
+    task_emb = embed_instance(tape, params, [inst.user for inst in batch],
+                              [inst.requirement for inst in batch], kg.like_rel,
+                              tuple(samples))
+    total = None
+    for task, ids in samples.items():
+        dist = _gather_l1(tape, tape.param(params.entity_emb), ids, task_emb[task])
+        loss = tape.logistic_loss(scale_shift(tape, dist, -1.0, params.gamma))
+        term = scale_shift(tape, loss, task_weights[TASKS.index(task)], 0.0)
+        total = term if total is None else tape.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 0.0, 0.7)])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_two_node_tail_equals_four_node_tail(world_split, mixed_instances, variant, seed,
+                                             weights):
+    """Byte for byte (``_three_steps``): the scoring op multiplies minus its
+    gradient by the signs its forward kept, and the loss scales its gradient
+    by the weight before dividing by n, the products and order of the four
+    nodes."""
+    args = (world_split.train, mixed_instances, variant, seed, weights, 80 + seed)
+    got = _three_steps(*args)
+    want = _three_steps(*args, loss_fn=four_node_loss)
     assert got.keys() == want.keys()
     assert [key for key in got if got[key] != want[key]] == []
 

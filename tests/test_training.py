@@ -290,18 +290,18 @@ def test_loss_closed_form_half_probabilities(toy):
 # criterion 5's k = 3, and the mtl, no-al and no-au steps' nodes per op.
 # They bound the step's cost: a change that adds nodes fails here, and one
 # that removes nodes lowers these bounds with it.
-STEP_NODES = {"mtl": 63, "shared-bottom": 55, "single-task": 42, "no-al": 55,
-              "no-au": 55}
+STEP_NODES = {"mtl": 57, "shared-bottom": 49, "single-task": 40, "no-al": 51,
+              "no-au": 51}
 MTL_STEP_OPS = Counter({
-    "gather": 21, "add": 14, "intersect": 4, "affine": 4, "relu": 1, "scale_shift": 6,
-    "logistic_loss": 3, "gather_l1": 3, "softmax_last_dim": 3, "weighted_sum": 3,
+    "gather": 21, "add": 14, "intersect": 4, "affine": 4, "relu": 1,
+    "logistic_loss": 3, "gather_margin": 3, "softmax_last_dim": 3, "weighted_sum": 3,
     "place_rows": 1})
 # no-al and no-au train two tasks: one gate (affine, softmax_last_dim,
-# weighted_sum) and one task tail fewer than mtl; the untrained task's gate
-# does not run.
+# weighted_sum), one task tail (gather_margin, logistic_loss) and one add
+# fewer than mtl; the untrained task's gate does not run.
 TWO_TASK_STEP_OPS = MTL_STEP_OPS - Counter({
-    "affine": 1, "softmax_last_dim": 1, "weighted_sum": 1, "gather_l1": 1,
-    "logistic_loss": 1, "scale_shift": 2, "add": 1})
+    "affine": 1, "softmax_last_dim": 1, "weighted_sum": 1, "gather_margin": 1,
+    "logistic_loss": 1, "add": 1})
 STEP_OPS = {"mtl": MTL_STEP_OPS, "no-al": TWO_TASK_STEP_OPS, "no-au": TWO_TASK_STEP_OPS}
 
 
@@ -328,6 +328,33 @@ def test_step_tape_nodes_bounded(toy, variant):
             assert not ops - STEP_OPS[variant], ops - STEP_OPS[variant]
 
 
+def test_step_embeds_only_the_sampled_tasks(toy):
+    """mtl at weights 1,0,1 samples no requirement block, so its step runs
+    no requirement gate (affine, softmax_last_dim, weighted_sum) and no
+    requirement tail (gather_margin, logistic_loss) or its add: the nodes of
+    no-al, which trains the same two tasks."""
+    split, datasets = toy
+    kg = split.train
+    instances = datasets["train"]
+    batch = np.arange(0, len(instances), 7)
+
+    def step_ops(variant, weights):
+        params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=3, variant=variant)
+        weights = effective_task_weights(variant, weights)
+        pack = pack_answers(instances, kg.sorted_items(), weights, 4)
+        tape = Tape()
+        compute_loss(tape, [instances[i] for i in batch],
+                     sample_negatives(pack, batch, 4, np.random.default_rng(0)),
+                     params, kg, weights)
+        return Counter(fn.__qualname__.split(".")[1] for _, fn in tape.nodes)
+
+    all_tasks, two_tasks = step_ops("mtl", (1.0, 1.0, 1.0)), step_ops("mtl", (1.0, 0.0, 1.0))
+    assert all_tasks - two_tasks == Counter({
+        "affine": 1, "softmax_last_dim": 1, "weighted_sum": 1, "gather_margin": 1,
+        "logistic_loss": 1, "add": 1})
+    assert two_tasks == step_ops("no-al", (1.0, 1.0, 1.0))
+
+
 def test_step_gradient_and_adam_stay_row_sparse(toy, monkeypatch):
     """After one five-shape batch the entity table's gradient has a row for
     each distinct id the step gathered and no other, and Adam then moves
@@ -340,7 +367,7 @@ def test_step_gradient_and_adam_stay_row_sparse(toy, monkeypatch):
     params = ModelParams.init(kg, d=8, k=3, gamma=2.0, seed=3)
     table = params.entity_emb
     read = []
-    for op in ("gather", "gather_l1"):
+    for op in ("gather", "gather_margin"):
         def spy(tape, source, ids, *rest, op=getattr(Tape, op)):
             if source is table:
                 read.append(np.asarray(ids).ravel())
