@@ -5,9 +5,9 @@ at a time: the reference that every fused op and every batched path of
 It runs each query as (d,) vectors through the smallest engine ops
 (``gather``, ``add``, ``elementwise_max``, ``affine``, ``relu``,
 ``softmax_last_dim``, ``weighted_sum``, ``const``) plus the helper nodes
-below, with no skeleton grouping and no fused op. It reads only
-the arrays of a ``ModelParams``, never a function of ``lqrec.model``
-(``test_engine.py`` checks its source for that).
+below, with no skeleton grouping and no fused op. It reads only the arrays
+of a ``ModelParams``, never a function of ``lqrec.model`` (``test_engine.py``
+checks its source for that).
 
 A helper node is the plain array expression on ``EAGER`` and one
 ``Tape._node`` on a tape, whose backward adds each operand its gradient in
