@@ -49,9 +49,13 @@ NAME_SEPARATORS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2
 _FORBIDDEN_NAME_CHARS = set(NAME_SEPARATORS + "\"'|\ufeff")
 
 # Whole-file forms of a triple file and of a name list: lines of three
-# tab-separated names or of one name, blank lines allowed.
-_NAME = "[^" + re.escape("".join(sorted(_FORBIDDEN_NAME_CHARS))) + "]+"
-_FILE_FORMS = {n: re.compile("(?:(?:{0})?\n)*(?:{0})?".format("\t".join([_NAME] * n)))
+# tab-separated names or of one name, blank lines allowed. The repeats are
+# possessive: a name holds no tab or newline, so giving back a character or a
+# line can never lead to a match, and without backtracking points the check
+# keeps no state per line (a greedy ``*`` held one per line, 33 MB for the
+# 78,090-line train file of 10,000 items).
+_NAME = "[^" + re.escape("".join(sorted(_FORBIDDEN_NAME_CHARS))) + "]++"
+_FILE_FORMS = {n: re.compile("(?:(?:{0})?\n)*+(?:{0})?".format("\t".join([_NAME] * n)))
                for n in (1, 3)}
 
 
@@ -132,20 +136,51 @@ class KnowledgeGraph:
         self.array = rows
         # Indices map numpy ids through object arrays of the vocabularies' own
         # id objects, so set lookups hit on identity before comparing ints.
-        self._ents, self._rels = ents, rels = [
+        self._ents, self._rels = [
             np.array(list(map(v.index.__getitem__, v.names)), dtype=object)
             for v in (entity_vocab, relation_vocab)]
+        self.out_index: dict[tuple[int, int], frozenset[int]] = self._tail_sets(rows)
 
+    def _tail_sets(self, rows: np.ndarray) -> dict[tuple[int, int], frozenset[int]]:
+        """``out_index`` entries of ``rows``, by ascending ``(head, rel)``."""
+        if not len(rows):
+            return {}
         # A stable sort fills each tail set in triple order. Freezing a set, not a
         # list, sizes the table to fit (a list's can be 2x sparser, slower to scan).
+        ents, rels = self._ents, self._rels
         h, r, t = rows.T
-        key = h * n_rel + r
+        key = h * self.n_relations + r
         order = np.argsort(key, kind="stable")
         starts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist()]
         tails, first = ents[t[order]].tolist(), order[starts]
         runs = map(tails.__getitem__, map(slice, starts, starts[1:] + [len(tails)]))
-        self.out_index: dict[tuple[int, int], frozenset[int]] = dict(zip(
-            zip(ents[h[first]].tolist(), rels[r[first]].tolist()), map(frozenset, map(set, runs))))
+        return dict(zip(zip(ents[h[first]].tolist(), rels[r[first]].tolist()),
+                        map(frozenset, map(set, runs))))
+
+    def _subgraph(self, keep: np.ndarray) -> KnowledgeGraph:
+        """The graph of the rows under the boolean mask ``keep``, built from
+        this graph's checked, distinct rows without checking them again. It
+        shares the vocabularies, item and user sets and id objects, and the
+        tail set of every ``(head, rel)`` that keeps all its edges: a set
+        rebuilt from the same tails in the same order would equal it in
+        iteration order and size. Only the others are rebuilt."""
+        sub = object.__new__(KnowledgeGraph)
+        sub.entity_vocab, sub.relation_vocab = self.entity_vocab, self.relation_vocab
+        sub.items, sub.users, sub._sorted_items = self.items, self.users, self._sorted_items
+        sub.like_rel, sub._ents, sub._rels = self.like_rel, self._ents, self._rels
+        sub.array = self.array[keep]
+        sub.array.flags.writeable = False
+        n_rel = self.n_relations
+        h, r, _ = self.array.T
+        key = h * n_rel + r
+        # The (head, rel) of each dropped row. Set tests by ``np.isin``: a bare
+        # ``np.unique`` (and ``np.setdiff1d``) imports ``numpy.ma``, 1 MB.
+        cut = key[~keep]
+        sub.out_index = out = dict(self.out_index)
+        out.update(sub._tail_sets(self.array[keep & np.isin(key, cut)]))  # keys keep their order
+        for k in cut[np.isin(cut, key[keep], invert=True)].tolist():  # keys left with no edge
+            out.pop((self._ents[k // n_rel], self._rels[k % n_rel]), None)
+        return sub
 
     @property
     def n_entities(self) -> int:
@@ -367,10 +402,8 @@ def split_edges(kg: KnowledgeGraph, fraction: float, seed: int) -> KgSplit:
         raise SplitInfeasibleError(f"cannot hold out {k} of {n} triples without "
                                    "orphaning a vocabulary entry")
 
-    train = KnowledgeGraph(kg.entity_vocab, kg.relation_vocab, kg.array[keep],
-                           kg.items, kg.users, kg.like_rel)
-    return KgSplit(full=kg, train=train, held_out=kg.triples_of(kg.array[~keep]),
-                   fraction=fraction, seed=seed)
+    return KgSplit(full=kg, train=kg._subgraph(keep),
+                   held_out=kg.triples_of(kg.array[~keep]), fraction=fraction, seed=seed)
 
 
 # --- on-disk layout: a split directory is fully self-describing -------------
@@ -448,9 +481,10 @@ def load_split(split_dir: str) -> KgSplit:
     with a ``fraction`` in (0, 1) and an integer ``seed``, and the files must
     match its hashes and counts and list only entities of the triples, or
     ``ArtifactMismatchError`` is raised; a triple file's hash is checked
-    before it is parsed. Ids follow first appearance over the train rows,
-    then the held-out rows; the train graph is the first ``n_train`` rows of
-    the full graph's id array.
+    before it is parsed. No triple may appear twice across the two files,
+    as ``save_split`` never writes one. Ids follow first appearance over the
+    train rows, then the held-out rows; the train graph is the first
+    ``n_train`` rows of the full graph's id array.
     """
     manifest_path = os.path.join(split_dir, MANIFEST_FILE)
     manifest = _read_manifest(manifest_path)
@@ -473,8 +507,19 @@ def load_split(split_dir: str) -> KgSplit:
     items, users = (_listed_ids(os.path.join(split_dir, f), ev, artifacts.ArtifactMismatchError)
                     for f in (ITEMS_FILE, USERS_FILE))
     full = KnowledgeGraph(ev, rv, ids, items, users, rv.id_of(like))
+    if len(full.array) < len(ids):
+        # The graph keeps first occurrences in order: the first row where it
+        # departs from ``ids`` is the first repeat.
+        kept = (full.array == ids[:len(full.array)]).all(axis=1)
+        i = int(np.append(kept, False).argmin())
+        fname, k = (TRAIN_FILE, i) if i < n_train else (HELDOUT_FILE, i - n_train)
+        h, r, t = ids[i].tolist()
+        raise artifacts.ArtifactMismatchError(
+            f"{os.path.join(split_dir, fname)}: triple {k + 1} "
+            f"{(ev.names[h], rv.names[r], ev.names[t])} repeats an earlier triple of the "
+            "split; its two files hold distinct triples")
     artifacts.check_manifest(manifest_path, manifest, {
         "n_items": len(items), "n_users": len(users), "n_triples": len(full.array)})
-    train = KnowledgeGraph(ev, rv, ids[:n_train], full.items, full.users, full.like_rel)
-    return KgSplit(full=full, train=train, held_out=full.triples_of(ids[n_train:]),
+    return KgSplit(full=full, train=full._subgraph(np.arange(len(ids)) < n_train),
+                   held_out=full.triples_of(ids[n_train:]),
                    fraction=manifest["fraction"], seed=manifest["seed"])

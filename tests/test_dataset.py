@@ -141,30 +141,32 @@ def test_config_not_utf8_names_location(tmp_path, from_file):
         from_file(str(p))
 
 
+def sampled_queries(kg, shape, rng, n, attempts_per_query=20):
+    """``n`` requirements of ``shape``, skipping dead ends; fails, rather
+    than looping on, a sampler that dead-ends on nearly every draw."""
+    queries, budget = [], n * attempts_per_query
+    for _ in range(budget):
+        try:
+            queries.append(sample_requirement(kg, shape, rng))
+        except SamplingError:
+            continue
+        if len(queries) == n:
+            return queries
+    pytest.fail(f"{shape.value}: {len(queries)} of {n} requirements in {budget} draws")
+
+
 def test_sampled_requirement_contains_seed_semantics(world):
     # backward construction guarantees a nonempty answer set
     rng = random.Random(11)
     for shape in ALL_SHAPES:
-        sampled = 0
-        while sampled < 20:
-            try:
-                q = sample_requirement(world, shape, rng)
-            except SamplingError:
-                continue
-            sampled += 1
+        for q in sampled_queries(world, shape, rng, 20):
             assert classify_shape(q) == shape
             assert oracle.answer_requirement(world, q)
 
 
 def test_thousand_three_hop_samples_all_answerable(world):
     rng = random.Random(71)
-    sampled = 0
-    while sampled < 1000:
-        try:
-            q = sample_requirement(world, QueryShape.THREE_P, rng)
-        except SamplingError:
-            continue
-        sampled += 1
+    for q in sampled_queries(world, QueryShape.THREE_P, rng, 1000):
         assert oracle.answer_requirement(world, q)
 
 

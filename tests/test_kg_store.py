@@ -11,13 +11,17 @@ import hashlib
 import json
 import pathlib
 import random
+import re
 import shutil
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import TINY_ROWS, in_edges
 from lqrec import kg, synth
+from lqrec.artifacts import ArtifactMismatchError
 from lqrec.cli import main
 from lqrec.kg import (GraphFormatError, SplitInfeasibleError, Triple, Vocab,
                       graph_from_names, load_split, save_split, split_edges)
@@ -304,6 +308,28 @@ def test_load_split_matches_reference(named_input, tmp_path):
     assert split.train.entity_vocab is split.full.entity_vocab
 
 
+@pytest.mark.parametrize("drop", [0.0, 0.05, 0.5])
+def test_subgraph_equals_the_graph_of_its_rows(named_input, drop):
+    """The train graph's path against the constructor it bypasses: the same
+    store, tail sets equal in iteration order and size, and the full graph's
+    own set for every (head, rel) that keeps all its edges."""
+    g = graph_from_names(named_input["rows"], named_input["items"],
+                         named_input["users"], named_input["like"])
+    keep = np.random.default_rng(len(g.array)).random(len(g.array)) >= drop
+    sub = g._subgraph(keep)
+    args = (g.entity_vocab, g.relation_vocab, g.array[keep], g.items, g.users, g.like_rel)
+    want = kg.KnowledgeGraph(*args)
+    assert np.array_equal(sub.array, want.array) and not sub.array.flags.writeable
+    assert list(sub.out_index) == list(want.out_index)
+    for key, tails in want.out_index.items():
+        got = sub.out_index[key]
+        assert list(got) == list(tails) and sys.getsizeof(got) == sys.getsizeof(tails)
+        assert (got is g.out_index[key]) == (tails == g.out_index[key])
+    assert_same_graph(sub, RefGraph(*args))
+    if drop == 0.5:  # some (head, rel) lost every edge
+        assert len(sub.out_index) < len(g.out_index)
+
+
 # --- malformed input: the whole-text parse against the line parser ---------
 
 
@@ -448,3 +474,113 @@ def test_other_newlines_load_the_same_graph(saved_split, tmp_path, newline, monk
 def test_wellformed_files_skip_the_line_parser(saved_split, monkeypatch):
     monkeypatch.setattr(kg, "_parse_lines", refuse_line_parser)
     assert len(load_split(str(saved_split)).full.items) == 250
+
+
+@pytest.mark.parametrize("fname,lineno,source", [
+    ("heldout.tsv", 1, ("train.tsv", 1)),
+    ("heldout.tsv", 3, ("heldout.tsv", 2)),
+    ("train.tsv", 9, ("train.tsv", 4)),
+])
+def test_load_split_refuses_a_repeated_triple(saved_split, tmp_path, fname, lineno, source,
+                                               capsys):
+    """A triple may appear once across a split's two files, so the train
+    graph is always the first ``n_train`` rows of the full graph."""
+    lines = {f: (saved_split / f).read_bytes().splitlines() for f in HASH_KEYS}
+    written = lines["train.tsv"] + lines["heldout.tsv"]
+    assert len(set(written)) == len(written)  # save_split writes none
+    split_dir = edited_copy(saved_split, tmp_path, fname, lineno,
+                            lines[source[0]][source[1] - 1])
+    message = f"{split_dir / fname}: triple {lineno} "
+    with pytest.raises(ArtifactMismatchError, match=re.escape(message)):
+        load_split(str(split_dir))
+    assert main(["answer", "--kg", str(split_dir), "--mode", "symbolic"]) == 4
+    assert message in capsys.readouterr().err
+
+
+# --- the whole-file grammar against the backtracking form it replaced -------
+
+# The former pattern, kept as the reference: greedy repeats, which the engine
+# backtracks through with one saved state per line. The possessive form must
+# give the same verdict on every text.
+REF_NAME = "[^" + re.escape("".join(sorted(kg._FORBIDDEN_NAME_CHARS))) + "]+"
+REF_FILE_FORMS = {n: re.compile("(?:(?:{0})?\n)*(?:{0})?".format("\t".join([REF_NAME] * n)))
+                  for n in (1, 3)}
+NAME_CHARS = "ab_09.-\u00e9\u4e2d"
+
+
+def random_lines(rng, n_fields):
+    """1-6 well-formed lines of ``n_fields`` names, some of them blank."""
+    return ["" if rng.random() < 0.2 else
+            "\t".join("".join(rng.choices(NAME_CHARS, k=rng.randint(1, 4)))
+                      for _ in range(n_fields))
+            for _ in range(rng.randint(1, 6))]
+
+
+def joined(rng, lines, end="\n"):
+    """The lines as a file: no final line end, one, or trailing blank lines."""
+    return end.join(lines) + end * rng.choice([0, 1, 3])
+
+
+def defective(rng, n_fields, defect):
+    """A well-formed text with one line made malformed by ``defect``: a
+    field count, an empty field, or a forbidden character in a name."""
+    lines = random_lines(rng, n_fields)
+    i = rng.randrange(len(lines))
+    fields = lines[i].split("\t") if lines[i] else ["x"] * n_fields
+    j = rng.randrange(n_fields)
+    if defect == "fewer_fields":
+        fields = fields[:-1] if n_fields > 1 else []
+    elif defect == "more_fields":
+        fields = fields + ["x"]
+    elif defect == "empty_field":
+        fields[j] = ""
+    else:  # one forbidden character at the start, inside or at the end of a name
+        at = rng.randint(0, len(fields[j]))
+        fields[j] = fields[j][:at] + defect + fields[j][at:]
+    lines[i] = "\t".join(fields)
+    if not lines[i]:  # a one-field line without its field is blank, not malformed
+        lines[i] = "\t"
+    return joined(rng, lines)
+
+
+# Tab and newline are the separators themselves: the field-count defects
+# cover them.
+DEFECTS = ["fewer_fields", "more_fields", "empty_field",
+           *sorted(kg._FORBIDDEN_NAME_CHARS - {"\t", "\n"})]
+
+
+@pytest.mark.parametrize("n_fields", [1, 3])
+def test_file_grammar_matches_backtracking_form(n_fields):
+    new, ref = kg._FILE_FORMS[n_fields], REF_FILE_FORMS[n_fields]
+    assert "\ufeff" in DEFECTS and "\xa0" in DEFECTS and "\r" in DEFECTS
+    rng = random.Random(n_fields)
+    for _ in range(300):
+        lines = random_lines(rng, n_fields)
+        for end in ("\n", "\r\n", "\r"):
+            text = joined(rng, lines, end)
+            # a CR is a forbidden character; translated, the text is well formed
+            translated = text.replace("\r\n", "\n").replace("\r", "\n")
+            assert bool(new.fullmatch(text)) == bool(ref.fullmatch(text)) == ("\r" not in text)
+            assert new.fullmatch(translated) and ref.fullmatch(translated)
+    for defect in DEFECTS:
+        for _ in range(20):
+            text = defective(rng, n_fields, defect)
+            assert not new.fullmatch(text) and not ref.fullmatch(text), (defect, text)
+
+
+def test_file_grammar_keeps_no_state_per_line():
+    """The whole-file check of 100,000 lines allocates next to nothing (the
+    backtracking form peaked at about 51 MB)."""
+    texts = {3: "".join(f"e{i}\tr{i % 7}\te{i + 1}\n" for i in range(100_000)),
+             1: "".join(f"e{i}\n" for i in range(100_000))}
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for n_fields, text in texts.items():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert kg._FILE_FORMS[n_fields].fullmatch(text)
+            assert tracemalloc.get_traced_memory()[1] - base < 100_000, n_fields
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

@@ -3,12 +3,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lqrec
 from lqrec.autodiff import AdamState, Tape, adam_step, backward
 from lqrec.dataset import DatasetConfig, build_dataset
 from lqrec.model import VARIANTS, ModelParams
@@ -534,3 +537,65 @@ def test_best_checkpoint_retained(toy, tmp_path):
     # returned params are the restored best snapshot
     assert best.params_hash() == params.params_hash()
     assert result.best_metric is not None
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Criterion-5 training on a 1,000-item world that no split file was parsed
+# for: with glibc's thresholds left dynamic, nothing has raised them, and
+# each step maps, unmaps or trims a few MB (about 390 minor faults a step).
+FAULTS_PER_STEP = """
+import resource
+from lqrec import dataset, kg, model, synth, training
+from lqrec.query import BASIC_SHAPES
+world = synth.clustered_world(n_clusters=20, attrs_per_cluster=8, items_per_cluster=50,
+                              n_users=320, tags_per_item=4, likes_per_user=12,
+                              cross_cluster_noise=0.05, seed=1)
+split = kg.split_edges(world, 0.05, seed=1)
+data, _ = dataset.build_dataset(split, dataset.DatasetConfig(
+    counts={"train": {s: 50 for s in BASIC_SHAPES}}, seed=1))
+params = model.ModelParams.init(split.train, d=32, k=3, gamma=5.0, seed=1)
+def faults(epochs, seed):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    training.train(data["train"], params, split.train, training.TrainConfig(
+        d=32, k=3, gamma=5.0, lr=1e-2, batch_size=64, n_neg=16, patience=None,
+        epochs=epochs, seed=seed))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults(1, 1)  # the first epoch allocates what later steps reuse
+print(faults(3, 2) / (3 * -(-len(data["train"]) // 64)))
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the thresholds are pinned on glibc only")
+def test_training_step_takes_few_page_faults_in_a_fresh_process():
+    src = os.path.dirname(os.path.dirname(lqrec.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 10
+
+
+def test_malloc_thresholds_are_pinned_on_glibc_only(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(lqrec.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    for libc, pinned in (("glibc 2.36", [(-3, 32 << 20), (-1, 64 << 20)]),
+                         ("musl 1.2", []), (None, [])):
+        monkeypatch.setattr(os, "confstr", lambda name: libc)
+        lqrec._pin_malloc_thresholds()
+        assert calls == pinned, libc
+        calls.clear()
+    monkeypatch.delattr(os, "confstr")
+    lqrec._pin_malloc_thresholds()
+    assert calls == []
