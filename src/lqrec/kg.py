@@ -173,8 +173,8 @@ class KnowledgeGraph:
         n_rel = self.n_relations
         h, r, _ = self.array.T
         key = h * n_rel + r
-        # The (head, rel) of each dropped row. Set tests by ``np.isin``: a bare
-        # ``np.unique`` (and ``np.setdiff1d``) imports ``numpy.ma``, 1 MB.
+        # The (head, rel) of each dropped row, tested with ``np.isin``, not made
+        # unique: in numpy 2.4 a bare ``np.unique`` imports ``numpy.ma`` (1 MB).
         cut = key[~keep]
         sub.out_index = out = dict(self.out_index)
         out.update(sub._tail_sets(self.array[keep & np.isin(key, cut)]))  # keys keep their order
