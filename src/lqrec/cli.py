@@ -140,6 +140,8 @@ def cmd_answer(args) -> int:
         params = load_checkpoint(args.checkpoint)
         params.validate_against(kg)
         catalog = Catalog(params, kg.sorted_items())  # one per session
+    if args.mode in ("symbolic", "both"):
+        kg.index_in_edges()
     for raw in sys.stdin:
         line = raw.strip()
         if not line:

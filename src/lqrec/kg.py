@@ -17,7 +17,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, filterfalse
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -57,6 +57,9 @@ _FORBIDDEN_NAME_CHARS = set(NAME_SEPARATORS + "\"'|\ufeff")
 _NAME = "[^" + re.escape("".join(sorted(_FORBIDDEN_NAME_CHARS))) + "]++"
 _FILE_FORMS = {n: re.compile("(?:(?:{0})?\n)*+(?:{0})?".format("\t".join([_NAME] * n)))
                for n in (1, 3)}
+# Triple files are parsed, indexed and written in runs of lines, never all names at once.
+_RUN_LINES = 4096
+_RUNS = re.compile("(?:[^\n]*+\n){1,%d}+|[^\n]++" % _RUN_LINES)
 
 
 class Triple(NamedTuple):
@@ -228,10 +231,14 @@ class KnowledgeGraph:
 
     # Built on first use: backward sampling's index and its ascending pools of
     # seed items and targets. The oracle reads ``in_runs`` when a projection
-    # checks its candidates' in-edges, so the ``answer`` REPL builds it on its
-    # first such line: 6-8 ms for the 78,090-triple train graph at 10,000
-    # items (2-vCPU x86-64 VM), including a young collection that untracks
-    # its tuples of ints, a 1-3 ms scan that otherwise fell on a later line.
+    # checks its candidates' in-edges, so the ``answer`` REPL builds it through
+    # ``index_in_edges`` before its first read, not on its first such line:
+    # 6-8 ms for the 78,090-triple train graph at 10,000 items (2-vCPU x86-64
+    # VM), including a young collection that untracks its tuples of ints.
+
+    def index_in_edges(self) -> None:
+        """Build the in-edge index now instead of on its first read."""
+        self._in_index
 
     @cached_property
     def _in_index(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -288,35 +295,45 @@ def _parse_lines(path: str, data: bytes, n_fields: int) -> list[str]:
     return fields
 
 
-def _parse_fields(path: str, data: bytes, n_fields: int) -> list[str]:
-    """The names in ``data``, the bytes of ``path``, as one flat list,
-    ``n_fields`` a line. The text (newlines translated as in text mode) is
-    checked whole; a file that fails, or is not UTF-8, goes through the line
-    parser."""
+def _parse_fields(path: str, data: bytes, n_fields: int) -> Iterator[list[str]]:
+    """The names in ``data``, the bytes of ``path``, ``n_fields`` a line, as
+    one flat list per run of up to ``_RUN_LINES`` lines. The text (newlines
+    translated as in text mode) is checked whole before the first run; a
+    file that fails, or is not UTF-8, goes through the line parser."""
     try:
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         ok = _FILE_FORMS[n_fields].fullmatch(text)
     except UnicodeDecodeError:
         ok = None
     if not ok:
-        return _parse_lines(path, data, n_fields)
-    return list(filter(None, text.replace("\n", "\t").split("\t")))
+        yield _parse_lines(path, data, n_fields)
+        return
+    for run in _RUNS.finditer(text):
+        yield list(filter(None, run[0].replace("\n", "\t").split("\t")))
 
 
-def _read_fields(path: str, n_fields: int) -> list[str]:
+def _read_fields(path: str, n_fields: int) -> Iterator[list[str]]:
     with open(path, "rb") as f:
         return _parse_fields(path, f.read(), n_fields)
 
 
-def _index_fields(fields: list[str]) -> tuple[Vocab, Vocab, np.ndarray]:
-    """Vocabularies and the ``(n, 3)`` id array of flat head/rel/tail names;
-    entity ids follow first appearance over heads and tails row by row."""
-    ent_names, rel_names = fields.copy(), fields[1::3]
-    del ent_names[1::3]
-    ev, rv = Vocab(ent_names), Vocab(rel_names)
-    ents, rels = (np.fromiter(map(v.index.__getitem__, names), np.int64, len(names))
-                  for v, names in ((ev, ent_names), (rv, rel_names)))
-    return ev, rv, np.column_stack((ents[0::2], rels, ents[1::2]))
+def _index_fields(*sources: Iterable[list[str]]) -> tuple[Vocab, Vocab, np.ndarray, list[int]]:
+    """Vocabularies, ``(n, 3)`` id array and each source's end row, for sources of
+    runs (lists, emptied of relations in place) of flat head/rel/tail names. A run
+    gets its ids before the next is read; ids follow first appearance, head first."""
+    def ids(index: dict[str, int], names: list[str]) -> np.ndarray:
+        index.update(zip(filterfalse(index.__contains__, dict.fromkeys(names)), count(len(index))))
+        return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+    ents, rels = {}, {}
+    blocks, ends = [np.empty((0, 3), np.int64)], []
+    for runs in sources:
+        for fields in runs:
+            rel_ids = ids(rels, fields[1::3])
+            del fields[1::3]
+            ent_ids = ids(ents, fields)
+            blocks.append(np.column_stack((ent_ids[0::2], rel_ids, ent_ids[1::2])))
+        ends.append(sum(map(len, blocks)))
+    return Vocab(ents), Vocab(rels), np.concatenate(blocks), ends
 
 
 def graph_from_names(triple_rows: Iterable[tuple[str, str, str]],
@@ -325,7 +342,7 @@ def graph_from_names(triple_rows: Iterable[tuple[str, str, str]],
     """Assemble a graph from name rows; ids follow first-appearance order.
     Names follow the file loaders' rule, so the graph's split can be saved
     and loaded back."""
-    ev, rv, ids = _index_fields(list(chain.from_iterable(triple_rows)))
+    ev, rv, ids, _ = _index_fields([list(chain.from_iterable(triple_rows))])
     if not len(ids):
         raise GraphFormatError("empty graph: no triples")
     names = ev.names + rv.names
@@ -338,7 +355,7 @@ def graph_from_names(triple_rows: Iterable[tuple[str, str, str]],
 def _listed_ids(path: str, ev: Vocab, error: type[Exception]) -> frozenset[int]:
     """Ids of the entity names in ``path``; one ``ev`` lacks raises ``error`` naming it."""
     try:
-        return frozenset(map(ev.id_of, _read_fields(path, 1)))
+        return frozenset(map(ev.id_of, chain.from_iterable(_read_fields(path, 1))))
     except UnknownNameError as exc:
         raise error(f"{path}: {exc}") from None
 
@@ -346,7 +363,7 @@ def _listed_ids(path: str, ev: Vocab, error: type[Exception]) -> frozenset[int]:
 def load_graph(triple_file: str, item_file: str, user_file: str,
                like_rel_name: str) -> KnowledgeGraph:
     """Load and index a graph from the three line-oriented vocabulary files."""
-    ev, rv, ids = _index_fields(_read_fields(triple_file, 3))
+    ev, rv, ids, _ = _index_fields(_read_fields(triple_file, 3))
     if not len(ids):
         raise GraphFormatError("empty graph: no triples")
     return KnowledgeGraph(ev, rv, ids, _listed_ids(item_file, ev, GraphFormatError),
@@ -422,12 +439,15 @@ def write_triples(path: str, kg: KnowledgeGraph, triples) -> str:
     """One ``head<TAB>rel<TAB>tail`` line of names per triple (``Triple``s or
     ``(n, 3)`` id rows), in order; returns the sha256 of the bytes written."""
     ev, rv = kg.entity_vocab.names, kg.relation_vocab.names
-    h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T.tolist()
-    data = "".join(map("{}\t{}\t{}\n".format, map(ev.__getitem__, h),
-                       map(rv.__getitem__, r), map(ev.__getitem__, t))).encode("utf-8")
+    rows, sha = np.asarray(triples, dtype=np.int64).reshape(-1, 3), hashlib.sha256()
     with artifacts.atomic_write(path) as f:
-        f.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for at in range(0, len(rows), _RUN_LINES):
+            h, r, t = rows[at:at + _RUN_LINES].T.tolist()
+            data = "".join(map("{}\t{}\t{}\n".format, map(ev.__getitem__, h),
+                               map(rv.__getitem__, r), map(ev.__getitem__, t))).encode("utf-8")
+            f.write(data)
+            sha.update(data)
+    return sha.hexdigest()
 
 
 def write_names(path: str, kg: KnowledgeGraph, ids: Iterable[int]) -> None:
@@ -496,12 +516,11 @@ def load_split(split_dir: str) -> KgSplit:
     artifacts.check_manifest(manifest_path, manifest, {
         key: hashlib.sha256(data).hexdigest()
         for key, data in zip(("train_sha256", "heldout_sha256"), blobs)})
-    train_fields, held_fields = map(_parse_fields, paths, blobs, (3, 3))
-    n_train = len(train_fields) // 3
-    ev, rv, ids = _index_fields(train_fields + held_fields)
+    ev, rv, ids, (n_train, n_triples) = _index_fields(*map(_parse_fields, paths, blobs, (3, 3)))
+    del blobs  # before the graph's indices are built
     like = manifest["like_rel"]
     artifacts.check_manifest(manifest_path, manifest, {
-        "n_train": n_train, "n_held_out": len(held_fields) // 3,
+        "n_train": n_train, "n_held_out": n_triples - n_train,
         "n_entities": len(ev), "n_relations": len(rv),
     }, [] if like in rv else [f"like_rel {like!r} is not a relation"])
     items, users = (_listed_ids(os.path.join(split_dir, f), ev, artifacts.ArtifactMismatchError)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from collections.abc import Callable, Mapping, Sequence
 from typing import NamedTuple
 
@@ -417,33 +418,31 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
             f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
-def _split_arrays(body: memoryview, manifest) -> dict[str, np.ndarray]:
-    """The arrays that ``manifest`` ([name, shape] pairs) lays out in
-    ``body``; they must fill it exactly."""
-    arrays, offset = {}, 0
-    for name, shape in manifest:
-        end = offset + 8 * math.prod(shape)
-        arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").astype(
-            np.float64).reshape(shape)
-        offset = end
-    if offset != len(body):
-        raise ValueError(f"{len(body) - offset} bytes after the last array")
-    return arrays
-
-
 def load_checkpoint(path: str) -> ModelParams:
     """Read a ``save_checkpoint`` file; anything else (a header that is not
     UTF-8 JSON of that form, array names or shapes off ``param_shapes``, a
     wrong byte count, a non-finite value) raises ``ArtifactMismatchError``.
+    The body is read into one buffer, and each array is a writable view of it.
     """
     with open(path, "rb") as f:
-        head, body = f.readline(), memoryview(f.read())
+        head = f.readline()
+        body = bytearray(max(os.fstat(f.fileno()).st_size - len(head), 0))
+        del body[f.readinto(body):]
+        body += f.read()  # what a pipe, or a file that grew, holds beyond its size
     header = parse_json(head, path)
     try:
         if header["format"] != CHECKPOINT_FORMAT:
             raise ValueError(f"format {header['format']!r} is not {CHECKPOINT_FORMAT!r}")
+        arrays, offset = {}, 0
+        for name, shape in header["arrays"]:  # [name, shape] pairs that fill the body
+            n = math.prod(shape)
+            arrays[name] = np.frombuffer(body, "<f8", n, offset).astype(
+                np.float64, copy=False).reshape(shape)
+            offset += 8 * n
+        if offset != len(body):
+            raise ValueError(f"{len(body) - offset} bytes after the last array")
         params = ModelParams(
-            _split_arrays(body, header["arrays"]),
+            arrays,
             k=header["k"],
             gamma=header["gamma"],
             variant=header["variant"],

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from lqrec import model
@@ -16,6 +19,23 @@ TINY_ROWS = [
     ("u1", "likes", "z"),
     ("u2", "likes", "y"),
 ]
+
+
+def traced(fn):
+    """``fn()``, and the bytes ``tracemalloc`` counted at its peak and on its
+    return, each above what was allocated before the call."""
+    was_tracing = tracemalloc.is_tracing()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return out, peak - base, current - base
 
 
 def in_edges(kg, t):

@@ -755,6 +755,32 @@ def test_one_catalog_per_answer_session(pipeline, catalogs_built, monkeypatch,
     assert len(catalogs_built) == 1  # symbolic mode scores nothing
 
 
+@pytest.mark.parametrize("mode,indexed", [("symbolic", True), ("both", True),
+                                          ("embedding", False)])
+def test_answer_builds_the_in_edge_index_before_its_first_read(pipeline, mode, indexed,
+                                                               monkeypatch):
+    """A session's first line does not pay for the in-edge index: the modes
+    that answer symbolically build it before the REPL reads stdin."""
+    loaded, at_first_read = [], []
+    real_load = kgmod.load_split
+
+    def load(path):
+        loaded.append(real_load(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(kgmod, "load_split", load)
+
+    class Stdin:
+        def __iter__(self):
+            at_first_read.append("_in_index" in vars(loaded[0].train))
+            return iter(["quit\n"])
+
+    monkeypatch.setattr(sys, "stdin", Stdin())
+    assert main(["answer", "--kg", str(pipeline["data"]), "--checkpoint",
+                 str(pipeline["ckpt"]), "--mode", mode]) == 0
+    assert at_first_read == [indexed]
+
+
 def fuzz_queries(kg, queries, n, seed):
     """``n`` seeded query texts: token soups, valid queries with one token
     spliced in, valid queries under up to 3,000 projections, and random bytes
@@ -897,7 +923,7 @@ def test_loaded_names_round_trip_through_query_and_answer(tmp_path, monkeypatch,
     names = []
     for name in candidates:
         try:
-            if kgmod._parse_fields("users.txt", (name + "\n").encode(), 1) == [name]:
+            if list(kgmod._parse_fields("users.txt", (name + "\n").encode(), 1)) == [[name]]:
                 names.append(name)
         except kgmod.GraphFormatError:
             pass

@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TINY_ROWS, in_edges
+from conftest import TINY_ROWS, in_edges, traced
 from lqrec import kg, synth
 from lqrec.artifacts import ArtifactMismatchError
 from lqrec.cli import main
@@ -584,3 +584,177 @@ def test_file_grammar_keeps_no_state_per_line():
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+# --- the run-at-a-time indexer against the one-shot indexer it replaced ----
+
+
+def ref_parse_fields(data):
+    """The former parse of a well-formed triple file: all names in one list."""
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    assert kg._FILE_FORMS[3].fullmatch(text)
+    return list(filter(None, text.replace("\n", "\t").split("\t")))
+
+
+def ref_index_fields(fields):
+    """The former indexer: both vocabularies from all names, then all ids."""
+    ent_names, rel_names = fields.copy(), fields[1::3]
+    del ent_names[1::3]
+    ev, rv = Vocab(ent_names), Vocab(rel_names)
+    ents, rels = (np.fromiter(map(v.index.__getitem__, names), np.int64, len(names))
+                  for v, names in ((ev, ent_names), (rv, rel_names)))
+    return ev, rv, np.column_stack((ents[0::2], rels, ents[1::2]))
+
+
+def ref_write_triples(kg_, rows):
+    """The bytes the former ``write_triples`` wrote in one piece."""
+    ev, rv = kg_.entity_vocab.names, kg_.relation_vocab.names
+    h, r, t = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T.tolist()
+    return "".join(map("{}\t{}\t{}\n".format, map(ev.__getitem__, h),
+                       map(rv.__getitem__, r), map(ev.__getitem__, t))).encode("utf-8")
+
+
+RUN = kg._RUN_LINES
+
+
+def run_lines(monkeypatch, n):
+    """Split, index and write triple files in runs of ``n`` lines."""
+    monkeypatch.setattr(kg, "_RUN_LINES", n)
+    monkeypatch.setattr(kg, "_RUNS", re.compile(
+        kg._RUNS.pattern.replace(f"{{1,{RUN}}}", f"{{1,{n}}}")))
+
+
+def boundary_lines(n_lines, run, seed):
+    """``n_lines`` triple lines over a growing vocabulary. The last line of
+    each run brings a new entity and relation, and the lines just before and
+    just after each run boundary are blank."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n_lines):
+        if i % run == run - 1:
+            lines.append(f"last{i}\tr_last{i}\te{rng.randrange(i + 1)}")
+        elif i and i % run in (0, run - 2):
+            lines.append("")
+        else:
+            lines.append(f"e{rng.randrange(i + 1)}\tr{rng.randrange(5)}\te{rng.randrange(i + 2)}")
+    return lines
+
+
+@pytest.mark.parametrize("n_lines", [0, 1, RUN - 1, RUN, RUN + 1, 2 * RUN + 1])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_indexer_matches_one_shot_reference(n_lines, end):
+    rng = random.Random(n_lines)
+    data = (end.join(boundary_lines(n_lines, RUN, n_lines))
+            + end * rng.choice([0, 1, 2])).encode("utf-8")
+    runs = list(kg._parse_fields("train.tsv", data, 3))
+    assert all(len(run) <= 3 * RUN for run in runs)
+    assert [name for run in runs for name in run] == ref_parse_fields(data)
+    ev, rv, ids, ends = kg._index_fields(kg._parse_fields("train.tsv", data, 3))
+    want_ev, want_rv, want_ids = ref_index_fields(ref_parse_fields(data))
+    assert ev.names == want_ev.names and ev.index == want_ev.index
+    assert rv.names == want_rv.names and rv.index == want_rv.index
+    assert ids.dtype == np.int64 and ids.shape == want_ids.shape == (len(want_ids), 3)
+    assert np.array_equal(ids, want_ids) and ends == [len(want_ids)]
+    if n_lines >= RUN:
+        assert f"last{RUN - 1}" in ev.index and f"r_last{RUN - 1}" in rv.index
+
+
+@pytest.mark.parametrize("run", [7, 64])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_split_load_and_save_match_one_shot_reference(run, end, tmp_path, monkeypatch):
+    """A split whose held-out rows bring new entities and relations, read
+    and written in short runs, against the one-shot indexer and writer."""
+    world = captured_rows(monkeypatch, **dict(CRITERION5_WORLD, seed=1))
+    train = ["\t".join(row) for row in world["rows"]]
+    train[run - 1] = f"first_at_run_end\tnew_rel\t{world['items'][0]}"
+    train.insert(run, "")
+    held = [f"held_head\theld_rel\t{world['items'][1]}",
+            f"{world['users'][0]}\theld_rel\tfirst_at_run_end",
+            f"{world['users'][1]}\t{world['like']}\t{world['items'][2]}"]
+    assert not set(held) & set(train)
+    split_dir = tmp_path / "split"
+    split_dir.mkdir()
+    files = {"train.tsv": train, "heldout.tsv": held,
+             "items.txt": world["items"], "users.txt": world["users"]}
+    for fname, lines in files.items():
+        (split_dir / fname).write_bytes((end.join(lines) + end).encode("utf-8"))
+    blobs = [(split_dir / f).read_bytes() for f in ("train.tsv", "heldout.tsv")]
+    ev, rv, ids = ref_index_fields(ref_parse_fields(blobs[0] + blobs[1]))
+    n_train = len(ref_parse_fields(blobs[0])) // 3
+    items, users = (frozenset(map(ev.id_of, world[key])) for key in ("items", "users"))
+    want = kg.KnowledgeGraph(ev, rv, ids, items, users, rv.id_of(world["like"]))
+    manifest = {"like_rel": world["like"], "fraction": 0.05, "seed": 9,
+                "n_triples": len(ids), "n_train": n_train, "n_held_out": len(held),
+                "n_entities": len(ev), "n_relations": len(rv),
+                "n_items": len(items), "n_users": len(users),
+                "train_sha256": hashlib.sha256(blobs[0]).hexdigest(),
+                "heldout_sha256": hashlib.sha256(blobs[1]).hexdigest()}
+    (split_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    run_lines(monkeypatch, run)
+    split = load_split(str(split_dir))
+    for new, old in ((split.full.entity_vocab, ev), (split.full.relation_vocab, rv)):
+        assert new.names == old.names and new.index == old.index
+    assert (ev.names[-1], rv.names[-1]) == ("held_head", "held_rel")  # held-out only
+    assert "first_at_run_end" in ev.index and "new_rel" in rv.index
+    assert np.array_equal(split.full.array, want.array)
+    assert np.array_equal(split.train.array, ids[:n_train])
+    assert split.held_out == want.triples_of(ids[n_train:])
+    keep = np.arange(len(ids)) < n_train
+    for new, old in ((split.full, want), (split.train, want._subgraph(keep))):
+        assert list(new.out_index) == list(old.out_index)
+        assert all(list(new.out_index[key]) == list(tails)
+                   for key, tails in old.out_index.items())
+    ref_full, ref_train, ref_held = ref_load_split(str(split_dir))
+    assert split.held_out == ref_held
+    assert_same_graph(split.full, ref_full)
+    assert_same_graph(split.train, ref_train)
+
+    out = tmp_path / "saved"
+    written = save_split(split, str(out))
+    for fname, rows, key in (("train.tsv", split.train.array, "train_sha256"),
+                             ("heldout.tsv", split.held_out, "heldout_sha256")):
+        data = ref_write_triples(split.full, rows)
+        assert (out / fname).read_bytes() == data
+        assert written[key] == hashlib.sha256(data).hexdigest()
+    assert json.loads((out / "manifest.json").read_text()) == written
+    if end == "\n":  # a canonical file reads back as itself, blank line aside
+        assert (out / "heldout.tsv").read_bytes() == blobs[1]
+        assert (out / "train.tsv").read_bytes() == blobs[0].replace(b"\n\n", b"\n")
+
+
+# --- artifact I/O in bounded memory -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def large_split(tmp_path_factory):
+    """A saved split of 100,100 triple lines (1.2 MB of train.tsv) over 1,100
+    entities, so that the graph it loads into is small beside its names."""
+    n = 100_000
+    rows = [(f"e{i % 1000}", f"r{i % 7}", f"e{i // 100}") for i in range(n)]
+    rows += [(f"u{i}", "likes", f"e{i}") for i in range(100)]
+    g = graph_from_names(rows, [f"e{i}" for i in range(100)], [f"u{i}" for i in range(100)],
+                         "likes")
+    split = split_edges(g, 0.05, seed=1)
+    out = tmp_path_factory.mktemp("large_split")
+    save_split(split, str(out))
+    return out, split
+
+
+def test_load_split_holds_one_run_of_names_at_a_time(large_split):
+    """Loading allocates little beyond the graph it returns: 3.3 MB above it
+    at the peak, 4.6 MB if the files' bytes outlive the parse, and 22.7 MB
+    when every name of both files was alive at once."""
+    split_dir, saved = large_split
+    split, peak, retained = traced(lambda: load_split(str(split_dir)))
+    assert len(split.full.array) == len(saved.full.array) == 100_100
+    assert peak - retained < 4_000_000, (peak, retained)
+
+
+def test_save_split_writes_one_run_at_a_time(large_split, tmp_path):
+    """0.75 MB at the peak, against 14.7 MB when each file was joined whole."""
+    split_dir, split = large_split
+    _, peak, _ = traced(lambda: save_split(split, str(tmp_path)))
+    for fname in ("train.tsv", "heldout.tsv", "manifest.json"):
+        assert (tmp_path / fname).read_bytes() == (split_dir / fname).read_bytes()
+    assert peak < 2_000_000, peak

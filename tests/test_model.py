@@ -30,6 +30,7 @@ from lqrec.model import (
 )
 from lqrec.oracle import TASK_JOINT, TASK_PREF, TASK_REQ, TASKS
 from lqrec.query import parse_query
+from conftest import traced
 from source_checks import SRC_DIR, gathers_not_from_params, literal_comparisons
 from test_autodiff import reduce_sum
 
@@ -439,6 +440,24 @@ def test_checkpoint_roundtrip(world, params, tmp_path):
     loaded.validate_against(world)
 
 
+def test_checkpoint_arrays_are_views_of_one_buffer(tmp_path):
+    """The body is read once: the load peaks at the arrays it returns plus
+    the finiteness check's one-byte mask of the largest (1/8 of it), where
+    reading the body and then copying each array out of it took 2.1x."""
+    rng = np.random.default_rng(0)
+    params = ModelParams({name: rng.uniform(-1, 1, shape) for name, shape
+                          in param_shapes(32, 3, 20_000, 7).items()},
+                         k=3, gamma=5.0, variant="mtl", seed=0)
+    path = tmp_path / "large.ckpt"
+    save_checkpoint(params, str(path))
+    loaded, peak, _ = traced(lambda: load_checkpoint(str(path)))
+    arrays = [t.data for t in loaded.named().values()]
+    assert loaded.params_hash() == params.params_hash()
+    assert all(a.dtype == np.float64 and a.flags.writeable and a.flags.aligned
+               for a in arrays)
+    assert peak < 1.15 * sum(a.nbytes for a in arrays), peak
+
+
 def test_checkpoint_save_is_atomic(world, params, tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     save_checkpoint(ModelParams.init(world, d=8, k=3, gamma=2.0, seed=1), str(path))
@@ -515,6 +534,19 @@ def test_checkpoint_every_truncation_rejected(small_ckpt):
         small_ckpt.write_bytes(blob[:cut])
         with pytest.raises(ArtifactMismatchError):
             load_checkpoint(str(small_ckpt))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_checkpoint_loads_from_a_pipe(small_ckpt):
+    """A pipe has no size to read ahead by: ``--checkpoint <(...)`` loads too."""
+    r, w = os.pipe()
+    with open(w, "wb") as f:
+        f.write(small_ckpt.read_bytes())  # fits in the pipe's buffer
+    try:
+        loaded = load_checkpoint(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert loaded.params_hash() == load_checkpoint(str(small_ckpt)).params_hash()
 
 
 def _with_header(header, body):

@@ -14,7 +14,7 @@ import pytest
 import lqrec
 from lqrec.autodiff import AdamState, Tape, adam_step, backward
 from lqrec.dataset import DatasetConfig, build_dataset
-from lqrec.model import VARIANTS, ModelParams
+from lqrec.model import VARIANTS, ModelParams, load_checkpoint, save_checkpoint
 from lqrec.oracle import TASKS
 from lqrec.query import BASIC_SHAPES
 from lqrec.training import (
@@ -520,6 +520,23 @@ def test_divergence_dump_write_is_atomic(toy, tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         run(6.0)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_training_from_a_loaded_checkpoint_matches_in_memory_params(toy, tmp_path):
+    """A loaded checkpoint's arrays are writable views of one buffer; Adam
+    updates them in place exactly as it updates arrays of their own."""
+    split, datasets = toy
+    kg = split.train
+    params = ModelParams.init(kg, d=8, k=2, gamma=2.0, seed=6)
+    start = params.params_hash()
+    save_checkpoint(params, str(tmp_path / "init.ckpt"))
+    loaded = load_checkpoint(str(tmp_path / "init.ckpt"))
+    assert all(t.data.flags.writeable for t in loaded.named().values())
+    cfg = TrainConfig(d=8, k=2, gamma=2.0, lr=5e-3, epochs=2, batch_size=16,
+                      n_neg=4, seed=6, patience=None)
+    for p in (params, loaded):
+        train(datasets["train"], p, kg, cfg)
+    assert loaded.params_hash() == params.params_hash() != start
 
 
 def test_best_checkpoint_retained(toy, tmp_path):
