@@ -14,7 +14,6 @@ import random
 import re
 import shutil
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -573,17 +572,9 @@ def test_file_grammar_keeps_no_state_per_line():
     backtracking form peaked at 53 MB on these triples, 35 MB on the names)."""
     texts = {3: "".join(f"e{i}\tr{i % 7}\te{i + 1}\n" for i in range(100_000)),
              1: "".join(f"e{i}\n" for i in range(100_000))}
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        for n_fields, text in texts.items():
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            assert kg._FILE_FORMS[n_fields].fullmatch(text)
-            assert tracemalloc.get_traced_memory()[1] - base < 100_000, n_fields
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    for n_fields, text in texts.items():
+        match, peak, _ = traced(lambda: kg._FILE_FORMS[n_fields].fullmatch(text))
+        assert match and peak < 100_000, n_fields
 
 
 # --- the run-at-a-time indexer against the one-shot indexer it replaced ----
@@ -606,9 +597,9 @@ def ref_index_fields(fields):
     return ev, rv, np.column_stack((ents[0::2], rels, ents[1::2]))
 
 
-def ref_write_triples(kg_, rows):
+def ref_write_triples(graph, rows):
     """The bytes the former ``write_triples`` wrote in one piece."""
-    ev, rv = kg_.entity_vocab.names, kg_.relation_vocab.names
+    ev, rv = graph.entity_vocab.names, graph.relation_vocab.names
     h, r, t = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T.tolist()
     return "".join(map("{}\t{}\t{}\n".format, map(ev.__getitem__, h),
                        map(rv.__getitem__, r), map(ev.__getitem__, t))).encode("utf-8")
