@@ -229,16 +229,16 @@ class KnowledgeGraph:
     def triples(self) -> tuple[Triple, ...]:
         return self.triples_of(self.array)
 
+    def index_in_edges(self) -> None:
+        """Build the in-edge index now instead of on its first read."""
+        self._in_index
+
     # Built on first use: backward sampling's index and its ascending pools of
     # seed items and targets. The oracle reads ``in_runs`` when a projection
     # checks its candidates' in-edges, so the ``answer`` REPL builds it through
     # ``index_in_edges`` before its first read, not on its first such line:
-    # 6-8 ms for the 78,090-triple train graph at 10,000 items (2-vCPU x86-64
+    # 6-9 ms for the 78,090-triple train graph at 10,000 items (2-vCPU x86-64
     # VM), including a young collection that untracks its tuples of ints.
-
-    def index_in_edges(self) -> None:
-        """Build the in-edge index now instead of on its first read."""
-        self._in_index
 
     @cached_property
     def _in_index(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
