@@ -208,15 +208,15 @@ def _ground(kg: KnowledgeGraph, skel: tuple, target: int, rng: random.Random,
                      else _pick_other_target(kg, target, rng))
             branches.append(_ground(kg, child, other, rng, False))
         return Or(tuple(branches))
-    span = kg.in_span(target)
+    rels, heads = kg.in_edges(target)
     n = 1 if kind == "p" else len(skel[1])
-    if len(span) < n:
-        raise SamplingError(f"entity {target} needs {n} in-edges, has {len(span)}")
+    if len(heads) < n:
+        raise SamplingError(f"entity {target} needs {n} in-edges, has {len(heads)}")
     if kind == "p":
-        rel, head = kg.in_edge(span[rng.randrange(len(span))])
-        return Project(rel, _ground(kg, skel[1], head, rng, False))
-    return And(tuple(Project(rel, _ground(kg, child[1], head, rng, False)) for child, (rel, head)
-                     in zip(skel[1], map(kg.in_edge, rng.sample(span, n)))))
+        i = rng.randrange(len(heads))
+        return Project(rels[i], _ground(kg, skel[1], heads[i], rng, False))
+    return And(tuple(Project(rels[i], _ground(kg, child[1], heads[i], rng, False))
+                     for child, i in zip(skel[1], rng.sample(range(len(heads)), n))))
 
 
 def sample_requirement(

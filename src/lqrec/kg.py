@@ -4,7 +4,8 @@ A graph is one ``(n, 3)`` int64 array of ``(head, relation, tail)`` ids over
 dense integer vocabularies, with a designated interaction relation linking
 users to items; its traversal indices are built from that array with numpy
 sorts: tail sets by ``(head, relation)`` and, on first use, the in-edges as
-flat sequences by tail. Graphs are immutable and safe to share across threads.
+flat sequences by tail, read through ``in_edges`` and ``in_runs``. Graphs are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -49,12 +50,15 @@ NAME_SEPARATORS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2
 _FORBIDDEN_NAME_CHARS = set(NAME_SEPARATORS + "\"'|\ufeff")
 
 # Whole-file forms of a triple file and of a name list: lines of three
-# tab-separated names or of one name, blank lines allowed. The repeats are
+# tab-separated names or of one name, blank lines allowed. A name holds no
+# lone surrogate either: UTF-8 cannot encode one, and the loaders decode a
+# byte that is not UTF-8 to one, so such a line fails the form. The repeats are
 # possessive: a name holds no tab or newline, so giving back a character or a
 # line can never lead to a match, and without backtracking points the check
 # keeps no state per line (a greedy ``*`` held one per line, 33 MB for the
 # 78,090-line train file of 10,000 items).
-_NAME = "[^" + re.escape("".join(sorted(_FORBIDDEN_NAME_CHARS))) + "]++"
+_SURROGATES = "\ud800-\udfff"
+_NAME = "[^" + re.escape("".join(sorted(_FORBIDDEN_NAME_CHARS))) + _SURROGATES + "]++"
 _FILE_FORMS = {n: re.compile("(?:(?:{0})?\n)*+(?:{0})?".format("\t".join([_NAME] * n)))
                for n in (1, 3)}
 # Triple files are parsed, indexed and written in runs of lines, never all names at once.
@@ -102,9 +106,9 @@ class KnowledgeGraph:
     tail)`` rows (first occurrences, in input order) as ``(n, 3)`` int64 and
     ``out_index`` maps ``(head, rel)`` to its tails. Built on first use: the
     ``Triple`` view ``triples``, and the in-edges sorted by ``(tail, rel,
-    head)`` as per-entity offsets, relations and heads, which ``in_span``,
-    ``in_edge`` and ``in_runs`` read. Every id in them is the vocabulary's
-    own int object. Each ``like_rel`` triple runs from one of ``users`` to
+    head)`` as per-entity offsets, relations and heads, which ``in_edges``
+    and ``in_runs`` read. Every id in them is the vocabulary's own int
+    object. Each ``like_rel`` triple runs from one of ``users`` to
     one of ``items``."""
 
     def __init__(self, entity_vocab: Vocab, relation_vocab: Vocab, triples,
@@ -197,15 +201,11 @@ class KnowledgeGraph:
         """Exact tail set of ``(e, r, *)`` edges; empty when there are none."""
         return self.out_index.get((e, r), frozenset())
 
-    def in_span(self, t: int) -> range:
-        """Positions of ``t``'s in-edges, sorted by ``(rel, head)``, for ``in_edge``."""
-        off = self._in_index[0]
-        return range(off[t], off[t + 1])
-
-    def in_edge(self, i: int) -> tuple[int, int]:
-        """``(rel, head)`` of the in-edge at position ``i`` of an ``in_span``."""
-        _, rels, heads = self._in_index
-        return rels[i], heads[i]
+    def in_edges(self, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(rels, heads)`` of ``t``'s in-edges, sorted by ``(rel, head)``."""
+        off, rels, heads = self._in_index
+        lo, hi = off[t], off[t + 1]
+        return rels[lo:hi], heads[lo:hi]
 
     def in_runs(self, targets: Iterable[int], rel: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         """``(t, heads)`` for each ``t`` of ``targets`` in turn: the heads of
@@ -268,46 +268,41 @@ def _name_fault(name: str) -> str | None:
     if bad := sorted(_FORBIDDEN_NAME_CHARS.intersection(name)):
         return (f"name {name!r} contains forbidden character(s) {bad}; names hold no "
                 "whitespace, parenthesis, quote, '|' or U+FEFF")
+    if re.search(f"[{_SURROGATES}]", name):
+        return f"name {name!r} holds a lone surrogate, which UTF-8 cannot encode"
     return None
 
 
-def _parse_lines(path: str, data: bytes, n_fields: int) -> list[str]:
-    """The line parser over ``data``, the bytes of ``path``: ``n_fields``
-    tab-separated names a line (blank lines skipped, lines split as in text
-    mode), as one flat list; errors carry line numbers."""
-    fields = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        where = f"{path}:{lineno}:"
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"{where} not UTF-8: {exc}") from None
-        if not line:
-            continue
-        parts = line.split("\t") if n_fields > 1 else [line]
-        if len(parts) != n_fields:
-            raise GraphFormatError(f"{where} expected exactly two tab separators, "
-                                   f"got {len(parts) - 1}")
-        for name in parts:
-            if fault := _name_fault(name):
-                raise GraphFormatError(f"{where} {fault}")
-        fields += parts
-    return fields
+def _line_fault(line: str, n_fields: int) -> str:
+    """Why ``line``, a line of a decoded file that breaks its form, does not
+    hold ``n_fields`` names: the first of its bytes that is not UTF-8, its
+    tab count, or its first name that breaks the name rule."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"not UTF-8: {exc}"
+    parts = line.split("\t") if n_fields > 1 else [line]
+    if len(parts) != n_fields:
+        return f"expected exactly two tab separators, got {len(parts) - 1}"
+    return next(filter(None, map(_name_fault, parts)))
 
 
 def _parse_fields(path: str, data: bytes, n_fields: int) -> Iterator[list[str]]:
     """The names in ``data``, the bytes of ``path``, ``n_fields`` a line, as
-    one flat list per run of up to ``_RUN_LINES`` lines. The text (newlines
-    translated as in text mode) is checked whole before the first run; a
-    file that fails, or is not UTF-8, goes through the line parser."""
-    try:
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        ok = _FILE_FORMS[n_fields].fullmatch(text)
-    except UnicodeDecodeError:
-        ok = None
-    if not ok:
-        yield _parse_lines(path, data, n_fields)
-        return
+    one flat list per run of up to ``_RUN_LINES`` lines. The text (bytes
+    that are not UTF-8 escaped, newlines translated as in text mode) is
+    checked whole before the first run; a file that fails raises
+    ``GraphFormatError`` naming its first line that breaks the form."""
+    text = data.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
+    form = _FILE_FORMS[n_fields]
+    if not form.fullmatch(text):
+        # The possessive form gives back nothing, so its longest match from
+        # the start ends inside the first line that breaks it.
+        at = form.match(text).end()
+        start, stop = text.rfind("\n", 0, at) + 1, text.find("\n", at)
+        line = text[start:stop] if stop >= 0 else text[start:]
+        lineno = text.count("\n", 0, start) + 1
+        raise GraphFormatError(f"{path}:{lineno}: {_line_fault(line, n_fields)}")
     for run in _RUNS.finditer(text):
         yield list(filter(None, run[0].replace("\n", "\t").split("\t")))
 
@@ -346,7 +341,7 @@ def graph_from_names(triple_rows: Iterable[tuple[str, str, str]],
     if not len(ids):
         raise GraphFormatError("empty graph: no triples")
     names = ev.names + rv.names
-    if not (all(names) and _FORBIDDEN_NAME_CHARS.isdisjoint("".join(names))):
+    if not (all(names) and re.fullmatch(_NAME, "".join(names))):
         raise GraphFormatError(next(filter(None, map(_name_fault, names))))
     return KnowledgeGraph(ev, rv, ids, frozenset(map(ev.id_of, item_names)),
                           frozenset(map(ev.id_of, user_names)), rv.id_of(like_rel_name))

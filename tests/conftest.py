@@ -40,7 +40,7 @@ def traced(fn):
 
 def in_edges(kg, t):
     """Distinct ``(rel, head)`` pairs with an edge into ``t``, sorted."""
-    return tuple(map(kg.in_edge, kg.in_span(t)))
+    return tuple(zip(*kg.in_edges(t)))
 
 
 @pytest.fixture

@@ -130,7 +130,7 @@ def test_in_edge_index_leaves_no_items_for_the_collector(world):
 
 def test_only_the_graph_reads_its_in_edge_index():
     # the layout of the in-edge index is kg's decision: other modules read
-    # in-edges through ``KnowledgeGraph.in_span``, ``in_edge`` and ``in_runs``
+    # in-edges through ``KnowledgeGraph.in_edges`` and ``in_runs``
     assert [at for at in attribute_accesses("_in_index") if not at.startswith("kg.py:")] == []
     assert "in_adj" not in vars(kgmod.KnowledgeGraph) and attribute_accesses("in_adj") == []
 
@@ -403,6 +403,18 @@ def test_forbidden_character_error_states_the_whole_rule(name):
     assert str(built.value) == (
         f"name {name!r} contains forbidden character(s) [{name[1]!r}]; "
         "names hold no whitespace, parenthesis, quote, '|' or U+FEFF")
+
+
+@pytest.mark.parametrize("row", [("a\udc80", "r", "x"), ("a", "r\ud800", "x"),
+                                 ("a", "r", "x\udfffy")])
+def test_graph_from_names_refuses_a_lone_surrogate(row):
+    # UTF-8 cannot encode a lone surrogate, so the graph's split could not be
+    # saved: it is refused before anything is written
+    rows = [("a", "r", "x"), ("u", "likes", "x"), row]
+    with pytest.raises(GraphFormatError) as built:
+        graph_from_names(rows, ["x"], ["u"], "likes")
+    name = next(name for name in row if not name.isascii())
+    assert str(built.value) == f"name {name!r} holds a lone surrogate, which UTF-8 cannot encode"
 
 
 @pytest.mark.parametrize("row", [("a", "r1", "a b"), ("a", "r1", ""), ("x|y", "r1", "x"),

@@ -146,6 +146,30 @@ def ref_parse_triple_lines(path):
     return rows
 
 
+def ref_parse_lines(path, data, n_fields):
+    """The former line parser over ``data``, the bytes of ``path``:
+    ``n_fields`` tab-separated names a line (blank lines skipped, lines split
+    as in text mode), as one flat list; errors carry line numbers."""
+    fields = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        where = f"{path}:{lineno}:"
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{where} not UTF-8: {exc}") from None
+        if not line:
+            continue
+        parts = line.split("\t") if n_fields > 1 else [line]
+        if len(parts) != n_fields:
+            raise GraphFormatError(f"{where} expected exactly two tab separators, "
+                                   f"got {len(parts) - 1}")
+        for name in parts:
+            if fault := kg._name_fault(name):
+                raise GraphFormatError(f"{where} {fault}")
+        fields += parts
+    return fields
+
+
 def ref_load_split(split_dir):
     train_rows = ref_parse_triple_lines(f"{split_dir}/train.tsv")
     held_rows = ref_parse_triple_lines(f"{split_dir}/heldout.tsv")
@@ -209,9 +233,9 @@ def assert_same_graph(new, ref):
         got, want = new.neighbors_out(head, rel), ref.neighbors_out(head, rel)
         # equal sets with the same table: same iteration order and size
         assert list(got) == list(want) and sys.getsizeof(got) == sys.getsizeof(want)
-    # the in-edge spans of ascending entity ids tile the sorted edges
-    assert [i for e in range(ref.n_entities) for i in new.in_span(e)] == list(
-        range(len(ref.triples)))
+    # the in-edges of ascending entity ids, in turn, are the edges sorted by tail
+    assert [(e, *edge) for e in range(ref.n_entities) for edge in in_edges(new, e)] == sorted(
+        (t.tail, t.rel, t.head) for t in ref.triples)
     for e in range(ref.n_entities):
         assert in_edges(new, e) == ref.in_edges(e)
     assert new.seed_items == ref.seed_items
@@ -385,7 +409,8 @@ def test_malformed_input_matches_line_parser(case, saved_split, tmp_path, capsys
     fname, lineno, line = MALFORMED[case]
     split_dir = edited_copy(saved_split, tmp_path, fname, lineno, line)
     path = str(split_dir / fname)
-    reference = ref_read_names if fname.endswith(".txt") else ref_parse_triple_lines
+    n_fields = 1 if fname.endswith(".txt") else 3
+    reference = ref_read_names if n_fields == 1 else ref_parse_triple_lines
     with pytest.raises((GraphFormatError, UnicodeDecodeError)) as want:
         reference(path)
     with pytest.raises(GraphFormatError) as got:
@@ -394,6 +419,9 @@ def test_malformed_input_matches_line_parser(case, saved_split, tmp_path, capsys
         assert str(got.value) == str(want.value)
     else:  # the reference gave only the codec's message; now it names the line
         assert str(got.value).startswith(f"{path}:{lineno}: not UTF-8: 'utf-8' codec")
+    with pytest.raises(GraphFormatError) as by_lines:
+        ref_parse_lines(path, (split_dir / fname).read_bytes(), n_fields)
+    assert str(got.value) == str(by_lines.value)
     # both commands report it as a validation error
     assert main(["answer", "--kg", str(split_dir), "--mode", "symbolic"]) == 2
     assert main(["train", "--data", str(split_dir), "--seed", "1",
@@ -428,7 +456,7 @@ def test_raw_triples_not_utf8_name_the_line(tmp_path, capsys):
             "in position 4") in capsys.readouterr().err
 
 
-def test_line_parser_reads_no_file(saved_split, tmp_path, monkeypatch):
+def test_fault_diagnosis_reads_no_file(saved_split, tmp_path, monkeypatch):
     fname, lineno, line = MALFORMED["forbidden_char"]
     split_dir = edited_copy(saved_split, tmp_path, fname, lineno, line)
     opened = []
@@ -444,8 +472,8 @@ def test_line_parser_reads_no_file(saved_split, tmp_path, monkeypatch):
     assert opened.count(str(split_dir / fname)) == 1
 
 
-def refuse_line_parser(path, n_fields):
-    raise AssertionError(f"line parser ran on {path}")
+def refuse_diagnosis(line, n_fields):
+    raise AssertionError(f"fault diagnosis ran on {line!r}")
 
 
 @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
@@ -461,7 +489,7 @@ def test_other_newlines_load_the_same_graph(saved_split, tmp_path, newline, monk
         manifest[key] = hashlib.sha256((out / fname).read_bytes()).hexdigest()
     (out / "manifest.json").write_text(json.dumps(manifest))
     want = load_split(str(saved_split))
-    monkeypatch.setattr(kg, "_parse_lines", refuse_line_parser)
+    monkeypatch.setattr(kg, "_line_fault", refuse_diagnosis)
     got = load_split(str(out))
     assert got.held_out == want.held_out
     for new, old in ((got.full, want.full), (got.train, want.train)):
@@ -470,8 +498,8 @@ def test_other_newlines_load_the_same_graph(saved_split, tmp_path, newline, monk
         assert (new.items, new.users) == (old.items, old.users)
 
 
-def test_wellformed_files_skip_the_line_parser(saved_split, monkeypatch):
-    monkeypatch.setattr(kg, "_parse_lines", refuse_line_parser)
+def test_wellformed_files_skip_the_diagnoser(saved_split, monkeypatch):
+    monkeypatch.setattr(kg, "_line_fault", refuse_diagnosis)
     assert len(load_split(str(saved_split)).full.items) == 250
 
 
@@ -575,6 +603,50 @@ def test_file_grammar_keeps_no_state_per_line():
     for n_fields, text in texts.items():
         match, peak, _ = traced(lambda: kg._FILE_FORMS[n_fields].fullmatch(text))
         assert match and peak < 100_000, n_fields
+
+
+# --- the loader against the line parser it replaced -----------------------
+
+# What a fuzzed file is made of besides names and line ends: separators, a
+# name's forbidden characters, and bytes that are not UTF-8 (an invalid
+# byte, a cut two-byte sequence, an encoded surrogate).
+FUZZ_PIECES = [b"\t", b"\n", b"\r", b"\r\n", b"\xff", b"\xc3", b"\xed\xa0\x80",
+               *(c.encode() for c in sorted(kg._FORBIDDEN_NAME_CHARS))]
+
+
+def fuzzed_file(rng, n_fields):
+    """A well-formed text's bytes with 0-3 pieces spliced in at random byte
+    offsets (which can cut a character)."""
+    data = joined(rng, random_lines(rng, n_fields), rng.choice(["\n", "\r", "\r\n"])).encode()
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        at = rng.randint(0, len(data))
+        data = data[:at] + rng.choice(FUZZ_PIECES) + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("n_fields", [1, 3])
+def test_loader_matches_line_parser_on_fuzzed_files(n_fields):
+    """The whole-text parse gives the line parser's names, or its message."""
+    rng = random.Random(n_fields)
+    verdicts = set()
+    for _ in range(1000):
+        data = fuzzed_file(rng, n_fields)
+        try:
+            want = ref_parse_lines("f.tsv", data, n_fields)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                list(kg._parse_fields("f.tsv", data, n_fields))
+            assert str(got.value) == str(exc), data
+            verdicts.add(str(exc).split(": ", 1)[1].split(" ", 1)[0])
+        else:
+            assert [name for run in kg._parse_fields("f.tsv", data, n_fields)
+                    for name in run] == want, data
+            verdicts.add("loaded")
+    # every kind of verdict is reached: loaded, not UTF-8, a forbidden
+    # character, and for triples an empty name field and a wrong tab count
+    # (in a name list, an empty name is a blank line)
+    kinds = {"loaded", "not", "name"}
+    assert verdicts == (kinds | {"empty", "expected"} if n_fields == 3 else kinds)
 
 
 # --- the run-at-a-time indexer against the one-shot indexer it replaced ----
@@ -740,6 +812,29 @@ def test_load_split_holds_one_run_of_names_at_a_time(large_split):
     split, peak, retained = traced(lambda: load_split(str(split_dir)))
     assert len(split.full.array) == len(saved.full.array) == 100_100
     assert peak - retained < 4_000_000, (peak, retained)
+
+
+@pytest.mark.parametrize("last,fault", [
+    (b"e0\tr0\te(1", "name 'e(1' contains forbidden character(s) ['(']"),
+    (b"e0\tr0\te\xff1", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 7"),
+], ids=["forbidden_char", "not_utf8"])
+def test_fault_on_the_last_line_is_named_in_bounded_memory(last, fault):
+    """A fault on line 100,101 of a triple file is named holding little
+    beyond the file's decoded text: 0.13 MB above it for a forbidden
+    character, 1.28 MB for a byte that is not UTF-8 (the decoder widens its
+    text to two bytes a character there). The line parser peaked at 24.9 MB."""
+    data = "".join(f"e{i % 1000}\tr{i % 7}\te{i // 100}\n"
+                   for i in range(100_100)).encode() + last + b"\n"
+
+    def diagnose():
+        with pytest.raises(GraphFormatError) as exc:
+            next(kg._parse_fields("train.tsv", data, 3))
+        return str(exc.value)
+
+    message, peak, _ = traced(diagnose)
+    assert message.startswith(f"train.tsv:100101: {fault}"), message
+    text_size = sys.getsizeof(data.decode("utf-8", "surrogateescape"))
+    assert peak - text_size < 2_000_000, (peak, text_size)
 
 
 def test_save_split_writes_one_run_at_a_time(large_split, tmp_path):
